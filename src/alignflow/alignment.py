@@ -142,6 +142,16 @@ def mas_search(
     region) times ``noise_scale``. With noise_scale = 0 the result maximizes
     the exact total log-likelihood; ties prefer advancing the token.
 
+    Frame j's column depends only on frame j-1's, so the DP runs one column
+    at a time (the column-wise layout of Super Monotonic Alignment Search):
+    one ``np.maximum`` of the previous column against itself shifted down a
+    token, then ``+ P`` and ``+ eps``. Each cell sees the same IEEE
+    operations in the same order as a per-cell loop, ``(max + P) + eps``,
+    so the result is bit-identical to it. The ``+ eps`` stays even when eps
+    is all zeros, because it turns a ``-0.0`` sum into ``+0.0``. A ``-inf``
+    sentinel in front of token 0 stands in for its missing diagonal
+    predecessor, and cells with i > j stay ``-inf``.
+
     Returns (alignment, Q at the terminal cell).
     """
     vi, vj = grid.valid_i, grid.valid_j
@@ -157,21 +167,28 @@ def mas_search(
     else:
         eps = np.zeros((vi, vj))
 
-    Q = np.full((vi, vj), -np.inf)
-    Q[0, 0] = P[0, 0] + eps[0, 0]
-    for j in range(1, vj):
-        for i in range(min(j, vi - 1) + 1):
-            stay = Q[i, j - 1]
-            diag = Q[i - 1, j - 1] if i > 0 else -np.inf
-            Q[i, j] = max(diag, stay) + P[i, j] + eps[i, j]
+    # frame-major: Q[j, i + 1] holds the score of token i at frame j, so a
+    # frame's column is one contiguous row; Q[:, 0] is the -inf sentinel
+    Q = np.full((vj, vi + 1), -np.inf)
+    Q[0, 1] = P[0, 0] + eps[0, 0]
+    stay, diag = Q[:, 1:], Q[:, :-1]
+    columns = zip(stay[:-1], diag[:-1], stay[1:], P.T[1:], eps.T[1:])
+    for prev_stay, prev_diag, cur, p, e in columns:
+        # np.maximum returns its second argument on ties, as max(diag, stay) does
+        np.maximum(prev_stay, prev_diag, out=cur)
+        cur += p
+        cur += e
 
-    durations = np.zeros(vi, dtype=np.int64)
+    # advance[j-1, i]: if token i holds frame j, token i-1 holds frame j-1
+    advance = diag[:-1] >= stay[:-1]
+    durations = [0] * vi
     i = vi - 1
-    for j in range(vj - 1, -1, -1):
+    for j in range(vj - 1, 0, -1):
         durations[i] += 1
-        if j > 0 and i > 0 and Q[i - 1, j - 1] >= Q[i, j - 1]:
+        if i > 0 and advance[j - 1, i]:
             i -= 1
-    return Alignment(durations), float(Q[vi - 1, vj - 1])
+    durations[i] += 1
+    return Alignment(durations), float(Q[vj - 1, vi])
 
 
 def brute_force_align(grid: LogProbGrid) -> tuple[Alignment, float]:

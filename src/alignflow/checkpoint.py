@@ -17,6 +17,7 @@ identical bytes.
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
@@ -47,27 +48,41 @@ def save_checkpoint(path, entries: dict[str, np.ndarray]):
             f.write(arr.astype("<f8").tobytes())
 
 
+def _check_room(path, blob: bytes, end: int, what: str):
+    if end > len(blob):
+        raise CheckpointError(f"{path}: truncated at byte {len(blob)} while reading {what}")
+
+
+def _unpack(path, blob: bytes, fmt: str, off: int, what: str) -> tuple[tuple, int]:
+    """struct.unpack_from that reports a cut-off file as a CheckpointError."""
+    end = off + struct.calcsize(fmt)
+    _check_room(path, blob, end, what)
+    return struct.unpack_from(fmt, blob, off), end
+
+
 def load_checkpoint(path) -> dict[str, np.ndarray]:
     with open(path, "rb") as f:
         blob = f.read()
     if blob[:8] != MAGIC:
         raise CheckpointError(f"{path}: bad magic, not a checkpoint file")
-    (count,) = struct.unpack_from("<I", blob, 8)
-    off = 12
+    (count,), off = _unpack(path, blob, "<I", 8, "the entry count")
     out: dict[str, np.ndarray] = {}
-    for _ in range(count):
-        (nlen,) = struct.unpack_from("<H", blob, off)
-        off += 2
-        name = blob[off : off + nlen].decode("utf-8")
-        off += nlen
-        (rank,) = struct.unpack_from("<B", blob, off)
-        off += 1
-        dims = struct.unpack_from(f"<{rank}I", blob, off) if rank else ()
-        off += 4 * rank
-        n = int(np.prod(dims)) if rank else 1
+    for k in range(count):
+        entry = f"entry {k}"
+        (nlen,), off = _unpack(path, blob, "<H", off, f"{entry} name length")
+        (raw,), off = _unpack(path, blob, f"<{nlen}s", off, f"{entry} name")
+        try:
+            name = raw.decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise CheckpointError(f"{path}: {entry} name is not UTF-8") from e
+        entry = f"entry {k} ({name!r})"
+        (rank,), off = _unpack(path, blob, "<B", off, f"{entry} rank")
+        dims, off = _unpack(path, blob, f"<{rank}I", off, f"{entry} dims")
+        n = math.prod(dims)
+        _check_room(path, blob, off + 8 * n, f"{entry} values")
         arr = np.frombuffer(blob, dtype="<f8", count=n, offset=off).copy()
         off += 8 * n
-        out[name] = arr.reshape(dims) if rank else arr.reshape(())
+        out[name] = arr.reshape(dims)
     if off != len(blob):
         raise CheckpointError(f"{path}: {len(blob) - off} trailing bytes")
     return out

@@ -105,11 +105,8 @@ def _write_pgm(path, values: np.ndarray, band: int | None = None):
     else:
         img = np.zeros(values.shape, dtype=np.uint8)
     if band is not None:
-        n = min(img.shape)
-        for i in range(img.shape[0]):
-            for j in range(img.shape[1]):
-                if abs(i - j) == band:
-                    img[i, j] = 255
+        rows, cols = np.indices(img.shape)
+        img[np.abs(rows - cols) == band] = 255
     with open(path, "wb") as f:
         f.write(f"P5\n{img.shape[1]} {img.shape[0]}\n255\n".encode())
         f.write(img.tobytes())

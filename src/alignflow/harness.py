@@ -260,12 +260,17 @@ def _aligned_nll(mu: Tensor, sigma: Tensor, u: Tensor, logdet: Tensor,
     return total * (1.0 / u_t.size)
 
 
-def predict_durations(model: ToyModel, inst: Instance) -> np.ndarray:
-    """Alignment-search durations for one instance, exploration noise off."""
-    _, mu, sigma, u, _, _ = _instance_forward(model, inst)
+def _encode_and_align(model: ToyModel, inst: Instance) -> tuple[Tensor, np.ndarray]:
+    """Encoder output and noise-free alignment-search durations from one forward pass."""
+    h, mu, sigma, u, _, _ = _instance_forward(model, inst)
     grid = log_prob_grid(u.data.T, mu.data, sigma.data)
     align, _ = mas_search(grid, noise_scale=0.0)
-    return align.durations
+    return h, align.durations
+
+
+def predict_durations(model: ToyModel, inst: Instance) -> np.ndarray:
+    """Alignment-search durations for one instance, exploration noise off."""
+    return _encode_and_align(model, inst)[1]
 
 
 def eval_alignment(model, instances) -> dict[str, float]:
@@ -285,9 +290,7 @@ def duration_targets(model: ToyModel, instances) -> list[DurationBatch]:
     """Frozen log-duration targets from noise-free alignment search."""
     batches = []
     for inst in instances:
-        pred = predict_durations(model, inst)
-        speaker_row, _ = model.speaker_condition(inst.speaker)
-        h, _, _ = model.encoder.encode(inst.tokens, speaker_row)
+        h, pred = _encode_and_align(model, inst)
         batches.append(
             DurationBatch(
                 h_text=h.data[None, :, :].copy(),

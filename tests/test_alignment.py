@@ -3,6 +3,8 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from alignflow.alignment import (
     Alignment,
@@ -21,6 +23,44 @@ from alignflow.numerics import Rng
 def gaussian_logpdf_scalar(x, mu, sigma):
     """Independent per-element density oracle."""
     return -math.log(sigma) - 0.5 * math.log(2 * math.pi) - (x - mu) ** 2 / (2 * sigma**2)
+
+
+def mas_reference(grid, noise_scale=0.0, rng=None):
+    """Per-cell double loop over the DP, one Python scalar at a time.
+
+    The column-wise mas_search must match it bit for bit: same noise draw,
+    same ``(max(diag, stay) + P) + eps`` per cell, same tie-break.
+    """
+    vi, vj = grid.valid_i, grid.valid_j
+    if vi > vj:
+        raise InfeasibleAlignmentError(f"{vi} tokens onto {vj} frames")
+    P = grid.valid_region
+    if noise_scale > 0.0:
+        eps = rng.normal((vi, vj)) * P.std() * noise_scale
+    else:
+        eps = np.zeros((vi, vj))
+    Q = np.full((vi, vj), -np.inf)
+    Q[0, 0] = P[0, 0] + eps[0, 0]
+    for j in range(1, vj):
+        for i in range(min(j, vi - 1) + 1):
+            stay = Q[i, j - 1]
+            diag = Q[i - 1, j - 1] if i > 0 else -np.inf
+            Q[i, j] = max(diag, stay) + P[i, j] + eps[i, j]
+    durations = np.zeros(vi, dtype=np.int64)
+    i = vi - 1
+    for j in range(vj - 1, -1, -1):
+        durations[i] += 1
+        if j > 0 and i > 0 and Q[i - 1, j - 1] >= Q[i, j - 1]:
+            i -= 1
+    return Alignment(durations), float(Q[vi - 1, vj - 1])
+
+
+def assert_same_search(grid, noise_scale=0.0, seed=0):
+    """mas_search and mas_reference agree bit for bit, noise drawn from equal Rngs."""
+    a_new, q_new = mas_search(grid, noise_scale, Rng(seed))
+    a_ref, q_ref = mas_reference(grid, noise_scale, Rng(seed))
+    npt.assert_array_equal(a_new.durations, a_ref.durations)
+    assert np.float64(q_new).tobytes() == np.float64(q_ref).tobytes(), (q_new, q_ref)
 
 
 def random_grid(rng, i, j, c):
@@ -176,6 +216,81 @@ class TestMasSearch:
             grid = random_grid(rng, rng.integers(1, 6), rng.integers(6, 11), 2)
             align, q = mas_search(grid)
             assert abs(q - alignment_score(grid, align)) <= 1e-9
+
+
+class TestColumnwiseMatchesReference:
+    SCALES = (0.0, 0.01, 1.0)
+
+    @pytest.mark.parametrize("shape", [
+        (1, 1), (1, 2), (1, 57),            # one token takes every frame
+        (2, 2), (9, 9), (40, 40),           # I = J: the forced diagonal
+        (30, 31), (60, 64),                 # tall-thin: nearly one frame per token
+        (2, 150), (5, 240),                 # wide: long runs per token
+    ])
+    def test_edge_shapes(self, shape):
+        i, j = shape
+        grid = LogProbGrid(P=Rng(i * 1000 + j).normal((i, j)) * 5.0, valid_i=i, valid_j=j)
+        for seed, scale in enumerate(self.SCALES):
+            assert_same_search(grid, scale, seed)
+
+    def test_random_shapes(self):
+        rng = Rng(21)
+        for k in range(150):
+            i = rng.integers(1, 41)
+            j = rng.integers(i, i + 120)
+            grid = random_grid(rng, i, j, rng.integers(1, 4))
+            assert_same_search(grid, self.SCALES[k % 3], seed=k)
+
+    def test_many_ties(self):
+        rng = Rng(22)
+        for k in range(60):
+            i = rng.integers(1, 12)
+            j = rng.integers(i, i + 30)
+            P = np.round(rng.normal((i, j)))  # few distinct values, many equal sums
+            assert_same_search(LogProbGrid(P=P, valid_i=i, valid_j=j), self.SCALES[k % 3], k)
+
+    def test_padded_grids(self):
+        rng = Rng(23)
+        for k in range(40):
+            i = rng.integers(1, 15)
+            j = rng.integers(i, i + 40)
+            P = np.full((i + rng.integers(0, 4), j + rng.integers(0, 6)), -1e12)
+            P[:i, :j] = rng.normal((i, j))
+            assert_same_search(LogProbGrid(P=P, valid_i=i, valid_j=j), self.SCALES[k % 3], k)
+
+    def test_signed_zeros(self):
+        # constant grid: std(P) = 0, so the noise is a mix of +0.0 and -0.0 and
+        # the sign of best_Q depends on which operand each max keeps on a tie
+        for shape in ((1, 4), (2, 3), (3, 5), (4, 11), (6, 20)):
+            for fill in (0.0, -0.0):
+                grid = LogProbGrid(P=np.full(shape, fill), valid_i=shape[0], valid_j=shape[1])
+                assert_same_search(grid)
+                for seed in range(50):
+                    assert_same_search(grid, 1.0, seed)
+
+
+@st.composite
+def small_grids(draw):
+    i = draw(st.integers(1, 6))
+    j = draw(st.integers(i, 10))
+    # small integers make tied optima common; bounded floats cover the rest
+    value = st.one_of(
+        st.integers(-3, 3).map(float),
+        st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False),
+    )
+    cells = draw(st.lists(value, min_size=i * j, max_size=i * j))
+    return LogProbGrid(P=np.array(cells).reshape(i, j), valid_i=i, valid_j=j)
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_grids())
+def test_mas_matches_brute_force_property(grid):
+    align, best_q = mas_search(grid)
+    _, bf_score = brute_force_align(grid)
+    assert align.durations.sum() == grid.valid_j
+    assert (align.durations >= 1).all()
+    assert alignment_score(grid, align) == bf_score
+    assert best_q == bf_score
 
 
 class TestBruteForce:

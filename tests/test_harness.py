@@ -4,6 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from alignflow.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from alignflow.corpus import (
     CorpusSpec,
     generate_corpus,
@@ -17,6 +18,7 @@ from alignflow.harness import (
     build_model,
     duration_targets,
     eval_alignment,
+    predict_durations,
     load_config,
     load_duration_corpus,
     load_model,
@@ -241,6 +243,32 @@ class TestCheckpoint:
         after = eval_alignment(loaded, corpus.eval)
         assert before == after
 
+    def test_every_truncation_raises_checkpoint_error(self, tmp_path):
+        path = tmp_path / "small.bin"
+        entries = {"a.scalar": np.float64(2.5), "b.matrix": np.arange(6.0).reshape(2, 3),
+                   "c.vector": np.array([-1.0, 0.5])}
+        save_checkpoint(path, entries)
+        blob = path.read_bytes()
+        loaded = load_checkpoint(path)
+        for name, value in entries.items():
+            npt.assert_array_equal(loaded[name], value)
+        cut = tmp_path / "cut.bin"
+        for n in range(len(blob)):
+            cut.write_bytes(blob[:n])
+            with pytest.raises(CheckpointError, match="cut.bin"):
+                load_checkpoint(cut)
+
+    def test_truncation_message_names_the_entry(self, tmp_path):
+        path = tmp_path / "small.bin"
+        save_checkpoint(path, {"only": np.ones((2, 2))})
+        blob = path.read_bytes()
+        path.write_bytes(blob[:-3])
+        with pytest.raises(CheckpointError, match=r"entry 0 \('only'\) values"):
+            load_checkpoint(path)
+        path.write_bytes(blob[:10])
+        with pytest.raises(CheckpointError, match="entry count"):
+            load_checkpoint(path)
+
     def test_duration_corpus_roundtrip(self, tmp_path):
         cfg = tiny_config()
         corpus = generate_corpus(cfg.corpus_spec(), Rng(cfg.seed).child(1))
@@ -253,6 +281,27 @@ class TestCheckpoint:
         for a, b in zip(targets, loaded):
             npt.assert_array_equal(a.h_text, b.h_text)
             npt.assert_array_equal(a.d, b.d)
+
+
+class TestDurationTargets:
+    def test_one_encoder_pass_per_instance(self, monkeypatch):
+        from alignflow.encoder import TextEncoder
+
+        cfg = tiny_config()
+        corpus = generate_corpus(cfg.corpus_spec(), Rng(cfg.seed).child(1))
+        model = build_model(cfg, Rng(cfg.seed).child(3))
+        calls = []
+        encode = TextEncoder.encode
+
+        def counting_encode(self, *args, **kwargs):
+            calls.append(1)
+            return encode(self, *args, **kwargs)
+
+        monkeypatch.setattr(TextEncoder, "encode", counting_encode)
+        targets = duration_targets(model, corpus.train)
+        assert len(calls) == len(corpus.train)
+        for inst, batch in zip(corpus.train, targets):
+            npt.assert_array_equal(batch.d[0], np.log(predict_durations(model, inst)))
 
 
 class TestDurationOnHarnessTargets:
