@@ -26,7 +26,7 @@ from .harness import (
     train_toy,
     write_csv,
 )
-from .numerics import Rng
+from .numerics import AdamWConfig, Rng
 
 
 def _cmd_mas(args) -> int:
@@ -57,8 +57,6 @@ def _cmd_train_duration(args) -> int:
     gen = DurationGenerator(h_dim=width, z_dim=args.z_dim, hidden=args.hidden,
                             rng=root.child(0))
     disc = DurationDiscriminator(h_dim=width, hidden=args.hidden, rng=root.child(1))
-    from .numerics import AdamWConfig
-
     history = train_duration(
         gen, disc, corpus, args.steps,
         opt_cfg=AdamWConfig(lr=args.lr),
@@ -186,8 +184,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; a bad input file or flag value ends it with one line
+    on stderr and exit code 2 (argparse's code for a bad command line)."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (OSError, ValueError) as e:
+        print(f"alignflow {args.command}: {e}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

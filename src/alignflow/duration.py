@@ -61,32 +61,25 @@ class DurationBatch:
         return int(self.mask[b].sum())
 
 
-class _ConvTower:
+class _ConvTower(nm.Module):
     """conv(k) -> relu -> conv(k) -> relu -> 1x1 head, over the token axis."""
 
     def __init__(self, in_dim: int, hidden: int, rng: Rng, kernel: int = 3,
                  cond_dim: int | None = None):
         self.kernel = kernel
-        self.conv1_w = nm.init_uniform(rng, (hidden, in_dim, kernel), in_dim * kernel)
-        self.conv1_b = nm.zeros((hidden,), requires_grad=True)
-        self.conv2_w = nm.init_uniform(rng, (hidden, hidden, kernel), hidden * kernel)
-        self.conv2_b = nm.zeros((hidden,), requires_grad=True)
-        self.head_w = nm.init_uniform(rng, (1, hidden, 1), hidden)
-        self.head_b = nm.zeros((1,), requires_grad=True)
-        self.wc = nm.init_uniform(rng, (hidden, cond_dim), cond_dim) if cond_dim else None
-
-    def named_params(self):
-        out = [
-            ("conv1.w", self.conv1_w),
-            ("conv1.b", self.conv1_b),
-            ("conv2.w", self.conv2_w),
-            ("conv2.b", self.conv2_b),
-            ("head.w", self.head_w),
-            ("head.b", self.head_b),
-        ]
-        if self.wc is not None:
-            out.append(("cond.w", self.wc))
-        return out
+        self.conv1_w = self.param(
+            "conv1.w", nm.init_uniform(rng, (hidden, in_dim, kernel), in_dim * kernel)
+        )
+        self.conv1_b = self.param("conv1.b", nm.zeros((hidden,), requires_grad=True))
+        self.conv2_w = self.param(
+            "conv2.w", nm.init_uniform(rng, (hidden, hidden, kernel), hidden * kernel)
+        )
+        self.conv2_b = self.param("conv2.b", nm.zeros((hidden,), requires_grad=True))
+        self.head_w = self.param("head.w", nm.init_uniform(rng, (1, hidden, 1), hidden))
+        self.head_b = self.param("head.b", nm.zeros((1,), requires_grad=True))
+        self.wc = self.param(
+            "cond.w", nm.init_uniform(rng, (hidden, cond_dim), cond_dim) if cond_dim else None
+        )
 
     def run(self, x: Tensor, cond: Tensor | None) -> Tensor:
         # x: (in_dim, I) -> (I,)
@@ -101,7 +94,7 @@ class _ConvTower:
         return out[0]
 
 
-class DurationGenerator:
+class DurationGenerator(nm.Module):
     """Per-token log-duration network: concat(text features, noise) -> conv tower.
 
     z_dim = 0 builds the deterministic variant (no noise input), used by the
@@ -113,13 +106,7 @@ class DurationGenerator:
         rng = rng if rng is not None else Rng(0)
         self.h_dim = h_dim
         self.z_dim = z_dim
-        self.tower = _ConvTower(h_dim + z_dim, hidden, rng, kernel, cond_dim)
-
-    def named_params(self):
-        return [(f"gen.{n}", t) for n, t in self.tower.named_params()]
-
-    def params(self):
-        return [t for _, t in self.named_params()]
+        self.tower = self.child("gen", _ConvTower(h_dim + z_dim, hidden, rng, kernel, cond_dim))
 
     def forward(self, h, z=None, cond: Tensor | None = None) -> Tensor:
         """h: (I, h_dim), z: (I, z_dim) standard normal. Returns (I,) log-durations."""
@@ -138,7 +125,7 @@ class DurationGenerator:
         return self.tower.run(x, cond)
 
 
-class DurationDiscriminator:
+class DurationDiscriminator(nm.Module):
     """Time-step-wise conditional critic: one score per token, never pooled."""
 
     def __init__(self, h_dim: int, hidden: int = 32, rng: Rng | None = None,
@@ -146,13 +133,7 @@ class DurationDiscriminator:
         rng = rng if rng is not None else Rng(0)
         self.h_dim = h_dim
         self.kernel = kernel
-        self.tower = _ConvTower(h_dim + 1, hidden, rng, kernel)
-
-    def named_params(self):
-        return [(f"disc.{n}", t) for n, t in self.tower.named_params()]
-
-    def params(self):
-        return [t for _, t in self.named_params()]
+        self.tower = self.child("disc", _ConvTower(h_dim + 1, hidden, rng, kernel))
 
     @property
     def receptive_field(self) -> int:

@@ -19,13 +19,13 @@ from .numerics import Rng, Tensor
 MASK_BIAS = -1e30  # additive attention bias; exp underflows to exactly 0
 
 
-class SpeakerTable:
+class SpeakerTable(nm.Module):
     """Learnable speaker embeddings, one row per speaker id."""
 
     def __init__(self, n_speakers: int, dim: int, rng: Rng):
         self.n_speakers = n_speakers
         self.dim = dim
-        self.table = nm.init_uniform(rng, (n_speakers, dim), dim)
+        self.table = self.param("speakers.table", nm.init_uniform(rng, (n_speakers, dim), dim))
 
     def lookup(self, speaker_id: int) -> Tensor:
         if not (0 <= speaker_id < self.n_speakers):
@@ -33,12 +33,6 @@ class SpeakerTable:
                 f"speaker id {speaker_id} outside [0, {self.n_speakers})"
             )
         return nm.take_rows(self.table, [speaker_id])[0]
-
-    def named_params(self):
-        return [("speakers.table", self.table)]
-
-    def params(self):
-        return [self.table]
 
 
 def sinusoidal_encoding(length: int, dim: int) -> np.ndarray:
@@ -51,7 +45,7 @@ def sinusoidal_encoding(length: int, dim: int) -> np.ndarray:
     return pe
 
 
-class EncoderBlock:
+class EncoderBlock(nm.Module):
     """Post-norm transformer block: self-attention and a position-wise FFN,
     each wrapped in residual + layer norm."""
 
@@ -64,27 +58,16 @@ class EncoderBlock:
         self.heads = []
         for h in range(n_heads):
             r = rng.child(h)
-            self.heads.append(
-                (
-                    nm.init_uniform(r, (width, self.head_dim), width),
-                    nm.init_uniform(r, (width, self.head_dim), width),
-                    nm.init_uniform(r, (width, self.head_dim), width),
-                )
-            )
+            self.heads.append(tuple(
+                self.param(f"head{h}.{n}", nm.init_uniform(r, (width, self.head_dim), width))
+                for n in ("wq", "wk", "wv")
+            ))
         r = rng.child(n_heads)
-        self.wo = nm.init_uniform(r, (width, width), width)
-        self.w1 = nm.init_uniform(r, (width, ff_width), width)
-        self.b1 = nm.zeros((ff_width,), requires_grad=True)
-        self.w2 = nm.init_uniform(r, (ff_width, width), ff_width)
-        self.b2 = nm.zeros((width,), requires_grad=True)
-
-    def named_params(self):
-        out = []
-        for h, (wq, wk, wv) in enumerate(self.heads):
-            out += [(f"head{h}.wq", wq), (f"head{h}.wk", wk), (f"head{h}.wv", wv)]
-        out += [("wo", self.wo), ("ffn.w1", self.w1), ("ffn.b1", self.b1),
-                ("ffn.w2", self.w2), ("ffn.b2", self.b2)]
-        return out
+        self.wo = self.param("wo", nm.init_uniform(r, (width, width), width))
+        self.w1 = self.param("ffn.w1", nm.init_uniform(r, (width, ff_width), width))
+        self.b1 = self.param("ffn.b1", nm.zeros((ff_width,), requires_grad=True))
+        self.w2 = self.param("ffn.w2", nm.init_uniform(r, (ff_width, width), ff_width))
+        self.b2 = self.param("ffn.b2", nm.zeros((width,), requires_grad=True))
 
     def forward(self, x: Tensor, attn_bias: np.ndarray | None = None) -> Tensor:
         parts = []
@@ -102,7 +85,7 @@ class EncoderBlock:
         return nm.layer_norm(x + ff, axis=1)
 
 
-class TextEncoder:
+class TextEncoder(nm.Module):
     """Token ids -> (h_text, mu, sigma), all length-aligned with the input.
 
     n_blocks >= 3 so the speaker injection point exists. sigma comes from an
@@ -130,33 +113,22 @@ class TextEncoder:
         self.out_channels = out_channels
         self.n_blocks = n_blocks
         self.speaker_dim = speaker_dim
-        self.embedding = nm.init_uniform(rng.child(1000), (vocab, width), width)
+        self.embedding = self.param(
+            "embedding", nm.init_uniform(rng.child(1000), (vocab, width), width)
+        )
         self.blocks = [
-            EncoderBlock(width, n_heads, ff_width, rng.child(b)) for b in range(n_blocks)
+            self.child(f"block{b}", EncoderBlock(width, n_heads, ff_width, rng.child(b)))
+            for b in range(n_blocks)
         ]
         r = rng.child(2000)
-        self.w_speaker = (
-            nm.init_uniform(r, (speaker_dim, width), speaker_dim)
-            if speaker_dim is not None
-            else None
+        self.w_speaker = self.param(
+            "speaker_proj",
+            None if speaker_dim is None else nm.init_uniform(r, (speaker_dim, width), speaker_dim),
         )
-        self.w_mu = nm.init_uniform(r, (width, out_channels), width)
-        self.b_mu = nm.zeros((out_channels,), requires_grad=True)
-        self.w_logsigma = nm.init_uniform(r, (width, out_channels), width)
-        self.b_logsigma = nm.zeros((out_channels,), requires_grad=True)
-
-    def named_params(self):
-        out = [("embedding", self.embedding)]
-        for b, block in enumerate(self.blocks):
-            out.extend((f"block{b}.{n}", t) for n, t in block.named_params())
-        if self.w_speaker is not None:
-            out.append(("speaker_proj", self.w_speaker))
-        out += [("mu.w", self.w_mu), ("mu.b", self.b_mu),
-                ("logsigma.w", self.w_logsigma), ("logsigma.b", self.b_logsigma)]
-        return out
-
-    def params(self):
-        return [t for _, t in self.named_params()]
+        self.w_mu = self.param("mu.w", nm.init_uniform(r, (width, out_channels), width))
+        self.b_mu = self.param("mu.b", nm.zeros((out_channels,), requires_grad=True))
+        self.w_logsigma = self.param("logsigma.w", nm.init_uniform(r, (width, out_channels), width))
+        self.b_logsigma = self.param("logsigma.b", nm.zeros((out_channels,), requires_grad=True))
 
     def _attn_bias(self, n: int, mask: np.ndarray | None) -> np.ndarray | None:
         if mask is None:

@@ -19,7 +19,7 @@ from . import numerics as nm
 from .numerics import Rng, Tensor
 
 
-class CouplingLayer:
+class CouplingLayer(nm.Module):
     """Invertible map on (C, T) inputs; C must be even.
 
     head_init="zero" starts the layer as the identity (shift 0, log-scale 0),
@@ -49,39 +49,25 @@ class CouplingLayer:
         self.kernel = kernel
 
         half, kd = self.half, key_dim
-        self.wq = nm.init_uniform(rng, (half, kd), half)
-        self.wk = nm.init_uniform(rng, (half, kd), half)
-        self.wv = nm.init_uniform(rng, (half, kd), half)
-        self.wo = nm.init_uniform(rng, (kd, half), kd)
-        self.conv1_w = nm.init_uniform(rng, (hidden, half, kernel), half * kernel)
-        self.conv1_b = nm.zeros((hidden,), requires_grad=True)
-        if head_init == "zero":
-            self.conv2_w = nm.zeros((channels, hidden, kernel), requires_grad=True)
-        else:
-            self.conv2_w = nm.init_uniform(rng, (channels, hidden, kernel), hidden * kernel)
-        self.conv2_b = nm.zeros((channels,), requires_grad=True)
-        if cond_dim is not None:
-            self.wc = nm.init_uniform(rng, (hidden, cond_dim), cond_dim)
-        else:
-            self.wc = None
-
-    def named_params(self) -> list[tuple[str, Tensor]]:
-        out = [
-            ("attn.wq", self.wq),
-            ("attn.wk", self.wk),
-            ("attn.wv", self.wv),
-            ("attn.wo", self.wo),
-            ("conv1.w", self.conv1_w),
-            ("conv1.b", self.conv1_b),
-            ("conv2.w", self.conv2_w),
-            ("conv2.b", self.conv2_b),
-        ]
-        if self.wc is not None:
-            out.append(("cond.w", self.wc))
-        return out
-
-    def params(self) -> list[Tensor]:
-        return [t for _, t in self.named_params()]
+        self.wq = self.param("attn.wq", nm.init_uniform(rng, (half, kd), half))
+        self.wk = self.param("attn.wk", nm.init_uniform(rng, (half, kd), half))
+        self.wv = self.param("attn.wv", nm.init_uniform(rng, (half, kd), half))
+        self.wo = self.param("attn.wo", nm.init_uniform(rng, (kd, half), kd))
+        self.conv1_w = self.param(
+            "conv1.w", nm.init_uniform(rng, (hidden, half, kernel), half * kernel)
+        )
+        self.conv1_b = self.param("conv1.b", nm.zeros((hidden,), requires_grad=True))
+        self.conv2_w = self.param(
+            "conv2.w",
+            nm.zeros((channels, hidden, kernel), requires_grad=True)
+            if head_init == "zero"
+            else nm.init_uniform(rng, (channels, hidden, kernel), hidden * kernel),
+        )
+        self.conv2_b = self.param("conv2.b", nm.zeros((channels,), requires_grad=True))
+        self.wc = self.param(
+            "cond.w",
+            None if cond_dim is None else nm.init_uniform(rng, (hidden, cond_dim), cond_dim),
+        )
 
     @property
     def conv_receptive_field(self) -> int:
@@ -155,15 +141,11 @@ class CouplingLayer:
         return e / e.sum(axis=1, keepdims=True)
 
 
-def extract_attention(layer: CouplingLayer, x) -> np.ndarray:
-    return layer.attention_map(x)
-
-
 def _flip_channels(x: Tensor) -> Tensor:
     return x[::-1]
 
 
-class FlowStack:
+class FlowStack(nm.Module):
     """Coupling layers composed with a channel flip between consecutive layers."""
 
     def __init__(
@@ -183,7 +165,7 @@ class FlowStack:
         self.channels = channels
         self.depth = depth
         self.layers = [
-            CouplingLayer(
+            self.child(f"layer{li}", CouplingLayer(
                 channels,
                 hidden,
                 rng.child(li),
@@ -192,18 +174,9 @@ class FlowStack:
                 cond_dim=cond_dim,
                 kernel=kernel,
                 head_init=head_init,
-            )
+            ))
             for li in range(depth)
         ]
-
-    def named_params(self) -> list[tuple[str, Tensor]]:
-        out = []
-        for li, layer in enumerate(self.layers):
-            out.extend((f"layer{li}.{name}", t) for name, t in layer.named_params())
-        return out
-
-    def params(self) -> list[Tensor]:
-        return [t for _, t in self.named_params()]
 
     def forward(self, x: Tensor, cond: Tensor | None = None) -> tuple[Tensor, Tensor]:
         total = Tensor(0.0)

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import numerics as nm
 from .alignment import LOG_2PI, log_prob_grid, mas_search, noise_scale_at
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .corpus import CorpusSpec, Instance, ToyCorpus, generate_corpus, save_corpus
 from .duration import DurationBatch, DurationDiscriminator, DurationGenerator, train_duration
 from .encoder import SpeakerTable, TextEncoder
@@ -44,12 +44,12 @@ class TrainConfig:
     steps_duration: int = 400
     eval_every: int = 250
     # optimizer (main phase); the duration phase has its own learning rate
-    lr: float = 2e-4
-    beta1: float = 0.8
-    beta2: float = 0.99
-    weight_decay: float = 0.01
-    eps: float = 1e-9
-    lr_decay: float = 0.999 ** (1 / 8)
+    lr: float = AdamWConfig.lr
+    beta1: float = AdamWConfig.beta1
+    beta2: float = AdamWConfig.beta2
+    weight_decay: float = AdamWConfig.weight_decay
+    eps: float = AdamWConfig.eps
+    lr_decay: float = AdamWConfig.lr_decay
     duration_lr: float = 0.01
     # mechanism switches (the ablation arms)
     noise_anneal: bool = True
@@ -88,6 +88,10 @@ class TrainConfig:
             raise ConfigError("eval_every must be > 0")
         if self.channels % 2 != 0:
             raise ConfigError("channels must be even for the coupling split")
+        if self.n_blocks <= TextEncoder.SPEAKER_BLOCK:
+            raise ConfigError(f"n_blocks {self.n_blocks} must be > {TextEncoder.SPEAKER_BLOCK}")
+        if self.n_heads < 1 or self.hidden_width % self.n_heads != 0:
+            raise ConfigError(f"n_heads {self.n_heads} does not divide hidden_width")
         self.corpus_spec().validate()
 
     def corpus_spec(self) -> CorpusSpec:
@@ -107,14 +111,9 @@ class TrainConfig:
         )
 
     def optimizer(self, lr: float | None = None) -> AdamWConfig:
-        return AdamWConfig(
-            lr=self.lr if lr is None else lr,
-            beta1=self.beta1,
-            beta2=self.beta2,
-            weight_decay=self.weight_decay,
-            eps=self.eps,
-            lr_decay=self.lr_decay,
-        )
+        names = [f.name for f in dataclasses.fields(AdamWConfig)]
+        cfg = AdamWConfig(**{name: getattr(self, name) for name in names})
+        return cfg if lr is None else dataclasses.replace(cfg, lr=lr)
 
 
 _FIELD_TYPES = typing.get_type_hints(TrainConfig)
@@ -176,14 +175,10 @@ class ToyModel:
     config: TrainConfig
 
     def named_params(self) -> list[tuple[str, Tensor]]:
-        out = [(f"enc.{n}", t) for n, t in self.encoder.named_params()]
-        out += [(f"flow.{n}", t) for n, t in self.flows.named_params()]
-        out += [(f"durg.{n}", t) for n, t in self.dur_gen.named_params()]
-        if self.dur_disc is not None:
-            out += [(f"durd.{n}", t) for n, t in self.dur_disc.named_params()]
-        if self.speakers is not None:
-            out += [(f"spk.{n}", t) for n, t in self.speakers.named_params()]
-        return out
+        parts = [("enc", self.encoder), ("flow", self.flows), ("durg", self.dur_gen),
+                 ("durd", self.dur_disc), ("spk", self.speakers)]
+        return [(f"{prefix}.{n}", t) for prefix, module in parts if module is not None
+                for n, t in module.named_params()]
 
     def main_params(self) -> list[Tensor]:
         out = self.encoder.params() + self.flows.params()
@@ -419,6 +414,8 @@ def load_duration_corpus(path) -> list[DurationBatch]:
             per_inst.setdefault(inst, []).append(
                 (pos, float(cells[2]), np.array([float(c) for c in cells[3:]]))
             )
+    if not per_inst:
+        raise ValueError(f"{path}: duration corpus has a header but no rows")
     batches = []
     for inst in sorted(per_inst):
         rows = sorted(per_inst[inst])
@@ -449,19 +446,25 @@ def load_model(path) -> ToyModel:
     for f in dataclasses.fields(TrainConfig):
         key = f"cfg.{f.name}"
         if key not in entries:
-            raise ValueError(f"{path}: missing config entry {key}")
+            raise CheckpointError(f"{path}: missing config entry {key}")
         raw = float(entries[key].reshape(()))
         ftype = _FIELD_TYPES[f.name]
         kwargs[f.name] = ftype(raw) if ftype is not bool else bool(raw)
     config = TrainConfig(**kwargs)
     model = build_model(config, Rng(config.seed).child(3))
-    for name, tensor in model.named_params():
+    named = model.named_params()
+    known = {f"cfg.{f.name}" for f in dataclasses.fields(TrainConfig)}
+    known.update(f"param.{name}" for name, _ in named)
+    unknown = sorted(set(entries) - known)
+    if unknown:
+        raise CheckpointError(f"{path}: entries not in this model: {', '.join(unknown)}")
+    for name, tensor in named:
         key = f"param.{name}"
         if key not in entries:
-            raise ValueError(f"{path}: missing parameter {key}")
+            raise CheckpointError(f"{path}: missing parameter {key}")
         arr = entries[key]
         if arr.shape != tensor.shape:
-            raise ValueError(f"{path}: {key} has shape {arr.shape}, expected {tensor.shape}")
+            raise CheckpointError(f"{path}: {key} has shape {arr.shape}, expected {tensor.shape}")
         tensor.data = arr.copy()
     return model
 

@@ -16,6 +16,7 @@ choices worth knowing:
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -546,6 +547,35 @@ def frozen(params):
             p.requires_grad = s
 
 
+class Module:
+    """Base for anything with parameters.
+
+    ``param`` and ``child`` register a tensor (``None`` for an absent optional
+    one) or a sub-module under its checkpoint name and return it unchanged.
+    ``named_params`` lists them in registration order, a child's under its
+    prefix; names and order are the checkpoint format (docs/checkpoint_format.md).
+    """
+
+    def param(self, name: str, tensor: Tensor | None) -> Tensor | None:
+        self.__dict__.setdefault("_members", []).append((name, tensor))
+        return tensor
+
+    def child(self, name: str, module: "Module") -> "Module":
+        return self.param(name, module)
+
+    def named_params(self) -> list[tuple[str, Tensor]]:
+        out = []
+        for name, member in self.__dict__.get("_members", ()):
+            if isinstance(member, Module):
+                out += [(f"{name}.{n}", t) for n, t in member.named_params()]
+            elif member is not None:
+                out.append((name, member))
+        return out
+
+    def params(self) -> list[Tensor]:
+        return [t for _, t in self.named_params()]
+
+
 # ---------------------------------------------------------------------------
 # optimizer
 # ---------------------------------------------------------------------------
@@ -554,7 +584,8 @@ def frozen(params):
 @dataclass
 class AdamWConfig:
     """Adam with decoupled weight decay; defaults follow the training recipe
-    used throughout this project (lr decays by 0.999^(1/8) per epoch)."""
+    used throughout this project (lr decays by 0.999^(1/8) per epoch). These
+    are the only copies of the defaults: ``AdamW`` and the run config read them."""
 
     lr: float = 2e-4
     beta1: float = 0.8
@@ -564,35 +595,20 @@ class AdamWConfig:
     lr_decay: float = 0.999 ** (1 / 8)
 
     def build(self, params) -> "AdamW":
-        return AdamW(
-            params,
-            lr=self.lr,
-            beta1=self.beta1,
-            beta2=self.beta2,
-            weight_decay=self.weight_decay,
-            eps=self.eps,
-            lr_decay=self.lr_decay,
-        )
+        return AdamW(params, **dataclasses.asdict(self))
 
 
 class AdamW:
-    def __init__(
-        self,
-        params,
-        lr: float = 2e-4,
-        beta1: float = 0.8,
-        beta2: float = 0.99,
-        weight_decay: float = 0.01,
-        eps: float = 1e-9,
-        lr_decay: float = 0.999 ** (1 / 8),
-    ):
+    def __init__(self, params, **hyper):
+        """``hyper`` takes any ``AdamWConfig`` field by keyword; the rest keep their defaults."""
+        cfg = AdamWConfig(**hyper)
         self.params = [p for p in params if p.requires_grad]
-        self.lr0 = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.weight_decay = weight_decay
-        self.eps = eps
-        self.lr_decay = lr_decay
+        self.lr0 = cfg.lr
+        self.beta1 = cfg.beta1
+        self.beta2 = cfg.beta2
+        self.weight_decay = cfg.weight_decay
+        self.eps = cfg.eps
+        self.lr_decay = cfg.lr_decay
         self.epoch = 0
         self.t = 0
         self._m = [np.zeros(p.shape) for p in self.params]

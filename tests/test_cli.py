@@ -178,6 +178,40 @@ class TestDumpAttention:
                 assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
 
 
+class TestLoaderErrors:
+    """A bad input file ends the command with one line on stderr and exit code 2."""
+
+    def invoke_err(self, capsys, *argv):
+        code = main([str(a) for a in argv])
+        return code, capsys.readouterr().err
+
+    def test_missing_checkpoint(self, capsys, tmp_path):
+        code, err = self.invoke_err(capsys, "eval-align", "--ckpt", tmp_path / "missing.bin",
+                                    "--corpus", tmp_path / "corpus.json")
+        assert code == 2
+        assert err.startswith("alignflow eval-align: ") and "missing.bin" in err
+        assert err.count("\n") == 1
+
+    def test_header_only_duration_corpus(self, capsys, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("instance,position,log_duration,h0,h1\n")
+        code, err = self.invoke_err(capsys, "train-duration", "--corpus", path, "--steps", "2",
+                                    "--seed", "0", "--out", tmp_path / "l.csv")
+        assert code == 2
+        assert err.startswith("alignflow train-duration: ") and "empty.csv" in err
+        assert err.count("\n") == 1
+
+    def test_config_without_speaker_block(self, capsys, tmp_path):
+        path = tmp_path / "two.cfg"
+        path.write_text("n_blocks = 2\n")
+        code, err = self.invoke_err(capsys, "train-toy", "--config", path,
+                                    "--out", tmp_path / "run", "--seed", "0")
+        assert code == 2
+        assert err.startswith("alignflow train-toy: ") and "n_blocks" in err
+        assert err.count("\n") == 1
+        assert not (tmp_path / "run").exists()
+
+
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
         rng = Rng(1)

@@ -5,7 +5,7 @@ import numpy.testing as npt
 import pytest
 
 from alignflow import numerics as nm
-from alignflow.flows import CouplingLayer, FlowStack, extract_attention
+from alignflow.flows import CouplingLayer, FlowStack
 from alignflow.numerics import Rng, ShapeError, Tensor
 
 
@@ -123,7 +123,7 @@ class TestAttentionMap:
     def test_rows_stochastic(self):
         rng = Rng(15)
         layer = CouplingLayer(4, 6, rng, head_init="small")
-        amap = extract_attention(layer, Tensor(rng.normal((4, 9)) * 3))
+        amap = layer.attention_map(Tensor(rng.normal((4, 9)) * 3))
         assert (amap >= 0).all()
         npt.assert_allclose(amap.sum(axis=1), 1.0, atol=1e-10)
 

@@ -27,7 +27,7 @@ from alignflow.harness import (
     save_model,
     train_toy,
 )
-from alignflow.numerics import Rng, Tensor
+from alignflow.numerics import AdamWConfig, Rng, Tensor
 
 
 class TestCorpus:
@@ -145,6 +145,19 @@ class TestConfig:
         path.write_text("steps_main = 0\n")
         with pytest.raises(ConfigError, match="step counts"):
             load_config(path)
+
+    @pytest.mark.parametrize("line, key", [("n_blocks = 2", "n_blocks"),
+                                           ("n_heads = 3", "n_heads")])
+    def test_unbuildable_encoder_rejected_at_load(self, tmp_path, line, key):
+        path = tmp_path / "enc.cfg"
+        path.write_text(line + "\n")
+        with pytest.raises(ConfigError, match=key):
+            load_config(path)
+
+    def test_optimizer_defaults_come_from_adamw_config(self):
+        assert TrainConfig().optimizer() == AdamWConfig()
+        cfg = TrainConfig(lr=1e-3, beta2=0.9)
+        assert cfg.optimizer(lr=0.01) == AdamWConfig(lr=0.01, beta2=0.9)
 
 
 def tiny_config(**kw):
@@ -269,6 +282,22 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="entry count"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("extra", ["param.enc.block0.head0.wx", "cfg.batch_size"])
+    def test_unknown_entry_rejected(self, tmp_path, extra):
+        path = tmp_path / "model.bin"
+        save_model(path, build_model(tiny_config(), Rng(0)))
+        entries = load_checkpoint(path)
+        entries[extra] = np.zeros(2)
+        save_checkpoint(path, entries)
+        with pytest.raises(CheckpointError, match=extra):
+            load_model(path)
+
+    def test_header_only_duration_corpus_rejected(self, tmp_path):
+        path = tmp_path / "dur.csv"
+        path.write_text("instance,position,log_duration,h0,h1\n")
+        with pytest.raises(ValueError, match="dur.csv: .*no rows"):
+            load_duration_corpus(path)
+
     def test_duration_corpus_roundtrip(self, tmp_path):
         cfg = tiny_config()
         corpus = generate_corpus(cfg.corpus_spec(), Rng(cfg.seed).child(1))
@@ -281,6 +310,69 @@ class TestCheckpoint:
         for a, b in zip(targets, loaded):
             npt.assert_array_equal(a.h_text, b.h_text)
             npt.assert_array_equal(a.d, b.d)
+
+
+SMALL_SIZES = dict(n_blocks=3, n_heads=2, hidden_width=8, ff_width=8, flow_depth=2,
+                   flow_hidden=4, key_dim=2, dur_hidden=4, speaker_dim=2)
+
+# Checkpoint entry names are a file format: these lists must never change by accident.
+NAMES_3_SPEAKERS_ADVERSARIAL = [
+    "enc.embedding", "enc.block0.head0.wq", "enc.block0.head0.wk", "enc.block0.head0.wv",
+    "enc.block0.head1.wq", "enc.block0.head1.wk", "enc.block0.head1.wv", "enc.block0.wo",
+    "enc.block0.ffn.w1", "enc.block0.ffn.b1", "enc.block0.ffn.w2", "enc.block0.ffn.b2",
+    "enc.block1.head0.wq", "enc.block1.head0.wk", "enc.block1.head0.wv",
+    "enc.block1.head1.wq", "enc.block1.head1.wk", "enc.block1.head1.wv", "enc.block1.wo",
+    "enc.block1.ffn.w1", "enc.block1.ffn.b1", "enc.block1.ffn.w2", "enc.block1.ffn.b2",
+    "enc.block2.head0.wq", "enc.block2.head0.wk", "enc.block2.head0.wv",
+    "enc.block2.head1.wq", "enc.block2.head1.wk", "enc.block2.head1.wv", "enc.block2.wo",
+    "enc.block2.ffn.w1", "enc.block2.ffn.b1", "enc.block2.ffn.w2", "enc.block2.ffn.b2",
+    "enc.speaker_proj", "enc.mu.w", "enc.mu.b", "enc.logsigma.w", "enc.logsigma.b",
+    "flow.layer0.attn.wq", "flow.layer0.attn.wk", "flow.layer0.attn.wv",
+    "flow.layer0.attn.wo", "flow.layer0.conv1.w", "flow.layer0.conv1.b",
+    "flow.layer0.conv2.w", "flow.layer0.conv2.b", "flow.layer0.cond.w",
+    "flow.layer1.attn.wq", "flow.layer1.attn.wk", "flow.layer1.attn.wv",
+    "flow.layer1.attn.wo", "flow.layer1.conv1.w", "flow.layer1.conv1.b",
+    "flow.layer1.conv2.w", "flow.layer1.conv2.b", "flow.layer1.cond.w", "durg.gen.conv1.w",
+    "durg.gen.conv1.b", "durg.gen.conv2.w", "durg.gen.conv2.b", "durg.gen.head.w",
+    "durg.gen.head.b", "durg.gen.cond.w", "durd.disc.conv1.w", "durd.disc.conv1.b",
+    "durd.disc.conv2.w", "durd.disc.conv2.b", "durd.disc.head.w", "durd.disc.head.b",
+    "spk.speakers.table",
+]
+
+NAMES_1_SPEAKER_DETERMINISTIC = [
+    "enc.embedding", "enc.block0.head0.wq", "enc.block0.head0.wk", "enc.block0.head0.wv",
+    "enc.block0.head1.wq", "enc.block0.head1.wk", "enc.block0.head1.wv", "enc.block0.wo",
+    "enc.block0.ffn.w1", "enc.block0.ffn.b1", "enc.block0.ffn.w2", "enc.block0.ffn.b2",
+    "enc.block1.head0.wq", "enc.block1.head0.wk", "enc.block1.head0.wv",
+    "enc.block1.head1.wq", "enc.block1.head1.wk", "enc.block1.head1.wv", "enc.block1.wo",
+    "enc.block1.ffn.w1", "enc.block1.ffn.b1", "enc.block1.ffn.w2", "enc.block1.ffn.b2",
+    "enc.block2.head0.wq", "enc.block2.head0.wk", "enc.block2.head0.wv",
+    "enc.block2.head1.wq", "enc.block2.head1.wk", "enc.block2.head1.wv", "enc.block2.wo",
+    "enc.block2.ffn.w1", "enc.block2.ffn.b1", "enc.block2.ffn.w2", "enc.block2.ffn.b2",
+    "enc.mu.w", "enc.mu.b", "enc.logsigma.w", "enc.logsigma.b", "flow.layer0.attn.wq",
+    "flow.layer0.attn.wk", "flow.layer0.attn.wv", "flow.layer0.attn.wo",
+    "flow.layer0.conv1.w", "flow.layer0.conv1.b", "flow.layer0.conv2.w",
+    "flow.layer0.conv2.b", "flow.layer1.attn.wq", "flow.layer1.attn.wk",
+    "flow.layer1.attn.wv", "flow.layer1.attn.wo", "flow.layer1.conv1.w",
+    "flow.layer1.conv1.b", "flow.layer1.conv2.w", "flow.layer1.conv2.b", "durg.gen.conv1.w",
+    "durg.gen.conv1.b", "durg.gen.conv2.w", "durg.gen.conv2.b", "durg.gen.head.w",
+    "durg.gen.head.b",
+]
+
+
+class TestParamNames:
+    @pytest.mark.parametrize("overrides, expected", [
+        (dict(speakers=3), NAMES_3_SPEAKERS_ADVERSARIAL),
+        (dict(speakers=1, duration_adversarial=False), NAMES_1_SPEAKER_DETERMINISTIC),
+    ])
+    def test_checkpoint_names_and_main_params(self, overrides, expected):
+        model = build_model(TrainConfig(**SMALL_SIZES, **overrides), Rng(0))
+        named = model.named_params()
+        assert [n for n, _ in named] == expected
+        name_of = {id(t): n for n, t in named}
+        assert len(name_of) == len(named)
+        main = [name_of[id(p)] for p in model.main_params()]
+        assert main == [n for n in expected if n.startswith(("enc.", "flow.", "spk."))]
 
 
 class TestDurationTargets:
