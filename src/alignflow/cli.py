@@ -116,10 +116,13 @@ def _cmd_dump_attention(args) -> int:
     model = load_model(args.ckpt)
     x = np.atleast_2d(np.loadtxt(args.input, delimiter=",", dtype=np.float64))
     if x.shape[0] != model.flows.channels:
-        raise SystemExit(
-            f"input has {x.shape[0]} rows but the flow stack expects "
+        raise ValueError(
+            f"{args.input}: input has {x.shape[0]} rows but the flow stack expects "
             f"{model.flows.channels} channels"
         )
+    n_speakers = model.config.speakers
+    if args.speaker is not None and not 0 <= args.speaker < n_speakers:
+        raise ValueError(f"--speaker {args.speaker} is outside [0, {n_speakers})")
     cond = None
     if args.speaker is not None:
         _, cond = model.speaker_condition(args.speaker)

@@ -329,8 +329,9 @@ def train_toy(config: TrainConfig, corpus: ToyCorpus | None = None,
             raise NumericError(f"main phase diverged at step {step}: {e}") from e
         row = {"step": step, "loss": loss.item(), "noise_scale": scale,
                "eval_exact": None, "eval_mae": None}
-        if (step + 1) % config.eval_every == 0 or step + 1 == config.steps_main:
-            stats = eval_alignment(model, corpus.eval or corpus.train)
+        if corpus.eval and ((step + 1) % config.eval_every == 0
+                            or step + 1 == config.steps_main):
+            stats = eval_alignment(model, corpus.eval)
             row["eval_exact"] = stats["exact_match"]
             row["eval_mae"] = stats["mae"]
         main_rows.append(row)
@@ -465,7 +466,7 @@ def load_model(path) -> ToyModel:
         arr = entries[key]
         if arr.shape != tensor.shape:
             raise CheckpointError(f"{path}: {key} has shape {arr.shape}, expected {tensor.shape}")
-        tensor.data = arr.copy()
+        tensor.data[...] = arr
     return model
 
 

@@ -4,8 +4,13 @@ Everything above this module (alignment likelihoods, coupling flows, the
 duration GAN, the text encoder) is built on the small op set here. Design
 choices worth knowing:
 
-- float64 only; finite-difference gradient checks need the precision and
-  nothing here is performance-critical.
+- float64 only; finite-difference gradient checks need the precision.
+- Tensors are tiny, so a training step's time goes to Python and numpy call
+  overhead per op, not to arithmetic; the hot paths (``_make``, ``AdamW.step``)
+  keep their numpy calls few.
+- ``AdamW`` owns the storage of the parameters it is given: each ``p.data``
+  becomes a view into one flat buffer. Write a parameter in place
+  (``p.data[...] = x``), never rebind it; ``AdamW.step`` raises if one was.
 - The tape is per-computation: each forward op records its parents and a
   vector-Jacobian closure on the output tensor, and ``backward`` walks that
   graph once. Gradients accumulate only into leaves (tensors you created
@@ -17,6 +22,7 @@ choices worth knowing:
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -173,7 +179,7 @@ def ensure_tensor(x) -> Tensor:
 
 
 def _make(data: np.ndarray, parents: tuple[Tensor, ...], vjp, op: str) -> Tensor:
-    if not np.all(np.isfinite(data)):
+    if not np.isfinite(data).all():
         raise NumericError(f"{op} produced a non-finite value")
     out = Tensor(data)
     if any(_wants_grad(p) for p in parents):
@@ -599,10 +605,21 @@ class AdamWConfig:
 
 
 class AdamW:
+    """AdamW (Loshchilov & Hutter, arXiv 1711.05101) over one flat buffer.
+
+    The constructor copies its parameters into one contiguous float64 array
+    and rebinds each ``p.data`` to a view of its slice, so a step is a fixed
+    handful of in-place ufuncs over the whole buffer instead of a loop over
+    parameters. From then on a parameter must be written in place
+    (``p.data[...] = x``), never rebound; ``step`` raises if one was.
+    """
+
     def __init__(self, params, **hyper):
         """``hyper`` takes any ``AdamWConfig`` field by keyword; the rest keep their defaults."""
         cfg = AdamWConfig(**hyper)
         self.params = [p for p in params if p.requires_grad]
+        if len({id(p) for p in self.params}) != len(self.params):
+            raise ValueError("AdamW: a parameter is listed more than once")
         self.lr0 = cfg.lr
         self.beta1 = cfg.beta1
         self.beta2 = cfg.beta2
@@ -611,8 +628,18 @@ class AdamW:
         self.lr_decay = cfg.lr_decay
         self.epoch = 0
         self.t = 0
-        self._m = [np.zeros(p.shape) for p in self.params]
-        self._v = [np.zeros(p.shape) for p in self.params]
+        # offsets[i]:offsets[i + 1] is parameter i's slice of every buffer
+        self._offsets = [0, *itertools.accumulate(p.size for p in self.params)]
+        total = self._offsets[-1]
+        self._flat = np.empty(total)
+        for p, lo, hi in zip(self.params, self._offsets, self._offsets[1:]):
+            self._flat[lo:hi] = p.data.reshape(-1)
+            p.data = self._flat[lo:hi].reshape(p.shape)
+        self._m = np.zeros(total)
+        self._v = np.zeros(total)
+        self._grad = np.empty(total)
+        self._s1 = np.empty(total)  # scratch: in-place ops avoid a fresh
+        self._s2 = np.empty(total)  # temporary (an mmap) per op per step
 
     @property
     def lr(self) -> float:
@@ -626,20 +653,55 @@ class AdamW:
             p.grad = None
 
     def step(self):
-        """One update; params whose grad is unset are skipped."""
+        """One update; params whose grad is unset are skipped.
+
+        Each run of consecutive params with a grad is updated as one slice of
+        the buffers, so with every grad set the update runs once, over all of it.
+        """
         self.t += 1
         lr = self.lr
-        for p, m, v in zip(self.params, self._m, self._v):
+        first = 0
+        for i, p in enumerate(self.params):
+            if p.data.base is not self._flat:
+                raise RuntimeError(
+                    f"AdamW: parameter {i} (shape {p.shape}) no longer views the "
+                    f"optimizer's buffer; write p.data[...] = x instead of rebinding it"
+                )
             if p.grad is None:
-                continue
-            g = p.grad
-            # decoupled weight decay, then the Adam step
-            p.data -= lr * self.weight_decay * p.data
-            m[:] = self.beta1 * m + (1.0 - self.beta1) * g
-            v[:] = self.beta2 * v + (1.0 - self.beta2) * (g * g)
-            m_hat = m / (1.0 - self.beta1**self.t)
-            v_hat = v / (1.0 - self.beta2**self.t)
-            p.data -= lr * m_hat / (np.sqrt(v_hat) + self.eps)
+                self._update(first, i, lr)
+                first = i + 1
+        self._update(first, len(self.params), lr)
+
+    def _update(self, first: int, stop: int, lr: float):
+        """The AdamW update of params ``first:stop`` (all with a grad), as one
+        slice of the buffers.
+
+        Each element sees the IEEE ops of the per-parameter form, in its order:
+        p -= (lr*wd)*p; m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*(g*g);
+        p -= (lr*m_hat) / (sqrt(v_hat) + eps).
+        """
+        if first == stop:
+            return
+        lo, hi = self._offsets[first], self._offsets[stop]
+        p, m, v = self._flat[lo:hi], self._m[lo:hi], self._v[lo:hi]
+        g, s1, s2 = self._grad[lo:hi], self._s1[lo:hi], self._s2[lo:hi]
+        np.concatenate([q.grad for q in self.params[first:stop]], axis=None, out=g)
+        np.multiply(p, lr * self.weight_decay, out=s1)
+        p -= s1
+        m *= self.beta1
+        np.multiply(g, 1.0 - self.beta1, out=s1)
+        m += s1
+        v *= self.beta2
+        np.multiply(g, g, out=s1)
+        s1 *= 1.0 - self.beta2
+        v += s1
+        np.divide(m, 1.0 - self.beta1**self.t, out=s1)
+        s1 *= lr
+        np.divide(v, 1.0 - self.beta2**self.t, out=s2)
+        np.sqrt(s2, out=s2)
+        s2 += self.eps
+        s1 /= s2
+        p -= s1
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from alignflow.harness import (
     duration_targets,
     save_config,
     save_duration_corpus,
+    save_model,
 )
 from alignflow.corpus import generate_corpus
 from alignflow.numerics import Rng
@@ -90,6 +91,19 @@ class TestTrainToy:
         invoke(capsys, "train-toy", "--config", run_config, "--out", a, "--seed", "1")
         invoke(capsys, "train-toy", "--config", run_config, "--out", b, "--seed", "2")
         assert (a / "corpus.json").read_bytes() != (b / "corpus.json").read_bytes()
+
+    def test_no_held_out_set_reports_no_eval(self, capsys, tmp_path):
+        cfg = TrainConfig(seed=3, steps_main=6, steps_duration=2, eval_every=3,
+                          n_train=4, n_eval=0, hidden_width=16, ff_width=24,
+                          dur_hidden=8, flow_hidden=8)
+        save_config(cfg, tmp_path / "run.cfg")
+        code, out = invoke(capsys, "train-toy", "--config", tmp_path / "run.cfg",
+                           "--out", tmp_path / "run", "--seed", "3")
+        assert code == 0
+        assert "final eval" not in out
+        rows = (tmp_path / "run" / "main_metrics.csv").read_text().splitlines()
+        assert rows[0].endswith(",eval_exact,eval_mae") and len(rows) == 7
+        assert all(row.endswith(",,") for row in rows[1:])
 
 
 class TestTrainDuration:
@@ -210,6 +224,37 @@ class TestLoaderErrors:
         assert err.startswith("alignflow train-toy: ") and "n_blocks" in err
         assert err.count("\n") == 1
         assert not (tmp_path / "run").exists()
+
+    @pytest.fixture
+    def speaker_ckpt(self, tmp_path):
+        cfg = TrainConfig(seed=4, speakers=3, hidden_width=16, ff_width=24,
+                          dur_hidden=8, flow_hidden=8)
+        path = tmp_path / "spk.bin"
+        save_model(path, build_model(cfg, Rng(cfg.seed).child(3)))
+        return path
+
+    def test_dump_attention_channel_mismatch(self, capsys, tmp_path, speaker_ckpt):
+        frames = tmp_path / "frames.csv"
+        np.savetxt(frames, Rng(5).normal((3, 6)), delimiter=",")
+        code, err = self.invoke_err(capsys, "dump-attention", "--ckpt", speaker_ckpt,
+                                    "--input", frames, "--out", tmp_path / "maps")
+        assert code == 2
+        assert err.startswith("alignflow dump-attention: ") and "frames.csv" in err
+        assert "3 rows" in err and "2 channels" in err
+        assert err.count("\n") == 1
+        assert not (tmp_path / "maps").exists()
+
+    @pytest.mark.parametrize("speaker", ["3", "-1"])
+    def test_dump_attention_speaker_out_of_range(self, capsys, tmp_path, speaker_ckpt,
+                                                 speaker):
+        frames = tmp_path / "frames.csv"
+        np.savetxt(frames, Rng(5).normal((2, 6)), delimiter=",")
+        code, err = self.invoke_err(capsys, "dump-attention", "--ckpt", speaker_ckpt,
+                                    "--input", frames, "--out", tmp_path / "maps",
+                                    "--speaker", speaker)
+        assert code == 2
+        assert err == f"alignflow dump-attention: --speaker {speaker} is outside [0, 3)\n"
+        assert not (tmp_path / "maps").exists()
 
 
 class TestEntryPoint:

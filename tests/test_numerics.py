@@ -1,9 +1,19 @@
+import warnings
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from alignflow import numerics as nm
-from alignflow.numerics import AdamW, NumericError, Rng, ShapeError, Tensor, check_grad
+from alignflow.numerics import (
+    AdamW,
+    AdamWConfig,
+    NumericError,
+    Rng,
+    ShapeError,
+    Tensor,
+    check_grad,
+)
 
 
 def conv1d_oracle(x, w):
@@ -221,6 +231,112 @@ class TestAdamW:
             nm.summation(p * p).backward()
             opt.step()
         assert abs(p.data[0]) < 1.0
+
+
+def adamw_reference(params, m, v, t: int, lr: float, cfg: AdamWConfig):
+    """The per-parameter AdamW loop that the flat-buffer ``AdamW.step`` replaced.
+
+    ``m``/``v`` are per-parameter moment arrays updated in place; params whose
+    grad is unset are skipped.
+    """
+    for p, mi, vi in zip(params, m, v):
+        if p.grad is None:
+            continue
+        g = p.grad
+        p.data -= lr * cfg.weight_decay * p.data
+        mi[:] = cfg.beta1 * mi + (1.0 - cfg.beta1) * g
+        vi[:] = cfg.beta2 * vi + (1.0 - cfg.beta2) * (g * g)
+        m_hat = mi / (1.0 - cfg.beta1**t)
+        v_hat = vi / (1.0 - cfg.beta2**t)
+        p.data -= lr * m_hat / (np.sqrt(v_hat) + cfg.eps)
+
+
+class TestFlatAdamW:
+    SHAPES = [(5,), (3, 4), (4, 3, 5), (1,), (2, 2, 3), (6, 2), (7,)]
+
+    def _pair(self, seed=0):
+        rng = Rng(seed)
+        init = [rng.normal(s) * 3.0 for s in self.SHAPES]
+        flat = [Tensor(x.copy(), requires_grad=True) for x in init]
+        ref = [Tensor(x.copy(), requires_grad=True) for x in init]
+        return flat, ref
+
+    def test_bit_identical_to_per_parameter_loop(self):
+        cfg = AdamWConfig(lr=0.03, weight_decay=0.1)
+        flat, ref = self._pair()
+        opt = AdamW(flat, **vars(cfg))
+        m = [np.zeros(p.shape) for p in ref]
+        v = [np.zeros(p.shape) for p in ref]
+        rng = Rng(1)
+        for step in range(60):
+            opt.set_epoch(step // 7)
+            unset = {3: {3}, 4: {0, 6}, 5: {2, 3, 4}, 6: set(range(7))}.get(step % 9, set())
+            for i, (a, b) in enumerate(zip(flat, ref)):
+                if i in unset:
+                    a.grad = b.grad = None
+                    continue
+                g = rng.normal(a.shape) * 10.0 ** rng.integers(-3, 3)
+                if g.ndim == 2 and step % 2:
+                    g = np.ascontiguousarray(g.T).T  # a Fortran-ordered grad
+                a.grad, b.grad = g, g.copy()
+            opt.step()
+            adamw_reference(ref, m, v, step + 1, cfg.lr * cfg.lr_decay ** (step // 7), cfg)
+            for a, b in zip(flat, ref):
+                assert a.data.tobytes() == b.data.tobytes(), step
+            assert opt._m.tobytes() == np.concatenate(m, axis=None).tobytes(), step
+            assert opt._v.tobytes() == np.concatenate(v, axis=None).tobytes(), step
+
+    def test_params_share_one_buffer(self):
+        flat, _ = self._pair()
+        frozen_param = Tensor([1.0, 2.0])
+        opt = AdamW(flat[:2] + [frozen_param] + flat[2:])
+        assert opt.params == flat
+        for p in flat:
+            assert p.data.base is opt._flat
+        assert frozen_param.data.base is None
+        assert opt._flat.size == sum(p.size for p in flat)
+
+    def test_rebound_param_raises(self):
+        flat, _ = self._pair()
+        opt = AdamW(flat)
+        flat[1].data = np.zeros((3, 4))
+        for p in flat:
+            p.grad = np.ones(p.shape)
+        with pytest.raises(RuntimeError, match=r"parameter 1 \(shape \(3, 4\)\)"):
+            opt.step()
+
+    def test_in_place_write_is_kept(self):
+        p = Tensor([1.0, 2.0], requires_grad=True)
+        opt = AdamW([p], lr=0.1, weight_decay=0.0)
+        p.data[...] = [4.0, 5.0]
+        assert opt._flat.tolist() == [4.0, 5.0]
+
+    def test_duplicate_param_rejected(self):
+        p = Tensor([1.0], requires_grad=True)
+        with pytest.raises(ValueError, match="more than once"):
+            AdamW([p, p])
+
+
+class TestNonFiniteCheck:
+    """``_make`` catches exactly the arrays holding a NaN or an infinity."""
+
+    @pytest.mark.parametrize("bad", [
+        [1.0, np.nan, 2.0],
+        [np.inf, 0.0],
+        [0.0, -np.inf],
+        [np.inf, 1.0, -np.inf],
+        [[1.0, 2.0], [3.0, np.nan]],
+    ])
+    def test_non_finite_raises_naming_the_op(self, bad):
+        with pytest.raises(NumericError, match=r"^add produced a non-finite value$"):
+            nm.add(Tensor(bad), 0.0)
+
+    @pytest.mark.parametrize("ok", [[1e308, 1e308], [-1e308, -1e308, 5.0], [[1e308], [1e308]]])
+    def test_finite_values_whose_sum_overflows_pass(self, ok):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = nm.add(Tensor(ok), 0.0)
+        npt.assert_array_equal(out.data, ok)
 
 
 class TestConcurrency:
