@@ -75,6 +75,11 @@ def _cmd_train_duration(args) -> int:
 def _cmd_eval_align(args) -> int:
     model = load_model(args.ckpt)
     corpus = load_corpus(args.corpus)
+    for key in ("vocab", "channels", "speakers"):
+        have, want = getattr(corpus.spec, key), getattr(model.config, key)
+        if have != want:
+            raise ValueError(f"{args.corpus}: spec.{key} is {have} but {args.ckpt} "
+                             f"was trained with {key} = {want}")
     instances = {"train": corpus.train, "eval": corpus.eval,
                  "all": corpus.train + corpus.eval}[args.split]
     stats = eval_alignment(model, instances)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import math
+import typing
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -194,17 +195,114 @@ def save_corpus(corpus: ToyCorpus, path):
         json.dump(payload, f, separators=(",", ":"), sort_keys=True)
 
 
+class CorpusError(ValueError):
+    """A corpus file is malformed; the message names the file and the field."""
+
+
+_SPEC_TYPES = typing.get_type_hints(CorpusSpec)
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _field(path, obj: dict, where: str, key: str, check=None, kind: str = ""):
+    if key not in obj:
+        raise CorpusError(f"{path}: {where} has no {key!r} field")
+    value = obj[key]
+    if check is not None and not check(value):
+        raise CorpusError(f"{path}: {where}.{key} must be {kind}, got {value!r:.60}")
+    return value
+
+
+def _object(path, obj, where: str) -> dict:
+    if not isinstance(obj, dict):
+        raise CorpusError(f"{path}: {where} must be a JSON object")
+    return obj
+
+
+def _matrix(path, rows, where: str, width: int) -> np.ndarray:
+    """A list of equal-width lists of finite numbers -> (n, width) float64."""
+    if not isinstance(rows, list) or not all(
+        isinstance(r, list) and len(r) == width and all(map(_is_number, r)) for r in rows
+    ):
+        raise CorpusError(f"{path}: {where} must be rows of {width} numbers ({width} channels)")
+    arr = np.asarray(rows, dtype=np.float64).reshape(len(rows), width)
+    if not np.isfinite(arr).all():
+        raise CorpusError(f"{path}: {where} holds a non-finite value")
+    return arr
+
+
+def _load_spec(path, sd) -> CorpusSpec:
+    sd = _object(path, sd, "spec")
+    unknown = sorted(set(sd) - set(_SPEC_TYPES))
+    if unknown:
+        raise CorpusError(f"{path}: spec has unknown fields {', '.join(unknown)}")
+    values = {}
+    for name, kind in _SPEC_TYPES.items():
+        if name == "duration_laws":
+            if name in sd:
+                laws = _field(path, sd, "spec", name, lambda v: isinstance(v, list) and all(
+                    isinstance(law, list) and len(law) == 2 and all(map(_is_int, law))
+                    for law in v), "a list of [lo, hi] integer pairs")
+                values[name] = [tuple(law) for law in laws]
+        elif kind is int:
+            values[name] = _field(path, sd, "spec", name, _is_int, "an integer")
+        else:
+            values[name] = float(_field(path, sd, "spec", name, _is_number, "a number"))
+    spec = CorpusSpec(**values)
+    if spec.duration_laws is not None and len(spec.duration_laws) != spec.vocab:
+        raise CorpusError(f"{path}: spec.duration_laws needs one law per token ({spec.vocab})")
+    try:
+        spec.validate()
+    except ValueError as e:
+        raise CorpusError(f"{path}: spec: {e}") from e
+    return spec
+
+
+def _load_instance(path, d, where: str, spec: CorpusSpec) -> Instance:
+    d = _object(path, d, where)
+    ints = (lambda v: isinstance(v, list) and len(v) > 0 and all(map(_is_int, v)))
+    tokens = _field(path, d, where, "tokens", ints, "a non-empty list of integers")
+    durations = _field(path, d, where, "durations", ints, "a non-empty list of integers")
+    speaker = _field(path, d, where, "speaker", _is_int, "an integer")
+    frames = _matrix(path, _field(path, d, where, "frames"), f"{where}.frames", spec.channels)
+    bad = [t for t in tokens if not 0 <= t < spec.vocab]
+    if bad:
+        raise CorpusError(f"{path}: {where}.tokens: id {bad[0]} outside [0, {spec.vocab})")
+    if len(durations) != len(tokens) or min(durations) < 1:
+        raise CorpusError(f"{path}: {where}.durations must be one integer >= 1 per token")
+    if not 0 <= speaker < spec.speakers:
+        raise CorpusError(f"{path}: {where}.speaker: {speaker} outside [0, {spec.speakers})")
+    if sum(durations) != len(frames):
+        raise CorpusError(f"{path}: {where}: durations sum to {sum(durations)} but there "
+                          f"are {len(frames)} frames")
+    return Instance(tokens=tokens, durations=durations, frames=frames, speaker=speaker)
+
+
 def load_corpus(path) -> ToyCorpus:
+    """Read a ``save_corpus`` file; any malformed field raises ``CorpusError``."""
     with open(path) as f:
-        payload = json.load(f)
-    sd = dict(payload["spec"])
-    if "duration_laws" in sd:
-        sd["duration_laws"] = [tuple(law) for law in sd["duration_laws"]]
-    spec = CorpusSpec(**sd)
-    return ToyCorpus(
-        spec=spec,
-        prototypes=np.asarray(payload["prototypes"], dtype=np.float64),
-        speaker_offsets=np.asarray(payload["speaker_offsets"], dtype=np.float64),
-        train=[Instance(**d) for d in payload["train"]],
-        eval=[Instance(**d) for d in payload["eval"]],
-    )
+        try:
+            payload = json.load(f)
+        except json.JSONDecodeError as e:
+            raise CorpusError(f"{path}: not valid JSON: {e}") from e
+    top = "the top level"
+    payload = _object(path, payload, top)
+    spec = _load_spec(path, _field(path, payload, top, "spec"))
+    lists = {}
+    for split in ("train", "eval"):
+        items = _field(path, payload, top, split, lambda v: isinstance(v, list),
+                       "a list of instances")
+        lists[split] = [_load_instance(path, d, f"{split}[{i}]", spec)
+                        for i, d in enumerate(items)]
+    for key, rows in (("prototypes", spec.vocab), ("speaker_offsets", spec.speakers)):
+        arr = _matrix(path, _field(path, payload, top, key), key, spec.channels)
+        if len(arr) != rows:
+            raise CorpusError(f"{path}: {key} has {len(arr)} rows, expected {rows}")
+        lists[key] = arr
+    return ToyCorpus(spec=spec, **lists)

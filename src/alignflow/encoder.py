@@ -70,17 +70,8 @@ class EncoderBlock(nm.Module):
         self.b2 = self.param("ffn.b2", nm.zeros((width,), requires_grad=True))
 
     def forward(self, x: Tensor, attn_bias: np.ndarray | None = None) -> Tensor:
-        parts = []
-        scale = 1.0 / math.sqrt(self.head_dim)
-        for wq, wk, wv in self.heads:
-            q = x @ wq
-            k = x @ wk
-            v = x @ wv
-            scores = (q @ k.T) * scale
-            if attn_bias is not None:
-                scores = scores + attn_bias
-            parts.append(nm.softmax(scores, axis=1) @ v)
-        x = nm.layer_norm(x + nm.concat(parts, axis=1) @ self.wo, axis=1)
+        heads = nm.attention(x, self.heads, 1.0 / math.sqrt(self.head_dim), attn_bias)
+        x = nm.layer_norm(x + heads @ self.wo, axis=1)
         ff = nm.relu(x @ self.w1 + self.b1) @ self.w2 + self.b2
         return nm.layer_norm(x + ff, axis=1)
 

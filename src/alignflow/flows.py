@@ -76,13 +76,8 @@ class CouplingLayer(nm.Module):
 
     def _attend(self, xa: Tensor) -> Tensor:
         # self-attention over time; xa is (half, T)
-        x = xa.T  # (T, half)
-        q = x @ self.wq
-        k = x @ self.wk
-        v = x @ self.wv
-        scores = (q @ k.T) * (1.0 / math.sqrt(self.key_dim))
-        att = nm.softmax(scores, axis=1)
-        return ((att @ v) @ self.wo).T  # (half, T)
+        heads = [(self.wq, self.wk, self.wv)]
+        return (nm.attention(xa.T, heads, 1.0 / math.sqrt(self.key_dim)) @ self.wo).T
 
     def _shift_and_logscale(self, xa: Tensor, cond: Tensor | None):
         h = xa

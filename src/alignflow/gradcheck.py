@@ -12,9 +12,11 @@ from __future__ import annotations
 import numpy as np
 
 from . import numerics as nm
+from .corpus import Instance
 from .duration import DurationDiscriminator, DurationGenerator
-from .encoder import EncoderBlock
+from .encoder import MASK_BIAS, EncoderBlock
 from .flows import CouplingLayer
+from .harness import TrainConfig, _aligned_nll, _instance_forward, build_model
 from .numerics import Rng, Tensor, check_grad
 
 
@@ -32,6 +34,20 @@ def _swap_param(obj, attr: str, build):
             return build()
         finally:
             setattr(obj, attr, original)
+
+    return f
+
+
+def _swap_head_weight(block: EncoderBlock, head: int, which: int, build):
+    """``_swap_param`` for weight ``which`` (0 wq, 1 wk, 2 wv) of one attention head."""
+
+    def f(probe: Tensor) -> Tensor:
+        original = block.heads[head]
+        block.heads[head] = tuple(probe if i == which else w for i, w in enumerate(original))
+        try:
+            return build()
+        finally:
+            block.heads[head] = original
 
     return f
 
@@ -110,6 +126,31 @@ def suite(rng: Rng) -> list[tuple[str, object, Tensor]]:
          Tensor(rng.normal((c_out, c_in, k)))),
     ]
 
+    # fused attention with two heads, each loss term once unmasked and once with
+    # the last key column masked (own stream: the draws of the rows below stay put)
+    ra = rng.child(15)
+    t_att, d_att = ra.integers(2, 6), ra.integers(1, 4)
+    x_att = Tensor(ra.normal((t_att, 3)))
+    w_att = [Tensor(ra.normal((3, d_att))) for _ in range(6)]  # head0 q, k, v; head1 q, k, v
+    masked = np.zeros((t_att, t_att))
+    masked[:, -1] = MASK_BIAS
+    wout, wout_masked = ra.normal((2, t_att, 2 * d_att))
+
+    def att_loss(x: Tensor, ws: list[Tensor]) -> Tensor:
+        heads, scale = [ws[:3], ws[3:]], 1.0 / np.sqrt(d_att)
+        return (weighted(nm.attention(x, heads, scale), wout)
+                + weighted(nm.attention(x, heads, scale, masked), wout_masked))
+
+    def att_weight(i: int):
+        return lambda t: att_loss(x_att, w_att[:i] + [t] + w_att[i + 1:])
+
+    checks += [
+        ("attention.x", lambda t: att_loss(t, w_att), x_att),
+        ("attention.wq", att_weight(0), w_att[0]),
+        ("attention.wk", att_weight(1), w_att[1]),
+        ("attention.wv", att_weight(2), w_att[2]),
+    ]
+
     wrows = rng.normal((4, cols))
     checks.append(
         ("take_rows", lambda t: weighted(nm.take_rows(t, [0, 2, 2, 1]), wrows),
@@ -171,8 +212,42 @@ def suite(rng: Rng) -> list[tuple[str, object, Tensor]]:
         ("encoder_block.input", lambda t: weighted(block.forward(t), wblk), xblk),
         ("encoder_block.wo", _swap_param(block, "wo", block_loss),
          Tensor(block.wo.data.copy())),
+        ("encoder_block.head0.wk", _swap_head_weight(block, 0, 1, block_loss),
+         Tensor(block.heads[0][1].data.copy())),
     ]
-    return checks
+    return checks + _main_phase_checks(rng.child(14))
+
+
+def _main_phase_checks(rng: Rng) -> list[tuple[str, object, Tensor]]:
+    """The composed main-phase loss of a tiny 3-speaker model: speaker table ->
+    encoder with speaker injection -> conditioned flows -> aligned NLL, with the
+    alignment held fixed (alignment search is piecewise constant)."""
+    config = TrainConfig(speakers=3, speaker_dim=4, hidden_width=8, n_heads=2, ff_width=8,
+                         n_blocks=3, flow_depth=2, flow_hidden=4, key_dim=2)
+    model = build_model(config, rng.child(0))
+    for p in model.main_params():  # move off the zero init (identity flows)
+        if not p.data.any():
+            p.data[...] = 0.3 * rng.normal(p.shape)
+    tokens = rng.integers(0, config.vocab, 4)
+    durations = rng.integers(1, 4, 4)
+    inst = Instance(tokens, durations, rng.normal((int(durations.sum()), config.channels)),
+                    speaker=rng.integers(0, config.speakers))
+    frame_tokens = np.repeat(np.arange(tokens.size), durations)
+
+    def loss() -> Tensor:
+        _, mu, sigma, u, logdet, _ = _instance_forward(model, inst)
+        return _aligned_nll(mu, sigma, u, logdet, frame_tokens)
+
+    block = model.encoder.blocks[model.encoder.SPEAKER_BLOCK]
+    layer = model.flows.layers[1]
+    return [
+        ("main.spk.speakers.table", _swap_param(model.speakers, "table", loss),
+         Tensor(model.speakers.table.data.copy())),
+        ("main.enc.block2.head1.wq", _swap_head_weight(block, 1, 0, loss),
+         Tensor(block.heads[1][0].data.copy())),
+        ("main.flow.layer1.attn.wq", _swap_param(layer, "wq", loss),
+         Tensor(layer.wq.data.copy())),
+    ]
 
 
 def run(seed: int = 0, n_seeds: int = 20) -> list[tuple[str, float]]:

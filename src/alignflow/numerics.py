@@ -17,6 +17,12 @@ choices worth knowing:
   directly, typically parameters).
 - Any op producing NaN/Inf from finite inputs raises ``NumericError``
   immediately instead of letting the poison spread.
+- ``attention`` is one fused op for all heads of a multi-head self-attention
+  (the encoder blocks and the coupling flows use it), with a hand-written VJP.
+  Its forward is bit-identical to the per-head chain of matmul, transpose,
+  mul, add, softmax and concat ops, and it raises ``NumericError`` on exactly
+  the inputs where that chain raised: it checks the stacked q/k/v and the
+  scaled, biased scores, and ``_make`` checks its output.
 """
 
 from __future__ import annotations
@@ -455,6 +461,67 @@ def layer_norm(a, axis: int = -1, eps: float = 1e-8) -> Tensor:
         return (inv * (g - g_mean - data * gy_mean),)
 
     return _make(data, (a,), vjp, "layer_norm")
+
+
+def attention(x, heads, scale: float, bias: np.ndarray | None = None) -> Tensor:
+    """Multi-head self-attention as one tape node.
+
+    x: (T, D); heads: (wq, wk, wv) per head, each (D, d). Returns (T, H*d) with
+    head h in columns h*d:(h+1)*d: softmax(x@wq @ (x@wk).T * scale + bias) @ x@wv.
+    ``bias`` is a constant additive (T, T) score bias or None.
+
+    The forward is bit-identical to the per-head chain of matmul, transpose,
+    mul, add, softmax, matmul and concat ops: each product runs the same 2-D
+    BLAS call on operands of the same layout. The chain's transpose op made
+    k.T contiguous, so this one does too. It raises ``NumericError`` exactly
+    where that chain would: on a non-finite q, k or v, on a non-finite score
+    before the softmax (which would zero a -inf entry without a trace), and,
+    through ``_make``, on a non-finite output. Softmax of finite scores is
+    finite, so nothing in between needs a check.
+    """
+    x = ensure_tensor(x)
+    n = len(heads)
+    ws = [ensure_tensor(w) for w in itertools.chain(*zip(*heads))]  # all wq, all wk, all wv
+    if x.ndim != 2 or n == 0 or any(w.shape != ws[0].shape or w.shape[0] != x.shape[1]
+                                    for w in ws):
+        raise ShapeError(f"attention: x {x.shape} needs one or more heads of equal (D, d) "
+                         f"weights with D = x.shape[1], got {[w.shape for w in ws]}")
+    length, d = x.shape[0], ws[0].shape[1]
+    w = np.array([t.data for t in ws])  # (3H, D, d)
+    qkv = np.matmul(x.data, w)  # (3H, T, d)
+    if not np.isfinite(qkv).all():
+        raise NumericError("attention produced a non-finite q, k or v")
+    q, k, v = qkv[:n], qkv[n : 2 * n], qkv[2 * n :]
+    scores = np.matmul(q, np.ascontiguousarray(k.transpose(0, 2, 1)))
+    scores *= scale
+    if bias is not None:
+        try:
+            scores += bias
+        except ValueError:
+            raise ShapeError(f"attention: bias {np.shape(bias)} does not fit scores "
+                             f"{scores.shape[1:]}")
+    if not np.isfinite(scores).all():
+        raise NumericError("attention produced a non-finite score")
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    att = e / e.sum(axis=-1, keepdims=True)  # (H, T, T)
+    data = np.matmul(att, v).transpose(1, 0, 2).reshape(length, n * d)
+
+    def vjp(g):
+        gh = g.reshape(length, n, d).transpose(1, 0, 2)  # (H, T, d)
+        g_att = np.matmul(gh, v.transpose(0, 2, 1))
+        g_qkv = np.empty_like(qkv)
+        np.matmul(att.transpose(0, 2, 1), gh, out=g_qkv[2 * n :])
+        g_s = att * (g_att - (g_att * att).sum(axis=-1, keepdims=True))
+        g_s *= scale
+        np.matmul(g_s, k, out=g_qkv[:n])
+        np.matmul(g_s.transpose(0, 2, 1), q, out=g_qkv[n : 2 * n])
+        g_w = np.matmul(x.data.T, g_qkv)
+        # sum over the 3H projections of g_qkv[i] @ w[i].T, as one product
+        g_x = g_qkv.transpose(1, 0, 2).reshape(length, -1) @ w.transpose(1, 0, 2).reshape(
+            w.shape[1], -1).T
+        return (g_x, *g_w)
+
+    return _make(data, (x, *ws), vjp, "attention")
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import json
 import subprocess
 import sys
 
@@ -13,7 +14,7 @@ from alignflow.harness import (
     save_duration_corpus,
     save_model,
 )
-from alignflow.corpus import generate_corpus
+from alignflow.corpus import CorpusSpec, generate_corpus, save_corpus
 from alignflow.numerics import Rng
 
 
@@ -255,6 +256,33 @@ class TestLoaderErrors:
         assert code == 2
         assert err == f"alignflow dump-attention: --speaker {speaker} is outside [0, 3)\n"
         assert not (tmp_path / "maps").exists()
+
+
+    @pytest.mark.parametrize("spec, field", [
+        (dict(vocab=4), "spec.vocab is 4"),
+        (dict(channels=4), "spec.channels is 4"),
+        (dict(speakers=2), "spec.speakers is 2"),
+    ])
+    def test_eval_align_corpus_checkpoint_mismatch(self, capsys, tmp_path, speaker_ckpt,
+                                                   spec, field):
+        path = tmp_path / "corpus.json"
+        save_corpus(generate_corpus(CorpusSpec(**{"speakers": 3, **spec}), Rng(6)), path)
+        code, err = self.invoke_err(capsys, "eval-align", "--ckpt", speaker_ckpt,
+                                    "--corpus", path)
+        assert code == 2
+        assert err.startswith(f"alignflow eval-align: {path}: {field} but ")
+        assert err.count("\n") == 1
+
+    def test_eval_align_token_outside_vocab(self, capsys, tmp_path, speaker_ckpt):
+        path = tmp_path / "corpus.json"
+        save_corpus(generate_corpus(CorpusSpec(speakers=3), Rng(6)), path)
+        payload = json.loads(path.read_text())
+        payload["eval"][0]["tokens"][0] = 3
+        path.write_text(json.dumps(payload))
+        code, err = self.invoke_err(capsys, "eval-align", "--ckpt", speaker_ckpt,
+                                    "--corpus", path)
+        assert code == 2
+        assert err == f"alignflow eval-align: {path}: eval[0].tokens: id 3 outside [0, 3)\n"
 
 
 class TestEntryPoint:

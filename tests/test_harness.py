@@ -1,11 +1,14 @@
+import json
 import math
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+from alignflow import gradcheck
 from alignflow.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from alignflow.corpus import (
+    CorpusError,
     CorpusSpec,
     generate_corpus,
     load_corpus,
@@ -27,7 +30,7 @@ from alignflow.harness import (
     save_model,
     train_toy,
 )
-from alignflow.numerics import AdamWConfig, Rng, Tensor
+from alignflow.numerics import AdamWConfig, Rng, Tensor, check_grad
 
 
 class TestCorpus:
@@ -106,6 +109,99 @@ class TestCorpus:
             npt.assert_array_equal(a.frames, b.frames)
             npt.assert_array_equal(a.tokens, b.tokens)
             assert a.speaker == b.speaker
+
+
+def _edit(key_path, value):
+    """Corpus-payload edit: set (or, for value None, delete) the entry at key_path."""
+    def apply(payload):
+        *parents, last = key_path
+        for key in parents:
+            payload = payload[key]
+        if value is None:
+            del payload[last]
+        else:
+            payload[last] = value
+    return apply
+
+
+class TestLoadCorpus:
+    """Every malformed field raises ``CorpusError`` naming the file and the field."""
+
+    @pytest.fixture
+    def corpus_payload(self, tmp_path):
+        corpus = generate_corpus(CorpusSpec(n_train=3, n_eval=2, speakers=2,
+                                            speaker_shift=0.3), Rng(12))
+        path = tmp_path / "corpus.json"
+        save_corpus(corpus, path)
+        return json.loads(path.read_text())
+
+    @pytest.mark.parametrize("edit, field", [
+        (_edit(["spec", "vocab"], None), "vocab"),
+        (_edit(["spec", "vocab"], "3"), "spec.vocab"),
+        (_edit(["spec", "noise"], True), "spec.noise"),
+        (_edit(["spec", "vocab"], -1), "vocab"),
+        (_edit(["spec", "seq_max"], 1), "sequence length"),
+        (_edit(["spec", "colour"], 1), "colour"),
+        (_edit(["spec", "duration_laws"], [[1, 2]]), "spec.duration_laws"),
+        (_edit(["train"], None), "'train'"),
+        (_edit(["eval"], {}), "eval"),
+        (_edit(["prototypes"], [[0.0, 0.0]]), "prototypes"),
+        (_edit(["speaker_offsets", 0], [0.0]), "speaker_offsets"),
+        (_edit(["train", 1, "tokens"], None), "train[1]"),
+        (_edit(["train", 1, "tokens", 0], 3), "train[1].tokens"),
+        (_edit(["train", 1, "tokens", 0], -1), "train[1].tokens"),
+        (_edit(["train", 1, "tokens", 0], 1.0), "train[1].tokens"),
+        (_edit(["eval", 0, "tokens"], []), "eval[0].tokens"),
+        (_edit(["eval", 0, "frames", 2], [0.1]), "eval[0].frames"),
+        (_edit(["eval", 0, "frames", 2], [0.1, 0.2, 0.3]), "eval[0].frames"),
+        (_edit(["eval", 0, "frames", 2, 1], "x"), "eval[0].frames"),
+        (_edit(["eval", 0, "frames"], None), "eval[0]"),
+        (_edit(["train", 0, "speaker"], 2), "train[0].speaker"),
+        (_edit(["train", 0, "speaker"], -1), "train[0].speaker"),
+        (_edit(["train", 0, "durations", 0], 0), "train[0].durations"),
+        (_edit(["train", 0, "durations", 0], 99), "durations sum"),
+    ])
+    def test_bad_field_raises_corpus_error(self, tmp_path, corpus_payload, edit, field):
+        edit(corpus_payload)
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(corpus_payload))
+        with pytest.raises(CorpusError) as info:
+            load_corpus(path)
+        assert str(info.value).startswith(f"{path}: ")
+        assert field in str(info.value)
+        assert isinstance(info.value, ValueError)
+
+    @pytest.mark.parametrize("text", ["{", "[]", '{"spec": 3}'])
+    def test_not_a_corpus_raises_corpus_error(self, tmp_path, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        with pytest.raises(CorpusError, match="bad.json"):
+            load_corpus(path)
+
+    def test_integral_floats_load(self, tmp_path, corpus_payload):
+        corpus_payload["spec"]["noise"] = 0
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(corpus_payload))
+        assert load_corpus(path).spec.noise == 0.0
+
+
+class TestMainPhaseGradientOracle:
+    """The composed main-phase loss (speaker table -> encoder -> conditioned flows
+    -> aligned NLL, alignment held fixed) against central differences."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_composed_loss_gradients(self, seed):
+        checks = [c for c in gradcheck.suite(Rng(seed)) if c[0].startswith("main.")]
+        assert [name for name, _, _ in checks] == [
+            "main.spk.speakers.table",
+            "main.enc.block2.head1.wq",
+            "main.flow.layer1.attn.wq",
+        ]
+        for name, f, probe in checks:
+            analytic = Tensor(probe.data.copy(), requires_grad=True)
+            f(analytic).backward()
+            assert np.abs(analytic.grad).max() > 1e-3, f"{name}: gradient is all but zero"
+            assert check_grad(f, probe) <= 1e-4, name
 
 
 class TestConfig:

@@ -34,6 +34,46 @@ def conv1d_oracle(x, w):
     return out
 
 
+def attention_reference(x, heads, scale, bias=None):
+    """Multi-head self-attention as the chain of scalar tape ops it replaces."""
+    parts = []
+    for wq, wk, wv in heads:
+        q = x @ wq
+        k = x @ wk
+        v = x @ wv
+        scores = (q @ k.T) * scale
+        if bias is not None:
+            scores = scores + bias
+        parts.append(nm.softmax(scores, axis=1) @ v)
+    return nm.concat(parts, axis=1)
+
+
+def _attention_case(rng, length, width, n_heads, head_dim, bias_kind=None):
+    """Random inputs; ``bias_kind`` is None, "mask" (masked key columns) or "dense"."""
+    x = Tensor(rng.normal((length, width)), requires_grad=True)
+    heads = [tuple(nm.init_uniform(rng, (width, head_dim), width) for _ in range(3))
+             for _ in range(n_heads)]
+    bias = None
+    if bias_kind == "mask":
+        keep = rng.uniform(0.0, 1.0, length) < 0.7
+        keep[0] = True
+        bias = np.zeros((length, length))
+        bias[:, ~keep] = -1e30
+    elif bias_kind == "dense":
+        bias = rng.normal((length, length))
+    return x, heads, 1.0 / np.sqrt(head_dim), bias
+
+
+def _raises_numeric(f, *args) -> bool:
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            f(*args)
+    except NumericError:
+        return True
+    return False
+
+
 class TestForwardOps:
     def test_softmax_symmetry(self):
         out = nm.softmax(Tensor([0.0, 0.0, 0.0])).data
@@ -337,6 +377,124 @@ class TestNonFiniteCheck:
             warnings.simplefilter("error")
             out = nm.add(Tensor(ok), 0.0)
         npt.assert_array_equal(out.data, ok)
+
+
+class TestFusedAttention:
+    """``nm.attention`` against the per-head chain of tape ops it replaces."""
+
+    SHAPES = [(1, 4, 2, 2), (2, 1, 1, 8), (3, 2, 1, 8), (5, 8, 2, 4), (7, 32, 2, 16),
+              (16, 16, 2, 8), (33, 32, 4, 8), (64, 3, 3, 5), (100, 32, 2, 16), (320, 1, 1, 8)]
+
+    @pytest.mark.parametrize("bias_kind", [None, "mask", "dense"])
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_forward_bit_identical_and_gradients_close(self, shape, bias_kind):
+        x, heads, scale, bias = _attention_case(Rng(sum(shape)), *shape, bias_kind)
+        leaves = [x] + [w for head in heads for w in head]
+        weight = Rng(7).normal((shape[0], shape[2] * shape[3]))
+        grads = []
+        for op in (attention_reference, nm.attention):
+            out = op(x, heads, scale, bias)
+            grads.append(out.data.tobytes())
+            nm.summation(out * weight).backward()
+            grads.append([t.grad for t in leaves])
+            for t in leaves:
+                t.zero_grad()
+        ref_bytes, ref_grads, fused_bytes, fused_grads = grads
+        assert fused_bytes == ref_bytes
+        for a, b in zip(ref_grads, fused_grads):
+            npt.assert_allclose(b, a, rtol=1e-12, atol=1e-12 * np.abs(a).max())
+
+    def test_encoder_and_flows_bit_identical_to_reference(self, monkeypatch):
+        from alignflow.encoder import SpeakerTable, TextEncoder
+        from alignflow.flows import FlowStack
+
+        enc = TextEncoder(vocab=5, width=16, n_heads=2, speaker_dim=4, rng=Rng(1))
+        spk = SpeakerTable(3, 4, Rng(2)).lookup(1)
+        flows = FlowStack(4, 3, 6, Rng(3), key_dim=4, head_init="small")
+        tokens, mask = [0, 3, 1, 4, 2, 2], np.array([1, 1, 1, 1, 0, 0], bool)
+        frames = Tensor(Rng(4).normal((4, 9)))
+
+        def outputs():
+            h, mu, sigma = enc.encode(tokens, spk, mask)
+            y, logdet = flows.forward(frames)
+            return [t.data.tobytes() for t in (h, mu, sigma, y, logdet)]
+
+        fused = outputs()
+        monkeypatch.setattr(nm, "attention", attention_reference)
+        assert outputs() == fused
+
+    def test_one_tape_node_for_all_heads(self):
+        x, heads, scale, _ = _attention_case(Rng(1), 4, 6, 3, 2)
+        out = nm.attention(x, heads, scale)
+        assert out.shape == (4, 6)
+        assert out._parents == (x, *[head[i] for i in range(3) for head in heads])
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_q_overflow_raises(self):
+        x, heads, scale, _ = _attention_case(Rng(2), 3, 2, 2, 2)
+        heads[1][0].data[...] = 1e300
+        x.data[0] = 1e10
+        for op in (attention_reference, nm.attention):
+            assert _raises_numeric(op, x, heads, scale)
+        with pytest.raises(NumericError, match="q, k or v"):
+            nm.attention(x, heads, scale)
+
+    def test_v_overflow_raises(self):
+        x, heads, scale, _ = _attention_case(Rng(3), 3, 2, 1, 2)
+        heads[0][2].data[...] = 1e300
+        x.data[...] = 1e10
+        for op in (attention_reference, nm.attention):
+            assert _raises_numeric(op, x, heads, scale)
+
+    def test_overflow_in_weighted_sum_of_v_raises_like_the_chain(self):
+        # finite v at the largest double: rounding in att @ v overflows for some lengths
+        big = np.finfo(np.float64).max
+        raised = []
+        for length in range(2, 65):
+            x = Tensor(np.ones((length, 1)))
+            heads = [(Tensor([[0.0]]), Tensor([[0.0]]), Tensor([[big]]))]
+            fused = _raises_numeric(nm.attention, x, heads, 1.0)
+            assert fused == _raises_numeric(attention_reference, x, heads, 1.0), length
+            if fused:
+                raised.append(length)
+        assert raised, "no length overflowed; the output check went untested"
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_single_minus_inf_score_raises(self):
+        # q0.k0 = -1e320 overflows to -inf while every other score is finite;
+        # softmax would turn that entry into a silent 0
+        x = Tensor([[1e160], [1.0]])
+        heads = [(Tensor([[1.0]]), Tensor([[-1.0]]), Tensor([[1.0]]))]
+        for op in (attention_reference, nm.attention):
+            assert _raises_numeric(op, x, heads, 1.0)
+        with pytest.raises(NumericError, match="non-finite score"):
+            nm.attention(x, heads, 1.0)
+
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_raises_exactly_where_the_chain_raises(self, masked):
+        outcomes = set()
+        for exponent in range(140, 170):
+            x = Tensor([[10.0 ** exponent], [1.0], [-3.0]])
+            heads = [(Tensor([[1.0]]), Tensor([[-1.0]]), Tensor([[1.0]])),
+                     (Tensor([[0.5]]), Tensor([[2.0]]), Tensor([[1e-150]]))]
+            bias = np.where(np.arange(3) == 2, -1e30, 0.0) * np.ones((3, 1)) if masked else None
+            fused = _raises_numeric(nm.attention, x, heads, 0.7, bias)
+            assert fused == _raises_numeric(attention_reference, x, heads, 0.7, bias), exponent
+            outcomes.add(fused)
+        assert outcomes == {False, True}
+
+    def test_shape_errors(self):
+        w = Tensor(np.zeros((3, 2)))
+        with pytest.raises(ShapeError, match="attention"):
+            nm.attention(Tensor(np.zeros((4, 2))), [(w, w, w)], 1.0)
+        with pytest.raises(ShapeError, match="attention"):
+            nm.attention(Tensor(np.zeros((4, 3))), [(w, w, Tensor(np.zeros((3, 1))))], 1.0)
+        with pytest.raises(ShapeError, match="attention"):
+            nm.attention(Tensor(np.zeros((4, 3))), [], 1.0)
+        with pytest.raises(ShapeError, match="attention"):
+            nm.attention(Tensor(np.zeros(3)), [(w, w, w)], 1.0)
+        with pytest.raises(ShapeError, match=r"bias \(3, 3\)"):
+            nm.attention(Tensor(np.zeros((4, 3))), [(w, w, w)], 1.0, np.zeros((3, 3)))
 
 
 class TestConcurrency:
