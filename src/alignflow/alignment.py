@@ -36,6 +36,10 @@ class GridSizeError(ValueError):
     """Grid too large for exhaustive enumeration."""
 
 
+class GridError(ValueError):
+    """A grid CSV is malformed; the message names the file and the row."""
+
+
 @dataclass
 class LogProbGrid:
     """I x J matrix of frame-given-token log-likelihoods with a validity mask.
@@ -84,6 +88,38 @@ class Alignment:
     def frame_tokens(self) -> np.ndarray:
         """Token index owning each frame, length sum(durations)."""
         return np.repeat(np.arange(self.durations.size), self.durations)
+
+
+def load_grid(path) -> LogProbGrid:
+    """Read a grid CSV: row i = token, one comma-separated cell per frame.
+
+    Blank lines and ``#`` comments are skipped, as ``np.loadtxt`` does. Every
+    row must hold the same number of cells, each a finite number. A one-column
+    file is an I x 1 grid. Raises ``GridError``.
+    """
+    rows: list[list[float]] = []
+    with open(path) as fh:
+        for lineno, raw in enumerate(fh, 1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            where = f"{path}:{lineno}: grid row {len(rows)}"
+            cells = line.split(",")
+            if rows and len(cells) != len(rows[0]):
+                raise GridError(f"{where} has {len(cells)} cells, row 0 has {len(rows[0])}")
+            row = []
+            for col, cell in enumerate(cells):
+                try:
+                    row.append(float(cell))
+                except ValueError:
+                    raise GridError(f"{where}, column {col}: {cell!r} is not a number") from None
+                if not math.isfinite(row[-1]):
+                    raise GridError(f"{where}, column {col}: {cell!r} is not finite")
+            rows.append(row)
+    if not rows:
+        raise GridError(f"{path}: grid has no rows")
+    P = np.array(rows)
+    return LogProbGrid(P=P, valid_i=P.shape[0], valid_j=P.shape[1])
 
 
 def noise_scale_at(step: int) -> float:

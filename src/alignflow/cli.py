@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from . import gradcheck
-from .alignment import LogProbGrid, mas_search
+from .alignment import load_grid, mas_search
 from .corpus import load_corpus
 from .duration import DurationDiscriminator, DurationGenerator, train_duration
 from .harness import (
@@ -30,8 +30,7 @@ from .numerics import AdamWConfig, Rng
 
 
 def _cmd_mas(args) -> int:
-    P = np.atleast_2d(np.loadtxt(args.grid, delimiter=",", dtype=np.float64))
-    grid = LogProbGrid(P=P, valid_i=P.shape[0], valid_j=P.shape[1])
+    grid = load_grid(args.grid)
     rng = Rng(args.seed) if args.noise_scale > 0 else None
     align, best_q = mas_search(grid, noise_scale=args.noise_scale, rng=rng)
     print(",".join(str(int(d)) for d in align.durations))

@@ -83,14 +83,14 @@ class _ConvTower(nm.Module):
 
     def run(self, x: Tensor, cond: Tensor | None) -> Tensor:
         # x: (in_dim, I) -> (I,)
-        pre = nm.conv1d(x, self.conv1_w) + nm.reshape(self.conv1_b, (-1, 1))
+        pre = nm.conv1d(x, self.conv1_w, self.conv1_b)
         if cond is not None:
             if self.wc is None:
                 raise ValueError("tower built without cond_dim cannot take a condition")
             pre = pre + nm.reshape(self.wc @ nm.reshape(cond, (-1, 1)), (-1, 1))
         h = nm.relu(pre)
-        h = nm.relu(nm.conv1d(h, self.conv2_w) + nm.reshape(self.conv2_b, (-1, 1)))
-        out = nm.conv1d(h, self.head_w) + nm.reshape(self.head_b, (-1, 1))
+        h = nm.relu(nm.conv1d(h, self.conv2_w, self.conv2_b))
+        out = nm.conv1d(h, self.head_w, self.head_b)
         return out[0]
 
 

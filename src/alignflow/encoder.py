@@ -71,9 +71,9 @@ class EncoderBlock(nm.Module):
 
     def forward(self, x: Tensor, attn_bias: np.ndarray | None = None) -> Tensor:
         heads = nm.attention(x, self.heads, 1.0 / math.sqrt(self.head_dim), attn_bias)
-        x = nm.layer_norm(x + heads @ self.wo, axis=1)
-        ff = nm.relu(x @ self.w1 + self.b1) @ self.w2 + self.b2
-        return nm.layer_norm(x + ff, axis=1)
+        x = nm.add_layer_norm(x, heads @ self.wo, axis=1)
+        ff = nm.linear(nm.relu(nm.linear(x, self.w1, self.b1)), self.w2, self.b2)
+        return nm.add_layer_norm(x, ff, axis=1)
 
 
 class TextEncoder(nm.Module):
@@ -164,6 +164,6 @@ class TextEncoder(nm.Module):
     ) -> tuple[Tensor, Tensor, Tensor]:
         """Returns (h_text, mu, sigma), each length-I along the token axis."""
         h = self.hidden_states(tokens, speaker, mask)[-1]
-        mu = h @ self.w_mu + self.b_mu
-        log_sigma = nm.clamp(h @ self.w_logsigma + self.b_logsigma, -6.0, 6.0)
+        mu = nm.linear(h, self.w_mu, self.b_mu)
+        log_sigma = nm.clamp(nm.linear(h, self.w_logsigma, self.b_logsigma), -6.0, 6.0)
         return h, mu, nm.exp(log_sigma)

@@ -83,13 +83,13 @@ class CouplingLayer(nm.Module):
         h = xa
         if self.attn_gain != 0.0:
             h = h + self._attend(xa) * self.attn_gain
-        pre = nm.conv1d(h, self.conv1_w) + nm.reshape(self.conv1_b, (-1, 1))
+        pre = nm.conv1d(h, self.conv1_w, self.conv1_b)
         if cond is not None:
             if self.wc is None:
                 raise ValueError("layer built without cond_dim cannot take a condition")
             pre = pre + nm.reshape(self.wc @ nm.reshape(cond, (-1, 1)), (-1, 1))
         hid = nm.relu(pre)
-        out = nm.conv1d(hid, self.conv2_w) + nm.reshape(self.conv2_b, (-1, 1))
+        out = nm.conv1d(hid, self.conv2_w, self.conv2_b)
         s = nm.clamp(out[: self.half], -8.0, 8.0)  # keeps exp(s) invertible
         t = out[self.half :]
         return s, t

@@ -151,6 +151,30 @@ def suite(rng: Rng) -> list[tuple[str, object, Tensor]]:
         ("attention.wv", att_weight(2), w_att[2]),
     ]
 
+    # the fused layer ops, from their own stream too; the conv kernel may be
+    # even or wider than the input
+    rf = rng.child(16)
+    cb_in, cb_out = rf.integers(1, 4), rf.integers(1, 4)
+    lb, kb = rf.integers(1, 8), rf.integers(1, 10)
+    sig_b, ker_b, wconv_b = (rf.normal(s) for s in ((cb_in, lb), (cb_out, cb_in, kb),
+                                                    (cb_out, lb)))
+    n_lin, d_lin, m_lin = rf.integers(1, 5), rf.integers(1, 5), rf.integers(1, 5)
+    x_lin, w_lin, b_lin = (Tensor(rf.normal(s)) for s in ((n_lin, d_lin), (d_lin, m_lin),
+                                                           (m_lin,)))
+    wlin = rf.normal((n_lin, m_lin))
+    ln_shape = (rf.integers(1, 5), rf.integers(2, 7))
+    a_ln, b_ln = Tensor(rf.normal(ln_shape)), Tensor(rf.normal(ln_shape))
+    wln = rf.normal(ln_shape)
+    checks += [
+        ("conv1d.bias", lambda t: weighted(nm.conv1d(sig_b, ker_b, t), wconv_b),
+         Tensor(rf.normal(cb_out))),
+        ("linear.x", lambda t: weighted(nm.linear(t, w_lin, b_lin), wlin), x_lin),
+        ("linear.w", lambda t: weighted(nm.linear(x_lin, t, b_lin), wlin), w_lin),
+        ("linear.b", lambda t: weighted(nm.linear(x_lin, w_lin, t), wlin), b_lin),
+        ("add_layer_norm.a", lambda t: weighted(nm.add_layer_norm(t, b_ln, axis=1), wln), a_ln),
+        ("add_layer_norm.b", lambda t: weighted(nm.add_layer_norm(a_ln, t, axis=1), wln), b_ln),
+    ]
+
     wrows = rng.normal((4, cols))
     checks.append(
         ("take_rows", lambda t: weighted(nm.take_rows(t, [0, 2, 2, 1]), wrows),

@@ -15,6 +15,7 @@ the full-scale recipe.
 from __future__ import annotations
 
 import dataclasses
+import math
 import typing
 from dataclasses import dataclass
 
@@ -32,6 +33,10 @@ from .numerics import AdamWConfig, NumericError, Rng, Tensor
 
 class ConfigError(ValueError):
     pass
+
+
+class DurationCorpusError(ValueError):
+    """A duration corpus CSV is malformed; the message names the file and the line."""
 
 
 @dataclass
@@ -90,6 +95,9 @@ class TrainConfig:
             raise ConfigError("channels must be even for the coupling split")
         if self.n_blocks <= TextEncoder.SPEAKER_BLOCK:
             raise ConfigError(f"n_blocks {self.n_blocks} must be > {TextEncoder.SPEAKER_BLOCK}")
+        for name in ("hidden_width", "ff_width", "flow_hidden", "dur_hidden", "key_dim"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.n_heads < 1 or self.hidden_width % self.n_heads != 0:
             raise ConfigError(f"n_heads {self.n_heads} does not divide hidden_width")
         self.corpus_spec().validate()
@@ -400,34 +408,50 @@ def save_duration_corpus(path, batches: list[DurationBatch]):
         fh.write("\n".join(lines) + "\n")
 
 
+def _duration_cell(path, lineno: int, column: str, cell: str, kind: type):
+    """One CSV cell as ``kind`` (int or float); a float must be finite."""
+    try:
+        value = kind(cell)
+    except ValueError:
+        what = "an integer" if kind is int else "a number"
+        raise DurationCorpusError(f"{path}:{lineno}: {column} {cell!r} is not {what}") from None
+    if kind is float and not math.isfinite(value):
+        raise DurationCorpusError(f"{path}:{lineno}: {column} {cell!r} is not finite")
+    return value
+
+
 def load_duration_corpus(path) -> list[DurationBatch]:
+    """Inverse of ``save_duration_corpus``; raises ``DurationCorpusError``."""
     with open(path) as fh:
         header = fh.readline().strip().split(",")
         if header[:3] != ["instance", "position", "log_duration"]:
-            raise ValueError(f"{path}: not a duration corpus (header {header[:3]})")
-        width = len(header) - 3
+            raise DurationCorpusError(f"{path}: not a duration corpus (header {header[:3]})")
+        kinds = [int, int] + [float] * (len(header) - 2)
         per_inst: dict[int, list[tuple[int, float, np.ndarray]]] = {}
-        for raw in fh:
+        for lineno, raw in enumerate(fh, 2):
             cells = raw.strip().split(",")
             if len(cells) != len(header):
-                raise ValueError(f"{path}: row width {len(cells)} != header {len(header)}")
-            inst, pos = int(cells[0]), int(cells[1])
-            per_inst.setdefault(inst, []).append(
-                (pos, float(cells[2]), np.array([float(c) for c in cells[3:]]))
-            )
+                raise DurationCorpusError(
+                    f"{path}:{lineno}: row width {len(cells)} != header {len(header)}")
+            inst, pos, d, *h = (_duration_cell(path, lineno, *col)
+                                for col in zip(header, cells, kinds))
+            per_inst.setdefault(inst, []).append((pos, d, np.array(h)))
     if not per_inst:
-        raise ValueError(f"{path}: duration corpus has a header but no rows")
+        raise DurationCorpusError(f"{path}: duration corpus has a header but no rows")
     batches = []
     for inst in sorted(per_inst):
-        rows = sorted(per_inst[inst])
+        rows = sorted(per_inst[inst], key=lambda r: r[0])
+        if [r[0] for r in rows] != list(range(len(rows))):
+            raise DurationCorpusError(
+                f"{path}: instance {inst} positions are not 0..{len(rows) - 1}")
         h = np.stack([r[2] for r in rows])
         d = np.array([r[1] for r in rows])
-        batches.append(
-            DurationBatch(h_text=h[None], d=d[None], mask=np.ones((1, len(rows)), bool))
-        )
-    for b in batches:
-        if b.h_text.shape[2] != width:
-            raise ValueError(f"{path}: inconsistent feature width")
+        try:
+            batches.append(
+                DurationBatch(h_text=h[None], d=d[None], mask=np.ones((1, len(rows)), bool))
+            )
+        except ValueError as e:
+            raise DurationCorpusError(f"{path}: instance {inst}: {e}") from None
     return batches
 
 

@@ -17,12 +17,19 @@ choices worth knowing:
   directly, typically parameters).
 - Any op producing NaN/Inf from finite inputs raises ``NumericError``
   immediately instead of letting the poison spread.
-- ``attention`` is one fused op for all heads of a multi-head self-attention
-  (the encoder blocks and the coupling flows use it), with a hand-written VJP.
-  Its forward is bit-identical to the per-head chain of matmul, transpose,
-  mul, add, softmax and concat ops, and it raises ``NumericError`` on exactly
-  the inputs where that chain raised: it checks the stacked q/k/v and the
-  scaled, biased scores, and ``_make`` checks its output.
+- Layers are fused ops, one tape node each, because a step's time is per
+  node: ``attention`` (all heads of a multi-head self-attention; the encoder
+  blocks and the coupling flows), ``conv1d`` with its bias (the coupling
+  layers and the duration towers), ``linear`` (``x @ w + b``: the encoder FFN
+  and heads) and ``add_layer_norm`` (the encoder's post-norm residual). Each
+  has a hand-written VJP, and each is bit-identical, forward and backward, to
+  the chain of smaller ops it replaced. Each raises ``NumericError`` on
+  exactly the inputs where that chain raised: ``attention`` checks the
+  stacked q/k/v and the scaled, biased scores, ``add_layer_norm`` the sum,
+  and ``_make`` every output.
+- A VJP may return ``None`` for a parent that takes no gradient at backward
+  time (a constant, or a parameter under ``frozen``); ``conv1d`` skips that
+  work.
 """
 
 from __future__ import annotations
@@ -340,6 +347,21 @@ def matmul(a, b) -> Tensor:
     return _make(data, (a, b), lambda g: (g @ b.data.T, a.data.T @ g), "matmul")
 
 
+def linear(x, w, b) -> Tensor:
+    """Affine map ``x @ w + b`` as one tape node; x: (N, D), w: (D, M), b: (M,).
+
+    The result equals the matmul-then-add chain byte for byte.
+    """
+    x, w, b = ensure_tensor(x), ensure_tensor(w), ensure_tensor(b)
+    if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0] or b.shape != w.shape[1:]:
+        raise ShapeError(f"linear expects x (N,D), w (D,M) and b (M,), got "
+                         f"{x.shape}, {w.shape}, {b.shape}")
+    data = x.data @ w.data
+    data += b.data
+    return _make(data, (x, w, b), lambda g: (g @ w.data.T, x.data.T @ g, g.sum(axis=0)),
+                 "linear")
+
+
 def transpose(a) -> Tensor:
     a = ensure_tensor(a)
     if a.ndim != 2:
@@ -445,22 +467,47 @@ def softmax(a, axis: int = -1) -> Tensor:
     return _make(data, (a,), vjp, "softmax")
 
 
+def _layer_norm_node(s: np.ndarray, parents: tuple[Tensor, ...], axis: int, eps: float,
+                     op: str) -> Tensor:
+    """Layer norm of ``s`` as one node whose every parent receives the same
+    gradient (each parent's shape is ``s.shape``). The means are
+    ``np.add.reduce(...) / n``: what ``ndarray.mean`` computes, without its
+    Python wrapper."""
+    n = s.shape[axis]
+    xc = s - np.add.reduce(s, axis=axis, keepdims=True) / n
+    var = np.add.reduce(xc * xc, axis=axis, keepdims=True) / n
+    inv = 1.0 / np.sqrt(var + eps)
+    data = xc * inv
+
+    def vjp(g):
+        g_mean = np.add.reduce(g, axis=axis, keepdims=True) / n
+        gy_mean = np.add.reduce(g * data, axis=axis, keepdims=True) / n
+        return (inv * (g - g_mean - data * gy_mean),) * len(parents)
+
+    return _make(data, parents, vjp, op)
+
+
 def layer_norm(a, axis: int = -1, eps: float = 1e-8) -> Tensor:
     """Normalize to zero mean, unit variance along ``axis`` (no learned affine)."""
     a = ensure_tensor(a)
-    mu = a.data.mean(axis=axis, keepdims=True)
-    xc = a.data - mu
-    var = (xc * xc).mean(axis=axis, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    data = xc * inv
-    n = a.shape[axis]
+    return _layer_norm_node(a.data, (a,), axis, eps, "layer_norm")
 
-    def vjp(g):
-        g_mean = g.mean(axis=axis, keepdims=True)
-        gy_mean = (g * data).mean(axis=axis, keepdims=True)
-        return (inv * (g - g_mean - data * gy_mean),)
 
-    return _make(data, (a,), vjp, "layer_norm")
+def add_layer_norm(a, b, axis: int = -1, eps: float = 1e-8) -> Tensor:
+    """``layer_norm(a + b)`` as one node: the post-norm residual of a
+    transformer block. ``a`` and ``b`` must have the same shape.
+
+    The result and gradients equal the add-then-layer_norm chain byte for
+    byte, and it raises ``NumericError`` exactly where that chain did: on a
+    non-finite sum, and through ``_make`` on a non-finite output.
+    """
+    a, b = ensure_tensor(a), ensure_tensor(b)
+    if a.shape != b.shape:
+        raise ShapeError(f"add_layer_norm: shapes {a.shape} and {b.shape} differ")
+    s = a.data + b.data
+    if not np.isfinite(s).all():
+        raise NumericError("add_layer_norm produced a non-finite value")
+    return _layer_norm_node(s, (a, b), axis, eps, "add_layer_norm")
 
 
 def attention(x, heads, scale: float, bias: np.ndarray | None = None) -> Tensor:
@@ -529,11 +576,13 @@ def attention(x, heads, scale: float, bias: np.ndarray | None = None) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def conv1d(x, w) -> Tensor:
-    """1-D convolution over the last axis, stride 1, same-padding.
+def conv1d(x, w, b=None) -> Tensor:
+    """1-D convolution over the last axis, stride 1, same-padding, plus an
+    optional per-output-channel bias, as one tape node.
 
-    x: (C_in, L), w: (C_out, C_in, K) -> (C_out, L). Padding is zeros,
-    (K-1)//2 on the left and the remainder on the right.
+    x: (C_in, L), w: (C_out, C_in, K), b: (C_out,) or None -> (C_out, L).
+    Padding is zeros, (K-1)//2 on the left and the remainder on the right.
+    The result equals ``conv1d(x, w) + reshape(b, (-1, 1))`` byte for byte.
     """
     x, w = ensure_tensor(x), ensure_tensor(w)
     if x.ndim != 2 or w.ndim != 3:
@@ -543,19 +592,36 @@ def conv1d(x, w) -> Tensor:
     if cin != cin_w:
         raise ShapeError(f"conv1d: x has {cin} channels but kernel expects {cin_w}")
     pl = (k - 1) // 2
-    pr = k - 1 - pl
-    xp = np.pad(x.data, ((0, 0), (pl, pr)))
-    windows = np.stack([xp[:, i : i + length] for i in range(k)], axis=1)  # (C,K,L)
+    # windows[:, i, t] = x[:, t + i - pl], zero where that falls outside [0, L)
+    windows = np.zeros((cin, k, length))
+    for i in range(k):
+        off = i - pl
+        lo, hi = max(0, -off), min(length, length - off)
+        if lo < hi:
+            windows[:, i, lo:hi] = x.data[:, lo + off : hi + off]
     data = np.einsum("ock,ckl->ol", w.data, windows)
+    parents = (x, w)
+    if b is not None:
+        b = ensure_tensor(b)
+        if b.shape != (cout,):
+            raise ShapeError(f"conv1d: bias {b.shape} does not match {cout} output channels")
+        data += b.data[:, None]
+        parents = (x, w, b)
 
     def vjp(g):
-        gw = np.einsum("ol,ckl->ock", g, windows)
-        gxp = np.zeros_like(xp)
-        for i in range(k):
-            gxp[:, i : i + length] += np.einsum("oc,ol->cl", w.data[:, :, i], g)
-        return (gxp[:, pl : pl + length], gw)
+        # skip the cotangents nothing will use: a constant input (the duration
+        # critic's features) or a kernel frozen for the generator's update
+        gx = gw = None
+        if _wants_grad(x):
+            gxp = np.zeros((cin, length + k - 1))
+            for i in range(k):
+                gxp[:, i : i + length] += np.einsum("oc,ol->cl", w.data[:, :, i], g)
+            gx = gxp[:, pl : pl + length]
+        if _wants_grad(w):
+            gw = np.einsum("ol,ckl->ock", g, windows)
+        return (gx, gw) if b is None else (gx, gw, g.sum(axis=1))
 
-    return _make(data, (x, w), vjp, "conv1d")
+    return _make(data, parents, vjp, "conv1d")
 
 
 # ---------------------------------------------------------------------------

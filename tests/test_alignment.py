@@ -8,11 +8,13 @@ from hypothesis import strategies as st
 
 from alignflow.alignment import (
     Alignment,
+    GridError,
     GridSizeError,
     InfeasibleAlignmentError,
     LogProbGrid,
     alignment_score,
     brute_force_align,
+    load_grid,
     log_prob_grid,
     mas_search,
     noise_scale_at,
@@ -332,3 +334,35 @@ class TestNoiseSchedule:
         assert all(a >= b for a, b in zip(values, values[1:]))
         assert values[-1] == 0.0
         assert noise_scale_at(4999) > 0.0
+
+
+class TestLoadGrid:
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 5), (3, 6), (7, 20)])
+    def test_reads_savetxt_output_like_loadtxt(self, tmp_path, shape):
+        path = tmp_path / "grid.csv"
+        np.savetxt(path, Rng(sum(shape)).normal(shape) * 10.0 ** Rng(1).integers(-5, 5),
+                   delimiter=",")
+        want = np.atleast_2d(np.loadtxt(path, delimiter=",", dtype=np.float64))
+        assert load_grid(path).P.tobytes() == want.tobytes()
+
+    def test_comments_blank_lines_and_one_column(self, tmp_path):
+        path = tmp_path / "grid.csv"
+        path.write_text("# header\n0.5, -1\n\n2e-3,4 # tail\n")
+        npt.assert_array_equal(load_grid(path).P, [[0.5, -1.0], [2e-3, 4.0]])
+        path.write_text("1\n2\n")
+        assert load_grid(path).P.shape == (2, 1)
+
+    @pytest.mark.parametrize("text, message", [
+        ("", ": grid has no rows"),
+        ("# only a comment\n\n", ": grid has no rows"),
+        ("1,2,3\n4,5\n", ":2: grid row 1 has 2 cells, row 0 has 3"),
+        ("1,2\n\n3,x\n", ":3: grid row 1, column 1: 'x' is not a number"),
+        ("1,nan,3\n", ":1: grid row 0, column 1: 'nan' is not finite"),
+        ("1,2\n3,-inf\n", ":2: grid row 1, column 1: '-inf' is not finite"),
+    ])
+    def test_bad_grid_names_file_and_row(self, tmp_path, text, message):
+        path = tmp_path / "grid.csv"
+        path.write_text(text)
+        with pytest.raises(GridError) as err:
+            load_grid(path)
+        assert str(err.value) == str(path) + message

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -225,6 +226,47 @@ class TestLoaderErrors:
         assert err.startswith("alignflow train-toy: ") and "n_blocks" in err
         assert err.count("\n") == 1
         assert not (tmp_path / "run").exists()
+
+    def test_config_with_zero_hidden_width(self, capsys, tmp_path):
+        path = tmp_path / "zero.cfg"
+        path.write_text("hidden_width = 0\nsteps_main = 3\nsteps_duration = 2\n")
+        code, err = self.invoke_err(capsys, "train-toy", "--config", path,
+                                    "--out", tmp_path / "run", "--seed", "0")
+        assert code == 2
+        assert err == "alignflow train-toy: hidden_width must be >= 1, got 0\n"
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("col, value, message", [
+        (0, "x", ":2: instance 'x' is not an integer"),
+        (1, "0.5", ":2: position '0.5' is not an integer"),
+        (3, "one", ":2: h0 'one' is not a number"),
+        (4, "nan", ":2: h1 'nan' is not finite"),
+    ])
+    def test_bad_duration_corpus_cell(self, capsys, tmp_path, col, value, message):
+        cells = ["0", "0", "0.5", "0.1", "0.2"]
+        cells[col] = value
+        path = tmp_path / "dur.csv"
+        path.write_text("instance,position,log_duration,h0,h1\n" + ",".join(cells) + "\n")
+        code, err = self.invoke_err(capsys, "train-duration", "--corpus", path, "--steps", "2",
+                                    "--seed", "0", "--out", tmp_path / "l.csv")
+        assert code == 2
+        assert err == f"alignflow train-duration: {path}{message}\n"
+        assert not (tmp_path / "l.csv").exists()
+
+    @pytest.mark.parametrize("text, message", [
+        ("", ": grid has no rows"),
+        ("1,2,3\n4,5\n", ":2: grid row 1 has 2 cells, row 0 has 3"),
+        ("1,2\n3,x\n", ":2: grid row 1, column 1: 'x' is not a number"),
+        ("1,nan\n", ":1: grid row 0, column 1: 'nan' is not finite"),
+    ])
+    def test_bad_mas_grid(self, capsys, tmp_path, text, message):
+        path = tmp_path / "grid.csv"
+        path.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, err = self.invoke_err(capsys, "mas", "--grid", path)
+        assert code == 2
+        assert err == f"alignflow mas: {path}{message}\n"
 
     @pytest.fixture
     def speaker_ckpt(self, tmp_path):

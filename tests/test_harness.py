@@ -1,11 +1,13 @@
 import json
 import math
+import re
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from alignflow import gradcheck
+from alignflow import numerics as nm
 from alignflow.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from alignflow.corpus import (
     CorpusError,
@@ -17,6 +19,7 @@ from alignflow.corpus import (
 )
 from alignflow.harness import (
     ConfigError,
+    DurationCorpusError,
     TrainConfig,
     build_model,
     duration_targets,
@@ -250,6 +253,15 @@ class TestConfig:
         with pytest.raises(ConfigError, match=key):
             load_config(path)
 
+    @pytest.mark.parametrize("key", ["hidden_width", "ff_width", "flow_hidden", "dur_hidden",
+                                     "key_dim"])
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_empty_model_sizes_rejected_at_load(self, tmp_path, key, value):
+        path = tmp_path / "size.cfg"
+        path.write_text(f"{key} = {value}\n")
+        with pytest.raises(ConfigError, match=f"^{key} must be >= 1, got {value}$"):
+            load_config(path)
+
     def test_optimizer_defaults_come_from_adamw_config(self):
         assert TrainConfig().optimizer() == AdamWConfig()
         cfg = TrainConfig(lr=1e-3, beta2=0.9)
@@ -392,6 +404,27 @@ class TestCheckpoint:
         path = tmp_path / "dur.csv"
         path.write_text("instance,position,log_duration,h0,h1\n")
         with pytest.raises(ValueError, match="dur.csv: .*no rows"):
+            load_duration_corpus(path)
+
+    @pytest.mark.parametrize("line, col, value, message", [
+        (2, 0, "x", r":2: instance 'x' is not an integer"),
+        (3, 1, "1.5", r":3: position '1.5' is not an integer"),
+        (2, 4, "abc", r":2: h1 'abc' is not a number"),
+        (4, 5, "nan", r":4: h2 'nan' is not finite"),
+        (2, 2, "inf", r":2: log_duration 'inf' is not finite"),
+        (3, 1, "0", r": instance 0 positions are not 0\.\.2"),
+        (2, 2, "-1.0", r": instance 0: valid log-durations must be >= 0"),
+    ])
+    def test_bad_duration_cell_names_file_line_and_column(self, tmp_path, line, col, value,
+                                                          message):
+        lines = ["instance,position,log_duration,h0,h1,h2", "0,0,0.0,0.1,0.2,0.3",
+                 "0,1,0.5,0.4,0.5,0.6", "0,2,1.0,0.7,0.8,0.9", "1,0,0.0,1.0,1.1,1.2"]
+        cells = lines[line - 1].split(",")
+        cells[col] = value
+        lines[line - 1] = ",".join(cells)
+        path = tmp_path / "dur.csv"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DurationCorpusError, match="^" + re.escape(str(path)) + message):
             load_duration_corpus(path)
 
     def test_duration_corpus_roundtrip(self, tmp_path):
@@ -556,3 +589,43 @@ class TestMultiSpeaker:
         assert m_off.flows.layers[0].wc is None
         assert m_on.dur_gen.tower.wc is not None
         assert m_off.dur_gen.tower.wc is None
+
+
+class TestTapeBudget:
+    """Tape nodes per training step on the acceptance-7 model (the default
+    sizes), counted per op. A change that adds nodes fails here with a diff."""
+
+    MAIN = {"add": 9, "add_layer_norm": 8, "attention": 6, "clamp": 3, "concat": 2,
+            "conv1d": 4, "div": 1, "exp": 3, "getitem": 9, "linear": 10, "log": 1,
+            "matmul": 6, "mul": 8, "relu": 6, "sub": 2, "sum": 3, "take_rows": 3,
+            "transpose": 5}
+    DURATION = {"add": 2, "concat": 5, "conv1d": 15, "getitem": 5, "mul": 4, "pow": 3,
+                "relu": 10, "reshape": 3, "sub": 3, "sum": 3, "transpose": 5}
+
+    def test_nodes_per_main_and_duration_step(self, monkeypatch):
+        from alignflow import harness
+
+        counts: dict[str, int] = {}
+        phases: dict[str, dict[str, int]] = {}
+        make, step, train_duration = nm._make, nm.AdamW.step, harness.train_duration
+
+        def counting_make(data, parents, vjp, op):
+            counts[op] = counts.get(op, 0) + 1
+            return make(data, parents, vjp, op)
+
+        def first_step(opt):  # the first optimizer step ends main step 0
+            phases.setdefault("main", dict(counts))
+            return step(opt)
+
+        def one_duration_step(*args, **kwargs):
+            counts.clear()
+            out = train_duration(*args, **kwargs)
+            phases["duration"] = dict(counts)
+            return out
+
+        monkeypatch.setattr(nm, "_make", counting_make)
+        monkeypatch.setattr(nm.AdamW, "step", first_step)
+        monkeypatch.setattr(harness, "train_duration", one_duration_step)
+        train_toy(TrainConfig(seed=7, steps_main=1, steps_duration=1, n_eval=0))
+        assert phases == {"main": self.MAIN, "duration": self.DURATION}
+        assert sum(self.MAIN.values()) == 89 and sum(self.DURATION.values()) == 58

@@ -48,6 +48,61 @@ def attention_reference(x, heads, scale, bias=None):
     return nm.concat(parts, axis=1)
 
 
+_conv1d = nm.conv1d  # the op itself, for a reference that outlives a monkeypatch
+
+
+def conv1d_reference(x, w, b=None):
+    """Bias-fused ``conv1d`` as the chain of tape ops it replaces."""
+    out = _conv1d(x, w)
+    return out if b is None else out + nm.reshape(b, (-1, 1))
+
+
+def linear_reference(x, w, b):
+    """``nm.linear`` as the chain of tape ops it replaces."""
+    return x @ w + b
+
+
+def add_layer_norm_reference(a, b, axis):
+    """``nm.add_layer_norm`` as the chain of tape ops it replaces."""
+    return nm.layer_norm(a + b, axis=axis)
+
+
+def conv1d_padded(x, w, g):
+    """The ``np.pad`` + ``np.stack`` conv1d that the pad-free windows replaced:
+    (forward, x cotangent, w cotangent) for output cotangent ``g``."""
+    k, length = w.shape[2], x.shape[1]
+    pl = (k - 1) // 2
+    xp = np.pad(x, ((0, 0), (pl, k - 1 - pl)))
+    windows = np.stack([xp[:, i : i + length] for i in range(k)], axis=1)
+    gxp = np.zeros_like(xp)
+    for i in range(k):
+        gxp[:, i : i + length] += np.einsum("oc,ol->cl", w[:, :, i], g)
+    return (np.einsum("ock,ckl->ol", w, windows), gxp[:, pl : pl + length],
+            np.einsum("ol,ckl->ock", g, windows))
+
+
+def layer_norm_mean(x, axis, g, eps=1e-8):
+    """Layer norm and its VJP with ``ndarray.mean``, as written before the
+    shared helper took ``np.add.reduce(...) / n``: (forward, cotangent)."""
+    xc = x - x.mean(axis=axis, keepdims=True)
+    inv = 1.0 / np.sqrt((xc * xc).mean(axis=axis, keepdims=True) + eps)
+    y = xc * inv
+    g_mean = g.mean(axis=axis, keepdims=True)
+    gy_mean = (g * y).mean(axis=axis, keepdims=True)
+    return y, inv * (g - g_mean - y * gy_mean)
+
+
+def _forward_and_grads(op, leaves, *args):
+    """Output bytes and the leaves' gradient bytes of ``op(*leaves, *args)``
+    under a random output weighting."""
+    out = op(*leaves, *args)
+    nm.summation(out * Rng(99).normal(out.shape)).backward()
+    result = [out.data.tobytes()] + [t.grad.tobytes() for t in leaves]
+    for t in leaves:
+        t.zero_grad()
+    return result
+
+
 def _attention_case(rng, length, width, n_heads, head_dim, bias_kind=None):
     """Random inputs; ``bias_kind`` is None, "mask" (masked key columns) or "dense"."""
     x = Tensor(rng.normal((length, width)), requires_grad=True)
@@ -495,6 +550,162 @@ class TestFusedAttention:
             nm.attention(Tensor(np.zeros(3)), [(w, w, w)], 1.0)
         with pytest.raises(ShapeError, match=r"bias \(3, 3\)"):
             nm.attention(Tensor(np.zeros((4, 3))), [(w, w, w)], 1.0, np.zeros((3, 3)))
+
+
+class TestFusedLayerOps:
+    """``conv1d`` with a bias, ``linear`` and ``add_layer_norm`` against the
+    op chains they replace: the same bytes forward and backward, and a
+    ``NumericError`` on exactly the same inputs."""
+
+    CONV_SHAPES = [(c, o, k, n) for k in range(1, 10) for n in (1, 2, 3, 5, 8, 12)
+                   for c, o in ((1, 1), (3, 2))] + [(34, 32, 3, 6), (32, 1, 1, 40)]
+
+    @pytest.mark.parametrize("cin, cout, k, length", CONV_SHAPES)
+    def test_conv1d_bytes_match_the_chain_and_the_padded_windows(self, cin, cout, k, length):
+        rng = Rng(cin * 1000 + cout * 100 + k * 10 + length)
+        x, w, b = (Tensor(rng.normal(s), requires_grad=True)
+                   for s in ((cin, length), (cout, cin, k), (cout,)))
+        fused = _forward_and_grads(nm.conv1d, [x, w, b])
+        assert fused == _forward_and_grads(conv1d_reference, [x, w, b])
+        out, gx, gw = conv1d_padded(x.data, w.data, Rng(99).normal((cout, length)))
+        assert _forward_and_grads(nm.conv1d, [x, w]) == [out.tobytes(), gx.tobytes(),
+                                                         gw.tobytes()]
+
+    def test_conv1d_matches_oracle_for_every_kernel_and_short_inputs(self):
+        # even kernels and kernels wider than the input: taps that fall
+        # wholly in the padding must contribute zeros, not raise
+        rng = Rng(8)
+        for k in range(1, 10):
+            for length in range(1, 11):
+                x = rng.normal((rng.integers(1, 4), length))
+                w = rng.normal((rng.integers(1, 4), x.shape[0], k))
+                npt.assert_allclose(nm.conv1d(Tensor(x), Tensor(w)).data,
+                                    conv1d_oracle(x, w), atol=1e-12)
+
+    @pytest.mark.parametrize("n, d, m", [(1, 1, 1), (5, 32, 64), (6, 64, 32), (7, 32, 2),
+                                         (40, 3, 5)])
+    def test_linear_bytes_match_the_chain(self, n, d, m):
+        rng = Rng(n + d + m)
+        leaves = [Tensor(rng.normal(s), requires_grad=True) for s in ((n, d), (d, m), (m,))]
+        assert (_forward_and_grads(nm.linear, leaves)
+                == _forward_and_grads(linear_reference, leaves))
+
+    @pytest.mark.parametrize("shape, axis", [((5, 32), 1), ((5, 32), -1), ((1, 7), 1),
+                                             ((4, 3), 0), ((80, 16), 1), ((2, 3, 4), 1)])
+    def test_add_layer_norm_bytes_match_the_chain(self, shape, axis):
+        rng = Rng(sum(shape) + axis)
+        leaves = [Tensor(rng.normal(shape) * 3.0 + 1.0, requires_grad=True) for _ in range(2)]
+        assert (_forward_and_grads(nm.add_layer_norm, leaves, axis)
+                == _forward_and_grads(add_layer_norm_reference, leaves, axis))
+
+    @pytest.mark.parametrize("shape, axis", [((5, 32), 1), ((5, 32), -1), ((1, 7), 1),
+                                             ((4, 3), 0), ((80, 16), 1), ((3, 1), 1),
+                                             ((2, 3, 4), 0), ((2, 3, 4), 2), ((9, 64), 1),
+                                             ((20, 3), 1), ((10, 5), 1), ((6, 24), -1),
+                                             ((7, 6), 0), ((40, 12), 1), ((3, 5, 7), 1)])
+    def test_layer_norm_bytes_match_ndarray_mean(self, shape, axis):
+        rng = Rng(len(shape) * 100 + sum(shape) + axis)
+        x = Tensor(rng.normal(shape) * 5.0 - 2.0, requires_grad=True)
+        y, gx = layer_norm_mean(x.data, axis, Rng(99).normal(shape))
+        assert _forward_and_grads(nm.layer_norm, [x], axis) == [y.tobytes(), gx.tobytes()]
+
+    def test_one_tape_node_each(self):
+        x, w, b = Tensor(np.ones((2, 3))), Tensor(np.ones((4, 2, 3))), Tensor(np.ones(4))
+        assert nm.conv1d(x, w, b)._parents == ()  # constants build no tape
+        w.requires_grad = True
+        assert nm.conv1d(x, w, b)._parents == (x, w, b)
+        assert nm.conv1d(x, w)._parents == (x, w)
+        lw, lb = Tensor(np.ones((3, 4)), requires_grad=True), Tensor(np.ones(4))
+        assert nm.linear(x, lw, lb)._parents == (x, lw, lb)
+        y = Tensor(np.ones((2, 3)), requires_grad=True)
+        assert nm.add_layer_norm(x, y, axis=1)._parents == (x, y)
+
+    def test_conv1d_skips_cotangents_nothing_uses(self):
+        rng = Rng(12)
+        x = Tensor(rng.normal((3, 5)))
+        w, b = Tensor(rng.normal((2, 3, 3)), requires_grad=True), Tensor(rng.normal(2))
+        out, g = nm.conv1d(x, w, b), rng.normal((2, 5))
+        gx, gw, gb = out._vjp(g)
+        assert gx is None and gb.tobytes() == g.sum(axis=1).tobytes()
+        assert gw.tobytes() == conv1d_padded(x.data, w.data, g)[2].tobytes()
+        with nm.frozen([w]):  # frozen at backward time, as for the critic
+            assert out._vjp(g)[:2] == (None, None)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_bias_overflow_raises_where_the_chain_raises(self):
+        outcomes = set()
+        for exponent in range(300, 309):
+            big = 1.7 * 10.0 ** exponent
+            x = Tensor(np.full((1, 3), big))
+            w, b = Tensor(np.ones((1, 1, 1))), Tensor([big])
+            fused = _raises_numeric(nm.conv1d, x, w, b)
+            assert fused == _raises_numeric(conv1d_reference, x, w, b), exponent
+            lw, lb = Tensor(np.ones((3, 1))), Tensor([big])
+            assert _raises_numeric(nm.linear, x, lw, lb) == _raises_numeric(
+                linear_reference, x, lw, lb), exponent
+            outcomes.add(fused)
+        assert outcomes == {False, True}
+        with pytest.raises(NumericError, match=r"^conv1d produced a non-finite value$"):
+            nm.conv1d(x, w, b)
+        with pytest.raises(NumericError, match=r"^linear produced a non-finite value$"):
+            nm.linear(x, lw, lb)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_infinite_residual_sum_raises_where_the_chain_raises(self):
+        outcomes = set()
+        for exponent in range(300, 309):
+            a = Tensor([[1.0, 1.7 * 10.0 ** exponent, -2.0]])
+            b = Tensor([[0.5, 1.7 * 10.0 ** exponent, 3.0]])
+            fused = _raises_numeric(nm.add_layer_norm, a, b, 1)
+            assert fused == _raises_numeric(add_layer_norm_reference, a, b, 1), exponent
+            outcomes.add(fused)
+        assert outcomes == {False, True}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match=r"^add_layer_norm produced a non-finite value$"):
+                nm.add_layer_norm(Tensor([[np.inf, 1.0]]), Tensor([[0.0, 1.0]]), axis=1)
+
+    def test_shape_errors(self):
+        x, w = Tensor(np.zeros((2, 5))), Tensor(np.zeros((3, 2, 3)))
+        with pytest.raises(ShapeError, match=r"bias \(2,\)"):
+            nm.conv1d(x, w, Tensor(np.zeros(2)))
+        with pytest.raises(ShapeError, match="linear"):
+            nm.linear(Tensor(np.zeros((4, 2))), Tensor(np.zeros((3, 2))), Tensor(np.zeros(2)))
+        with pytest.raises(ShapeError, match="linear"):
+            nm.linear(Tensor(np.zeros((4, 3))), Tensor(np.zeros((3, 2))), Tensor(np.zeros(3)))
+        with pytest.raises(ShapeError, match=r"\(2, 5\) and \(5, 2\)"):
+            nm.add_layer_norm(x, Tensor(np.zeros((5, 2))))
+
+    def test_modules_bit_identical_to_the_chains(self, monkeypatch):
+        from alignflow.duration import DurationDiscriminator, DurationGenerator
+        from alignflow.encoder import TextEncoder
+        from alignflow.flows import FlowStack
+
+        enc = TextEncoder(vocab=5, width=16, n_heads=2, rng=Rng(1))
+        flows = FlowStack(4, 3, 6, Rng(3), key_dim=4, cond_dim=5, head_init="small")
+        gen = DurationGenerator(h_dim=16, z_dim=2, hidden=8, rng=Rng(4), cond_dim=5)
+        disc = DurationDiscriminator(h_dim=16, hidden=8, rng=Rng(5))
+        cond, frames = Tensor(Rng(6).normal(5)), Tensor(Rng(7).normal((4, 9)))
+        leaves = enc.params() + flows.params() + gen.params() + disc.params()
+
+        def outputs():
+            h, mu, sigma = enc.encode([0, 3, 1, 4, 2, 2], mask=np.array([1, 1, 1, 1, 1, 0], bool))
+            y, logdet = flows.forward(frames, cond)
+            d = gen.forward(h, Tensor(Rng(8).normal((6, 2))), cond)
+            score = disc.forward(h, d)
+            loss = sum(nm.summation(t * Rng(9).normal(t.shape))
+                       for t in (mu, sigma, y, logdet, score))
+            loss.backward()
+            grads = [p.grad.tobytes() for p in leaves]
+            for p in leaves:
+                p.zero_grad()
+            return [t.data.tobytes() for t in (h, mu, sigma, y, logdet, d, score)] + grads
+
+        fused = outputs()
+        monkeypatch.setattr(nm, "conv1d", conv1d_reference)
+        monkeypatch.setattr(nm, "linear", linear_reference)
+        monkeypatch.setattr(nm, "add_layer_norm", add_layer_norm_reference)
+        assert outputs() == fused
 
 
 class TestConcurrency:
