@@ -90,12 +90,13 @@ class Alignment:
         return np.repeat(np.arange(self.durations.size), self.durations)
 
 
-def load_grid(path) -> LogProbGrid:
-    """Read a grid CSV: row i = token, one comma-separated cell per frame.
+def read_csv_matrix(path, error: type[ValueError], what: str) -> np.ndarray:
+    """Read a CSV of finite numbers into an (rows, cells) float64 array.
 
     Blank lines and ``#`` comments are skipped, as ``np.loadtxt`` does. Every
-    row must hold the same number of cells, each a finite number. A one-column
-    file is an I x 1 grid. Raises ``GridError``.
+    row must hold the same number of cells, each a finite number; a
+    one-column file is (rows, 1). Raises ``error`` naming the file, the line,
+    the ``what`` row and the column.
     """
     rows: list[list[float]] = []
     with open(path) as fh:
@@ -103,22 +104,31 @@ def load_grid(path) -> LogProbGrid:
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
-            where = f"{path}:{lineno}: grid row {len(rows)}"
+            where = f"{path}:{lineno}: {what} row {len(rows)}"
             cells = line.split(",")
             if rows and len(cells) != len(rows[0]):
-                raise GridError(f"{where} has {len(cells)} cells, row 0 has {len(rows[0])}")
+                raise error(f"{where} has {len(cells)} cells, row 0 has {len(rows[0])}")
             row = []
             for col, cell in enumerate(cells):
                 try:
                     row.append(float(cell))
                 except ValueError:
-                    raise GridError(f"{where}, column {col}: {cell!r} is not a number") from None
+                    raise error(f"{where}, column {col}: {cell!r} is not a number") from None
                 if not math.isfinite(row[-1]):
-                    raise GridError(f"{where}, column {col}: {cell!r} is not finite")
+                    raise error(f"{where}, column {col}: {cell!r} is not finite")
             rows.append(row)
     if not rows:
-        raise GridError(f"{path}: grid has no rows")
-    P = np.array(rows)
+        raise error(f"{path}: {what} has no rows")
+    return np.array(rows)
+
+
+def load_grid(path) -> LogProbGrid:
+    """Read a grid CSV: row i = token, one comma-separated cell per frame.
+
+    The format and its checks are ``read_csv_matrix``'s; a one-column file is
+    an I x 1 grid. Raises ``GridError``.
+    """
+    P = read_csv_matrix(path, GridError, "grid")
     return LogProbGrid(P=P, valid_i=P.shape[0], valid_j=P.shape[1])
 
 

@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from . import gradcheck
-from .alignment import load_grid, mas_search
+from .alignment import load_grid, mas_search, read_csv_matrix
 from .corpus import load_corpus
 from .duration import DurationDiscriminator, DurationGenerator, train_duration
 from .harness import (
@@ -27,6 +27,11 @@ from .harness import (
     write_csv,
 )
 from .numerics import AdamWConfig, Rng
+
+
+class FramesError(ValueError):
+    """A ``dump-attention --input`` frame CSV is malformed or has the wrong
+    number of channel rows; the message names the file and the row."""
 
 
 def _cmd_mas(args) -> int:
@@ -118,9 +123,9 @@ def _cmd_dump_attention(args) -> int:
     import os
 
     model = load_model(args.ckpt)
-    x = np.atleast_2d(np.loadtxt(args.input, delimiter=",", dtype=np.float64))
+    x = read_csv_matrix(args.input, FramesError, "input")
     if x.shape[0] != model.flows.channels:
-        raise ValueError(
+        raise FramesError(
             f"{args.input}: input has {x.shape[0]} rows but the flow stack expects "
             f"{model.flows.channels} channels"
         )

@@ -13,7 +13,14 @@ import numpy as np
 
 from . import numerics as nm
 from .corpus import Instance
-from .duration import DurationDiscriminator, DurationGenerator
+from .duration import (
+    DurationDiscriminator,
+    DurationGenerator,
+    adv_loss_d,
+    adv_loss_g,
+    generate,
+    mse_loss,
+)
 from .encoder import MASK_BIAS, EncoderBlock
 from .flows import CouplingLayer
 from .harness import TrainConfig, _aligned_nll, _instance_forward, build_model
@@ -53,7 +60,8 @@ def _swap_head_weight(block: EncoderBlock, head: int, which: int, build):
 
 
 def suite(rng: Rng) -> list[tuple[str, object, Tensor]]:
-    """(name, f, probe) triples; check_grad(f, probe) must come back <= 1e-4.
+    """(name, f, probe) triples; check_grad(f, probe) must come back <= 1e-4,
+    run under ``nm.frozen(f.frozen)`` where a row sets that list.
 
     Probe shapes are drawn from the rng too, so repeated suites cover random
     shapes as well as random values.
@@ -175,6 +183,20 @@ def suite(rng: Rng) -> list[tuple[str, object, Tensor]]:
         ("add_layer_norm.b", lambda t: weighted(nm.add_layer_norm(a_ln, t, axis=1), wln), b_ln),
     ]
 
+    # even kernels pad one more zero on the right than on the left, so the
+    # col2im of the input cotangent is asymmetric (own stream again)
+    rk = rng.child(17)
+    for ke in (2, 4):
+        ce_in, ce_out, le = rk.integers(1, 4), rk.integers(1, 4), rk.integers(1, 8)
+        sig_e, ker_e = Tensor(rk.normal((ce_in, le))), Tensor(rk.normal((ce_out, ce_in, ke)))
+        wconv_e = rk.normal((ce_out, le))
+        checks += [
+            (f"conv1d.input.k{ke}",
+             lambda t, ker=ker_e, w=wconv_e: weighted(nm.conv1d(t, ker), w), sig_e),
+            (f"conv1d.kernel.k{ke}",
+             lambda t, sig=sig_e, w=wconv_e: weighted(nm.conv1d(sig, t), w), ker_e),
+        ]
+
     wrows = rng.normal((4, cols))
     checks.append(
         ("take_rows", lambda t: weighted(nm.take_rows(t, [0, 2, 2, 1]), wrows),
@@ -239,7 +261,7 @@ def suite(rng: Rng) -> list[tuple[str, object, Tensor]]:
         ("encoder_block.head0.wk", _swap_head_weight(block, 0, 1, block_loss),
          Tensor(block.heads[0][1].data.copy())),
     ]
-    return checks + _main_phase_checks(rng.child(14))
+    return checks + _main_phase_checks(rng.child(14)) + _duration_phase_checks(rng.child(18))
 
 
 def _main_phase_checks(rng: Rng) -> list[tuple[str, object, Tensor]]:
@@ -274,11 +296,45 @@ def _main_phase_checks(rng: Rng) -> list[tuple[str, object, Tensor]]:
     ]
 
 
+def _duration_phase_checks(rng: Rng) -> list[tuple[str, object, Tensor]]:
+    """The composed duration-phase losses of one adversarial step on a padded
+    two-instance batch: the critic loss with respect to a critic weight, and
+    the speaker-conditioned generator loss (adversarial + MSE) with respect to
+    a generator weight, the critic frozen as in ``train_duration``."""
+    h_dim, tokens = 3, 4
+    gen = DurationGenerator(h_dim=h_dim, z_dim=2, hidden=4, rng=rng.child(0), cond_dim=3)
+    disc = DurationDiscriminator(h_dim=h_dim, hidden=4, rng=rng.child(1))
+    for p in gen.params() + disc.params():  # move the biases off their zero init
+        if not p.data.any():
+            p.data[...] = 0.3 * rng.normal(p.shape)
+    h_text = rng.normal((2, tokens, h_dim))
+    mask = np.arange(tokens) < np.array([[tokens], [tokens - 1]])
+    d = rng.uniform(0.0, 1.5, (2, tokens))
+    z = rng.normal((2, tokens, 2))
+    cond = Tensor(rng.normal(3))
+
+    def loss_d() -> Tensor:
+        return adv_loss_d(disc, d, generate(gen, h_text, z, mask, cond), h_text, mask)
+
+    def loss_g() -> Tensor:
+        d_hat = generate(gen, h_text, z, mask, cond)
+        return adv_loss_g(disc, d_hat, h_text, mask) + mse_loss(d_hat, d, mask)
+
+    gen_row = _swap_param(gen.tower, "conv1_w", loss_g)
+    gen_row.frozen = disc.params()  # checked, backward included, under nm.frozen
+    return [
+        ("duration.loss_d.disc.conv1_w", _swap_param(disc.tower, "conv1_w", loss_d),
+         Tensor(disc.tower.conv1_w.data.copy())),
+        ("duration.loss_g.gen.conv1_w", gen_row, Tensor(gen.tower.conv1_w.data.copy())),
+    ]
+
+
 def run(seed: int = 0, n_seeds: int = 20) -> list[tuple[str, float]]:
     """Worst check_grad error per check name across n_seeds fresh suites."""
     worst: dict[str, float] = {}
     for s in range(n_seeds):
         for name, f, probe in suite(Rng(seed).child(100 + s)):
-            err = check_grad(f, probe)
+            with nm.frozen(getattr(f, "frozen", ())):
+                err = check_grad(f, probe)
             worst[name] = max(worst.get(name, 0.0), err)
     return sorted(worst.items())

@@ -27,6 +27,10 @@ choices worth knowing:
   exactly the inputs where that chain raised: ``attention`` checks the
   stacked q/k/v and the scaled, biased scores, ``add_layer_norm`` the sum,
   and ``_make`` every output.
+- ``conv1d`` is im2col + one BLAS matmul forward and two in its VJP. BLAS
+  picks its own summation order, so it agrees with the per-tap contraction
+  it replaced, or a scalar loop, to 1e-12 (relative and absolute), not bit
+  for bit; its fused bias is still bit-identical to the add it replaced.
 - A VJP may return ``None`` for a parent that takes no gradient at backward
   time (a constant, or a parameter under ``frozen``); ``conv1d`` skips that
   work.
@@ -582,7 +586,14 @@ def conv1d(x, w, b=None) -> Tensor:
 
     x: (C_in, L), w: (C_out, C_in, K), b: (C_out,) or None -> (C_out, L).
     Padding is zeros, (K-1)//2 on the left and the remainder on the right.
-    The result equals ``conv1d(x, w) + reshape(b, (-1, 1))`` byte for byte.
+
+    Lowered to im2col + one BLAS matmul: the K shifted copies of x form a
+    (C_in*K, L) column matrix and the output is ``w.reshape(C_out, C_in*K)``
+    times it. The VJP is two more matmuls plus a col2im that adds the K taps
+    back in ascending order. BLAS sums in its own order, so the result is
+    within 1e-12 (relative and absolute) of a per-tap contraction or a
+    scalar loop, not byte-equal to them; the fused bias is still byte-equal
+    to ``conv1d(x, w) + reshape(b, (-1, 1))``.
     """
     x, w = ensure_tensor(x), ensure_tensor(w)
     if x.ndim != 2 or w.ndim != 3:
@@ -593,13 +604,17 @@ def conv1d(x, w, b=None) -> Tensor:
         raise ShapeError(f"conv1d: x has {cin} channels but kernel expects {cin_w}")
     pl = (k - 1) // 2
     # windows[:, i, t] = x[:, t + i - pl], zero where that falls outside [0, L)
+    taps = []
     windows = np.zeros((cin, k, length))
     for i in range(k):
         off = i - pl
         lo, hi = max(0, -off), min(length, length - off)
         if lo < hi:
             windows[:, i, lo:hi] = x.data[:, lo + off : hi + off]
-    data = np.einsum("ock,ckl->ol", w.data, windows)
+            taps.append((i, lo, hi, off))
+    cols = windows.reshape(cin * k, length)
+    w2 = w.data.reshape(cout, cin * k)
+    data = w2 @ cols
     parents = (x, w)
     if b is not None:
         b = ensure_tensor(b)
@@ -613,12 +628,13 @@ def conv1d(x, w, b=None) -> Tensor:
         # critic's features) or a kernel frozen for the generator's update
         gx = gw = None
         if _wants_grad(x):
-            gxp = np.zeros((cin, length + k - 1))
-            for i in range(k):
-                gxp[:, i : i + length] += np.einsum("oc,ol->cl", w.data[:, :, i], g)
-            gx = gxp[:, pl : pl + length]
+            # col2im: tap i of column t came from x[:, t + i - pl]
+            gcols = (w2.T @ g).reshape(cin, k, length)
+            gx = np.zeros((cin, length))
+            for i, lo, hi, off in taps:
+                gx[:, lo + off : hi + off] += gcols[:, i, lo:hi]
         if _wants_grad(w):
-            gw = np.einsum("ol,ckl->ock", g, windows)
+            gw = (g @ cols.T).reshape(cout, cin, k)
         return (gx, gw) if b is None else (gx, gw, g.sum(axis=1))
 
     return _make(data, parents, vjp, "conv1d")

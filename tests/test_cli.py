@@ -287,6 +287,34 @@ class TestLoaderErrors:
         assert err.count("\n") == 1
         assert not (tmp_path / "maps").exists()
 
+    @pytest.mark.parametrize("text, message", [
+        ("0.3,-1.2\n1.1,nan\n", ":2: input row 1, column 1: 'nan' is not finite"),
+        ("0.3,-1.2\n1.1\n", ":2: input row 1 has 1 cells, row 0 has 2"),
+        ("# no rows\n", ": input has no rows"),
+        ("0.3\n-1.2\n1.1\n", ": input has 3 rows but the flow stack expects 2 channels"),
+    ])
+    def test_dump_attention_bad_input(self, capsys, tmp_path, speaker_ckpt, text, message):
+        frames = tmp_path / "frames.csv"
+        frames.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, err = self.invoke_err(capsys, "dump-attention", "--ckpt", speaker_ckpt,
+                                        "--input", frames, "--out", tmp_path / "maps")
+        assert code == 2
+        assert err == f"alignflow dump-attention: {frames}{message}\n"
+        assert not (tmp_path / "maps").exists()
+
+    def test_dump_attention_one_column_input_is_one_frame(self, capsys, tmp_path,
+                                                          speaker_ckpt):
+        frames = tmp_path / "frames.csv"
+        frames.write_text("0.3\n-1.2\n")
+        code = main(["dump-attention", "--ckpt", str(speaker_ckpt), "--input", str(frames),
+                     "--out", str(tmp_path / "maps")])
+        assert code == 0, capsys.readouterr().err
+        # 2 channels x 1 frame: each layer's map is 1 x 1, one row of one cell
+        rows = (tmp_path / "maps" / "attention_layer0.csv").read_text().splitlines()
+        assert len(rows) == 1 and float(rows[0]) == 1.0
+
     @pytest.mark.parametrize("speaker", ["3", "-1"])
     def test_dump_attention_speaker_out_of_range(self, capsys, tmp_path, speaker_ckpt,
                                                  speaker):

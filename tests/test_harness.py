@@ -207,6 +207,37 @@ class TestMainPhaseGradientOracle:
             assert check_grad(f, probe) <= 1e-4, name
 
 
+class TestDurationPhaseGradientOracle:
+    """The composed duration-phase losses (critic loss; speaker-conditioned
+    adversarial + MSE generator loss with the critic frozen) against central
+    differences."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_composed_loss_gradients(self, seed):
+        checks = [c for c in gradcheck.suite(Rng(seed)) if c[0].startswith("duration.")]
+        assert [name for name, _, _ in checks] == [
+            "duration.loss_d.disc.conv1_w",
+            "duration.loss_g.gen.conv1_w",
+        ]
+        for name, f, probe in checks:
+            analytic = Tensor(probe.data.copy(), requires_grad=True)
+            with nm.frozen(getattr(f, "frozen", ())):
+                f(analytic).backward()
+                assert check_grad(f, probe) <= 1e-4, name
+            assert np.abs(analytic.grad).max() > 1e-3, f"{name}: gradient is all but zero"
+
+    def test_frozen_critic_takes_no_gradient(self):
+        (_, f, probe), = [c for c in gradcheck.suite(Rng(0))
+                          if c[0] == "duration.loss_g.gen.conv1_w"]
+        critic = f.frozen
+        assert len(critic) == 6  # conv1, conv2 and head, weight and bias each
+        with nm.frozen(critic):
+            f(Tensor(probe.data.copy(), requires_grad=True)).backward()
+        assert all(p.grad is None for p in critic)
+        f(Tensor(probe.data.copy(), requires_grad=True)).backward()  # the loss reaches it
+        assert all(p.grad is not None and p.grad.any() for p in critic)
+
+
 class TestConfig:
     def test_roundtrip_lossless(self, tmp_path):
         cfg = TrainConfig(seed=123, steps_main=777, lr=3.5e-4, noise_anneal=False,

@@ -34,6 +34,24 @@ def conv1d_oracle(x, w):
     return out
 
 
+def conv1d_oracle_vjp(x, w, g):
+    """(x cotangent, w cotangent) of ``conv1d_oracle`` for output cotangent
+    ``g``, by the same scalar loops."""
+    cin, length = x.shape
+    cout, _, k = w.shape
+    pl = (k - 1) // 2
+    padded = np.zeros((cin, length + k - 1))
+    padded[:, pl : pl + length] = x
+    gxp, gw = np.zeros_like(padded), np.zeros_like(w)
+    for o in range(cout):
+        for t in range(length):
+            for c in range(cin):
+                for kk in range(k):
+                    gxp[c, t + kk] += w[o, c, kk] * g[o, t]
+                    gw[o, c, kk] += g[o, t] * padded[c, t + kk]
+    return gxp[:, pl : pl + length], gw
+
+
 def attention_reference(x, heads, scale, bias=None):
     """Multi-head self-attention as the chain of scalar tape ops it replaces."""
     parts = []
@@ -67,9 +85,27 @@ def add_layer_norm_reference(a, b, axis):
     return nm.layer_norm(a + b, axis=axis)
 
 
+def conv1d_im2col(x, w, g):
+    """conv1d as ``np.pad`` + ``np.stack`` windows, one matmul against the
+    flattened kernel and a col2im over a padded buffer: (forward, x cotangent,
+    w cotangent) for output cotangent ``g``. The op must match it byte for byte."""
+    cout, cin, k = w.shape
+    length = x.shape[1]
+    pl = (k - 1) // 2
+    xp = np.pad(x, ((0, 0), (pl, k - 1 - pl)))
+    cols = np.stack([xp[:, i : i + length] for i in range(k)], axis=1).reshape(cin * k, length)
+    w2 = w.reshape(cout, cin * k)
+    gcols = (w2.T @ g).reshape(cin, k, length)
+    gxp = np.zeros_like(xp)
+    for i in range(k):
+        gxp[:, i : i + length] += gcols[:, i]
+    return w2 @ cols, gxp[:, pl : pl + length], (g @ cols.T).reshape(cout, cin, k)
+
+
 def conv1d_padded(x, w, g):
-    """The ``np.pad`` + ``np.stack`` conv1d that the pad-free windows replaced:
-    (forward, x cotangent, w cotangent) for output cotangent ``g``."""
+    """The per-tap ``einsum`` conv1d that the im2col matmul replaced: (forward,
+    x cotangent, w cotangent) for output cotangent ``g``. BLAS sums in another
+    order, so the op matches it within 1e-12, not byte for byte."""
     k, length = w.shape[2], x.shape[1]
     pl = (k - 1) // 2
     xp = np.pad(x, ((0, 0), (pl, k - 1 - pl)))
@@ -567,9 +603,20 @@ class TestFusedLayerOps:
                    for s in ((cin, length), (cout, cin, k), (cout,)))
         fused = _forward_and_grads(nm.conv1d, [x, w, b])
         assert fused == _forward_and_grads(conv1d_reference, [x, w, b])
-        out, gx, gw = conv1d_padded(x.data, w.data, Rng(99).normal((cout, length)))
+        out, gx, gw = conv1d_im2col(x.data, w.data, Rng(99).normal((cout, length)))
         assert _forward_and_grads(nm.conv1d, [x, w]) == [out.tobytes(), gx.tobytes(),
                                                          gw.tobytes()]
+
+    @pytest.mark.parametrize("cin, cout, k, length", CONV_SHAPES)
+    def test_conv1d_within_1e12_of_the_einsum_and_the_scalar_loops(self, cin, cout, k, length):
+        rng = Rng(cin * 1000 + cout * 100 + k * 10 + length)
+        x, w = (Tensor(rng.normal(s), requires_grad=True) for s in ((cin, length), (cout, cin, k)))
+        g = Rng(99).normal((cout, length))
+        got = [np.frombuffer(raw) for raw in _forward_and_grads(nm.conv1d, [x, w])]
+        oracle = (conv1d_oracle(x.data, w.data), *conv1d_oracle_vjp(x.data, w.data, g))
+        for reference in (conv1d_padded(x.data, w.data, g), oracle):
+            for have, want in zip(got, reference):
+                npt.assert_allclose(have, want.ravel(), rtol=1e-12, atol=1e-12)
 
     def test_conv1d_matches_oracle_for_every_kernel_and_short_inputs(self):
         # even kernels and kernels wider than the input: taps that fall
@@ -627,9 +674,13 @@ class TestFusedLayerOps:
         out, g = nm.conv1d(x, w, b), rng.normal((2, 5))
         gx, gw, gb = out._vjp(g)
         assert gx is None and gb.tobytes() == g.sum(axis=1).tobytes()
-        assert gw.tobytes() == conv1d_padded(x.data, w.data, g)[2].tobytes()
+        assert gw.tobytes() == conv1d_im2col(x.data, w.data, g)[2].tobytes()
         with nm.frozen([w]):  # frozen at backward time, as for the critic
             assert out._vjp(g)[:2] == (None, None)
+        x.requires_grad = True  # a kernel frozen under a trainable input
+        with nm.frozen([w]):
+            gx, gw, _ = nm.conv1d(x, w, b)._vjp(g)
+        assert gw is None and gx.tobytes() == conv1d_im2col(x.data, w.data, g)[1].tobytes()
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_bias_overflow_raises_where_the_chain_raises(self):
