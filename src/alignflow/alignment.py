@@ -154,8 +154,10 @@ def log_prob_grid(z: np.ndarray, mu: np.ndarray, sigma: np.ndarray) -> LogProbGr
         raise ValueError("sigma must be strictly positive")
     i, c = mu.shape
     j = z.shape[0]
-    diff = z[None, :, :] - mu[:, None, :]  # (I, J, C)
-    quad = diff * diff / (2.0 * sigma[:, None, :] ** 2)
+    # one (I, J, C) buffer: the same IEEE ops as diff * diff / (2 sigma^2)
+    quad = z[None, :, :] - mu[:, None, :]
+    quad *= quad
+    quad /= 2.0 * sigma[:, None, :] ** 2
     const = (-np.log(sigma) - 0.5 * LOG_2PI).sum(axis=1)  # (I,)
     P = const[:, None] - quad.sum(axis=2)
     return LogProbGrid(P=P, valid_i=i, valid_j=j)
@@ -191,10 +193,13 @@ def mas_search(
     Frame j's column depends only on frame j-1's, so the DP runs one column
     at a time (the column-wise layout of Super Monotonic Alignment Search):
     one ``np.maximum`` of the previous column against itself shifted down a
-    token, then ``+ P`` and ``+ eps``. Each cell sees the same IEEE
-    operations in the same order as a per-cell loop, ``(max + P) + eps``,
-    so the result is bit-identical to it. The ``+ eps`` stays even when eps
-    is all zeros, because it turns a ``-0.0`` sum into ``+0.0``. A ``-inf``
+    token, then ``+ P`` and, with noise on, ``+ eps``. Each cell sees the
+    same IEEE operations in the same order as a per-cell loop,
+    ``(max + P) + eps``, so the result is bit-identical to it. With noise
+    off there is no eps grid: a zero eps would only turn a ``-0.0`` cell
+    into ``+0.0``, and comparisons ignore the sign of zero, so the
+    durations never depend on it. Only the returned best_Q gets that
+    ``+ 0.0``, which gives it the per-cell loop's bits. A ``-inf``
     sentinel in front of token 0 stands in for its missing diagonal
     predecessor, and cells with i > j stay ``-inf``.
 
@@ -206,24 +211,25 @@ def mas_search(
             f"{vi} tokens cannot align onto {vj} frames monotonically"
         )
     P = grid.valid_region
+    eps = None
     if noise_scale > 0.0:
         if rng is None:
             raise ValueError("noise_scale > 0 requires an rng")
         eps = rng.normal((vi, vj)) * P.std() * noise_scale
-    else:
-        eps = np.zeros((vi, vj))
 
     # frame-major: Q[j, i + 1] holds the score of token i at frame j, so a
     # frame's column is one contiguous row; Q[:, 0] is the -inf sentinel
     Q = np.full((vj, vi + 1), -np.inf)
-    Q[0, 1] = P[0, 0] + eps[0, 0]
+    Q[0, 1] = P[0, 0] if eps is None else P[0, 0] + eps[0, 0]
     stay, diag = Q[:, 1:], Q[:, :-1]
-    columns = zip(stay[:-1], diag[:-1], stay[1:], P.T[1:], eps.T[1:])
+    noise = itertools.repeat(None) if eps is None else eps.T[1:]
+    columns = zip(stay[:-1], diag[:-1], stay[1:], P.T[1:], noise)
     for prev_stay, prev_diag, cur, p, e in columns:
         # np.maximum returns its second argument on ties, as max(diag, stay) does
         np.maximum(prev_stay, prev_diag, out=cur)
         cur += p
-        cur += e
+        if e is not None:
+            cur += e
 
     # advance[j-1, i]: if token i holds frame j, token i-1 holds frame j-1
     advance = diag[:-1] >= stay[:-1]
@@ -234,7 +240,10 @@ def mas_search(
         if i > 0 and advance[j - 1, i]:
             i -= 1
     durations[i] += 1
-    return Alignment(durations), float(Q[vj - 1, vi])
+    best_q = Q[vj - 1, vi]
+    if eps is None:
+        best_q += 0.0  # the zero noise term's one effect: -0.0 becomes +0.0
+    return Alignment(durations), float(best_q)
 
 
 def brute_force_align(grid: LogProbGrid) -> tuple[Alignment, float]:

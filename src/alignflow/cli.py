@@ -86,6 +86,8 @@ def _cmd_eval_align(args) -> int:
                              f"was trained with {key} = {want}")
     instances = {"train": corpus.train, "eval": corpus.eval,
                  "all": corpus.train + corpus.eval}[args.split]
+    if not instances:
+        raise ValueError(f"{args.corpus}: split {args.split!r} has no utterances")
     stats = eval_alignment(model, instances)
     print(f"exact_match={stats['exact_match']!r}")
     print(f"mae={stats['mae']!r}")

@@ -123,17 +123,13 @@ class CouplingLayer(nm.Module):
         """The T x T row-stochastic attention matrix this input produces.
 
         Pure numpy, side-effect free; rows sum to 1 even when attn_gain is 0
-        (the map the block *would* use).
+        (the map the block *would* use). It is the map ``nm.attention`` uses
+        inside ``_attend``, byte for byte: the same q, k products and the
+        same ``nm.attention_probs``.
         """
-        x = nm.ensure_tensor(x)
-        xa = x.data[: self.half]
-        xt = xa.T
-        q = xt @ self.wq.data
-        k = xt @ self.wk.data
-        scores = (q @ k.T) / math.sqrt(self.key_dim)
-        scores -= scores.max(axis=1, keepdims=True)
-        e = np.exp(scores)
-        return e / e.sum(axis=1, keepdims=True)
+        xt = np.ascontiguousarray(nm.ensure_tensor(x).data[: self.half].T)
+        q, k = np.matmul(xt, np.array([self.wq.data, self.wk.data]))
+        return nm.attention_probs(q[None], k[None], 1.0 / math.sqrt(self.key_dim))[0]
 
 
 def _flip_channels(x: Tensor) -> Tensor:
@@ -191,12 +187,12 @@ class FlowStack(nm.Module):
 
     def attention_maps(self, x, cond: Tensor | None = None) -> list[np.ndarray]:
         """Per-layer attention maps for the inputs each layer actually sees."""
-        x = nm.ensure_tensor(x).detach()
+        x = nm.ensure_tensor(x)
         maps = []
-        for li, layer in enumerate(self.layers):
-            if li > 0:
-                x = _flip_channels(x)
-            maps.append(layer.attention_map(x))
-            x, _ = layer.forward(x, cond)
-            x = x.detach()
+        with nm.no_grad():
+            for li, layer in enumerate(self.layers):
+                if li > 0:
+                    x = _flip_channels(x)
+                maps.append(layer.attention_map(x))
+                x, _ = layer.forward(x, cond)
         return maps

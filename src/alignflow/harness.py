@@ -264,8 +264,10 @@ def _aligned_nll(mu: Tensor, sigma: Tensor, u: Tensor, logdet: Tensor,
 
 
 def _encode_and_align(model: ToyModel, inst: Instance) -> tuple[Tensor, np.ndarray]:
-    """Encoder output and noise-free alignment-search durations from one forward pass."""
-    h, mu, sigma, u, _, _ = _instance_forward(model, inst)
+    """Encoder output and noise-free alignment-search durations from one forward
+    pass, recording no tape."""
+    with nm.no_grad():
+        h, mu, sigma, u, _, _ = _instance_forward(model, inst)
     grid = log_prob_grid(u.data.T, mu.data, sigma.data)
     align, _ = mas_search(grid, noise_scale=0.0)
     return h, align.durations

@@ -34,6 +34,12 @@ choices worth knowing:
 - A VJP may return ``None`` for a parent that takes no gradient at backward
   time (a constant, or a parameter under ``frozen``); ``conv1d`` skips that
   work.
+- ``no_grad`` turns recording off for the calling thread: ops still run
+  their finite checks, but their outputs keep no parents and no VJP, so an
+  inference forward retains nothing once a layer is done with it. It is
+  thread-local, so a thread inside it leaves other threads' tapes alone.
+- ``attention`` softmaxes its scores in place: the forward holds one
+  (H, T, T) buffer, the map ``attention_probs`` returns, and the VJP two.
 """
 
 from __future__ import annotations
@@ -41,6 +47,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -195,11 +202,32 @@ def ensure_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+class _GradMode(threading.local):
+    """Per-thread switch for tape recording; every thread starts recording."""
+
+    enabled = True
+
+
+_grad_mode = _GradMode()
+
+
+@contextmanager
+def no_grad():
+    """Record no tape in this thread: ops still check their outputs for
+    non-finite values, but return tensors with no parents and no VJP."""
+    saved = _grad_mode.enabled
+    _grad_mode.enabled = False
+    try:
+        yield
+    finally:
+        _grad_mode.enabled = saved
+
+
 def _make(data: np.ndarray, parents: tuple[Tensor, ...], vjp, op: str) -> Tensor:
     if not np.isfinite(data).all():
         raise NumericError(f"{op} produced a non-finite value")
     out = Tensor(data)
-    if any(_wants_grad(p) for p in parents):
+    if _grad_mode.enabled and any(_wants_grad(p) for p in parents):
         out.requires_grad = True
         out._parents = parents
         out._vjp = vjp
@@ -514,6 +542,33 @@ def add_layer_norm(a, b, axis: int = -1, eps: float = 1e-8) -> Tensor:
     return _layer_norm_node(s, (a, b), axis, eps, "add_layer_norm")
 
 
+def attention_probs(q: np.ndarray, k: np.ndarray, scale: float,
+                    bias: np.ndarray | None = None) -> np.ndarray:
+    """Attention maps softmax(q @ k.T * scale + bias) of every head, as numpy.
+
+    q, k: (H, T, d); ``bias`` is a constant additive (T, T) score bias or
+    None. Returns the (H, T, T) row-stochastic maps in one buffer: the scores
+    are shifted, exponentiated and normalised in place. This is the forward
+    of ``attention`` up to the weighted sum of v, so a map read through here
+    is the map the op uses, byte for byte. Raises ``NumericError`` on a
+    non-finite score (the softmax would zero a -inf entry without a trace).
+    """
+    scores = np.matmul(q, np.ascontiguousarray(k.transpose(0, 2, 1)))
+    scores *= scale
+    if bias is not None:
+        try:
+            scores += bias
+        except ValueError:
+            raise ShapeError(f"attention: bias {np.shape(bias)} does not fit scores "
+                             f"{scores.shape[1:]}")
+    if not np.isfinite(scores).all():
+        raise NumericError("attention produced a non-finite score")
+    scores -= scores.max(axis=-1, keepdims=True)
+    np.exp(scores, out=scores)
+    scores /= scores.sum(axis=-1, keepdims=True)
+    return scores
+
+
 def attention(x, heads, scale: float, bias: np.ndarray | None = None) -> Tensor:
     """Multi-head self-attention as one tape node.
 
@@ -526,9 +581,9 @@ def attention(x, heads, scale: float, bias: np.ndarray | None = None) -> Tensor:
     BLAS call on operands of the same layout. The chain's transpose op made
     k.T contiguous, so this one does too. It raises ``NumericError`` exactly
     where that chain would: on a non-finite q, k or v, on a non-finite score
-    before the softmax (which would zero a -inf entry without a trace), and,
-    through ``_make``, on a non-finite output. Softmax of finite scores is
-    finite, so nothing in between needs a check.
+    before the softmax (in ``attention_probs``), and, through ``_make``, on a
+    non-finite output. Softmax of finite scores is finite, so nothing in
+    between needs a check. The maps take one (H, T, T) buffer and the VJP two.
     """
     x = ensure_tensor(x)
     n = len(heads)
@@ -543,18 +598,7 @@ def attention(x, heads, scale: float, bias: np.ndarray | None = None) -> Tensor:
     if not np.isfinite(qkv).all():
         raise NumericError("attention produced a non-finite q, k or v")
     q, k, v = qkv[:n], qkv[n : 2 * n], qkv[2 * n :]
-    scores = np.matmul(q, np.ascontiguousarray(k.transpose(0, 2, 1)))
-    scores *= scale
-    if bias is not None:
-        try:
-            scores += bias
-        except ValueError:
-            raise ShapeError(f"attention: bias {np.shape(bias)} does not fit scores "
-                             f"{scores.shape[1:]}")
-    if not np.isfinite(scores).all():
-        raise NumericError("attention produced a non-finite score")
-    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
-    att = e / e.sum(axis=-1, keepdims=True)  # (H, T, T)
+    att = attention_probs(q, k, scale, bias)  # (H, T, T)
     data = np.matmul(att, v).transpose(1, 0, 2).reshape(length, n * d)
 
     def vjp(g):
@@ -562,10 +606,12 @@ def attention(x, heads, scale: float, bias: np.ndarray | None = None) -> Tensor:
         g_att = np.matmul(gh, v.transpose(0, 2, 1))
         g_qkv = np.empty_like(qkv)
         np.matmul(att.transpose(0, 2, 1), gh, out=g_qkv[2 * n :])
-        g_s = att * (g_att - (g_att * att).sum(axis=-1, keepdims=True))
-        g_s *= scale
-        np.matmul(g_s, k, out=g_qkv[:n])
-        np.matmul(g_s.transpose(0, 2, 1), q, out=g_qkv[n : 2 * n])
+        # the softmax VJP att * (g_att - sum(g_att * att)), formed in g_att
+        g_att -= (g_att * att).sum(axis=-1, keepdims=True)
+        g_att *= att
+        g_att *= scale
+        np.matmul(g_att, k, out=g_qkv[:n])
+        np.matmul(g_att.transpose(0, 2, 1), q, out=g_qkv[n : 2 * n])
         g_w = np.matmul(x.data.T, g_qkv)
         # sum over the 3H projections of g_qkv[i] @ w[i].T, as one product
         g_x = g_qkv.transpose(1, 0, 2).reshape(length, -1) @ w.transpose(1, 0, 2).reshape(

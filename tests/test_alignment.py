@@ -65,6 +65,16 @@ def assert_same_search(grid, noise_scale=0.0, seed=0):
     assert np.float64(q_new).tobytes() == np.float64(q_ref).tobytes(), (q_new, q_ref)
 
 
+def log_prob_grid_three_temporaries(z, mu, sigma):
+    """``log_prob_grid``'s P as written with three (I, J, C) temporaries
+    (diff, its square, the quotient); the one-buffer form must match it
+    byte for byte."""
+    diff = z[None, :, :] - mu[:, None, :]
+    quad = diff * diff / (2.0 * sigma[:, None, :] ** 2)
+    const = (-np.log(sigma) - 0.5 * math.log(2.0 * math.pi)).sum(axis=1)
+    return const[:, None] - quad.sum(axis=2)
+
+
 def random_grid(rng, i, j, c):
     z = rng.normal((j, c))
     mu = rng.normal((i, c))
@@ -94,6 +104,15 @@ class TestLogProbGrid:
                     for c in range(2)
                 )
                 npt.assert_allclose(grid.P[i, j], want, rtol=1e-12)
+
+    def test_bytes_match_the_three_temporary_form(self):
+        rng = Rng(3)
+        for i, j, c in ((1, 1, 1), (3, 4, 2), (40, 200, 2), (7, 31, 5), (80, 640, 2)):
+            z = rng.normal((j, c)) * 3.0
+            mu = rng.normal((i, c))
+            sigma = np.exp(rng.normal((i, c)) * 0.5)
+            want = log_prob_grid_three_temporaries(z, mu, sigma)
+            assert log_prob_grid(z, mu, sigma).P.tobytes() == want.tobytes()
 
     def test_nonpositive_sigma_rejected(self):
         with pytest.raises(ValueError, match="positive"):
@@ -263,7 +282,8 @@ class TestColumnwiseMatchesReference:
     def test_signed_zeros(self):
         # constant grid: std(P) = 0, so the noise is a mix of +0.0 and -0.0 and
         # the sign of best_Q depends on which operand each max keeps on a tie
-        for shape in ((1, 4), (2, 3), (3, 5), (4, 11), (6, 20)):
+        # (1, 1): best_Q is P[0, 0] itself, so only the final + 0.0 makes it +0.0
+        for shape in ((1, 1), (1, 4), (2, 3), (3, 5), (4, 11), (6, 20)):
             for fill in (0.0, -0.0):
                 grid = LogProbGrid(P=np.full(shape, fill), valid_i=shape[0], valid_j=shape[1])
                 assert_same_search(grid)

@@ -147,6 +147,24 @@ class TestEvalAlign:
         assert out.startswith("exact_match=")
         assert "mae=" in out
 
+    def test_empty_split_exits_2_naming_the_corpus_and_split(self, capsys, tmp_path):
+        cfg = TrainConfig(seed=3, steps_main=2, steps_duration=2, eval_every=2,
+                          n_train=3, n_eval=0, hidden_width=16, ff_width=24,
+                          dur_hidden=8, flow_hidden=8)
+        save_config(cfg, tmp_path / "run.cfg")
+        run = tmp_path / "run"
+        invoke(capsys, "train-toy", "--config", tmp_path / "run.cfg", "--out", run,
+               "--seed", "3")
+        corpus = run / "corpus.json"
+        code = main(["eval-align", "--ckpt", str(run / "checkpoint.bin"), "--corpus",
+                     str(corpus), "--split", "eval"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"alignflow eval-align: {corpus}: split 'eval' has no utterances\n"
+        code, out = invoke(capsys, "eval-align", "--ckpt", run / "checkpoint.bin",
+                           "--corpus", corpus, "--split", "train")
+        assert code == 0 and out.startswith("exact_match=")
+
 
 class TestCheckGrad:
     def test_single_seed_passes(self, capsys):

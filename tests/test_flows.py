@@ -139,6 +139,26 @@ class TestAttentionMap:
             npt.assert_array_equal(before[n], t.data)
             assert t.grad is None
 
+    @pytest.mark.parametrize("channels, key_dim, length", [(2, 8, 1), (4, 4, 7), (6, 3, 64),
+                                                          (2, 8, 300)])
+    def test_equals_the_map_inside_the_op_byte_for_byte(self, monkeypatch, channels, key_dim,
+                                                         length):
+        stack = FlowStack(channels, 3, 6, Rng(length), key_dim=key_dim, head_init="small")
+        x = Tensor(Rng(length + 1).normal((channels, length)) * 2.0)
+        maps = stack.attention_maps(x)
+        inside = []
+        probs = nm.attention_probs
+
+        def recording(*args, **kwargs):
+            att = probs(*args, **kwargs)
+            inside.append(att[0].copy())
+            return att
+
+        monkeypatch.setattr(nm, "attention_probs", recording)
+        stack.forward(x)
+        assert len(inside) == len(maps) == 3
+        assert [m.tobytes() for m in maps] == [m.tobytes() for m in inside]
+
 
 class TestFlowStack:
     def test_depth_guard(self):

@@ -660,3 +660,66 @@ class TestTapeBudget:
         train_toy(TrainConfig(seed=7, steps_main=1, steps_duration=1, n_eval=0))
         assert phases == {"main": self.MAIN, "duration": self.DURATION}
         assert sum(self.MAIN.values()) == 89 and sum(self.DURATION.values()) == 58
+
+
+def long_instance(frames: int, seed: int = 0):
+    """An utterance of ``frames`` frames at 4 frames per token (the last token
+    takes the rest), on the default 2 channels."""
+    from alignflow.corpus import Instance
+
+    rng = Rng(seed)
+    n = frames // 4
+    durations = np.full(n, 4)
+    durations[-1] += frames - 4 * n
+    return Instance(tokens=rng.integers(0, 3, n), durations=durations,
+                    frames=rng.normal((frames, 2)))
+
+
+class TestTapeFreeInference:
+    """The alignment-inference path records no tape, and its outputs equal the
+    taped forward's bit for bit."""
+
+    @pytest.mark.parametrize("overrides", [{}, dict(speakers=2, speaker_shift=0.5)])
+    def test_predict_durations_equals_the_taped_forward(self, overrides):
+        from alignflow import harness
+
+        cfg = tiny_config(**overrides)
+        corpus = generate_corpus(cfg.corpus_spec(), Rng(31))
+        model = build_model(cfg, Rng(32))
+        for inst in corpus.train + corpus.eval:
+            h, mu, sigma, u, _, _ = harness._instance_forward(model, inst)
+            assert mu._vjp is not None and u._vjp is not None  # recorded
+            grid = harness.log_prob_grid(u.data.T, mu.data, sigma.data)
+            want = harness.mas_search(grid, noise_scale=0.0)[0].durations
+            h_free, got = harness._encode_and_align(model, inst)
+            assert h_free._parents == () and h_free._vjp is None
+            assert h_free.data.tobytes() == h.data.tobytes()
+            assert got.tobytes() == want.tobytes()
+            assert predict_durations(model, inst).tobytes() == want.tobytes()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_poisoned_parameter_still_raises(self):
+        cfg = tiny_config()
+        model = build_model(cfg, Rng(33))
+        inst = generate_corpus(cfg.corpus_spec(), Rng(34)).train[0]
+        model.flows.layers[1].conv1_w.data[0, 0, 0] = np.inf
+        with pytest.raises(nm.NumericError):
+            predict_durations(model, inst)
+
+    @pytest.mark.parametrize("frames", [189, 300, 434])
+    def test_peak_memory_below_two_attention_maps(self, frames):
+        """tracemalloc's peak over one predict_durations stays below 2 x J^2 x 8
+        bytes, J frames: about one J x J map at a time. Recording the tape
+        and a four-temporary softmax held 5.9-8.3 maps at these sizes."""
+        import tracemalloc
+
+        model = build_model(TrainConfig(seed=1), Rng(35))
+        inst = long_instance(frames)
+        predict_durations(model, inst)  # warm: first-call set-up is not per utterance
+        tracemalloc.start()
+        try:
+            predict_durations(model, inst)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * frames * frames * 8, peak / (frames * frames * 8)

@@ -1,3 +1,4 @@
+import itertools
 import warnings
 
 import numpy as np
@@ -64,6 +65,37 @@ def attention_reference(x, heads, scale, bias=None):
             scores = scores + bias
         parts.append(nm.softmax(scores, axis=1) @ v)
     return nm.concat(parts, axis=1)
+
+
+def attention_four_buffers(x, ws, n_heads, scale, bias, g):
+    """The fused attention op's forward and VJP as written before its softmax
+    went in place, with four (H, T, T) temporaries each way: (output, x
+    cotangent, weight cotangents in the op's all-wq, all-wk, all-wv order)
+    for output cotangent ``g``. The op must match it byte for byte."""
+    n, length = n_heads, x.shape[0]
+    w = np.array(ws)
+    d = w.shape[2]
+    qkv = np.matmul(x, w)
+    q, k, v = qkv[:n], qkv[n : 2 * n], qkv[2 * n :]
+    scores = np.matmul(q, np.ascontiguousarray(k.transpose(0, 2, 1)))
+    scores *= scale
+    if bias is not None:
+        scores += bias
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    att = e / e.sum(axis=-1, keepdims=True)
+    out = np.matmul(att, v).transpose(1, 0, 2).reshape(length, n * d)
+    gh = g.reshape(length, n, d).transpose(1, 0, 2)
+    g_att = np.matmul(gh, v.transpose(0, 2, 1))
+    g_qkv = np.empty_like(qkv)
+    np.matmul(att.transpose(0, 2, 1), gh, out=g_qkv[2 * n :])
+    g_s = att * (g_att - (g_att * att).sum(axis=-1, keepdims=True))
+    g_s *= scale
+    np.matmul(g_s, k, out=g_qkv[:n])
+    np.matmul(g_s.transpose(0, 2, 1), q, out=g_qkv[n : 2 * n])
+    g_w = np.matmul(x.T, g_qkv)
+    g_x = g_qkv.transpose(1, 0, 2).reshape(length, -1) @ w.transpose(1, 0, 2).reshape(
+        w.shape[1], -1).T
+    return [out, g_x, *g_w]
 
 
 _conv1d = nm.conv1d  # the op itself, for a reference that outlives a monkeypatch
@@ -587,6 +619,30 @@ class TestFusedAttention:
         with pytest.raises(ShapeError, match=r"bias \(3, 3\)"):
             nm.attention(Tensor(np.zeros((4, 3))), [(w, w, w)], 1.0, np.zeros((3, 3)))
 
+    @pytest.mark.parametrize("bias_kind", [None, "mask", "dense"])
+    @pytest.mark.parametrize("shape", [(1, 4, 1, 2), (7, 5, 1, 3), (40, 6, 2, 4),
+                                       (3, 2, 2, 5), (200, 1, 1, 8), (64, 16, 2, 8)])
+    def test_in_place_softmax_bytes_match_the_four_buffer_form(self, shape, bias_kind):
+        x, heads, scale, bias = _attention_case(Rng(sum(shape) + 1), *shape, bias_kind)
+        ws = list(itertools.chain(*zip(*heads)))  # the op's parent order
+        g = Rng(8).normal((shape[0], shape[2] * shape[3]))
+        out = nm.attention(x, heads, scale, bias)
+        nm.summation(out * g).backward()  # the op's cotangent is g, byte for byte
+        want = attention_four_buffers(x.data, [w.data for w in ws], shape[2], scale, bias, g)
+        got = [out.data, x.grad, *[w.grad for w in ws]]
+        assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
+
+    def test_attention_probs_is_the_forward_map(self):
+        x, heads, scale, bias = _attention_case(Rng(4), 9, 5, 2, 3, "mask")
+        w = np.array([t.data for t in itertools.chain(*zip(*heads))])
+        qkv = np.matmul(x.data, w)
+        att = nm.attention_probs(qkv[:2], qkv[2:4], scale, bias)
+        assert att.shape == (2, 9, 9)
+        npt.assert_allclose(att.sum(axis=-1), 1.0, atol=1e-15)
+        v = qkv[4:]
+        want = np.matmul(att, v).transpose(1, 0, 2).reshape(9, 6)
+        assert nm.attention(x, heads, scale, bias).data.tobytes() == want.tobytes()
+
 
 class TestFusedLayerOps:
     """``conv1d`` with a bias, ``linear`` and ``add_layer_norm`` against the
@@ -775,6 +831,120 @@ class TestConcurrency:
             parallel = list(pool.map(work, range(6)))
         for a, b in zip(serial, parallel):
             npt.assert_array_equal(a, b)
+
+
+class TestNoGrad:
+    """``no_grad`` records no tape in its own thread and checks every output."""
+
+    @staticmethod
+    def _ops(x, w, c):
+        """One output of each kind of op, from leaves that want a gradient."""
+        xa, heads, scale, _ = _attention_case(Rng(3), 5, 4, 2, 2)
+        return [x @ w, nm.tanh(x @ w), nm.linear(x, w, c), nm.summation(x * w[0]),
+                nm.conv1d(x, w.data.reshape(3, 3, 1), c), nm.add_layer_norm(x, x @ w),
+                nm.attention(xa, heads, scale), x[1:3], nm.softmax(x @ w)]
+
+    def _leaves(self):
+        rng = Rng(1)
+        return (Tensor(rng.normal((3, 3)), requires_grad=True),
+                Tensor(rng.normal((3, 3)), requires_grad=True),
+                Tensor(rng.normal(3), requires_grad=True))
+
+    def test_records_no_parents_and_no_vjp(self):
+        x, w, c = self._leaves()
+        taped = self._ops(x, w, c)
+        with nm.no_grad():
+            untaped = self._ops(x, w, c)
+        for a, b in zip(taped, untaped):
+            assert a._vjp is not None and a.requires_grad
+            assert b._parents == () and b._vjp is None and not b.requires_grad
+            assert a.data.tobytes() == b.data.tobytes()
+        again = x @ w
+        assert again._parents == (x, w) and again._vjp is not None
+
+    def test_restores_the_mode_on_exit_nested_or_raising(self):
+        x, w, _ = self._leaves()
+        with nm.no_grad():
+            with nm.no_grad():
+                pass
+            assert (x @ w)._parents == ()
+        with pytest.raises(RuntimeError), nm.no_grad():
+            raise RuntimeError
+        assert (x @ w)._parents == (x, w)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_poisoned_parameter_still_raises(self):
+        x, w, c = self._leaves()
+        w.data[1, 2] = np.nan
+        with nm.no_grad():
+            with pytest.raises(NumericError, match="matmul"):
+                x @ w
+            with pytest.raises(NumericError, match="linear"):
+                nm.linear(x, w, c)
+            xa, heads, scale, _ = _attention_case(Rng(3), 5, 4, 1, 2)
+            heads[0][1].data[0, 0] = np.inf
+            with pytest.raises(NumericError, match="q, k or v"):
+                nm.attention(xa, heads, scale)
+
+    def test_is_thread_local(self):
+        import threading
+
+        x, w, _ = self._leaves()
+        nm.summation(nm.tanh(x @ w)).backward()
+        want = w.grad.copy()
+        w.zero_grad()
+        inside, release, seen = threading.Event(), threading.Event(), {}
+
+        def untaped_thread():
+            with nm.no_grad():
+                seen["before"] = nm.tanh(x @ w)
+                inside.set()
+                release.wait(timeout=30)
+                seen["after"] = nm.tanh(x @ w)
+
+        thread = threading.Thread(target=untaped_thread)
+        thread.start()
+        try:
+            assert inside.wait(timeout=30)
+            loss = nm.summation(nm.tanh(x @ w))  # while the other thread is inside
+            loss.backward()
+        finally:
+            release.set()
+            thread.join(timeout=30)
+        assert not thread.is_alive()
+        assert loss._parents and loss._vjp is not None
+        npt.assert_array_equal(w.grad, want)
+        assert seen["before"]._parents == () and seen["after"]._parents == ()
+
+    def test_threads_switching_modes_keep_their_own(self):
+        import sys
+        from concurrent.futures import ThreadPoolExecutor
+
+        def work(seed):
+            rng = Rng(seed)
+            w = Tensor(rng.normal((5, 5)), requires_grad=True)
+            x = Tensor(rng.normal((3, 5)))
+            grads, untaped = [], []
+            for _ in range(40):
+                with nm.no_grad():
+                    untaped.append(nm.tanh(x @ w)._parents == ())
+                w.zero_grad()
+                nm.summation(nm.tanh(x @ w)).backward()
+                grads.append(w.grad.copy())
+            return all(untaped), grads
+
+        serial = [work(s) for s in range(6)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=6) as pool:
+                parallel = list(pool.map(work, range(6), timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        for (ok_s, g_s), (ok_p, g_p) in zip(serial, parallel):
+            assert ok_s and ok_p
+            for a, b in zip(g_s, g_p):
+                npt.assert_array_equal(a, b)
 
 
 class TestTensorBasics:
