@@ -45,9 +45,9 @@ amap = stack.layers[0].attention_map(x)
 print("\nlayer-0 attention map rows sum to:", np.round(amap.sum(axis=1), 12)[:4], "...")
 print("attention row for frame 0:", np.round(amap[0], 3))
 
-# Ablation path: with the attention gain at zero the layer is purely
+# Ablation path: with attention switched off the layer is purely
 # convolutional, and the attention parameters are provably inert.
-conv_only = CouplingLayer(4, 8, Rng(5), attn_gain=0.0, head_init="small")
+conv_only = CouplingLayer(4, 8, Rng(5), attention=False, head_init="small")
 xin = Tensor(Rng(6).normal((4, 6)))
 y1, _ = conv_only.forward(xin)
 for p in (conv_only.wq, conv_only.wk, conv_only.wv, conv_only.wo):

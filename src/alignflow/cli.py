@@ -26,7 +26,7 @@ from .harness import (
     train_toy,
     write_csv,
 )
-from .numerics import AdamWConfig, Rng
+from .numerics import AdamWConfig, NumericError, Rng
 
 
 class FramesError(ValueError):
@@ -198,12 +198,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one subcommand; a bad input file or flag value ends it with one line
-    on stderr and exit code 2 (argparse's code for a bad command line)."""
+    """Run one subcommand; a bad input file or flag value, or a run that hits a
+    non-finite value, ends it with one line on stderr and exit code 2
+    (argparse's code for a bad command line)."""
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, ValueError) as e:
+    except (OSError, ValueError, NumericError) as e:
         print(f"alignflow {args.command}: {e}", file=sys.stderr)
         return 2
 

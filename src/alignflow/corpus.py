@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import math
 import typing
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -155,23 +155,7 @@ def generate_corpus(spec: CorpusSpec, rng: Rng) -> ToyCorpus:
 
 
 def _spec_to_dict(spec: CorpusSpec) -> dict:
-    d = {
-        "vocab": spec.vocab,
-        "channels": spec.channels,
-        "n_train": spec.n_train,
-        "n_eval": spec.n_eval,
-        "seq_min": spec.seq_min,
-        "seq_max": spec.seq_max,
-        "dur_min": spec.dur_min,
-        "dur_max": spec.dur_max,
-        "noise": spec.noise,
-        "prototype_radius": spec.prototype_radius,
-        "speakers": spec.speakers,
-        "speaker_shift": spec.speaker_shift,
-    }
-    if spec.duration_laws is not None:
-        d["duration_laws"] = [list(law) for law in spec.duration_laws]
-    return d
+    return {k: v for k, v in asdict(spec).items() if v is not None}
 
 
 def _instance_to_dict(inst: Instance) -> dict:

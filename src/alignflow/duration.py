@@ -18,6 +18,8 @@ import numpy as np
 from . import numerics as nm
 from .numerics import AdamWConfig, NumericError, Rng, Tensor, frozen
 
+KERNEL = 3  # conv kernel width along the token axis, in every tower
+
 
 @dataclass
 class DurationBatch:
@@ -64,15 +66,13 @@ class DurationBatch:
 class _ConvTower(nm.Module):
     """conv(k) -> relu -> conv(k) -> relu -> 1x1 head, over the token axis."""
 
-    def __init__(self, in_dim: int, hidden: int, rng: Rng, kernel: int = 3,
-                 cond_dim: int | None = None):
-        self.kernel = kernel
+    def __init__(self, in_dim: int, hidden: int, rng: Rng, cond_dim: int | None = None):
         self.conv1_w = self.param(
-            "conv1.w", nm.init_uniform(rng, (hidden, in_dim, kernel), in_dim * kernel)
+            "conv1.w", nm.init_uniform(rng, (hidden, in_dim, KERNEL), in_dim * KERNEL)
         )
         self.conv1_b = self.param("conv1.b", nm.zeros((hidden,), requires_grad=True))
         self.conv2_w = self.param(
-            "conv2.w", nm.init_uniform(rng, (hidden, hidden, kernel), hidden * kernel)
+            "conv2.w", nm.init_uniform(rng, (hidden, hidden, KERNEL), hidden * KERNEL)
         )
         self.conv2_b = self.param("conv2.b", nm.zeros((hidden,), requires_grad=True))
         self.head_w = self.param("head.w", nm.init_uniform(rng, (1, hidden, 1), hidden))
@@ -101,12 +101,11 @@ class DurationGenerator(nm.Module):
     non-adversarial baseline.
     """
 
-    def __init__(self, h_dim: int, z_dim: int = 2, hidden: int = 32,
-                 rng: Rng | None = None, cond_dim: int | None = None, kernel: int = 3):
-        rng = rng if rng is not None else Rng(0)
+    def __init__(self, h_dim: int, z_dim: int, hidden: int, rng: Rng,
+                 cond_dim: int | None = None):
         self.h_dim = h_dim
         self.z_dim = z_dim
-        self.tower = self.child("gen", _ConvTower(h_dim + z_dim, hidden, rng, kernel, cond_dim))
+        self.tower = self.child("gen", _ConvTower(h_dim + z_dim, hidden, rng, cond_dim))
 
     def forward(self, h, z=None, cond: Tensor | None = None) -> Tensor:
         """h: (I, h_dim), z: (I, z_dim) standard normal. Returns (I,) log-durations."""
@@ -128,17 +127,11 @@ class DurationGenerator(nm.Module):
 class DurationDiscriminator(nm.Module):
     """Time-step-wise conditional critic: one score per token, never pooled."""
 
-    def __init__(self, h_dim: int, hidden: int = 32, rng: Rng | None = None,
-                 kernel: int = 3):
-        rng = rng if rng is not None else Rng(0)
-        self.h_dim = h_dim
-        self.kernel = kernel
-        self.tower = self.child("disc", _ConvTower(h_dim + 1, hidden, rng, kernel))
+    receptive_field = 2 * ((KERNEL - 1) // 2)  # half-width of a score's window
 
-    @property
-    def receptive_field(self) -> int:
-        """Half-width of a score's dependence window along the token axis."""
-        return 2 * ((self.kernel - 1) // 2)
+    def __init__(self, h_dim: int, hidden: int, rng: Rng):
+        self.h_dim = h_dim
+        self.tower = self.child("disc", _ConvTower(h_dim + 1, hidden, rng))
 
     def forward(self, h, d) -> Tensor:
         """h: (I, h_dim), d: (I,) durations in log scale. Returns (I,) scores."""
@@ -239,27 +232,27 @@ def train_duration(
     opt_cfg: AdamWConfig | None = None,
     rng: Rng | None = None,
     cond=None,
-    adversarial: bool = True,
     verify_isolation: bool = False,
 ) -> list[dict]:
     """Alternating critic/generator updates over a corpus of batches.
 
     Per step: one discriminator update on the least-squares critic loss, then
-    one generator update on adversarial + MSE loss. With adversarial=False the
-    critic is never touched and only the MSE objective is on the tape (the
-    deterministic-baseline arm). ``cond`` may be a single condition vector or
-    a list aligned with ``corpus``. Returns one loss record per step; a
-    non-finite loss aborts with the offending step index.
+    one generator update on adversarial + MSE loss. With ``disc=None`` the
+    step is the generator update on the MSE loss alone (the
+    deterministic-baseline arm), and its record has no critic or adversarial
+    loss. ``cond`` may be a single condition vector or a list aligned with
+    ``corpus``. Returns one loss record per step; a non-finite loss aborts
+    with the offending step index.
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
-    if adversarial and disc is None:
-        raise ValueError("adversarial training needs a discriminator")
     if gen.z_dim and rng is None:
         raise ValueError("a generator with a noise input needs an rng")
     opt_cfg = opt_cfg or AdamWConfig()
+    critic = disc.params() if disc is not None else []
     opt_g = opt_cfg.build(gen.params())
-    opt_d = opt_cfg.build(disc.params()) if adversarial else None
+    opt_d = opt_cfg.build(critic) if disc is not None else None
+    opts = [opt for opt in (opt_g, opt_d) if opt is not None]
 
     def draw_noise(batch: DurationBatch) -> np.ndarray | None:
         if not gen.z_dim:
@@ -271,51 +264,40 @@ def train_duration(
         idx = step % len(corpus)
         batch = corpus[idx]
         batch_cond = cond[idx] if isinstance(cond, list) else cond
-        epoch = step // len(corpus)
-        opt_g.set_epoch(epoch)
-        if opt_d is not None:
-            opt_d.set_epoch(epoch)
+        for opt in opts:
+            opt.set_epoch(step // len(corpus))
+        row = {"step": step}
         try:
-            if adversarial:
+            if disc is not None:
                 d_hat = generate(gen, batch.h_text, draw_noise(batch), batch.mask, batch_cond)
                 loss_d = adv_loss_d(disc, batch.d, d_hat, batch.h_text, batch.mask)
-                opt_d.zero_grad()
-                opt_g.zero_grad()
+                for opt in opts:
+                    opt.zero_grad()
                 loss_d.backward()
                 if verify_isolation and not _grads_are_zero(gen.params()):
                     raise AssertionError(
                         f"step {step}: critic update leaked into generator grads"
                     )
                 opt_d.step()
+                row["loss_d"] = loss_d.item()
 
-                d_hat = generate(gen, batch.h_text, draw_noise(batch), batch.mask, batch_cond)
+            d_hat = generate(gen, batch.h_text, draw_noise(batch), batch.mask, batch_cond)
+            if disc is not None:
                 loss_adv = adv_loss_g(disc, d_hat, batch.h_text, batch.mask)
-                loss_mse = mse_loss(d_hat, batch.d, batch.mask)
-                loss_g = loss_adv + loss_mse
-                opt_g.zero_grad()
-                opt_d.zero_grad()
-                with frozen(disc.params()):
-                    loss_g.backward()
-                if verify_isolation and not _grads_are_zero(disc.params()):
-                    raise AssertionError(
-                        f"step {step}: generator update leaked into critic grads"
-                    )
-                opt_g.step()
-                history.append(
-                    {
-                        "step": step,
-                        "loss_d": loss_d.item(),
-                        "loss_g_adv": loss_adv.item(),
-                        "loss_g_mse": loss_mse.item(),
-                    }
+                row["loss_g_adv"] = loss_adv.item()
+            loss_mse = mse_loss(d_hat, batch.d, batch.mask)
+            loss_g = loss_mse if disc is None else loss_adv + loss_mse
+            for opt in opts:
+                opt.zero_grad()
+            with frozen(critic):
+                loss_g.backward()
+            if verify_isolation and not _grads_are_zero(critic):
+                raise AssertionError(
+                    f"step {step}: generator update leaked into critic grads"
                 )
-            else:
-                d_hat = generate(gen, batch.h_text, draw_noise(batch), batch.mask, batch_cond)
-                loss_mse = mse_loss(d_hat, batch.d, batch.mask)
-                opt_g.zero_grad()
-                loss_mse.backward()
-                opt_g.step()
-                history.append({"step": step, "loss_g_mse": loss_mse.item()})
+            opt_g.step()
+            row["loss_g_mse"] = loss_mse.item()
         except NumericError as e:
             raise NumericError(f"duration training diverged at step {step}: {e}") from e
+        history.append(row)
     return history

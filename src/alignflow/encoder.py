@@ -88,17 +88,16 @@ class TextEncoder(nm.Module):
     def __init__(
         self,
         vocab: int,
+        rng: Rng,
         width: int = 32,
         out_channels: int = 2,
         n_blocks: int = 4,
         n_heads: int = 2,
         ff_width: int = 64,
         speaker_dim: int | None = None,
-        rng: Rng | None = None,
     ):
         if n_blocks < 3:
             raise ValueError(f"need at least 3 blocks for speaker injection, got {n_blocks}")
-        rng = rng if rng is not None else Rng(0)
         self.vocab = vocab
         self.width = width
         self.out_channels = out_channels

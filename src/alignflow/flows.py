@@ -4,9 +4,9 @@ Each layer splits channels in half: the first half passes through unchanged
 and, after an optional single-head self-attention block with a residual
 connection, drives a conv net that emits a per-element shift and log-scale
 for the second half. The attention lets the transform look beyond the conv
-receptive field; scaling its output by zero recovers a pure convolutional
-coupling layer exactly. Log-determinants are the sum of the log-scales, so
-densities stay exact under change of variables.
+receptive field; switching it off leaves a pure convolutional coupling layer.
+Log-determinants are the sum of the log-scales, so densities stay exact under
+change of variables.
 """
 
 from __future__ import annotations
@@ -18,14 +18,18 @@ import numpy as np
 from . import numerics as nm
 from .numerics import Rng, Tensor
 
+KERNEL = 3  # conv kernel width along time, in every coupling layer
+
 
 class CouplingLayer(nm.Module):
     """Invertible map on (C, T) inputs; C must be even.
 
     head_init="zero" starts the layer as the identity (shift 0, log-scale 0),
-    the usual stabilization for flow training. attn_gain scales the attention
-    residual; 0 bypasses the transformer block entirely.
+    the usual stabilization for flow training. attention=False leaves the
+    transformer block out of the layer entirely.
     """
+
+    conv_receptive_field = 2 * ((KERNEL - 1) // 2)  # half-width along time
 
     def __init__(
         self,
@@ -33,9 +37,8 @@ class CouplingLayer(nm.Module):
         hidden: int,
         rng: Rng,
         key_dim: int = 8,
-        attn_gain: float = 1.0,
+        attention: bool = True,
         cond_dim: int | None = None,
-        kernel: int = 3,
         head_init: str = "zero",
     ):
         if channels % 2 != 0:
@@ -44,9 +47,8 @@ class CouplingLayer(nm.Module):
         self.half = channels // 2
         self.hidden = hidden
         self.key_dim = key_dim
-        self.attn_gain = float(attn_gain)
+        self.attention = attention
         self.cond_dim = cond_dim
-        self.kernel = kernel
 
         half, kd = self.half, key_dim
         self.wq = self.param("attn.wq", nm.init_uniform(rng, (half, kd), half))
@@ -54,25 +56,20 @@ class CouplingLayer(nm.Module):
         self.wv = self.param("attn.wv", nm.init_uniform(rng, (half, kd), half))
         self.wo = self.param("attn.wo", nm.init_uniform(rng, (kd, half), kd))
         self.conv1_w = self.param(
-            "conv1.w", nm.init_uniform(rng, (hidden, half, kernel), half * kernel)
+            "conv1.w", nm.init_uniform(rng, (hidden, half, KERNEL), half * KERNEL)
         )
         self.conv1_b = self.param("conv1.b", nm.zeros((hidden,), requires_grad=True))
         self.conv2_w = self.param(
             "conv2.w",
-            nm.zeros((channels, hidden, kernel), requires_grad=True)
+            nm.zeros((channels, hidden, KERNEL), requires_grad=True)
             if head_init == "zero"
-            else nm.init_uniform(rng, (channels, hidden, kernel), hidden * kernel),
+            else nm.init_uniform(rng, (channels, hidden, KERNEL), hidden * KERNEL),
         )
         self.conv2_b = self.param("conv2.b", nm.zeros((channels,), requires_grad=True))
         self.wc = self.param(
             "cond.w",
             None if cond_dim is None else nm.init_uniform(rng, (hidden, cond_dim), cond_dim),
         )
-
-    @property
-    def conv_receptive_field(self) -> int:
-        """Half-width of the conv path's receptive field along time."""
-        return 2 * ((self.kernel - 1) // 2)
 
     def _attend(self, xa: Tensor) -> Tensor:
         # self-attention over time; xa is (half, T)
@@ -81,8 +78,8 @@ class CouplingLayer(nm.Module):
 
     def _shift_and_logscale(self, xa: Tensor, cond: Tensor | None):
         h = xa
-        if self.attn_gain != 0.0:
-            h = h + self._attend(xa) * self.attn_gain
+        if self.attention:
+            h = h + self._attend(xa)
         pre = nm.conv1d(h, self.conv1_w, self.conv1_b)
         if cond is not None:
             if self.wc is None:
@@ -122,10 +119,10 @@ class CouplingLayer(nm.Module):
     def attention_map(self, x) -> np.ndarray:
         """The T x T row-stochastic attention matrix this input produces.
 
-        Pure numpy, side-effect free; rows sum to 1 even when attn_gain is 0
-        (the map the block *would* use). It is the map ``nm.attention`` uses
-        inside ``_attend``, byte for byte: the same q, k products and the
-        same ``nm.attention_probs``.
+        Pure numpy, side-effect free; rows sum to 1 even when attention is
+        off (the map the block *would* use). It is the map ``nm.attention``
+        uses inside ``_attend``, byte for byte: the same q, k products and
+        the same ``nm.attention_probs``.
         """
         xt = np.ascontiguousarray(nm.ensure_tensor(x).data[: self.half].T)
         q, k = np.matmul(xt, np.array([self.wq.data, self.wk.data]))
@@ -146,9 +143,8 @@ class FlowStack(nm.Module):
         hidden: int,
         rng: Rng,
         key_dim: int = 8,
-        attn_gain: float = 1.0,
+        attention: bool = True,
         cond_dim: int | None = None,
-        kernel: int = 3,
         head_init: str = "zero",
     ):
         if depth < 2:
@@ -161,20 +157,17 @@ class FlowStack(nm.Module):
                 hidden,
                 rng.child(li),
                 key_dim=key_dim,
-                attn_gain=attn_gain,
+                attention=attention,
                 cond_dim=cond_dim,
-                kernel=kernel,
                 head_init=head_init,
             ))
             for li in range(depth)
         ]
 
     def forward(self, x: Tensor, cond: Tensor | None = None) -> tuple[Tensor, Tensor]:
-        total = Tensor(0.0)
-        for li, layer in enumerate(self.layers):
-            if li > 0:
-                x = _flip_channels(x)
-            x, ld = layer.forward(x, cond)
+        x, total = self.layers[0].forward(x, cond)
+        for layer in self.layers[1:]:
+            x, ld = layer.forward(_flip_channels(x), cond)
             total = total + ld
         return x, total
 

@@ -224,7 +224,7 @@ def build_model(config: TrainConfig, rng: Rng) -> ToyModel:
         hidden=config.flow_hidden,
         rng=rng.child(1),
         key_dim=config.key_dim,
-        attn_gain=1.0 if config.transformer_block else 0.0,
+        attention=config.transformer_block,
         cond_dim=cond_dim,
     )
     dur_gen = DurationGenerator(
@@ -280,6 +280,8 @@ def predict_durations(model: ToyModel, inst: Instance) -> np.ndarray:
 
 def eval_alignment(model, instances) -> dict[str, float]:
     """Token-level exact-match rate and mean absolute duration error."""
+    if not instances:
+        raise ValueError("eval_alignment needs at least one instance, got none")
     exact = 0
     abs_err = 0.0
     total = 0
@@ -359,7 +361,6 @@ def train_toy(config: TrainConfig, corpus: ToyCorpus | None = None,
         opt_cfg=config.optimizer(lr=config.duration_lr),
         rng=dur_rng,
         cond=conds,
-        adversarial=config.duration_adversarial,
     )
 
     history = {"main": main_rows, "duration": dur_rows}

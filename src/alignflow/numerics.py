@@ -67,7 +67,12 @@ def _as_array(data) -> np.ndarray:
 
 
 class Tensor:
-    """A numpy float64 array plus optional participation in the gradient tape."""
+    """A numpy float64 array plus optional participation in the gradient tape.
+
+    ``requires_grad`` is set on a trainable leaf, and by ``_make`` on exactly
+    the outputs that record a VJP, so it alone says whether a gradient flows
+    into this tensor.
+    """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp")
 
@@ -168,14 +173,10 @@ class Tensor:
                     node.grad = g if node.grad is None else node.grad + g
                 continue
             for parent, pg in zip(node._parents, node._vjp(g)):
-                if pg is None or not _wants_grad(parent):
+                if pg is None or not parent.requires_grad:
                     continue
                 key = id(parent)
                 grads[key] = pg if key not in grads else grads[key] + pg
-
-
-def _wants_grad(t: Tensor) -> bool:
-    return t.requires_grad or t._vjp is not None
 
 
 def _toposort(root: Tensor) -> list[Tensor]:
@@ -193,7 +194,7 @@ def _toposort(root: Tensor) -> list[Tensor]:
         seen.add(id(node))
         stack.append((node, True))
         for p in node._parents:
-            if id(p) not in seen and _wants_grad(p):
+            if id(p) not in seen and p.requires_grad:
                 stack.append((p, False))
     return order
 
@@ -227,7 +228,7 @@ def _make(data: np.ndarray, parents: tuple[Tensor, ...], vjp, op: str) -> Tensor
     if not np.isfinite(data).all():
         raise NumericError(f"{op} produced a non-finite value")
     out = Tensor(data)
-    if _grad_mode.enabled and any(_wants_grad(p) for p in parents):
+    if _grad_mode.enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = parents
         out._vjp = vjp
@@ -499,8 +500,7 @@ def softmax(a, axis: int = -1) -> Tensor:
     return _make(data, (a,), vjp, "softmax")
 
 
-def _layer_norm_node(s: np.ndarray, parents: tuple[Tensor, ...], axis: int, eps: float,
-                     op: str) -> Tensor:
+def _layer_norm_node(s: np.ndarray, parents: tuple[Tensor, ...], axis: int, op: str) -> Tensor:
     """Layer norm of ``s`` as one node whose every parent receives the same
     gradient (each parent's shape is ``s.shape``). The means are
     ``np.add.reduce(...) / n``: what ``ndarray.mean`` computes, without its
@@ -508,7 +508,7 @@ def _layer_norm_node(s: np.ndarray, parents: tuple[Tensor, ...], axis: int, eps:
     n = s.shape[axis]
     xc = s - np.add.reduce(s, axis=axis, keepdims=True) / n
     var = np.add.reduce(xc * xc, axis=axis, keepdims=True) / n
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + 1e-8)  # eps keeps a constant row finite
     data = xc * inv
 
     def vjp(g):
@@ -519,13 +519,13 @@ def _layer_norm_node(s: np.ndarray, parents: tuple[Tensor, ...], axis: int, eps:
     return _make(data, parents, vjp, op)
 
 
-def layer_norm(a, axis: int = -1, eps: float = 1e-8) -> Tensor:
+def layer_norm(a, axis: int = -1) -> Tensor:
     """Normalize to zero mean, unit variance along ``axis`` (no learned affine)."""
     a = ensure_tensor(a)
-    return _layer_norm_node(a.data, (a,), axis, eps, "layer_norm")
+    return _layer_norm_node(a.data, (a,), axis, "layer_norm")
 
 
-def add_layer_norm(a, b, axis: int = -1, eps: float = 1e-8) -> Tensor:
+def add_layer_norm(a, b, axis: int = -1) -> Tensor:
     """``layer_norm(a + b)`` as one node: the post-norm residual of a
     transformer block. ``a`` and ``b`` must have the same shape.
 
@@ -539,7 +539,7 @@ def add_layer_norm(a, b, axis: int = -1, eps: float = 1e-8) -> Tensor:
     s = a.data + b.data
     if not np.isfinite(s).all():
         raise NumericError("add_layer_norm produced a non-finite value")
-    return _layer_norm_node(s, (a, b), axis, eps, "add_layer_norm")
+    return _layer_norm_node(s, (a, b), axis, "add_layer_norm")
 
 
 def attention_probs(q: np.ndarray, k: np.ndarray, scale: float,
@@ -673,13 +673,13 @@ def conv1d(x, w, b=None) -> Tensor:
         # skip the cotangents nothing will use: a constant input (the duration
         # critic's features) or a kernel frozen for the generator's update
         gx = gw = None
-        if _wants_grad(x):
+        if x.requires_grad:
             # col2im: tap i of column t came from x[:, t + i - pl]
             gcols = (w2.T @ g).reshape(cin, k, length)
             gx = np.zeros((cin, length))
             for i, lo, hi, off in taps:
                 gx[:, lo + off : hi + off] += gcols[:, i, lo:hi]
-        if _wants_grad(w):
+        if w.requires_grad:
             gw = (g @ cols.T).reshape(cout, cin, k)
         return (gx, gw) if b is None else (gx, gw, g.sum(axis=1))
 
@@ -720,10 +720,10 @@ class Rng:
         return Rng(self.seed, _entropy=(self.seed, int(tag)))
 
 
-def init_uniform(rng: Rng, shape, fan_in: int, requires_grad: bool = True) -> Tensor:
-    """Parameter init: uniform in [-k, k], k = 1/sqrt(fan_in)."""
+def init_uniform(rng: Rng, shape, fan_in: int) -> Tensor:
+    """Trainable parameter init: uniform in [-k, k], k = 1/sqrt(fan_in)."""
     k = 1.0 / math.sqrt(max(1, fan_in))
-    return Tensor(rng.uniform(-k, k, shape), requires_grad=requires_grad)
+    return Tensor(rng.uniform(-k, k, shape), requires_grad=True)
 
 
 def zeros(shape, requires_grad: bool = False) -> Tensor:
@@ -904,8 +904,9 @@ class AdamW:
 # ---------------------------------------------------------------------------
 
 
-def check_grad(f, x: Tensor, h: float = 1e-5) -> float:
-    """Max relative error between tape gradients and central differences.
+def check_grad(f, x: Tensor) -> float:
+    """Max relative error between tape gradients and central differences of
+    step 1e-5.
 
     ``f`` must be a deterministic tensor-to-scalar function. Error per
     coordinate is |analytic - numeric| / max(1, |numeric|); the max over
@@ -918,6 +919,7 @@ def check_grad(f, x: Tensor, h: float = 1e-5) -> float:
     out.backward()
     analytic = probe.grad if probe.grad is not None else np.zeros(probe.shape)
 
+    h = 1e-5
     worst = 0.0
     flat = x.data.reshape(-1)
     for i in range(flat.size):

@@ -203,7 +203,7 @@ def test_8_ablation_arms():
         x = Tensor(rng.normal((model.flows.channels, 5)))
         y1, ld1 = model.flows.forward(x)
         for layer in model.flows.layers:
-            assert layer.attn_gain == 0.0
+            assert not layer.attention
             for p in (layer.wq, layer.wk, layer.wv, layer.wo):
                 p.data[:] = rng.normal(p.shape) * 20.0
         y2, ld2 = model.flows.forward(x)

@@ -345,6 +345,18 @@ class TestLoaderErrors:
         assert err == f"alignflow dump-attention: --speaker {speaker} is outside [0, 3)\n"
         assert not (tmp_path / "maps").exists()
 
+    def test_dump_attention_non_finite_score(self, capsys, tmp_path, speaker_ckpt):
+        # finite frames whose attention scores overflow: the NumericError ends
+        # the command with one line, like a bad input file
+        frames = tmp_path / "frames.csv"
+        frames.write_text("1e200,0.5,-0.3\n0.2,0.1,0.4\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # numpy's overflow notice
+            code, err = self.invoke_err(capsys, "dump-attention", "--ckpt", speaker_ckpt,
+                                        "--input", frames, "--out", tmp_path / "maps")
+        assert code == 2
+        assert err == "alignflow dump-attention: attention produced a non-finite score\n"
+
 
     @pytest.mark.parametrize("spec, field", [
         (dict(vocab=4), "spec.vocab is 4"),

@@ -272,7 +272,7 @@ class TestTraining:
 
     def test_deterministic_arm_has_no_adversarial_losses(self):
         gen = DurationGenerator(h_dim=4, z_dim=0, hidden=4, rng=Rng(36))
-        hist = train_duration(gen, None, [small_batch(37, width=4)], 5, adversarial=False)
+        hist = train_duration(gen, None, [small_batch(37, width=4)], 5)
         assert all(set(row) == {"step", "loss_g_mse"} for row in hist)
 
     def test_history_is_per_step(self):

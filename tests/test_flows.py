@@ -85,10 +85,10 @@ class TestCouplingLayer:
             CouplingLayer(3, 8, Rng(8))
 
     def test_attention_bypass_is_exact(self):
-        # gain 0 must reduce to a pure convolutional coupling layer:
+        # attention off must reduce to a pure convolutional coupling layer:
         # scrambling every attention parameter cannot change the output
         rng = Rng(9)
-        layer = CouplingLayer(4, 6, rng, attn_gain=0.0, head_init="small")
+        layer = CouplingLayer(4, 6, rng, attention=False, head_init="small")
         x = Tensor(rng.normal((4, 7)))
         y1, ld1 = layer.forward(x)
         for p in (layer.wq, layer.wk, layer.wv, layer.wo):

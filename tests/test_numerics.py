@@ -862,6 +862,18 @@ class TestNoGrad:
         again = x @ w
         assert again._parents == (x, w) and again._vjp is not None
 
+    def test_requires_grad_is_set_exactly_on_taped_outputs(self):
+        # the tape reads requires_grad alone to decide where gradients flow
+        x, w, c = self._leaves()
+        with nm.no_grad():
+            untaped = self._ops(x, w, c)
+        with nm.frozen([x, w, c]):
+            assert not any(t.requires_grad or t._vjp is not None for t in (x, w, c))
+            under_frozen = self._ops(x, w, c)
+        assert under_frozen[0]._parents == ()  # x @ w of frozen leaves records no tape
+        for t in self._ops(x, w, c) + untaped + under_frozen:
+            assert t.requires_grad == (t._vjp is not None)
+
     def test_restores_the_mode_on_exit_nested_or_raising(self):
         x, w, _ = self._leaves()
         with nm.no_grad():
