@@ -18,9 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import Rng
+from .numerics import LOG_2PI, Rng
 
-LOG_2PI = math.log(2.0 * math.pi)
 
 # exploration-noise schedule: scale starts at 0.01 and loses 2e-6 per global
 # step, hitting exactly 0 at step 5000

@@ -200,10 +200,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     """Run one subcommand; a bad input file or flag value, or a run that hits a
     non-finite value, ends it with one line on stderr and exit code 2
-    (argparse's code for a bad command line)."""
+    (argparse's code for a bad command line). numpy's floating-point warnings
+    are off: every op checks its output and raises ``NumericError`` on what
+    such a warning would report, so the error line is all that is printed."""
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except (OSError, ValueError, NumericError) as e:
         print(f"alignflow {args.command}: {e}", file=sys.stderr)
         return 2

@@ -23,7 +23,7 @@ from .duration import (
 )
 from .encoder import MASK_BIAS, EncoderBlock
 from .flows import CouplingLayer
-from .harness import TrainConfig, _aligned_nll, _instance_forward, build_model
+from .harness import TrainConfig, _instance_forward, build_model
 from .numerics import Rng, Tensor, check_grad
 
 
@@ -197,6 +197,19 @@ def suite(rng: Rng) -> list[tuple[str, object, Tensor]]:
              lambda t, sig=sig_e, w=wconv_e: weighted(nm.conv1d(sig, t), w), ker_e),
         ]
 
+    # the fused loss op, each input in turn; frames share tokens (own stream)
+    rl = rng.child(19)
+    n_tok, c_nll = rl.integers(1, 4), 2 * rl.integers(1, 3)
+    frame_tokens = np.repeat(np.arange(n_tok), rl.integers(1, 4, n_tok))
+    nll_in = [Tensor(rl.normal((n_tok, c_nll))), Tensor(rl.uniform(0.5, 2.0, (n_tok, c_nll))),
+              Tensor(rl.normal((c_nll, frame_tokens.size))), Tensor(rl.normal(()))]
+
+    def nll_input(i: int):
+        return lambda t: nm.aligned_nll(*nll_in[:i], t, *nll_in[i + 1:], frame_tokens)
+
+    checks += [(f"aligned_nll.{name}", nll_input(i), nll_in[i])
+               for i, name in enumerate(("mu", "sigma", "u", "logdet"))]
+
     wrows = rng.normal((4, cols))
     checks.append(
         ("take_rows", lambda t: weighted(nm.take_rows(t, [0, 2, 2, 1]), wrows),
@@ -282,7 +295,7 @@ def _main_phase_checks(rng: Rng) -> list[tuple[str, object, Tensor]]:
 
     def loss() -> Tensor:
         _, mu, sigma, u, logdet, _ = _instance_forward(model, inst)
-        return _aligned_nll(mu, sigma, u, logdet, frame_tokens)
+        return nm.aligned_nll(mu, sigma, u, logdet, frame_tokens)
 
     block = model.encoder.blocks[model.encoder.SPEAKER_BLOCK]
     layer = model.flows.layers[1]

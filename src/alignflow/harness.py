@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics as nm
-from .alignment import LOG_2PI, log_prob_grid, mas_search, noise_scale_at
+from .alignment import log_prob_grid, mas_search, noise_scale_at
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .corpus import CorpusSpec, Instance, ToyCorpus, generate_corpus, save_corpus
 from .duration import DurationBatch, DurationDiscriminator, DurationGenerator, train_duration
@@ -251,18 +251,6 @@ def _instance_forward(model: ToyModel, inst: Instance):
     return h, mu, sigma, u, logdet, cond
 
 
-def _aligned_nll(mu: Tensor, sigma: Tensor, u: Tensor, logdet: Tensor,
-                 frame_tokens: np.ndarray) -> Tensor:
-    """Negative log-density of the frames under the aligned prior, per element."""
-    u_t = u.T  # (J, C)
-    mu_f = nm.take_rows(mu, frame_tokens)
-    sig_f = nm.take_rows(sigma, frame_tokens)
-    diff = u_t - mu_f
-    terms = nm.log(sig_f) + 0.5 * LOG_2PI + (diff * diff) / (2.0 * sig_f * sig_f)
-    total = nm.summation(terms) - logdet
-    return total * (1.0 / u_t.size)
-
-
 def _encode_and_align(model: ToyModel, inst: Instance) -> tuple[Tensor, np.ndarray]:
     """Encoder output and noise-free alignment-search durations from one forward
     pass, recording no tape."""
@@ -333,7 +321,7 @@ def train_toy(config: TrainConfig, corpus: ToyCorpus | None = None,
             _, mu, sigma, u, logdet, _ = _instance_forward(model, inst)
             grid = log_prob_grid(u.data.T, mu.data, sigma.data)
             align, _ = mas_search(grid, scale, noise_rng)
-            loss = _aligned_nll(mu, sigma, u, logdet, align.frame_tokens())
+            loss = nm.aligned_nll(mu, sigma, u, logdet, align.frame_tokens())
             opt.zero_grad()
             loss.backward()
             opt.step()

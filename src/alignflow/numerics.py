@@ -15,18 +15,27 @@ choices worth knowing:
   vector-Jacobian closure on the output tensor, and ``backward`` walks that
   graph once. Gradients accumulate only into leaves (tensors you created
   directly, typically parameters).
+- Every tensor takes a number from one process-wide counter when it is
+  built, so it outranks its parents. ``backward`` pops the newest node a
+  cotangent has reached from a heap, as PyTorch's engine orders ready nodes
+  by sequence number: a popped node's consumers are all done, and the graph
+  is never sorted. A node's cotangents are summed newest consumer first;
+  where a node has at most two consumers this is the sum a depth-first walk
+  gave, bit for bit, and with three or more it may associate differently
+  (within 1e-12 relative on the speaker condition of four coupling layers).
 - Any op producing NaN/Inf from finite inputs raises ``NumericError``
   immediately instead of letting the poison spread.
 - Layers are fused ops, one tape node each, because a step's time is per
   node: ``attention`` (all heads of a multi-head self-attention; the encoder
   blocks and the coupling flows), ``conv1d`` with its bias (the coupling
   layers and the duration towers), ``linear`` (``x @ w + b``: the encoder FFN
-  and heads) and ``add_layer_norm`` (the encoder's post-norm residual). Each
-  has a hand-written VJP, and each is bit-identical, forward and backward, to
-  the chain of smaller ops it replaced. Each raises ``NumericError`` on
-  exactly the inputs where that chain raised: ``attention`` checks the
-  stacked q/k/v and the scaled, biased scores, ``add_layer_norm`` the sum,
-  and ``_make`` every output.
+  and heads), ``add_layer_norm`` (the encoder's post-norm residual) and
+  ``aligned_nll`` (the training loss, 14 nodes before). Each has a
+  hand-written VJP, and each is bit-identical, forward and backward, to the
+  chain of smaller ops it replaced. Each raises ``NumericError`` on exactly
+  the inputs where that chain raised: ``attention`` checks the stacked q/k/v
+  and the scaled, biased scores, ``add_layer_norm`` the sum, ``aligned_nll``
+  the denominator 2 s s, and ``_make`` every output.
 - ``conv1d`` is im2col + one BLAS matmul forward and two in its VJP. BLAS
   picks its own summation order, so it agrees with the per-tap contraction
   it replaced, or a scalar loop, to 1e-12 (relative and absolute), not bit
@@ -45,6 +54,7 @@ choices worth knowing:
 from __future__ import annotations
 
 import dataclasses
+import heapq
 import itertools
 import math
 import threading
@@ -66,6 +76,11 @@ def _as_array(data) -> np.ndarray:
     return np.asarray(data, dtype=np.float64)
 
 
+LOG_2PI = math.log(2.0 * math.pi)
+
+_creation_order = itertools.count()  # next() is one C call, atomic across threads
+
+
 class Tensor:
     """A numpy float64 array plus optional participation in the gradient tape.
 
@@ -74,7 +89,7 @@ class Tensor:
     into this tensor.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp", "_seq")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = _as_array(data)
@@ -82,6 +97,7 @@ class Tensor:
         self.grad: np.ndarray | None = None
         self._parents: tuple[Tensor, ...] = ()
         self._vjp = None
+        self._seq = next(_creation_order)  # a node outranks every one it was built from
 
     @property
     def shape(self):
@@ -155,6 +171,11 @@ class Tensor:
     def backward(self):
         """Populate ``grad`` on every requires_grad leaf reachable from this scalar.
 
+        Nodes are visited newest first: a heap keyed by creation number holds
+        every node a cotangent has reached. A node is built after all of its
+        parents, so each of its consumers is newer and has already been
+        visited when it is popped: its cotangent is complete, with no sort of
+        the graph. A node's cotangents are summed newest consumer first.
         Repeated calls without ``zero_grad`` accumulate. Raises ``ShapeError``
         if called on a non-scalar.
         """
@@ -162,12 +183,12 @@ class Tensor:
             raise ShapeError(
                 f"backward() needs a scalar loss, got shape {self.data.shape}"
             )
-        topo = _toposort(self)
         grads: dict[int, np.ndarray] = {id(self): np.ones_like(self.data)}
-        for node in reversed(topo):
-            g = grads.pop(id(node), None)
-            if g is None:
-                continue
+        pending = [(-self._seq, self)]  # seqs are unique, so no tie compares Tensors
+        pop, push = heapq.heappop, heapq.heappush
+        while pending:
+            node = pop(pending)[1]
+            g = grads.pop(id(node))
             if node._vjp is None:
                 if node.requires_grad:
                     node.grad = g if node.grad is None else node.grad + g
@@ -176,27 +197,11 @@ class Tensor:
                 if pg is None or not parent.requires_grad:
                     continue
                 key = id(parent)
-                grads[key] = pg if key not in grads else grads[key] + pg
-
-
-def _toposort(root: Tensor) -> list[Tensor]:
-    # iterative DFS; training graphs routinely exceed Python's recursion limit
-    order: list[Tensor] = []
-    seen: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(root, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            order.append(node)
-            continue
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        stack.append((node, True))
-        for p in node._parents:
-            if id(p) not in seen and p.requires_grad:
-                stack.append((p, False))
-    return order
+                if key in grads:
+                    grads[key] = grads[key] + pg
+                else:
+                    grads[key] = pg
+                    push(pending, (-parent._seq, parent))
 
 
 def ensure_tensor(x) -> Tensor:
@@ -360,9 +365,8 @@ def relu(a) -> Tensor:
 
 def clamp(a, lo: float, hi: float) -> Tensor:
     a = ensure_tensor(a)
-    data = np.clip(a.data, lo, hi)
-    inside = (a.data > lo) & (a.data < hi)
-    return _make(data, (a,), lambda g: (g * inside,), "clamp")
+    data = np.minimum(np.maximum(a.data, lo), hi)
+    return _make(data, (a,), lambda g: (g * ((a.data > lo) & (a.data < hi)),), "clamp")
 
 
 # ---------------------------------------------------------------------------
@@ -411,11 +415,15 @@ def reshape(a, shape) -> Tensor:
 def concat(tensors, axis: int = 0) -> Tensor:
     ts = [ensure_tensor(t) for t in tensors]
     data = np.concatenate([t.data for t in ts], axis=axis)
-    sizes = [t.shape[axis] for t in ts]
-    splits = np.cumsum(sizes)[:-1]
 
     def vjp(g):
-        return tuple(np.split(g, splits, axis=axis))
+        lead = (slice(None),) * (axis % g.ndim)
+        grads, lo = [], 0
+        for t in ts:
+            hi = lo + t.shape[axis]
+            grads.append(g[lead + (slice(lo, hi),)])
+            lo = hi
+        return grads
 
     return _make(data, tuple(ts), vjp, "concat")
 
@@ -434,24 +442,33 @@ def _getitem(a: Tensor, idx) -> Tensor:
     return _make(data.copy(), (a,), vjp, "getitem")
 
 
+def _row_ids(ids, rows: int, op: str) -> np.ndarray:
+    """``ids`` as int64 row numbers of a table with ``rows`` rows; raises
+    ``IndexError`` if one is outside [0, rows). A negative id viewed as
+    unsigned is at least 2**63, so one comparison of the unsigned maximum
+    checks both ends."""
+    ids = np.asarray(ids, dtype=np.int64)
+    if ids.size and np.maximum.reduce(ids.view(np.uint64), axis=None) >= rows:
+        raise IndexError(f"{op}: ids outside [0, {rows}): {ids.min()}..{ids.max()}")
+    return ids
+
+
+def _scatter_rows(g: np.ndarray, ids: np.ndarray, shape) -> np.ndarray:
+    """Cotangent of a row gather: row k of ``g`` added into row ``ids[k]``, in order."""
+    buf = np.zeros(shape)
+    np.add.at(buf, ids, g)
+    return buf
+
+
 def take_rows(table, ids) -> Tensor:
     """Row gather (embedding lookup); gradient scatter-adds into the table."""
     table = ensure_tensor(table)
-    ids = np.asarray(ids, dtype=np.int64)
     if table.ndim != 2:
         raise ShapeError(f"take_rows expects a 2-D table, got {table.shape}")
-    if ids.size and (ids.min() < 0 or ids.max() >= table.shape[0]):
-        raise IndexError(
-            f"take_rows: ids outside [0, {table.shape[0]}): {ids.min()}..{ids.max()}"
-        )
+    ids = _row_ids(ids, table.shape[0], "take_rows")
     data = table.data[ids]
-
-    def vjp(g):
-        buf = np.zeros(table.shape)
-        np.add.at(buf, ids, g)
-        return (buf,)
-
-    return _make(data, (table,), vjp, "take_rows")
+    return _make(data, (table,), lambda g: (_scatter_rows(g, ids, table.shape),),
+                 "take_rows")
 
 
 # ---------------------------------------------------------------------------
@@ -461,13 +478,13 @@ def take_rows(table, ids) -> Tensor:
 
 def summation(a, axis=None) -> Tensor:
     a = ensure_tensor(a)
-    data = a.data.sum(axis=axis)
+    data = np.add.reduce(a.data, axis=axis)  # what ndarray.sum runs, minus its wrapper
     shape = a.shape
 
     def vjp(g):
-        if axis is None:
-            return (np.broadcast_to(g, shape).copy(),)
-        return (np.broadcast_to(np.expand_dims(g, axis), shape).copy(),)
+        out = np.empty(shape)
+        out[...] = g if axis is None else np.expand_dims(g, axis)
+        return (out,)
 
     return _make(np.asarray(data), (a,), vjp, "sum")
 
@@ -485,6 +502,60 @@ def mse(a, b) -> Tensor:
         raise ShapeError(f"mse: shapes {a.shape} and {b.shape} differ")
     d = sub(a, b)
     return mean(mul(d, d))
+
+
+def aligned_nll(mu, sigma, u, logdet, frame_tokens) -> Tensor:
+    """Negative log-density of frames under the Gaussian prior of the tokens
+    they are aligned to, minus a flow log-determinant, per element, as one
+    tape node. mu, sigma: (I, C) per-token means and scales; u: (C, J) frames;
+    logdet: a scalar; frame_tokens: (J,) the token of each frame. With m, s the
+    rows picked by frame_tokens and n = J * C:
+
+        (sum_jc [log s + log(2 pi) / 2 + (u.T - m)**2 / (2 s s)] - logdet) / n
+
+    The result and the four cotangents equal, byte for byte, the chain of
+    transpose, take_rows, sub, log, add, mul, div and sum ops it replaced; the
+    cotangent of a picked sigma row sums its terms as (from log + from the
+    second factor of 2 s s) + from 2 s, the chain's order. It raises
+    ``NumericError`` exactly where that chain raised: on a non-finite 2 s s
+    (an overflow the later division by it would hide: q / inf = 0), and
+    through ``_make`` on a non-finite result, which every other non-finite
+    step of the chain reaches.
+    """
+    mu, sigma, u, logdet = (ensure_tensor(t) for t in (mu, sigma, u, logdet))
+    if (mu.ndim != 2 or sigma.shape != mu.shape or u.ndim != 2 or u.shape[0] != mu.shape[1]
+            or logdet.size != 1 or np.shape(frame_tokens) != u.shape[1:]):
+        raise ShapeError(f"aligned_nll expects mu and sigma (I,C), u (C,J), a scalar logdet "
+                         f"and (J,) frame tokens, got {mu.shape}, {sigma.shape}, {u.shape}, "
+                         f"{logdet.shape}, {np.shape(frame_tokens)}")
+    ids = _row_ids(frame_tokens, mu.shape[0], "aligned_nll")
+    m, s = mu.data[ids], sigma.data[ids]  # (J, C)
+    diff = np.subtract(u.data.T, m, out=np.empty(m.shape))  # C-ordered, as the sum needs
+    two_s = 2.0 * s
+    den = two_s * s
+    if not np.isfinite(den).all():
+        raise NumericError("aligned_nll produced a non-finite value")
+    sq = diff * diff
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.log(s)
+    terms += 0.5 * LOG_2PI
+    terms += sq / den
+    inv_n = 1.0 / diff.size
+    data = (np.add.reduce(terms, axis=None) - logdet.data) * inv_n
+
+    def vjp(g):
+        gt = g * inv_n  # every element's cotangent
+        g_sq = gt / den
+        g_den = -gt * sq / (den * den)
+        g_diff = g_sq * diff
+        g_diff += g_diff  # from both factors of diff * diff
+        g_s = gt / s
+        g_s += g_den * two_s
+        g_s += (g_den * s) * 2.0
+        return (_scatter_rows(-g_diff, ids, mu.shape), _scatter_rows(g_s, ids, sigma.shape),
+                g_diff.T, (-gt).reshape(logdet.shape))
+
+    return _make(data, (mu, sigma, u, logdet), vjp, "aligned_nll")
 
 
 def softmax(a, axis: int = -1) -> Tensor:

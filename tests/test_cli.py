@@ -347,15 +347,30 @@ class TestLoaderErrors:
 
     def test_dump_attention_non_finite_score(self, capsys, tmp_path, speaker_ckpt):
         # finite frames whose attention scores overflow: the NumericError ends
-        # the command with one line, like a bad input file
+        # the command with one line, like a bad input file, and numpy warns of
+        # nothing on the way
         frames = tmp_path / "frames.csv"
         frames.write_text("1e200,0.5,-0.3\n0.2,0.1,0.4\n")
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)  # numpy's overflow notice
+            warnings.simplefilter("error", RuntimeWarning)
             code, err = self.invoke_err(capsys, "dump-attention", "--ckpt", speaker_ckpt,
                                         "--input", frames, "--out", tmp_path / "maps")
         assert code == 2
         assert err == "alignflow dump-attention: attention produced a non-finite score\n"
+
+    def test_non_finite_score_writes_one_stderr_line_in_a_fresh_process(self, tmp_path,
+                                                                         speaker_ckpt):
+        # a fresh interpreter prints numpy's warnings by default, with their
+        # source line, so this sees what a user at a terminal sees
+        frames = tmp_path / "frames.csv"
+        frames.write_text("1e200,0.5,-0.3\n0.2,0.1,0.4\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "alignflow.cli", "dump-attention", "--ckpt",
+             str(speaker_ckpt), "--input", str(frames), "--out", str(tmp_path / "maps")],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr == "alignflow dump-attention: attention produced a non-finite score\n"
 
 
     @pytest.mark.parametrize("spec, field", [

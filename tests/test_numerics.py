@@ -160,6 +160,56 @@ def layer_norm_mean(x, axis, g, eps=1e-8):
     return y, inv * (g - g_mean - y * gy_mean)
 
 
+def dfs_order(root):
+    """The tape's nodes in the topological order of an iterative depth-first
+    search from ``root``, the sort ``backward`` ran before every walk until it
+    visited nodes in creation order."""
+    order, seen, stack = [], set(), [(root, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            order.append(node)
+            continue
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.append((node, True))
+        for p in node._parents:
+            if id(p) not in seen and p.requires_grad:
+                stack.append((p, False))
+    return order
+
+
+def backward_dfs(root):
+    """``Tensor.backward`` as it was with the depth-first sort: the reference
+    the creation-order walk must match."""
+    grads = {id(root): np.ones_like(root.data)}
+    for node in reversed(dfs_order(root)):
+        g = grads.pop(id(node), None)
+        if g is None:
+            continue
+        if node._vjp is None:
+            if node.requires_grad:
+                node.grad = g if node.grad is None else node.grad + g
+            continue
+        for parent, pg in zip(node._parents, node._vjp(g)):
+            if pg is None or not parent.requires_grad:
+                continue
+            key = id(parent)
+            grads[key] = pg if key not in grads else grads[key] + pg
+
+
+def aligned_nll_chain(mu, sigma, u, logdet, frame_tokens):
+    """``nm.aligned_nll`` as the chain of 14 tape ops it replaced."""
+    u_t = u.T  # (J, C)
+    mu_f = nm.take_rows(mu, frame_tokens)
+    sig_f = nm.take_rows(sigma, frame_tokens)
+    diff = u_t - mu_f
+    terms = nm.log(sig_f) + 0.5 * nm.LOG_2PI + (diff * diff) / (2.0 * sig_f * sig_f)
+    total = nm.summation(terms) - logdet
+    return total * (1.0 / u_t.size)
+
+
 def _forward_and_grads(op, leaves, *args):
     """Output bytes and the leaves' gradient bytes of ``op(*leaves, *args)``
     under a random output weighting."""
@@ -831,6 +881,352 @@ class TestConcurrency:
             parallel = list(pool.map(work, range(6)))
         for a, b in zip(serial, parallel):
             npt.assert_array_equal(a, b)
+
+
+def _walk_both_ways(monkeypatch):
+    """Make every ``backward`` run the depth-first reference first and then the
+    creation-order walk from the same leaf gradients; returns the list that
+    collects, per call, (reference, walk) gradient pairs of the leaves."""
+    walk, calls = nm.Tensor.backward, []
+
+    def both(root):
+        leaves = [n for n in dfs_order(root) if n._vjp is None and n.requires_grad]
+        before = [t.grad for t in leaves]  # accumulation rebinds grad, never writes it
+        backward_dfs(root)
+        reference = [t.grad for t in leaves]
+        for t, g in zip(leaves, before):
+            t.grad = g
+        walk(root)
+        calls.append([(a, t.grad) for a, t in zip(reference, leaves)])
+
+    monkeypatch.setattr(nm.Tensor, "backward", both)
+    return calls
+
+
+class TestCreationOrderWalk:
+    """``backward`` visits nodes newest first and sums a node's cotangents
+    newest consumer first. Where every node has at most two consumers, that
+    gives the depth-first walk's bytes (two-term sums commute); where a node
+    has three or more, the two walks may associate its sum differently, so
+    they are held to 1e-12 relative there."""
+
+    def test_acceptance_main_step_matches_the_depth_first_walk(self, monkeypatch):
+        from alignflow.harness import TrainConfig, train_toy
+
+        calls = _walk_both_ways(monkeypatch)
+        train_toy(TrainConfig(seed=7, steps_main=1, steps_duration=1, n_eval=0))
+        # one main step, then the critic and the generator of one duration step
+        assert [len(pairs) for pairs in calls] == [65, 6, 6]  # main, critic, generator params
+        for pairs in calls:
+            assert all(a.tobytes() == b.tobytes() for a, b in pairs)
+
+    def test_adversarial_duration_step_matches_the_depth_first_walk(self, monkeypatch):
+        from alignflow.duration import (DurationDiscriminator, DurationGenerator, adv_loss_d,
+                                        adv_loss_g, generate, mse_loss)
+
+        # one instance per batch, as training runs it; the critic sees it twice
+        # (real and fake), so no parameter has more than two consumers
+        rng = Rng(8)
+        gen = DurationGenerator(h_dim=5, z_dim=2, hidden=6, rng=rng.child(0), cond_dim=3)
+        disc = DurationDiscriminator(h_dim=5, hidden=6, rng=rng.child(1))
+        h, d, z = rng.normal((1, 4, 5)), rng.uniform(0.0, 1.5, (1, 4)), rng.normal((1, 4, 2))
+        mask = np.ones((1, 4), dtype=bool)
+        cond = Tensor(rng.normal(3), requires_grad=True)
+        calls = _walk_both_ways(monkeypatch)
+        adv_loss_d(disc, d, generate(gen, h, z, mask, cond), h, mask).backward()
+        d_hat = generate(gen, h, z, mask, cond)
+        with nm.frozen(disc.params()):
+            (adv_loss_g(disc, d_hat, h, mask) + mse_loss(d_hat, d, mask)).backward()
+        critic, generator = calls
+        assert len(critic) == len(disc.params())
+        assert len(generator) == len(gen.params()) + 1  # and the condition
+        for a, b in critic + generator:
+            assert a.tobytes() == b.tobytes()
+
+    def test_many_consumers_agree_within_1e12(self, monkeypatch):
+        # the speaker condition feeds all four coupling layers
+        from alignflow.harness import TrainConfig, train_toy
+
+        calls = _walk_both_ways(monkeypatch)
+        train_toy(TrainConfig(seed=7, steps_main=6, steps_duration=2, n_eval=0, speakers=3,
+                              speaker_shift=0.5, flow_depth=4))
+        assert len(calls) == 10
+        for pairs in calls:
+            for a, b in pairs:
+                npt.assert_allclose(b, a, rtol=1e-12, atol=0.0)
+
+    def test_fan_in_is_summed_newest_consumer_first(self):
+        # three consumers whose cotangents sum to 2, 3 or 4 depending on
+        # which two are added first
+        x = Tensor([1.0], requires_grad=True)
+        c1, c2, c3 = 1e16, 1.0, -(1e16 - 2.0)
+        nm.summation(x * c1 + x * c2 + x * c3).backward()
+        assert x.grad[0] == (c3 + c2) + c1 == 4.0
+        assert (c1 + c2) + c3 == 2.0 and (c1 + c3) + c2 == 3.0
+
+    def test_parents_wait_for_every_consumer(self):
+        # y is older than both of its consumers but is reached from the
+        # newest one first; its cotangent must be complete when it is visited
+        x = Tensor(np.array([0.3, -1.2]), requires_grad=True)
+        y = nm.tanh(x)
+        a = y * 3.0
+        b = nm.exp(a) + y
+        nm.summation(b * y).backward()
+        t = np.tanh(x.data)
+        want = (np.exp(3 * t) * 3 * t + 2 * t + np.exp(3 * t)) * (1 - t * t)
+        npt.assert_allclose(x.grad, want, rtol=1e-14)
+
+    def test_creation_numbers_stay_unique_under_thread_stress(self):
+        # a lost update of the shared counter would hand two tensors one number
+        import sys
+        from concurrent.futures import ThreadPoolExecutor
+
+        def make(_):
+            return [Tensor(0.0)._seq for _ in range(3000)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=6) as pool:
+                per_thread = list(pool.map(make, range(6), timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        seqs = [s for run in per_thread for s in run]
+        assert len(set(seqs)) == len(seqs) == 18000
+        assert all(run == sorted(run) for run in per_thread)
+
+    def test_threads_interleaved_op_by_op_match_serial(self):
+        import threading
+
+        def work(seed, step):
+            rng = Rng(seed)
+            w = Tensor(rng.normal((4, 4)), requires_grad=True)
+            h, seqs = Tensor(rng.normal((3, 4))), []
+            for _ in range(5):
+                step()
+                h = nm.tanh(h @ w)
+                step()
+                h = h + h * 0.5 + nm.exp(h * 0.1)  # h has three consumers
+                seqs.append(h._seq)
+            step()
+            loss = nm.summation(h)
+            step()
+            loss.backward()
+            return w.grad, seqs
+
+        serial = [work(s, lambda: None)[0] for s in (1, 2)]
+        barrier = threading.Barrier(2, timeout=30)
+        results = {}
+
+        def run(seed):
+            results[seed] = work(seed, barrier.wait)
+
+        threads = [threading.Thread(target=run, args=(s,)) for s in (1, 2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+        (g1, s1), (g2, s2) = results[1], results[2]
+        # the two tapes took their numbers from one counter, op by op
+        assert min(s1) < max(s2) and min(s2) < max(s1)
+        assert g1.tobytes() == serial[0].tobytes() and g2.tobytes() == serial[1].tobytes()
+
+
+def _nll_case(rng, durations, channels=2):
+    """Leaves (mu, sigma, u, logdet) and frame tokens of one aligned utterance."""
+    n = len(durations)
+    frame_tokens = np.repeat(np.arange(n), durations)
+    leaves = [Tensor(rng.normal((n, channels)), requires_grad=True),
+              Tensor(rng.uniform(0.3, 2.0, (n, channels)), requires_grad=True),
+              Tensor(rng.normal((channels, frame_tokens.size)), requires_grad=True),
+              Tensor(rng.normal(()), requires_grad=True)]
+    return leaves, frame_tokens
+
+
+class TestAlignedNll:
+    """The fused loss op against the chain it replaced, run through the
+    depth-first walk the chain was trained with."""
+
+    @staticmethod
+    def _both(leaves, frame_tokens):
+        out = nm.aligned_nll(*leaves, frame_tokens)
+        out.backward()
+        fused = [out.data.tobytes()] + [t.grad.tobytes() for t in leaves]
+        for t in leaves:
+            t.zero_grad()
+        out = aligned_nll_chain(*leaves, frame_tokens)
+        backward_dfs(out)
+        chain = [out.data.tobytes()] + [t.grad.tobytes() for t in leaves]
+        for t in leaves:
+            t.zero_grad()
+        return fused, chain
+
+    @pytest.mark.parametrize("durations", [[1], [3, 1, 2], [2, 2, 2, 2], [1, 5, 1, 4, 2, 3],
+                                           [6, 1]])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_bytes_match_the_chain(self, durations, seed):
+        # tokens repeat across frames, and [1], [3, 1, 2], ... give one-frame tokens
+        for channels in (1, 2, 4):
+            leaves, frame_tokens = _nll_case(Rng(seed), durations, channels)
+            fused, chain = self._both(leaves, frame_tokens)
+            assert fused == chain
+
+    def test_a_token_used_twice_apart(self):
+        leaves, _ = _nll_case(Rng(3), [2, 2, 2])
+        fused, chain = self._both(leaves, np.array([0, 1, 0, 2, 2, 1]))
+        assert fused == chain
+
+    def test_sigma_cotangent_keeps_the_chain_order(self):
+        # summing a sigma row's three terms in the order the new walk would
+        # run the chain moves bits: the op must keep the depth-first order
+        leaves, frame_tokens = _nll_case(Rng(0), [3, 1, 2, 4], channels=2)
+        out = aligned_nll_chain(*leaves, frame_tokens)
+        out.backward()
+        newest_first = leaves[1].grad.tobytes()
+        for t in leaves:
+            t.zero_grad()
+        fused, chain = self._both(leaves, frame_tokens)
+        assert fused[2] == chain[2] != newest_first
+
+    @pytest.mark.parametrize("speakers", [1, 3])
+    def test_model_gradients_match_the_chain(self, speakers):
+        from alignflow.harness import TrainConfig, _instance_forward, build_model
+        from alignflow.corpus import generate_corpus
+
+        config = TrainConfig(seed=2, speakers=speakers, speaker_shift=0.5)
+        corpus = generate_corpus(config.corpus_spec(), Rng(2).child(1))
+        model = build_model(config, Rng(2).child(3))
+        for p in model.main_params():  # off the identity init of the flows
+            if not p.data.any():
+                p.data[...] = 0.1 * Rng(4).normal(p.shape)
+        params = model.main_params()
+        for inst in corpus.train[:3]:
+            frame_tokens = np.repeat(np.arange(inst.tokens.size), inst.durations)
+            grads = []
+            for loss_fn, walk in ((nm.aligned_nll, Tensor.backward),
+                                  (aligned_nll_chain, backward_dfs)):
+                _, mu, sigma, u, logdet, _ = _instance_forward(model, inst)
+                loss = loss_fn(mu, sigma, u, logdet, frame_tokens)
+                walk(loss)
+                grads.append([loss.data.tobytes()] + [p.grad.tobytes() for p in params])
+                for p in params:
+                    p.zero_grad()
+            assert grads[0] == grads[1]
+
+    @pytest.mark.parametrize("edit", [
+        lambda mu, sig, u, ld: None,                                    # fine
+        lambda mu, sig, u, ld: sig.__setitem__((0, 0), 1e200),         # 2 s s overflows, q = 0
+        lambda mu, sig, u, ld: sig.__setitem__((0, 0), 1e153),         # 2 s s just finite
+        lambda mu, sig, u, ld: sig.__setitem__((0, 0), 1e-200),        # 2 s s underflows to 0
+        lambda mu, sig, u, ld: sig.__setitem__((1, 1), 0.0),           # log 0
+        lambda mu, sig, u, ld: sig.__setitem__((1, 1), -0.5),          # log of a negative
+        lambda mu, sig, u, ld: sig.__setitem__((2, 0), np.inf),        # picked row not finite
+        lambda mu, sig, u, ld: sig.__setitem__((3, 0), -1.0),          # a row no frame picks
+        lambda mu, sig, u, ld: (u.__setitem__((0, 0), 1e308),
+                                mu.__setitem__((0, 0), -1e308)),        # u - mu overflows
+        lambda mu, sig, u, ld: u.__setitem__((0, 0), 1.5e154),         # (u - mu)^2 overflows
+        lambda mu, sig, u, ld: (u.__setitem__((0, slice(0, 3)), 1.3e154),
+                                sig.__setitem__((0, 0), 1.0),
+                                mu.__setitem__((0, 0), 0.0)),           # the sum overflows
+        lambda mu, sig, u, ld: (u.__setitem__((0, slice(0, 2)), 1.3e154),
+                                sig.__setitem__((0, 0), 1.0),
+                                mu.__setitem__((0, 0), 0.0)),           # two terms: no overflow
+        lambda mu, sig, u, ld: ld.__setitem__((), 1.7e308),            # sum - logdet
+        lambda mu, sig, u, ld: ld.__setitem__((), np.nan),
+        lambda mu, sig, u, ld: u.__setitem__((1, 4), np.nan),
+    ])
+    def test_raises_exactly_where_the_chain_raises(self, edit):
+        rng = Rng(6)
+        mu, sig = rng.normal((4, 2)), rng.uniform(0.5, 1.5, (4, 2))
+        u, ld = rng.normal((2, 6)), np.asarray(rng.normal())
+        frame_tokens = np.array([0, 0, 0, 1, 2, 2])  # row 3 is never picked
+        edit(mu, sig, u, ld)
+        args = [Tensor(a) for a in (mu, sig, u, ld)]
+        assert (_raises_numeric(nm.aligned_nll, *args, frame_tokens)
+                == _raises_numeric(aligned_nll_chain, *args, frame_tokens))
+
+    # (input, index, value) edits of mu (0), sigma (1), u (2) and logdet (3);
+    # frames 0 and 1 pick token 0, frame 2 token 1
+    BIG = [(2, (0, 0), 1.3e154), (2, (0, 1), 1.3e154), (0, (0, 0), 0.0), (1, (0, 0), 1.0)]
+
+    @pytest.mark.parametrize("edits, raises", [
+        ([], False),
+        ([(1, (0, 0), 1e200)], True),  # 2 s s overflows while q = (u - mu)^2 / inf = 0
+        ([(1, (0, 0), 1e153)], False),
+        ([(1, (0, 0), 0.0)], True),  # s <= 0
+        ([(1, (0, 0), -1.0)], True),
+        ([(2, (0, 0), 1e308), (0, (0, 0), -1e308)], True),  # u - mu overflows
+        (BIG + [(2, (1, 1), 1.3e154), (0, (0, 1), 0.0), (1, (0, 1), 1.0)], True),  # the sum
+        (BIG + [(3, (), -1e308)], True),  # only sum - logdet overflows
+        (BIG, False),
+    ])
+    def test_each_kind_of_overflow(self, edits, raises):
+        rng = Rng(6)
+        arrays = [rng.normal((2, 2)), rng.uniform(0.5, 1.5, (2, 2)), rng.normal((2, 3)),
+                  np.asarray(0.0)]
+        for i, index, value in edits:
+            arrays[i][index] = value
+        args = [Tensor(a) for a in arrays] + [np.array([0, 0, 1])]
+        assert _raises_numeric(aligned_nll_chain, *args) == raises
+        assert _raises_numeric(nm.aligned_nll, *args) == raises
+
+    def test_one_node_and_shape_errors(self):
+        leaves, frame_tokens = _nll_case(Rng(1), [2, 1])
+        out = nm.aligned_nll(*leaves, frame_tokens)
+        assert out.shape == () and out._parents == tuple(leaves)
+        mu, sigma, u, logdet = leaves
+        with pytest.raises(ShapeError):
+            nm.aligned_nll(mu, sigma, u, logdet, frame_tokens[:-1])
+        with pytest.raises(ShapeError):
+            nm.aligned_nll(mu, sigma[:1], u, logdet, frame_tokens)
+        with pytest.raises(ShapeError):
+            nm.aligned_nll(mu, sigma, u.T, logdet, frame_tokens)
+        with pytest.raises(IndexError, match=r"aligned_nll: ids outside \[0, 2\): 0..2"):
+            nm.aligned_nll(mu, sigma, u, logdet, np.array([0, 2, 1]))
+
+
+class TestStructuralOps:
+    """``concat``, ``summation``, ``clamp`` and ``take_rows`` without numpy's
+    Python-level helpers give the bytes of the forms they replaced."""
+
+    def test_concat_vjp_slices_like_split(self):
+        rng = Rng(2)
+        for axis, shapes in ((0, [(2, 3), (1, 3), (4, 3)]), (1, [(3, 2), (3, 1)]),
+                             (-1, [(2, 2), (2, 3)])):
+            ts = [Tensor(rng.normal(s), requires_grad=True) for s in shapes]
+            out = nm.concat(ts, axis=axis)
+            g = rng.normal(out.shape)
+            splits = np.cumsum([s[axis] for s in shapes])[:-1]
+            for got, want in zip(out._vjp(g), np.split(g, splits, axis=axis)):
+                assert got.shape == want.shape and got.strides == want.strides
+                assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("axis", [None, 0, 1, -1])
+    def test_summation_vjp_matches_broadcast_copy(self, axis):
+        x = Tensor(Rng(3).normal((3, 4)), requires_grad=True)
+        out = nm.summation(x, axis=axis)
+        assert out.data.tobytes() == np.asarray(x.data.sum(axis=axis)).tobytes()
+        g = Rng(4).normal(out.shape)
+        want = np.broadcast_to(g if axis is None else np.expand_dims(g, axis), x.shape).copy()
+        (got,) = out._vjp(g)
+        assert got.flags.c_contiguous and got.tobytes() == want.tobytes()
+
+    def test_clamp_matches_clip_and_its_mask(self):
+        x = Tensor(np.array([-9.0, -8.0, -7.5, -0.0, 0.0, 3.0, 8.0, 9.5]), requires_grad=True)
+        out = nm.clamp(x, -8.0, 8.0)
+        assert out.data.tobytes() == np.clip(x.data, -8.0, 8.0).tobytes()
+        g = np.arange(1.0, 9.0)
+        (got,) = out._vjp(g)
+        assert got.tobytes() == (g * ((x.data > -8.0) & (x.data < 8.0))).tobytes()
+
+    def test_take_rows_bounds_at_both_ends(self):
+        t = Tensor(np.zeros((3, 2)))
+        for ids in ([0, 3], [-1, 0], [[0, 1], [2, 3]], [np.iinfo(np.int64).min]):
+            with pytest.raises(IndexError, match=r"take_rows: ids outside \[0, 3\)"):
+                nm.take_rows(t, ids)
+        assert nm.take_rows(t, [[0, 2], [1, 2]]).shape == (2, 2, 2)
+        assert nm.take_rows(t, np.array([], dtype=np.int64)).shape == (0, 2)
 
 
 class TestNoGrad:
