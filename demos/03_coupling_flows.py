@@ -50,7 +50,7 @@ print("attention row for frame 0:", np.round(amap[0], 3))
 conv_only = CouplingLayer(4, 8, Rng(5), attention=False, head_init="small")
 xin = Tensor(Rng(6).normal((4, 6)))
 y1, _ = conv_only.forward(xin)
-for p in (conv_only.wq, conv_only.wk, conv_only.wv, conv_only.wo):
+for p in (conv_only.wqkv, conv_only.wo):
     p.data[:] = 1e3
 y2, _ = conv_only.forward(xin)
 print("\nattention-off outputs identical after scrambling attention params:",

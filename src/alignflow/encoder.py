@@ -55,13 +55,12 @@ class EncoderBlock(nm.Module):
         self.width = width
         self.n_heads = n_heads
         self.head_dim = width // n_heads
-        self.heads = []
-        for h in range(n_heads):
-            r = rng.child(h)
-            self.heads.append(tuple(
-                self.param(f"head{h}.{n}", nm.init_uniform(r, (width, self.head_dim), width))
-                for n in ("wq", "wk", "wv")
-            ))
+        # head h draws its wq, wk, wv from rng.child(h); nm.attention takes all wq, all wk, all wv
+        w = np.stack([nm.init_uniform(rng.child(h), (3, width, self.head_dim), width).data
+                      for h in range(n_heads)], axis=1)
+        self.wqkv = self.param({f"head{h}.{n}": j * n_heads + h for h in range(n_heads)
+                                for j, n in enumerate(("wq", "wk", "wv"))},
+                               Tensor(w.reshape(3 * n_heads, width, -1), requires_grad=True))
         r = rng.child(n_heads)
         self.wo = self.param("wo", nm.init_uniform(r, (width, width), width))
         self.w1 = self.param("ffn.w1", nm.init_uniform(r, (width, ff_width), width))
@@ -70,7 +69,7 @@ class EncoderBlock(nm.Module):
         self.b2 = self.param("ffn.b2", nm.zeros((width,), requires_grad=True))
 
     def forward(self, x: Tensor, attn_bias: np.ndarray | None = None) -> Tensor:
-        heads = nm.attention(x, self.heads, 1.0 / math.sqrt(self.head_dim), attn_bias)
+        heads = nm.attention(x, self.wqkv, self.n_heads, 1.0 / math.sqrt(self.head_dim), attn_bias)
         x = nm.add_layer_norm(x, heads @ self.wo, axis=1)
         ff = nm.linear(nm.relu(nm.linear(x, self.w1, self.b1)), self.w2, self.b2)
         return nm.add_layer_norm(x, ff, axis=1)

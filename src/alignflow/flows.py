@@ -51,9 +51,8 @@ class CouplingLayer(nm.Module):
         self.cond_dim = cond_dim
 
         half, kd = self.half, key_dim
-        self.wq = self.param("attn.wq", nm.init_uniform(rng, (half, kd), half))
-        self.wk = self.param("attn.wk", nm.init_uniform(rng, (half, kd), half))
-        self.wv = self.param("attn.wv", nm.init_uniform(rng, (half, kd), half))
+        self.wqkv = self.param({"attn.wq": 0, "attn.wk": 1, "attn.wv": 2},
+                               nm.init_uniform(rng, (3, half, kd), half))
         self.wo = self.param("attn.wo", nm.init_uniform(rng, (kd, half), kd))
         self.conv1_w = self.param(
             "conv1.w", nm.init_uniform(rng, (hidden, half, KERNEL), half * KERNEL)
@@ -73,8 +72,7 @@ class CouplingLayer(nm.Module):
 
     def _attend(self, xa: Tensor) -> Tensor:
         # self-attention over time; xa is (half, T)
-        heads = [(self.wq, self.wk, self.wv)]
-        return (nm.attention(xa.T, heads, 1.0 / math.sqrt(self.key_dim)) @ self.wo).T
+        return (nm.attention(xa.T, self.wqkv, 1, 1.0 / math.sqrt(self.key_dim)) @ self.wo).T
 
     def _shift_and_logscale(self, xa: Tensor, cond: Tensor | None):
         h = xa
@@ -125,7 +123,7 @@ class CouplingLayer(nm.Module):
         the same ``nm.attention_probs``.
         """
         xt = np.ascontiguousarray(nm.ensure_tensor(x).data[: self.half].T)
-        q, k = np.matmul(xt, np.array([self.wq.data, self.wk.data]))
+        q, k = np.matmul(xt, self.wqkv.data[:2])
         return nm.attention_probs(q[None], k[None], 1.0 / math.sqrt(self.key_dim))[0]
 
 

@@ -31,12 +31,12 @@ def _away_from_zero(x: np.ndarray, margin: float = 0.2) -> np.ndarray:
     return x + margin * np.sign(x)
 
 
-def _swap_param(obj, attr: str, build):
-    """Scalar function of a module parameter: swap the probe in, evaluate, restore."""
+def _swap_param(obj, attr: str, build, row: int | None = None):
+    """Scalar function of a parameter or one ``row`` of it: swap the probe in, evaluate, restore."""
 
     def f(probe: Tensor) -> Tensor:
         original = getattr(obj, attr)
-        setattr(obj, attr, probe)
+        setattr(obj, attr, probe if row is None else _with_row(original.data, row, probe))
         try:
             return build()
         finally:
@@ -45,18 +45,9 @@ def _swap_param(obj, attr: str, build):
     return f
 
 
-def _swap_head_weight(block: EncoderBlock, head: int, which: int, build):
-    """``_swap_param`` for weight ``which`` (0 wq, 1 wk, 2 wv) of one attention head."""
-
-    def f(probe: Tensor) -> Tensor:
-        original = block.heads[head]
-        block.heads[head] = tuple(probe if i == which else w for i, w in enumerate(original))
-        try:
-            return build()
-        finally:
-            block.heads[head] = original
-
-    return f
+def _with_row(w: np.ndarray, row: int, probe: Tensor) -> Tensor:
+    """``w`` with ``w[row]`` replaced by ``probe``, differentiable in ``probe``."""
+    return nm.concat([w[:row], nm.reshape(probe, (1, *probe.shape)), w[row + 1:]], axis=0)
 
 
 def suite(rng: Rng) -> list[tuple[str, object, Tensor]]:
@@ -139,24 +130,25 @@ def suite(rng: Rng) -> list[tuple[str, object, Tensor]]:
     ra = rng.child(15)
     t_att, d_att = ra.integers(2, 6), ra.integers(1, 4)
     x_att = Tensor(ra.normal((t_att, 3)))
-    w_att = [Tensor(ra.normal((3, d_att))) for _ in range(6)]  # head0 q, k, v; head1 q, k, v
+    draws = [ra.normal((3, d_att)) for _ in range(6)]  # head0 q, k, v; head1 q, k, v
+    w_att = np.array(draws)[[0, 3, 1, 4, 2, 5]]  # all wq, all wk, all wv
     masked = np.zeros((t_att, t_att))
     masked[:, -1] = MASK_BIAS
     wout, wout_masked = ra.normal((2, t_att, 2 * d_att))
 
-    def att_loss(x: Tensor, ws: list[Tensor]) -> Tensor:
-        heads, scale = [ws[:3], ws[3:]], 1.0 / np.sqrt(d_att)
-        return (weighted(nm.attention(x, heads, scale), wout)
-                + weighted(nm.attention(x, heads, scale, masked), wout_masked))
+    def att_loss(x: Tensor, w) -> Tensor:
+        scale = 1.0 / np.sqrt(d_att)
+        return (weighted(nm.attention(x, w, 2, scale), wout)
+                + weighted(nm.attention(x, w, 2, scale, masked), wout_masked))
 
-    def att_weight(i: int):
-        return lambda t: att_loss(x_att, w_att[:i] + [t] + w_att[i + 1:])
+    def att_weight(row: int):
+        return lambda t: att_loss(x_att, _with_row(w_att, row, t))
 
-    checks += [
+    checks += [  # head 0's projections
         ("attention.x", lambda t: att_loss(t, w_att), x_att),
-        ("attention.wq", att_weight(0), w_att[0]),
-        ("attention.wk", att_weight(1), w_att[1]),
-        ("attention.wv", att_weight(2), w_att[2]),
+        ("attention.wq", att_weight(0), Tensor(w_att[0])),
+        ("attention.wk", att_weight(2), Tensor(w_att[2])),
+        ("attention.wv", att_weight(4), Tensor(w_att[4])),
     ]
 
     # the fused layer ops, from their own stream too; the conv kernel may be
@@ -230,7 +222,8 @@ def suite(rng: Rng) -> list[tuple[str, object, Tensor]]:
          lambda t: weighted(layer.forward(t)[0], wflow) + layer.forward(t)[1] * 0.7, xin),
         ("coupling.conv1_w", _swap_param(layer, "conv1_w", flow_loss),
          Tensor(layer.conv1_w.data.copy())),
-        ("coupling.wq", _swap_param(layer, "wq", flow_loss), Tensor(layer.wq.data.copy())),
+        ("coupling.wq", _swap_param(layer, "wqkv", flow_loss, row=0),
+         Tensor(layer.wqkv.data[0].copy())),
     ]
 
     gen = DurationGenerator(h_dim=6, z_dim=2, hidden=5, rng=rng.child(11))
@@ -271,8 +264,8 @@ def suite(rng: Rng) -> list[tuple[str, object, Tensor]]:
         ("encoder_block.input", lambda t: weighted(block.forward(t), wblk), xblk),
         ("encoder_block.wo", _swap_param(block, "wo", block_loss),
          Tensor(block.wo.data.copy())),
-        ("encoder_block.head0.wk", _swap_head_weight(block, 0, 1, block_loss),
-         Tensor(block.heads[0][1].data.copy())),
+        ("encoder_block.head0.wk", _swap_param(block, "wqkv", block_loss, row=2),
+         Tensor(block.wqkv.data[2].copy())),
     ]
     return checks + _main_phase_checks(rng.child(14)) + _duration_phase_checks(rng.child(18))
 
@@ -302,10 +295,10 @@ def _main_phase_checks(rng: Rng) -> list[tuple[str, object, Tensor]]:
     return [
         ("main.spk.speakers.table", _swap_param(model.speakers, "table", loss),
          Tensor(model.speakers.table.data.copy())),
-        ("main.enc.block2.head1.wq", _swap_head_weight(block, 1, 0, loss),
-         Tensor(block.heads[1][0].data.copy())),
-        ("main.flow.layer1.attn.wq", _swap_param(layer, "wq", loss),
-         Tensor(layer.wq.data.copy())),
+        ("main.enc.block2.head1.wq", _swap_param(block, "wqkv", loss, row=1),
+         Tensor(block.wqkv.data[1].copy())),
+        ("main.flow.layer1.attn.wq", _swap_param(layer, "wqkv", loss, row=0),
+         Tensor(layer.wqkv.data[0].copy())),
     ]
 
 

@@ -465,8 +465,16 @@ def load_model(path) -> ToyModel:
             raise CheckpointError(f"{path}: missing config entry {key}")
         raw = float(entries[key].reshape(()))
         ftype = _FIELD_TYPES[f.name]
-        kwargs[f.name] = ftype(raw) if ftype is not bool else bool(raw)
+        if ftype is bool and raw not in (0.0, 1.0):
+            raise CheckpointError(f"{path}: {key} = {raw!r} is not a bool (0 or 1)")
+        if ftype is int and not raw.is_integer():
+            raise CheckpointError(f"{path}: {key} = {raw!r} is not an integer")
+        kwargs[f.name] = ftype(raw)
     config = TrainConfig(**kwargs)
+    try:
+        config.validate()
+    except ValueError as e:
+        raise CheckpointError(f"{path}: cfg entries are not a valid config: {e}") from None
     model = build_model(config, Rng(config.seed).child(3))
     named = model.named_params()
     known = {f"cfg.{f.name}" for f in dataclasses.fields(TrainConfig)}

@@ -6,8 +6,9 @@ choices worth knowing:
 
 - float64 only; finite-difference gradient checks need the precision.
 - Tensors are tiny, so a training step's time goes to Python and numpy call
-  overhead per op, not to arithmetic; the hot paths (``_make``, ``AdamW.step``)
-  keep their numpy calls few.
+  overhead per op, not to arithmetic; the hot paths keep their numpy calls few.
+  ``_make`` builds every node with ``object.__new__``, not ``Tensor.__init__``;
+  it and ``attention`` call the ufunc reductions behind ``.all``/``.max``/``.sum``.
 - ``AdamW`` owns the storage of the parameters it is given: each ``p.data``
   becomes a view into one flat buffer. Write a parameter in place
   (``p.data[...] = x``), never rebind it; ``AdamW.step`` raises if one was.
@@ -25,17 +26,18 @@ choices worth knowing:
   (within 1e-12 relative on the speaker condition of four coupling layers).
 - Any op producing NaN/Inf from finite inputs raises ``NumericError``
   immediately instead of letting the poison spread.
-- Layers are fused ops, one tape node each, because a step's time is per
-  node: ``attention`` (all heads of a multi-head self-attention; the encoder
-  blocks and the coupling flows), ``conv1d`` with its bias (the coupling
-  layers and the duration towers), ``linear`` (``x @ w + b``: the encoder FFN
-  and heads), ``add_layer_norm`` (the encoder's post-norm residual) and
-  ``aligned_nll`` (the training loss, 14 nodes before). Each has a
-  hand-written VJP, and each is bit-identical, forward and backward, to the
-  chain of smaller ops it replaced. Each raises ``NumericError`` on exactly
-  the inputs where that chain raised: ``attention`` checks the stacked q/k/v
-  and the scaled, biased scores, ``add_layer_norm`` the sum, ``aligned_nll``
-  the denominator 2 s s, and ``_make`` every output.
+- Layers are fused ops, one tape node each, because a step's time is per node:
+  ``attention`` (all heads of a multi-head self-attention, from one (3H, D, d)
+  q/k/v leaf; the encoder blocks and the coupling flows), ``conv1d`` with its
+  bias (the coupling layers and the duration towers), ``linear``
+  (``x @ w + b``: the encoder FFN and heads), ``add_layer_norm`` (the
+  encoder's post-norm residual) and ``aligned_nll`` (the training loss, 14
+  nodes before). Each has a hand-written VJP, and each is bit-identical,
+  forward and backward, to the chain of smaller ops it replaced. Each raises
+  ``NumericError`` on exactly the inputs where that chain raised:
+  ``attention`` checks the stacked q/k/v and the scaled, biased scores,
+  ``add_layer_norm`` the sum, ``aligned_nll`` the denominator 2 s s, and
+  ``_make`` every output.
 - ``conv1d`` is im2col + one BLAS matmul forward and two in its VJP. BLAS
   picks its own summation order, so it agrees with the per-tap contraction
   it replaced, or a scalar loop, to 1e-12 (relative and absolute), not bit
@@ -77,6 +79,8 @@ def _as_array(data) -> np.ndarray:
 
 
 LOG_2PI = math.log(2.0 * math.pi)
+_F64 = np.dtype(np.float64)
+_all, _max, _sum = np.logical_and.reduce, np.maximum.reduce, np.add.reduce  # as .all/.max/.sum
 
 _creation_order = itertools.count()  # next() is one C call, atomic across threads
 
@@ -229,14 +233,28 @@ def no_grad():
         _grad_mode.enabled = saved
 
 
-def _make(data: np.ndarray, parents: tuple[Tensor, ...], vjp, op: str) -> Tensor:
-    if not np.isfinite(data).all():
+def _make(data, parents: tuple[Tensor, ...], vjp, op: str) -> Tensor:
+    """The output node of an op: ``data`` as a float64 ndarray, recorded on the
+    tape with ``parents`` and ``vjp`` when recording is on and a parent takes a
+    gradient. Raises ``NumericError`` if any value is non-finite.
+
+    This runs once per node, so it skips ``Tensor.__init__``: a float64 ndarray
+    is kept as is and anything else (an ``np.float64`` scalar, another dtype)
+    is converted as ``Tensor(data)`` would; the finite check is the ufunc
+    reduction ``ndarray.all`` runs, without its Python wrapper.
+    """
+    if type(data) is not np.ndarray or data.dtype is not _F64:
+        data = _as_array(data)
+    if not _all(np.isfinite(data), axis=None):
         raise NumericError(f"{op} produced a non-finite value")
-    out = Tensor(data)
-    if _grad_mode.enabled and any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out._parents = parents
-        out._vjp = vjp
+    out = object.__new__(Tensor)
+    out.data, out.grad, out._seq = data, None, next(_creation_order)
+    if _grad_mode.enabled:
+        for p in parents:
+            if p.requires_grad:
+                out.requires_grad, out._parents, out._vjp = True, parents, vjp
+                return out
+    out.requires_grad, out._parents, out._vjp = False, (), None
     return out
 
 
@@ -632,20 +650,21 @@ def attention_probs(q: np.ndarray, k: np.ndarray, scale: float,
         except ValueError:
             raise ShapeError(f"attention: bias {np.shape(bias)} does not fit scores "
                              f"{scores.shape[1:]}")
-    if not np.isfinite(scores).all():
+    if not _all(np.isfinite(scores), axis=None):
         raise NumericError("attention produced a non-finite score")
-    scores -= scores.max(axis=-1, keepdims=True)
+    scores -= _max(scores, axis=-1, keepdims=True)
     np.exp(scores, out=scores)
-    scores /= scores.sum(axis=-1, keepdims=True)
+    scores /= _sum(scores, axis=-1, keepdims=True)
     return scores
 
 
-def attention(x, heads, scale: float, bias: np.ndarray | None = None) -> Tensor:
+def attention(x, w, n_heads: int, scale: float, bias: np.ndarray | None = None) -> Tensor:
     """Multi-head self-attention as one tape node.
 
-    x: (T, D); heads: (wq, wk, wv) per head, each (D, d). Returns (T, H*d) with
-    head h in columns h*d:(h+1)*d: softmax(x@wq @ (x@wk).T * scale + bias) @ x@wv.
-    ``bias`` is a constant additive (T, T) score bias or None.
+    x: (T, D); w: (3H, D, d), the wq, wk, wv of head h at rows h, H + h, 2H + h
+    for H = ``n_heads``. Returns (T, H*d) with head h in columns h*d:(h+1)*d:
+    softmax(x@wq @ (x@wk).T * scale + bias) @ x@wv. ``bias`` is a constant
+    additive (T, T) score bias or None.
 
     The forward is bit-identical to the per-head chain of matmul, transpose,
     mul, add, softmax, matmul and concat ops: each product runs the same 2-D
@@ -656,17 +675,14 @@ def attention(x, heads, scale: float, bias: np.ndarray | None = None) -> Tensor:
     non-finite output. Softmax of finite scores is finite, so nothing in
     between needs a check. The maps take one (H, T, T) buffer and the VJP two.
     """
-    x = ensure_tensor(x)
-    n = len(heads)
-    ws = [ensure_tensor(w) for w in itertools.chain(*zip(*heads))]  # all wq, all wk, all wv
-    if x.ndim != 2 or n == 0 or any(w.shape != ws[0].shape or w.shape[0] != x.shape[1]
-                                    for w in ws):
-        raise ShapeError(f"attention: x {x.shape} needs one or more heads of equal (D, d) "
-                         f"weights with D = x.shape[1], got {[w.shape for w in ws]}")
-    length, d = x.shape[0], ws[0].shape[1]
-    w = np.array([t.data for t in ws])  # (3H, D, d)
-    qkv = np.matmul(x.data, w)  # (3H, T, d)
-    if not np.isfinite(qkv).all():
+    x, w = ensure_tensor(x), ensure_tensor(w)
+    n = n_heads
+    if x.ndim != 2 or w.ndim != 3 or n < 1 or w.shape[0] != 3 * n or w.shape[1] != x.shape[1]:
+        raise ShapeError(f"attention: x {x.shape} needs (3H, D, d) weights for H = {n} heads "
+                         f"with D = x.shape[1], got {w.shape}")
+    length, d, wd = x.shape[0], w.shape[2], w.data
+    qkv = np.matmul(x.data, wd)  # (3H, T, d)
+    if not _all(np.isfinite(qkv), axis=None):
         raise NumericError("attention produced a non-finite q, k or v")
     q, k, v = qkv[:n], qkv[n : 2 * n], qkv[2 * n :]
     att = attention_probs(q, k, scale, bias)  # (H, T, T)
@@ -678,18 +694,17 @@ def attention(x, heads, scale: float, bias: np.ndarray | None = None) -> Tensor:
         g_qkv = np.empty_like(qkv)
         np.matmul(att.transpose(0, 2, 1), gh, out=g_qkv[2 * n :])
         # the softmax VJP att * (g_att - sum(g_att * att)), formed in g_att
-        g_att -= (g_att * att).sum(axis=-1, keepdims=True)
+        g_att -= _sum(g_att * att, axis=-1, keepdims=True)
         g_att *= att
         g_att *= scale
         np.matmul(g_att, k, out=g_qkv[:n])
         np.matmul(g_att.transpose(0, 2, 1), q, out=g_qkv[n : 2 * n])
-        g_w = np.matmul(x.data.T, g_qkv)
         # sum over the 3H projections of g_qkv[i] @ w[i].T, as one product
-        g_x = g_qkv.transpose(1, 0, 2).reshape(length, -1) @ w.transpose(1, 0, 2).reshape(
-            w.shape[1], -1).T
-        return (g_x, *g_w)
+        g_x = g_qkv.transpose(1, 0, 2).reshape(length, -1) @ wd.transpose(1, 0, 2).reshape(
+            wd.shape[1], -1).T
+        return g_x, np.matmul(x.data.T, g_qkv)
 
-    return _make(data, (x, *ws), vjp, "attention")
+    return _make(data, (x, w), vjp, "attention")
 
 
 # ---------------------------------------------------------------------------
@@ -823,12 +838,15 @@ class Module:
     """Base for anything with parameters.
 
     ``param`` and ``child`` register a tensor (``None`` for an absent optional
-    one) or a sub-module under its checkpoint name and return it unchanged.
-    ``named_params`` lists them in registration order, a child's under its
-    prefix; names and order are the checkpoint format (docs/checkpoint_format.md).
+    one) or a sub-module under its checkpoint name and return it unchanged;
+    ``param`` given a dict {name: row} registers one stacked leaf, each row of
+    its first axis a checkpoint entry. ``params`` lists the leaves and
+    ``named_params`` the entries, in registration order, a child's under its
+    prefix and a stacked leaf's rows as views of its current data; names and
+    order are the checkpoint format (docs/checkpoint_format.md).
     """
 
-    def param(self, name: str, tensor: Tensor | None) -> Tensor | None:
+    def param(self, name: str | dict[str, int], tensor: Tensor | None) -> Tensor | None:
         self.__dict__.setdefault("_members", []).append((name, tensor))
         return tensor
 
@@ -840,12 +858,15 @@ class Module:
         for name, member in self.__dict__.get("_members", ()):
             if isinstance(member, Module):
                 out += [(f"{name}.{n}", t) for n, t in member.named_params()]
+            elif isinstance(name, dict):  # AdamW rebinds .data, so view it now
+                out += [(n, Tensor(member.data[i])) for n, i in name.items()]
             elif member is not None:
                 out.append((name, member))
         return out
 
     def params(self) -> list[Tensor]:
-        return [t for _, t in self.named_params()]
+        members = [m for _, m in self.__dict__.get("_members", ()) if m is not None]
+        return [p for m in members for p in (m.params() if isinstance(m, Module) else [m])]
 
 
 # ---------------------------------------------------------------------------

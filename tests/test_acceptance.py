@@ -204,7 +204,7 @@ def test_8_ablation_arms():
         y1, ld1 = model.flows.forward(x)
         for layer in model.flows.layers:
             assert not layer.attention
-            for p in (layer.wq, layer.wk, layer.wv, layer.wo):
+            for p in (layer.wqkv, layer.wo):
                 p.data[:] = rng.normal(p.shape) * 20.0
         y2, ld2 = model.flows.forward(x)
         npt.assert_array_equal(y1.data, y2.data)

@@ -388,6 +388,47 @@ class TestLoaderErrors:
         assert err.startswith(f"alignflow eval-align: {path}: {field} but ")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("cfg.steps_main", np.inf, "cfg.steps_main = inf is not an integer"),
+        ("cfg.steps_main", np.nan, "cfg.steps_main = nan is not an integer"),
+        ("cfg.key_dim", 2.5, "cfg.key_dim = 2.5 is not an integer"),
+        ("cfg.condition_speaker", 0.25, "cfg.condition_speaker = 0.25 is not a bool (0 or 1)"),
+        ("cfg.channels", 3.0, "cfg entries are not a valid config: channels must be even "
+                              "for the coupling split"),
+    ])
+    @pytest.mark.parametrize("command", ["dump-attention", "eval-align"])
+    def test_bad_config_entry_in_checkpoint(self, capsys, tmp_path, speaker_ckpt, key, value,
+                                            message, command):
+        from alignflow.checkpoint import load_checkpoint, save_checkpoint
+
+        entries = load_checkpoint(speaker_ckpt)
+        entries[key] = np.float64(value)
+        save_checkpoint(speaker_ckpt, entries)
+        frames = tmp_path / "frames.csv"
+        np.savetxt(frames, Rng(5).normal((2, 6)), delimiter=",")
+        args = (["--input", frames, "--out", tmp_path / "maps"] if command == "dump-attention"
+                else ["--corpus", tmp_path / "corpus.json"])
+        code, err = self.invoke_err(capsys, command, "--ckpt", speaker_ckpt, *args)
+        assert code == 2
+        assert err == f"alignflow {command}: {speaker_ckpt}: {message}\n"
+
+    def test_infinite_config_entry_one_line_in_a_fresh_process(self, tmp_path, speaker_ckpt):
+        from alignflow.checkpoint import load_checkpoint, save_checkpoint
+
+        entries = load_checkpoint(speaker_ckpt)
+        entries["cfg.steps_main"] = np.float64(np.inf)
+        save_checkpoint(speaker_ckpt, entries)
+        frames = tmp_path / "frames.csv"
+        np.savetxt(frames, Rng(5).normal((2, 6)), delimiter=",")
+        proc = subprocess.run(
+            [sys.executable, "-m", "alignflow.cli", "dump-attention", "--ckpt",
+             str(speaker_ckpt), "--input", str(frames), "--out", str(tmp_path / "maps")],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr == (f"alignflow dump-attention: {speaker_ckpt}: "
+                               f"cfg.steps_main = inf is not an integer\n")
+
     def test_eval_align_token_outside_vocab(self, capsys, tmp_path, speaker_ckpt):
         path = tmp_path / "corpus.json"
         save_corpus(generate_corpus(CorpusSpec(speakers=3), Rng(6)), path)

@@ -91,7 +91,7 @@ class TestCouplingLayer:
         layer = CouplingLayer(4, 6, rng, attention=False, head_init="small")
         x = Tensor(rng.normal((4, 7)))
         y1, ld1 = layer.forward(x)
-        for p in (layer.wq, layer.wk, layer.wv, layer.wo):
+        for p in (layer.wqkv, layer.wo):
             p.data[:] = rng.normal(p.shape) * 50.0
         y2, ld2 = layer.forward(x)
         npt.assert_array_equal(y1.data, y2.data)
@@ -104,7 +104,7 @@ class TestCouplingLayer:
         y, logdet = layer.forward(x)
         (nm.summation(y * rng.normal((2, 4))) + logdet).backward()
         assert layer.conv2_w.grad is not None and np.any(layer.conv2_w.grad)
-        assert layer.wq.grad is not None
+        assert layer.wqkv.grad is not None and layer.wqkv.grad.shape == (3, 1, 4)
 
 
 class TestAttentionMap:
@@ -115,8 +115,7 @@ class TestAttentionMap:
 
     def test_zero_query_key_gives_uniform(self):
         layer = CouplingLayer(2, 4, Rng(13))
-        layer.wq.data[:] = 0.0
-        layer.wk.data[:] = 0.0
+        layer.wqkv.data[:2] = 0.0  # wq and wk
         amap = layer.attention_map(Tensor(Rng(14).normal((2, 5))))
         npt.assert_allclose(amap, np.full((5, 5), 0.2), atol=1e-15)
 

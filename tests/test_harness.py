@@ -447,6 +447,37 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match=extra):
             load_model(path)
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("cfg.steps_main", np.inf, r"cfg.steps_main = inf is not an integer"),
+        ("cfg.steps_main", -np.inf, r"cfg.steps_main = -inf is not an integer"),
+        ("cfg.n_heads", np.nan, r"cfg.n_heads = nan is not an integer"),
+        ("cfg.hidden_width", 2.5, r"cfg.hidden_width = 2.5 is not an integer"),
+        ("cfg.noise_anneal", 0.5, r"cfg.noise_anneal = 0.5 is not a bool \(0 or 1\)"),
+        ("cfg.transformer_block", 2.0, r"cfg.transformer_block = 2.0 is not a bool"),
+        ("cfg.channels", 3.0, r"not a valid config: channels must be even"),
+        ("cfg.steps_duration", 0.0, r"not a valid config: step counts"),
+        ("cfg.n_heads", 3.0, r"not a valid config: n_heads 3 does not divide hidden_width"),
+    ])
+    def test_bad_config_entry_raises_checkpoint_error(self, tmp_path, key, value, message):
+        path = tmp_path / "model.bin"
+        save_model(path, build_model(tiny_config(), Rng(0)))
+        entries = load_checkpoint(path)
+        entries[key] = np.float64(value)
+        save_checkpoint(path, entries)
+        with pytest.raises(CheckpointError, match=rf"^{re.escape(str(path))}: .*{message}"):
+            load_model(path)
+
+    def test_integral_config_entries_load(self, tmp_path):
+        path = tmp_path / "model.bin"
+        save_model(path, build_model(tiny_config(), Rng(0)))
+        entries = load_checkpoint(path)
+        entries["cfg.steps_main"] = np.float64(7.0)
+        entries["cfg.noise_anneal"] = np.float64(0.0)
+        save_checkpoint(path, entries)
+        config = load_model(path).config
+        assert config.steps_main == 7 and type(config.steps_main) is int
+        assert config.noise_anneal is False
+
     def test_header_only_duration_corpus_rejected(self, tmp_path):
         path = tmp_path / "dur.csv"
         path.write_text("instance,position,log_duration,h0,h1\n")
@@ -545,10 +576,61 @@ class TestParamNames:
         model = build_model(TrainConfig(**SMALL_SIZES, **overrides), Rng(0))
         named = model.named_params()
         assert [n for n, _ in named] == expected
-        name_of = {id(t): n for n, t in named}
-        assert len(name_of) == len(named)
-        main = [name_of[id(p)] for p in model.main_params()]
-        assert main == [n for n in expected if n.startswith(("enc.", "flow.", "spk."))]
+        # each main leaf owns one entry, or all the q/k/v entries of one attention block
+        owned = [[n for n, t in named if np.shares_memory(t.data, p.data)]
+                 for p in model.main_params()]
+        assert sum(owned, []) == [n for n in expected if n.startswith(("enc.", "flow.", "spk."))]
+        qkv = ("wq", "wk", "wv")
+        assert [o for o in owned if len(o) > 1] == (
+            [[f"enc.block{b}.head{h}.{w}" for h in range(2) for w in qkv] for b in range(3)]
+            + [[f"flow.layer{li}.attn.{w}" for w in qkv] for li in range(2)])
+
+
+class TestStackedAttentionLeaf:
+    """Each attention block trains one (3H, D, d) leaf; its checkpoint entries
+    are views of that leaf's rows."""
+
+    def test_entries_view_rows_drawn_per_head(self):
+        cfg = TrainConfig(**{**SMALL_SIZES, "n_heads": 4})  # width 8: four heads of 2
+        model = build_model(cfg, Rng(5))
+        named = dict(model.named_params())
+        block, layer = model.encoder.blocks[1], model.flows.layers[0]
+        enc_rng = Rng(5).child(0).child(1)  # build_model -> encoder -> block 1
+        for h in range(4):
+            k = 1.0 / np.sqrt(8)
+            want = enc_rng.child(h).uniform(-k, k, (3, 8, 2))  # wq, wk, wv of head h
+            for j, w in enumerate(("wq", "wk", "wv")):
+                entry = named[f"enc.block1.head{h}.{w}"].data
+                assert np.shares_memory(entry, block.wqkv.data)
+                assert entry.tobytes() == block.wqkv.data[4 * j + h].tobytes()
+                assert entry.tobytes() == want[j].tobytes()
+        for j, w in enumerate(("wq", "wk", "wv")):
+            assert named[f"flow.layer0.attn.{w}"].data.tobytes() == layer.wqkv.data[j].tobytes()
+
+    def test_write_through_entries_reaches_the_optimizer_buffer(self):
+        model = build_model(TrainConfig(**SMALL_SIZES), Rng(6))
+        opt = nm.AdamW(model.main_params())  # rebinds every leaf to its flat buffer
+        block = model.encoder.blocks[0]
+        for name, tensor in model.named_params():  # as load_model writes
+            if name == "enc.block0.head1.wk":
+                tensor.data[...] = 7.0
+        assert (block.wqkv.data[2 + 1] == 7.0).all()
+        assert np.shares_memory(block.wqkv.data, opt._flat)
+        assert np.count_nonzero(opt._flat == 7.0) == 8 * 4
+        for p in opt.params:
+            p.grad = np.ones(p.shape)
+        opt.step()  # no leaf was rebound
+        entry = dict(model.named_params())["enc.block0.head1.wk"]
+        assert entry.data.tobytes() == block.wqkv.data[3].tobytes()
+        assert (entry.data != 7.0).all()  # the view reads the updated leaf
+
+    def test_save_load_save_is_byte_identical(self, tmp_path):
+        cfg = TrainConfig(**SMALL_SIZES, speakers=3, steps_main=3, steps_duration=2,
+                          n_train=3, n_eval=0)
+        _, model = train_toy(cfg)
+        save_model(tmp_path / "a.bin", model)
+        save_model(tmp_path / "b.bin", load_model(tmp_path / "a.bin"))
+        assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()
 
 
 class TestDurationTargets:
@@ -604,7 +686,7 @@ class TestAblations:
         x = Tensor(rng.normal((cfg.channels, 6)))
         y1, ld1 = model.flows.forward(x)
         for layer in model.flows.layers:
-            for p in (layer.wq, layer.wk, layer.wv, layer.wo):
+            for p in (layer.wqkv, layer.wo):
                 p.data[:] = rng.normal(p.shape) * 10.0
         y2, ld2 = model.flows.forward(x)
         npt.assert_array_equal(y1.data, y2.data)
@@ -653,14 +735,19 @@ class TestTapeBudget:
 
         counts: dict[str, int] = {}
         phases: dict[str, dict[str, int]] = {}
+        attention_parents, leaves = set(), []
         make, step, train_duration = nm._make, nm.AdamW.step, harness.train_duration
 
         def counting_make(data, parents, vjp, op):
             counts[op] = counts.get(op, 0) + 1
+            if op == "attention":
+                attention_parents.add(len(parents))
             return make(data, parents, vjp, op)
 
         def first_step(opt):  # the first optimizer step ends main step 0
-            phases.setdefault("main", dict(counts))
+            if "main" not in phases:
+                phases["main"] = dict(counts)
+                leaves.extend(p.grad is not None for p in opt.params)
             return step(opt)
 
         def one_duration_step(*args, **kwargs):
@@ -675,6 +762,9 @@ class TestTapeBudget:
         train_toy(TrainConfig(seed=7, steps_main=1, steps_duration=1, n_eval=0))
         assert phases == {"main": self.MAIN, "duration": self.DURATION}
         assert sum(self.MAIN.values()) == 73 and sum(self.DURATION.values()) == 58
+        # one stacked q/k/v leaf per attention block: 41 leaf cotangents, not 65
+        assert attention_parents == {2}
+        assert len(leaves) == 41 and all(leaves)
 
 
 def long_instance(frames: int, seed: int = 0):

@@ -1,4 +1,3 @@
-import itertools
 import warnings
 
 import numpy as np
@@ -53,13 +52,14 @@ def conv1d_oracle_vjp(x, w, g):
     return gxp[:, pl : pl + length], gw
 
 
-def attention_reference(x, heads, scale, bias=None):
-    """Multi-head self-attention as the chain of scalar tape ops it replaces."""
+def attention_reference(x, w, n_heads, scale, bias=None):
+    """Multi-head self-attention as the chain of scalar tape ops it replaces;
+    head h projects with rows h, H + h and 2H + h of the stacked weights."""
     parts = []
-    for wq, wk, wv in heads:
-        q = x @ wq
-        k = x @ wk
-        v = x @ wv
+    for h in range(n_heads):
+        q = x @ w[h]
+        k = x @ w[n_heads + h]
+        v = x @ w[2 * n_heads + h]
         scores = (q @ k.T) * scale
         if bias is not None:
             scores = scores + bias
@@ -71,7 +71,8 @@ def attention_four_buffers(x, ws, n_heads, scale, bias, g):
     """The fused attention op's forward and VJP as written before its softmax
     went in place, with four (H, T, T) temporaries each way: (output, x
     cotangent, weight cotangents in the op's all-wq, all-wk, all-wv order)
-    for output cotangent ``g``. The op must match it byte for byte."""
+    for output cotangent ``g``; ``ws`` are the 3H weights in that order. The
+    op must match it byte for byte."""
     n, length = n_heads, x.shape[0]
     w = np.array(ws)
     d = w.shape[2]
@@ -224,8 +225,10 @@ def _forward_and_grads(op, leaves, *args):
 def _attention_case(rng, length, width, n_heads, head_dim, bias_kind=None):
     """Random inputs; ``bias_kind`` is None, "mask" (masked key columns) or "dense"."""
     x = Tensor(rng.normal((length, width)), requires_grad=True)
-    heads = [tuple(nm.init_uniform(rng, (width, head_dim), width) for _ in range(3))
-             for _ in range(n_heads)]
+    heads = [[nm.init_uniform(rng, (width, head_dim), width).data for _ in range(3)]
+             for _ in range(n_heads)]  # wq, wk, wv per head, stacked all wq, all wk, all wv
+    w = Tensor(np.array(list(zip(*heads))).reshape(3 * n_heads, width, head_dim),
+               requires_grad=True)
     bias = None
     if bias_kind == "mask":
         keep = rng.uniform(0.0, 1.0, length) < 0.7
@@ -234,7 +237,7 @@ def _attention_case(rng, length, width, n_heads, head_dim, bias_kind=None):
         bias[:, ~keep] = -1e30
     elif bias_kind == "dense":
         bias = rng.normal((length, length))
-    return x, heads, 1.0 / np.sqrt(head_dim), bias
+    return x, w, 1.0 / np.sqrt(head_dim), bias
 
 
 def _raises_numeric(f, *args) -> bool:
@@ -552,6 +555,103 @@ class TestNonFiniteCheck:
         npt.assert_array_equal(out.data, ok)
 
 
+_SPECIAL = [np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+            1e-310, np.finfo(np.float64).max, 1.0]
+
+
+def _float_arrays(max_dims: int = 3):
+    from hypothesis import strategies as st
+    from hypothesis.extra import numpy as hnp
+
+    elements = st.one_of(st.sampled_from(_SPECIAL), st.floats(allow_nan=True))
+    shapes = hnp.array_shapes(min_dims=0, max_dims=max_dims, min_side=0, max_side=5)
+    return hnp.arrays(np.float64, shapes, elements=elements)
+
+
+def _layouts(a: np.ndarray) -> list[np.ndarray]:
+    """``a`` itself and non-contiguous views of it: transposed, strided, reversed."""
+    views = [a, a.T]
+    if a.ndim:
+        views += [a[..., ::2], a[::-1], np.swapaxes(a, 0, -1)[::2]]
+    return views
+
+
+class TestLeanMake:
+    """``_make`` builds its output without ``Tensor.__init__``; it must keep
+    ``Tensor(data)``'s conversion, the finite check and every slot."""
+
+    @staticmethod
+    def _raised(data) -> bool:
+        try:
+            nm._make(data, (), None, "probe")
+        except NumericError as e:
+            assert str(e) == "probe produced a non-finite value"
+            return True
+        return False
+
+    def test_raises_exactly_when_not_all_finite(self):
+        from hypothesis import given, settings
+
+        @settings(max_examples=300, deadline=None)
+        @given(_float_arrays())
+        def check(a):
+            for view in _layouts(a):
+                assert self._raised(view) == (not np.isfinite(view).all())
+                if np.isfinite(view).all():
+                    assert nm._make(view, (), None, "probe").data is view  # no copy
+
+        check()
+
+    @pytest.mark.parametrize("value", _SPECIAL)
+    def test_each_special_value_alone_and_among_finite(self, value):
+        strided = np.full((4, 6), 0.5, order="F")[:, ::2]
+        strided[1, 2] = value
+        for data in (np.array(value), np.array([1.0, value, -2.0]), strided, np.float64(value),
+                     value):
+            assert self._raised(data) == (not np.isfinite(value))
+
+    def test_empty_arrays_pass(self):
+        for shape in ((0,), (3, 0), (0, 4, 2)):
+            assert nm._make(np.empty(shape), (), None, "probe").shape == shape
+
+    @pytest.mark.parametrize("result", [
+        np.float64(2.5), 2.5, np.float32(1.5), np.arange(3, dtype=np.float32),
+        np.arange(4).reshape(2, 2), np.array([True, False]), np.array(3.0).view(np.matrix),
+        np.array([1.0, 2.0], dtype=">f8"),
+    ])
+    def test_converts_like_the_tensor_constructor(self, result):
+        out = nm._make(result, (), None, "probe")
+        want = Tensor(result).data
+        assert type(out.data) is np.ndarray and out.data.dtype == np.float64
+        assert out.data.dtype.isnative
+        assert out.shape == want.shape and out.data.tobytes() == want.tobytes()
+
+    def test_non_finite_scalar_results_raise(self):
+        for result in (np.float64(np.nan), float("inf"), np.float32(-np.inf)):
+            assert self._raised(result)
+
+    def test_every_slot_set_taped_untaped_and_under_no_grad(self):
+        leaf = Tensor(np.ones(2), requires_grad=True)
+        const = Tensor(np.ones(2))
+
+        def vjp(g):
+            return (g,)
+
+        taped = nm._make(np.ones(2), (const, leaf), vjp, "probe")
+        untaped = nm._make(np.ones(2), (const,), vjp, "probe")
+        with nm.no_grad():
+            off = nm._make(np.ones(2), (leaf,), vjp, "probe")
+        for t in (taped, untaped, off):
+            for slot in Tensor.__slots__:
+                getattr(t, slot)  # an unset slot raises AttributeError
+            assert t.grad is None and type(t._seq) is int and t._seq > leaf._seq
+        assert taped.requires_grad is True
+        assert taped._parents == (const, leaf) and taped._vjp is vjp
+        for t in (untaped, off):
+            assert t.requires_grad is False and t._parents == () and t._vjp is None
+        assert taped._seq < untaped._seq < off._seq
+
+
 class TestFusedAttention:
     """``nm.attention`` against the per-head chain of tape ops it replaces."""
 
@@ -561,12 +661,12 @@ class TestFusedAttention:
     @pytest.mark.parametrize("bias_kind", [None, "mask", "dense"])
     @pytest.mark.parametrize("shape", SHAPES)
     def test_forward_bit_identical_and_gradients_close(self, shape, bias_kind):
-        x, heads, scale, bias = _attention_case(Rng(sum(shape)), *shape, bias_kind)
-        leaves = [x] + [w for head in heads for w in head]
+        x, w, scale, bias = _attention_case(Rng(sum(shape)), *shape, bias_kind)
+        leaves = [x, w]
         weight = Rng(7).normal((shape[0], shape[2] * shape[3]))
         grads = []
         for op in (attention_reference, nm.attention):
-            out = op(x, heads, scale, bias)
+            out = op(x, w, shape[2], scale, bias)
             grads.append(out.data.tobytes())
             nm.summation(out * weight).backward()
             grads.append([t.grad for t in leaves])
@@ -597,27 +697,29 @@ class TestFusedAttention:
         assert outputs() == fused
 
     def test_one_tape_node_for_all_heads(self):
-        x, heads, scale, _ = _attention_case(Rng(1), 4, 6, 3, 2)
-        out = nm.attention(x, heads, scale)
+        x, w, scale, _ = _attention_case(Rng(1), 4, 6, 3, 2)
+        out = nm.attention(x, w, 3, scale)
         assert out.shape == (4, 6)
-        assert out._parents == (x, *[head[i] for i in range(3) for head in heads])
+        assert out._parents == (x, w)
+        g_x, g_w = out._vjp(np.ones(out.shape))
+        assert g_x.shape == x.shape and g_w.shape == w.shape == (9, 6, 2)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_q_overflow_raises(self):
-        x, heads, scale, _ = _attention_case(Rng(2), 3, 2, 2, 2)
-        heads[1][0].data[...] = 1e300
+        x, w, scale, _ = _attention_case(Rng(2), 3, 2, 2, 2)
+        w.data[1] = 1e300  # head 1's wq
         x.data[0] = 1e10
         for op in (attention_reference, nm.attention):
-            assert _raises_numeric(op, x, heads, scale)
+            assert _raises_numeric(op, x, w, 2, scale)
         with pytest.raises(NumericError, match="q, k or v"):
-            nm.attention(x, heads, scale)
+            nm.attention(x, w, 2, scale)
 
     def test_v_overflow_raises(self):
-        x, heads, scale, _ = _attention_case(Rng(3), 3, 2, 1, 2)
-        heads[0][2].data[...] = 1e300
+        x, w, scale, _ = _attention_case(Rng(3), 3, 2, 1, 2)
+        w.data[2] = 1e300  # wv
         x.data[...] = 1e10
         for op in (attention_reference, nm.attention):
-            assert _raises_numeric(op, x, heads, scale)
+            assert _raises_numeric(op, x, w, 1, scale)
 
     def test_overflow_in_weighted_sum_of_v_raises_like_the_chain(self):
         # finite v at the largest double: rounding in att @ v overflows for some lengths
@@ -625,9 +727,9 @@ class TestFusedAttention:
         raised = []
         for length in range(2, 65):
             x = Tensor(np.ones((length, 1)))
-            heads = [(Tensor([[0.0]]), Tensor([[0.0]]), Tensor([[big]]))]
-            fused = _raises_numeric(nm.attention, x, heads, 1.0)
-            assert fused == _raises_numeric(attention_reference, x, heads, 1.0), length
+            w = Tensor([[[0.0]], [[0.0]], [[big]]])
+            fused = _raises_numeric(nm.attention, x, w, 1, 1.0)
+            assert fused == _raises_numeric(attention_reference, x, w, 1, 1.0), length
             if fused:
                 raised.append(length)
         assert raised, "no length overflowed; the output check went untested"
@@ -637,61 +739,61 @@ class TestFusedAttention:
         # q0.k0 = -1e320 overflows to -inf while every other score is finite;
         # softmax would turn that entry into a silent 0
         x = Tensor([[1e160], [1.0]])
-        heads = [(Tensor([[1.0]]), Tensor([[-1.0]]), Tensor([[1.0]]))]
+        w = Tensor([[[1.0]], [[-1.0]], [[1.0]]])
         for op in (attention_reference, nm.attention):
-            assert _raises_numeric(op, x, heads, 1.0)
+            assert _raises_numeric(op, x, w, 1, 1.0)
         with pytest.raises(NumericError, match="non-finite score"):
-            nm.attention(x, heads, 1.0)
+            nm.attention(x, w, 1, 1.0)
 
     @pytest.mark.parametrize("masked", [False, True])
     def test_raises_exactly_where_the_chain_raises(self, masked):
         outcomes = set()
         for exponent in range(140, 170):
             x = Tensor([[10.0 ** exponent], [1.0], [-3.0]])
-            heads = [(Tensor([[1.0]]), Tensor([[-1.0]]), Tensor([[1.0]])),
-                     (Tensor([[0.5]]), Tensor([[2.0]]), Tensor([[1e-150]]))]
+            # head 0 (wq, wk, wv) = (1, -1, 1), head 1 = (0.5, 2, 1e-150)
+            w = Tensor(np.array([1.0, 0.5, -1.0, 2.0, 1.0, 1e-150]).reshape(6, 1, 1))
             bias = np.where(np.arange(3) == 2, -1e30, 0.0) * np.ones((3, 1)) if masked else None
-            fused = _raises_numeric(nm.attention, x, heads, 0.7, bias)
-            assert fused == _raises_numeric(attention_reference, x, heads, 0.7, bias), exponent
+            fused = _raises_numeric(nm.attention, x, w, 2, 0.7, bias)
+            assert fused == _raises_numeric(attention_reference, x, w, 2, 0.7, bias), exponent
             outcomes.add(fused)
         assert outcomes == {False, True}
 
     def test_shape_errors(self):
-        w = Tensor(np.zeros((3, 2)))
+        x, w = Tensor(np.zeros((4, 3))), Tensor(np.zeros((3, 3, 2)))
         with pytest.raises(ShapeError, match="attention"):
-            nm.attention(Tensor(np.zeros((4, 2))), [(w, w, w)], 1.0)
+            nm.attention(Tensor(np.zeros((4, 2))), w, 1, 1.0)  # D differs
         with pytest.raises(ShapeError, match="attention"):
-            nm.attention(Tensor(np.zeros((4, 3))), [(w, w, Tensor(np.zeros((3, 1))))], 1.0)
+            nm.attention(x, w, 2, 1.0)  # 3 rows for 2 heads
         with pytest.raises(ShapeError, match="attention"):
-            nm.attention(Tensor(np.zeros((4, 3))), [], 1.0)
+            nm.attention(x, Tensor(np.zeros((0, 3, 2))), 0, 1.0)
         with pytest.raises(ShapeError, match="attention"):
-            nm.attention(Tensor(np.zeros(3)), [(w, w, w)], 1.0)
+            nm.attention(x, Tensor(np.zeros((3, 2))), 1, 1.0)  # one unstacked weight
+        with pytest.raises(ShapeError, match="attention"):
+            nm.attention(Tensor(np.zeros(3)), w, 1, 1.0)
         with pytest.raises(ShapeError, match=r"bias \(3, 3\)"):
-            nm.attention(Tensor(np.zeros((4, 3))), [(w, w, w)], 1.0, np.zeros((3, 3)))
+            nm.attention(x, w, 1, 1.0, np.zeros((3, 3)))
 
     @pytest.mark.parametrize("bias_kind", [None, "mask", "dense"])
     @pytest.mark.parametrize("shape", [(1, 4, 1, 2), (7, 5, 1, 3), (40, 6, 2, 4),
                                        (3, 2, 2, 5), (200, 1, 1, 8), (64, 16, 2, 8)])
     def test_in_place_softmax_bytes_match_the_four_buffer_form(self, shape, bias_kind):
-        x, heads, scale, bias = _attention_case(Rng(sum(shape) + 1), *shape, bias_kind)
-        ws = list(itertools.chain(*zip(*heads)))  # the op's parent order
+        x, w, scale, bias = _attention_case(Rng(sum(shape) + 1), *shape, bias_kind)
         g = Rng(8).normal((shape[0], shape[2] * shape[3]))
-        out = nm.attention(x, heads, scale, bias)
+        out = nm.attention(x, w, shape[2], scale, bias)
         nm.summation(out * g).backward()  # the op's cotangent is g, byte for byte
-        want = attention_four_buffers(x.data, [w.data for w in ws], shape[2], scale, bias, g)
-        got = [out.data, x.grad, *[w.grad for w in ws]]
+        want = attention_four_buffers(x.data, list(w.data), shape[2], scale, bias, g)
+        got = [out.data, x.grad, *w.grad]
         assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
 
     def test_attention_probs_is_the_forward_map(self):
-        x, heads, scale, bias = _attention_case(Rng(4), 9, 5, 2, 3, "mask")
-        w = np.array([t.data for t in itertools.chain(*zip(*heads))])
-        qkv = np.matmul(x.data, w)
+        x, w, scale, bias = _attention_case(Rng(4), 9, 5, 2, 3, "mask")
+        qkv = np.matmul(x.data, w.data)
         att = nm.attention_probs(qkv[:2], qkv[2:4], scale, bias)
         assert att.shape == (2, 9, 9)
         npt.assert_allclose(att.sum(axis=-1), 1.0, atol=1e-15)
         v = qkv[4:]
         want = np.matmul(att, v).transpose(1, 0, 2).reshape(9, 6)
-        assert nm.attention(x, heads, scale, bias).data.tobytes() == want.tobytes()
+        assert nm.attention(x, w, 2, scale, bias).data.tobytes() == want.tobytes()
 
 
 class TestFusedLayerOps:
@@ -916,7 +1018,8 @@ class TestCreationOrderWalk:
         calls = _walk_both_ways(monkeypatch)
         train_toy(TrainConfig(seed=7, steps_main=1, steps_duration=1, n_eval=0))
         # one main step, then the critic and the generator of one duration step
-        assert [len(pairs) for pairs in calls] == [65, 6, 6]  # main, critic, generator params
+        # main leaves (one stacked q/k/v leaf per attention block), critic, generator
+        assert [len(pairs) for pairs in calls] == [41, 6, 6]
         for pairs in calls:
             assert all(a.tobytes() == b.tobytes() for a, b in pairs)
 
@@ -1235,10 +1338,10 @@ class TestNoGrad:
     @staticmethod
     def _ops(x, w, c):
         """One output of each kind of op, from leaves that want a gradient."""
-        xa, heads, scale, _ = _attention_case(Rng(3), 5, 4, 2, 2)
+        xa, wa, scale, _ = _attention_case(Rng(3), 5, 4, 2, 2)
         return [x @ w, nm.tanh(x @ w), nm.linear(x, w, c), nm.summation(x * w[0]),
                 nm.conv1d(x, w.data.reshape(3, 3, 1), c), nm.add_layer_norm(x, x @ w),
-                nm.attention(xa, heads, scale), x[1:3], nm.softmax(x @ w)]
+                nm.attention(xa, wa, 2, scale), x[1:3], nm.softmax(x @ w)]
 
     def _leaves(self):
         rng = Rng(1)
@@ -1289,10 +1392,10 @@ class TestNoGrad:
                 x @ w
             with pytest.raises(NumericError, match="linear"):
                 nm.linear(x, w, c)
-            xa, heads, scale, _ = _attention_case(Rng(3), 5, 4, 1, 2)
-            heads[0][1].data[0, 0] = np.inf
+            xa, wa, scale, _ = _attention_case(Rng(3), 5, 4, 1, 2)
+            wa.data[1, 0, 0] = np.inf  # wk
             with pytest.raises(NumericError, match="q, k or v"):
-                nm.attention(xa, heads, scale)
+                nm.attention(xa, wa, 1, scale)
 
     def test_is_thread_local(self):
         import threading
