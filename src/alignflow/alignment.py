@@ -80,10 +80,6 @@ class Alignment:
         if (self.durations < 1).any():
             raise ValueError(f"every duration must be >= 1, got {self.durations}")
 
-    @property
-    def n_frames(self) -> int:
-        return int(self.durations.sum())
-
     def frame_tokens(self) -> np.ndarray:
         """Token index owning each frame, length sum(durations)."""
         return np.repeat(np.arange(self.durations.size), self.durations)

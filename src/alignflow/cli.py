@@ -19,6 +19,7 @@ from .corpus import load_corpus
 from .duration import DurationDiscriminator, DurationGenerator, train_duration
 from .harness import (
     DUR_HEADER_ADV,
+    TrainConfig,
     eval_alignment,
     load_config,
     load_duration_corpus,
@@ -171,9 +172,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True, help="per-step loss CSV")
-    p.add_argument("--lr", type=float, default=0.01)
-    p.add_argument("--hidden", type=int, default=32)
-    p.add_argument("--z-dim", type=int, default=2)
+    p.add_argument("--lr", type=float, default=TrainConfig.duration_lr)
+    p.add_argument("--hidden", type=int, default=TrainConfig.dur_hidden)
+    p.add_argument("--z-dim", type=int, default=TrainConfig.z_dim)
     p.set_defaults(func=_cmd_train_duration)
 
     p = sub.add_parser("eval-align", help="alignment accuracy of a checkpoint")

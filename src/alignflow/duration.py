@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics as nm
-from .numerics import AdamWConfig, NumericError, Rng, Tensor, frozen
+from .numerics import AdamW, AdamWConfig, NumericError, Rng, Tensor, frozen
 
 KERNEL = 3  # conv kernel width along the token axis, in every tower
 
@@ -229,7 +229,7 @@ def train_duration(
     disc: DurationDiscriminator | None,
     corpus: list[DurationBatch],
     steps: int,
-    opt_cfg: AdamWConfig | None = None,
+    opt_cfg: AdamWConfig = AdamWConfig(),
     rng: Rng | None = None,
     cond=None,
     verify_isolation: bool = False,
@@ -248,10 +248,9 @@ def train_duration(
         raise ValueError("steps must be >= 0")
     if gen.z_dim and rng is None:
         raise ValueError("a generator with a noise input needs an rng")
-    opt_cfg = opt_cfg or AdamWConfig()
     critic = disc.params() if disc is not None else []
-    opt_g = opt_cfg.build(gen.params())
-    opt_d = opt_cfg.build(critic) if disc is not None else None
+    opt_g = AdamW(gen.params(), opt_cfg)
+    opt_d = AdamW(critic, opt_cfg) if disc is not None else None
     opts = [opt for opt in (opt_g, opt_d) if opt is not None]
 
     def draw_noise(batch: DurationBatch) -> np.ndarray | None:

@@ -73,20 +73,22 @@ class TrainConfig:
     dur_hidden: int = 32
     speaker_dim: int = 8
     # corpus
-    vocab: int = 3
-    channels: int = 2
-    n_train: int = 16
-    n_eval: int = 8
-    seq_min: int = 3
-    seq_max: int = 6
-    dur_min: int = 2
-    dur_max: int = 5
-    obs_noise: float = 0.0
-    prototype_radius: float = 0.8
-    speakers: int = 1
-    speaker_shift: float = 0.0
+    vocab: int = CorpusSpec.vocab
+    channels: int = CorpusSpec.channels
+    n_train: int = CorpusSpec.n_train
+    n_eval: int = CorpusSpec.n_eval
+    seq_min: int = CorpusSpec.seq_min
+    seq_max: int = CorpusSpec.seq_max
+    dur_min: int = CorpusSpec.dur_min
+    dur_max: int = CorpusSpec.dur_max
+    obs_noise: float = CorpusSpec.noise
+    prototype_radius: float = CorpusSpec.prototype_radius
+    speakers: int = CorpusSpec.speakers
+    speaker_shift: float = CorpusSpec.speaker_shift
 
     def validate(self):
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.steps_main <= 0 or self.steps_duration <= 0:
             raise ConfigError("step counts must be > 0")
         if self.eval_every <= 0:
@@ -100,28 +102,29 @@ class TrainConfig:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.n_heads < 1 or self.hidden_width % self.n_heads != 0:
             raise ConfigError(f"n_heads {self.n_heads} does not divide hidden_width")
+        for names, ok, want in (
+            (("lr", "duration_lr", "eps", "lr_decay"), lambda v: 0 < v < math.inf,
+             "finite and > 0"),
+            (("beta1", "beta2"), lambda v: 0 <= v < 1, "in [0, 1)"),
+            (("weight_decay", "obs_noise"), lambda v: 0 <= v < math.inf, "finite and >= 0"),
+            (("prototype_radius", "speaker_shift"), math.isfinite, "finite"),
+        ):
+            for name in names:
+                if not ok(getattr(self, name)):
+                    raise ConfigError(f"{name} must be {want}, got {getattr(self, name)!r}")
         self.corpus_spec().validate()
 
+    def _derive(self, cls, **overrides):
+        """A ``cls`` holding this config's fields of the same name, then ``overrides``."""
+        shared = {f.name: getattr(self, f.name) for f in dataclasses.fields(cls)
+                  if f.name in _FIELD_TYPES}
+        return cls(**{**shared, **overrides})
+
     def corpus_spec(self) -> CorpusSpec:
-        return CorpusSpec(
-            vocab=self.vocab,
-            channels=self.channels,
-            n_train=self.n_train,
-            n_eval=self.n_eval,
-            seq_min=self.seq_min,
-            seq_max=self.seq_max,
-            dur_min=self.dur_min,
-            dur_max=self.dur_max,
-            noise=self.obs_noise,
-            prototype_radius=self.prototype_radius,
-            speakers=self.speakers,
-            speaker_shift=self.speaker_shift,
-        )
+        return self._derive(CorpusSpec, noise=self.obs_noise)
 
     def optimizer(self, lr: float | None = None) -> AdamWConfig:
-        names = [f.name for f in dataclasses.fields(AdamWConfig)]
-        cfg = AdamWConfig(**{name: getattr(self, name) for name in names})
-        return cfg if lr is None else dataclasses.replace(cfg, lr=lr)
+        return self._derive(AdamWConfig, lr=self.lr if lr is None else lr)
 
 
 _FIELD_TYPES = typing.get_type_hints(TrainConfig)
@@ -134,10 +137,7 @@ def _format_value(v) -> str:
 
 
 def save_config(config: TrainConfig, path):
-    lines = [
-        f"{f.name} = {_format_value(getattr(config, f.name))}"
-        for f in dataclasses.fields(TrainConfig)
-    ]
+    lines = [f"{name} = {_format_value(getattr(config, name))}" for name in _FIELD_TYPES]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -166,6 +166,8 @@ def load_config(path) -> TrainConfig:
                     values[key] = text == "true"
                 else:
                     values[key] = ftype(text)
+                    if ftype is float and not math.isfinite(values[key]):
+                        raise ValueError(f"{text!r} is not finite")
             except ValueError as e:
                 raise ConfigError(f"{path}:{lineno}: bad value for {key!r}: {e}") from e
     config = TrainConfig(**values)
@@ -173,20 +175,16 @@ def load_config(path) -> TrainConfig:
     return config
 
 
-@dataclass
-class ToyModel:
-    encoder: TextEncoder
-    flows: FlowStack
-    dur_gen: DurationGenerator
-    dur_disc: DurationDiscriminator | None
-    speakers: SpeakerTable | None
-    config: TrainConfig
-
-    def named_params(self) -> list[tuple[str, Tensor]]:
-        parts = [("enc", self.encoder), ("flow", self.flows), ("durg", self.dur_gen),
-                 ("durd", self.dur_disc), ("spk", self.speakers)]
-        return [(f"{prefix}.{n}", t) for prefix, module in parts if module is not None
-                for n, t in module.named_params()]
+class ToyModel(nm.Module):
+    def __init__(self, encoder: TextEncoder, flows: FlowStack, dur_gen: DurationGenerator,
+                 dur_disc: DurationDiscriminator | None, speakers: SpeakerTable | None,
+                 config: TrainConfig):
+        self.encoder = self.child("enc", encoder)
+        self.flows = self.child("flow", flows)
+        self.dur_gen = self.child("durg", dur_gen)
+        self.dur_disc = self.child("durd", dur_disc)
+        self.speakers = self.child("spk", speakers)
+        self.config = config
 
     def main_params(self) -> list[Tensor]:
         out = self.encoder.params() + self.flows.params()
@@ -310,7 +308,7 @@ def train_toy(config: TrainConfig, corpus: ToyCorpus | None = None,
     model = build_model(config, root.child(3))
     dur_rng = root.child(4)
 
-    opt = config.optimizer().build(model.main_params())
+    opt = nm.AdamW(model.main_params(), config.optimizer())
     n_train = len(corpus.train)
     main_rows: list[dict] = []
     for step in range(config.steps_main):
@@ -450,34 +448,35 @@ def save_model(path, model: ToyModel):
     entries: dict[str, np.ndarray] = {}
     for name, tensor in model.named_params():
         entries[f"param.{name}"] = tensor.data
-    for f in dataclasses.fields(TrainConfig):
-        v = getattr(model.config, f.name)
-        entries[f"cfg.{f.name}"] = np.asarray(float(v))
+    for name in _FIELD_TYPES:
+        entries[f"cfg.{name}"] = np.asarray(float(getattr(model.config, name)))
     save_checkpoint(path, entries)
 
 
 def load_model(path) -> ToyModel:
     entries = load_checkpoint(path)
     kwargs = {}
-    for f in dataclasses.fields(TrainConfig):
-        key = f"cfg.{f.name}"
+    for name, ftype in _FIELD_TYPES.items():
+        key = f"cfg.{name}"
         if key not in entries:
             raise CheckpointError(f"{path}: missing config entry {key}")
         raw = float(entries[key].reshape(()))
-        ftype = _FIELD_TYPES[f.name]
         if ftype is bool and raw not in (0.0, 1.0):
             raise CheckpointError(f"{path}: {key} = {raw!r} is not a bool (0 or 1)")
         if ftype is int and not raw.is_integer():
             raise CheckpointError(f"{path}: {key} = {raw!r} is not an integer")
-        kwargs[f.name] = ftype(raw)
+        kwargs[name] = ftype(raw)
     config = TrainConfig(**kwargs)
     try:
         config.validate()
     except ValueError as e:
         raise CheckpointError(f"{path}: cfg entries are not a valid config: {e}") from None
-    model = build_model(config, Rng(config.seed).child(3))
+    try:
+        model = build_model(config, Rng(config.seed).child(3))
+    except ValueError as e:
+        raise CheckpointError(f"{path}: cfg entries do not build a model: {e}") from None
     named = model.named_params()
-    known = {f"cfg.{f.name}" for f in dataclasses.fields(TrainConfig)}
+    known = {f"cfg.{name}" for name in _FIELD_TYPES}
     known.update(f"param.{name}" for name, _ in named)
     unknown = sorted(set(entries) - known)
     if unknown:

@@ -55,7 +55,6 @@ choices worth knowing:
 
 from __future__ import annotations
 
-import dataclasses
 import heapq
 import itertools
 import math
@@ -874,7 +873,7 @@ class Module:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class AdamWConfig:
     """Adam with decoupled weight decay; defaults follow the training recipe
     used throughout this project (lr decays by 0.999^(1/8) per epoch). These
@@ -887,9 +886,6 @@ class AdamWConfig:
     eps: float = 1e-9
     lr_decay: float = 0.999 ** (1 / 8)
 
-    def build(self, params) -> "AdamW":
-        return AdamW(params, **dataclasses.asdict(self))
-
 
 class AdamW:
     """AdamW (Loshchilov & Hutter, arXiv 1711.05101) over one flat buffer.
@@ -899,20 +895,16 @@ class AdamW:
     handful of in-place ufuncs over the whole buffer instead of a loop over
     parameters. From then on a parameter must be written in place
     (``p.data[...] = x``), never rebound; ``step`` raises if one was.
+
+    ``AdamW(params, cfg)`` keeps ``cfg``, an ``AdamWConfig``, as ``self.cfg``, as in
+    ``AdamW([p], AdamWConfig(lr=0.1))``; ``AdamW(params)`` uses the defaults.
     """
 
-    def __init__(self, params, **hyper):
-        """``hyper`` takes any ``AdamWConfig`` field by keyword; the rest keep their defaults."""
-        cfg = AdamWConfig(**hyper)
+    def __init__(self, params, cfg: AdamWConfig = AdamWConfig()):
+        self.cfg = cfg
         self.params = [p for p in params if p.requires_grad]
         if len({id(p) for p in self.params}) != len(self.params):
             raise ValueError("AdamW: a parameter is listed more than once")
-        self.lr0 = cfg.lr
-        self.beta1 = cfg.beta1
-        self.beta2 = cfg.beta2
-        self.weight_decay = cfg.weight_decay
-        self.eps = cfg.eps
-        self.lr_decay = cfg.lr_decay
         self.epoch = 0
         self.t = 0
         # offsets[i]:offsets[i + 1] is parameter i's slice of every buffer
@@ -930,7 +922,7 @@ class AdamW:
 
     @property
     def lr(self) -> float:
-        return self.lr0 * self.lr_decay**self.epoch
+        return self.cfg.lr * self.cfg.lr_decay**self.epoch
 
     def set_epoch(self, epoch: int):
         self.epoch = int(epoch)
@@ -972,21 +964,22 @@ class AdamW:
         lo, hi = self._offsets[first], self._offsets[stop]
         p, m, v = self._flat[lo:hi], self._m[lo:hi], self._v[lo:hi]
         g, s1, s2 = self._grad[lo:hi], self._s1[lo:hi], self._s2[lo:hi]
+        c = self.cfg
         np.concatenate([q.grad for q in self.params[first:stop]], axis=None, out=g)
-        np.multiply(p, lr * self.weight_decay, out=s1)
+        np.multiply(p, lr * c.weight_decay, out=s1)
         p -= s1
-        m *= self.beta1
-        np.multiply(g, 1.0 - self.beta1, out=s1)
+        m *= c.beta1
+        np.multiply(g, 1.0 - c.beta1, out=s1)
         m += s1
-        v *= self.beta2
+        v *= c.beta2
         np.multiply(g, g, out=s1)
-        s1 *= 1.0 - self.beta2
+        s1 *= 1.0 - c.beta2
         v += s1
-        np.divide(m, 1.0 - self.beta1**self.t, out=s1)
+        np.divide(m, 1.0 - c.beta1**self.t, out=s1)
         s1 *= lr
-        np.divide(v, 1.0 - self.beta2**self.t, out=s2)
+        np.divide(v, 1.0 - c.beta2**self.t, out=s2)
         np.sqrt(s2, out=s2)
-        s2 += self.eps
+        s2 += c.eps
         s1 /= s2
         p -= s1
 

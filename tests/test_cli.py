@@ -395,6 +395,16 @@ class TestLoaderErrors:
         ("cfg.condition_speaker", 0.25, "cfg.condition_speaker = 0.25 is not a bool (0 or 1)"),
         ("cfg.channels", 3.0, "cfg entries are not a valid config: channels must be even "
                               "for the coupling split"),
+        ("cfg.seed", -1.0, "cfg entries are not a valid config: seed must be >= 0, got -1"),
+        ("cfg.lr", np.nan, "cfg entries are not a valid config: lr must be finite and > 0, "
+                           "got nan"),
+        ("cfg.beta1", 5.0, "cfg entries are not a valid config: beta1 must be in [0, 1), "
+                           "got 5.0"),
+        ("cfg.obs_noise", np.nan, "cfg entries are not a valid config: obs_noise must be "
+                                  "finite and >= 0, got nan"),
+        ("cfg.hidden_width", 2.0**60, "cfg entries do not build a model: array is too big; "
+                                      "`arr.size * arr.dtype.itemsize` is larger than the "
+                                      "maximum possible size."),
     ])
     @pytest.mark.parametrize("command", ["dump-attention", "eval-align"])
     def test_bad_config_entry_in_checkpoint(self, capsys, tmp_path, speaker_ckpt, key, value,

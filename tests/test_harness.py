@@ -1,13 +1,20 @@
+import contextlib
 import dataclasses
+import io
 import json
 import math
+import os
 import re
+import tempfile
+import typing
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from alignflow import gradcheck
+from alignflow import cli, gradcheck
 from alignflow import numerics as nm
 from alignflow.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from alignflow.corpus import (
@@ -18,6 +25,7 @@ from alignflow.corpus import (
     save_corpus,
     token_prototypes,
 )
+from alignflow.encoder import TextEncoder
 from alignflow.harness import (
     ConfigError,
     DurationCorpusError,
@@ -304,10 +312,120 @@ class TestConfig:
         with pytest.raises(ConfigError, match=f"^{key} must be >= 1, got {value}$"):
             load_config(path)
 
-    def test_optimizer_defaults_come_from_adamw_config(self):
+    def test_settings_map_onto_adamw_config_corpus_spec_and_cli(self):
         assert TrainConfig().optimizer() == AdamWConfig()
         cfg = TrainConfig(lr=1e-3, beta2=0.9)
         assert cfg.optimizer(lr=0.01) == AdamWConfig(lr=0.01, beta2=0.9)
+        assert TrainConfig().corpus_spec() == CorpusSpec()
+        off = dict(vocab=5, channels=4, n_train=3, n_eval=2, seq_min=2, seq_max=9, dur_min=1,
+                   dur_max=7, obs_noise=0.25, prototype_radius=1.5, speakers=3,
+                   speaker_shift=0.5)
+        spec_names = {"noise" if key == "obs_noise" else key: key for key in off}
+        assert set(spec_names) == {f.name for f in dataclasses.fields(CorpusSpec)} - {
+            "duration_laws"}
+        spec = TrainConfig(**off).corpus_spec()
+        for spec_name, key in spec_names.items():
+            assert getattr(TrainConfig(), key) != off[key]
+            assert getattr(spec, spec_name) == off[key]
+        args = cli.build_parser().parse_args(
+            ["train-duration", "--corpus", "c.csv", "--steps", "1", "--seed", "0", "--out", "o"])
+        assert (args.lr, args.hidden, args.z_dim) == (
+            TrainConfig.duration_lr, TrainConfig.dur_hidden, TrainConfig.z_dim)
+
+
+_POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+_NON_NEGATIVE = st.floats(min_value=0.0, allow_infinity=False)
+_UNIT = st.floats(min_value=0.0, max_value=1.0, exclude_max=True)
+_FLOAT_RANGES = {"lr": _POSITIVE, "duration_lr": _POSITIVE, "eps": _POSITIVE,
+                 "lr_decay": _POSITIVE, "beta1": _UNIT, "beta2": _UNIT,
+                 "weight_decay": _NON_NEGATIVE, "obs_noise": _NON_NEGATIVE}
+
+
+@st.composite
+def valid_configs(draw):
+    """Every field drawn over its valid range: sizes up to 10**6, floats anywhere
+    in range (subnormals and the extremes included)."""
+    values = {}
+    for name, ftype in typing.get_type_hints(TrainConfig).items():
+        if ftype is bool:
+            values[name] = draw(st.booleans())
+        elif ftype is float:
+            values[name] = draw(_FLOAT_RANGES.get(name, st.floats(allow_nan=False,
+                                                                   allow_infinity=False)))
+        else:
+            values[name] = draw(st.integers(1, 10**6))
+    # the sizes that constrain each other; validate() visits every token of the vocab
+    values["seed"] = draw(st.integers(0, 2**64))
+    values["vocab"] = draw(st.integers(2, 64))
+    values["hidden_width"] *= values["n_heads"]
+    values["channels"] *= 2
+    values["n_blocks"] += TextEncoder.SPEAKER_BLOCK
+    values["seq_max"] += values["seq_min"]
+    values["dur_max"] += values["dur_min"]
+    return TrainConfig(**values)
+
+
+def save_config_lines(config: TrainConfig) -> list[str]:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "run.cfg")
+        save_config(config, path)
+        with open(path) as fh:
+            return fh.read().splitlines()
+
+
+@st.composite
+def corrupted_config_lines(draw):
+    """A saved valid config with one line corrupted: the file cut inside a line
+    before its value, an unknown key, a duplicate key, a value that is not a
+    number, or a float value that is not finite."""
+    lines = save_config_lines(draw(valid_configs()))
+    i = draw(st.integers(0, len(lines) - 1))
+    kind = draw(st.sampled_from(["truncated", "unknown", "duplicate", "not a number",
+                                 "not finite"]))
+    if kind == "truncated":
+        return lines[:i] + [lines[i][:draw(st.integers(1, lines[i].index("=") + 1))]]
+    if kind == "unknown":
+        key = draw(st.from_regex(r"[a-z][a-z_]{0,15}", fullmatch=True).filter(
+            lambda k: k not in typing.get_type_hints(TrainConfig)))
+        return lines[:i] + [f"{key} = 1"] + lines[i:]
+    if kind == "duplicate":
+        return lines[:i] + [draw(st.sampled_from(lines))] + lines[i:]
+    key = lines[i].split(" = ")[0]
+    if kind == "not a number":
+        text = draw(st.text(alphabet="xyzq?!$%", min_size=1, max_size=8))
+    else:
+        key = draw(st.sampled_from(sorted(_FLOAT_RANGES) + ["prototype_radius",
+                                                            "speaker_shift"]))
+        text = draw(st.sampled_from(["nan", "-nan", "inf", "-inf", "Infinity", "1e999"]))
+        i = next(j for j, line in enumerate(lines) if line.startswith(f"{key} = "))
+    return lines[:i] + [f"{key} = {text}"] + lines[i + 1:]
+
+
+class TestConfigFuzz:
+    @settings(max_examples=50, deadline=None)
+    @given(valid_configs())
+    def test_roundtrip(self, config):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "run.cfg")
+            save_config(config, path)
+            assert load_config(path) == config
+
+    @settings(max_examples=50, deadline=None)
+    @given(corrupted_config_lines())
+    def test_corrupted_line_is_one_error_naming_the_file(self, lines):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "bad.cfg")
+            with open(path, "w") as fh:
+                fh.write("\n".join(lines) + "\n")
+            with pytest.raises(ConfigError) as info:
+                load_config(path)
+            assert str(info.value).startswith(f"{path}:")
+            out, err = os.path.join(tmp, "run"), io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = cli.main(["train-toy", "--config", path, "--out", out, "--seed", "0"])
+            assert code == 2
+            assert err.getvalue() == f"alignflow train-toy: {info.value}\n"
+            assert not os.path.exists(out)
 
 
 def tiny_config(**kw):
@@ -457,6 +575,18 @@ class TestCheckpoint:
         ("cfg.channels", 3.0, r"not a valid config: channels must be even"),
         ("cfg.steps_duration", 0.0, r"not a valid config: step counts"),
         ("cfg.n_heads", 3.0, r"not a valid config: n_heads 3 does not divide hidden_width"),
+        ("cfg.seed", -1.0, r"not a valid config: seed must be >= 0, got -1$"),
+        ("cfg.lr", np.nan, r"not a valid config: lr must be finite and > 0, got nan$"),
+        ("cfg.duration_lr", 0.0, r"duration_lr must be finite and > 0, got 0.0$"),
+        ("cfg.eps", -1e-9, r"eps must be finite and > 0, got -1e-09$"),
+        ("cfg.lr_decay", np.inf, r"lr_decay must be finite and > 0, got inf$"),
+        ("cfg.beta1", 5.0, r"beta1 must be in \[0, 1\), got 5.0$"),
+        ("cfg.beta2", 1.0, r"beta2 must be in \[0, 1\), got 1.0$"),
+        ("cfg.weight_decay", -0.01, r"weight_decay must be finite and >= 0, got -0.01$"),
+        ("cfg.obs_noise", np.nan, r"obs_noise must be finite and >= 0, got nan$"),
+        ("cfg.prototype_radius", np.inf, r"prototype_radius must be finite, got inf$"),
+        ("cfg.speaker_shift", -np.inf, r"speaker_shift must be finite, got -inf$"),
+        ("cfg.hidden_width", 2.0**60, r"cfg entries do not build a model: array is too big"),
     ])
     def test_bad_config_entry_raises_checkpoint_error(self, tmp_path, key, value, message):
         path = tmp_path / "model.bin"

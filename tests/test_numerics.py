@@ -427,7 +427,7 @@ class TestAdamW:
 
     def test_decoupled_weight_decay(self):
         p = Tensor([10.0], requires_grad=True)
-        opt = AdamW([p], lr=0.1, weight_decay=0.01)
+        opt = AdamW([p], AdamWConfig(lr=0.1, weight_decay=0.01))
         p.grad = np.zeros(1)
         opt.step()
         # zero gradient: only the decay term moves the parameter
@@ -435,13 +435,13 @@ class TestAdamW:
 
     def test_none_grads_skipped(self):
         p = Tensor([1.0], requires_grad=True)
-        opt = AdamW([p], lr=0.1)
+        opt = AdamW([p], AdamWConfig(lr=0.1))
         opt.step()
         npt.assert_array_equal(p.data, [1.0])
 
     def test_step_reduces_simple_quadratic(self):
         p = Tensor([5.0], requires_grad=True)
-        opt = AdamW([p], lr=0.05, weight_decay=0.0)
+        opt = AdamW([p], AdamWConfig(lr=0.05, weight_decay=0.0))
         for _ in range(200):
             opt.zero_grad()
             nm.summation(p * p).backward()
@@ -480,7 +480,7 @@ class TestFlatAdamW:
     def test_bit_identical_to_per_parameter_loop(self):
         cfg = AdamWConfig(lr=0.03, weight_decay=0.1)
         flat, ref = self._pair()
-        opt = AdamW(flat, **vars(cfg))
+        opt = AdamW(flat, cfg)
         m = [np.zeros(p.shape) for p in ref]
         v = [np.zeros(p.shape) for p in ref]
         rng = Rng(1)
@@ -523,7 +523,7 @@ class TestFlatAdamW:
 
     def test_in_place_write_is_kept(self):
         p = Tensor([1.0, 2.0], requires_grad=True)
-        opt = AdamW([p], lr=0.1, weight_decay=0.0)
+        opt = AdamW([p], AdamWConfig(lr=0.1, weight_decay=0.0))
         p.data[...] = [4.0, 5.0]
         assert opt._flat.tolist() == [4.0, 5.0]
 
