@@ -1,7 +1,8 @@
 """The full toy pipeline: alignment-driven training with known ground truth.
 
-A synthetic corpus assigns each token a prototype frame vector and a duration
-law, so the true alignment is known by construction. The main phase trains
+A synthetic corpus assigns each token a prototype frame vector and draws its
+duration from a uniform integer range, so the true alignment is known by
+construction. The main phase trains
 the encoder and flow stack to explain the frames under the searched
 alignment; the short second phase trains the duration GAN on the frozen
 alignment targets. Ablation arms switch individual mechanisms off.

@@ -41,30 +41,25 @@ class GridError(ValueError):
 
 @dataclass
 class LogProbGrid:
-    """I x J matrix of frame-given-token log-likelihoods with a validity mask.
-
-    Rows/columns past (valid_i, valid_j) are padding and excluded from every
-    statistic and DP transition.
-    """
+    """I x J matrix of frame-given-token log-likelihoods: row i = token, column j = frame."""
 
     P: np.ndarray
-    valid_i: int
-    valid_j: int
 
     def __post_init__(self):
         self.P = np.asarray(self.P, dtype=np.float64)
-        if self.P.ndim != 2:
-            raise ValueError(f"grid must be 2-D, got shape {self.P.shape}")
-        if not (1 <= self.valid_i <= self.P.shape[0]):
-            raise ValueError(f"valid_i={self.valid_i} out of range for {self.P.shape}")
-        if not (1 <= self.valid_j <= self.P.shape[1]):
-            raise ValueError(f"valid_j={self.valid_j} out of range for {self.P.shape}")
-        if not np.all(np.isfinite(self.valid_region)):
-            raise ValueError("grid has non-finite entries inside the valid region")
+        if self.P.ndim != 2 or self.P.size == 0:
+            raise ValueError(f"grid must be 2-D and non-empty, got shape {self.P.shape}")
+        if not np.all(np.isfinite(self.P)):
+            raise ValueError("grid has non-finite entries")
+
+    # the token and frame counts, I and J; perfbench counts MAS cells with them
+    @property
+    def valid_i(self) -> int:
+        return self.P.shape[0]
 
     @property
-    def valid_region(self) -> np.ndarray:
-        return self.P[: self.valid_i, : self.valid_j]
+    def valid_j(self) -> int:
+        return self.P.shape[1]
 
 
 @dataclass
@@ -90,12 +85,17 @@ def read_csv_matrix(path, error: type[ValueError], what: str) -> np.ndarray:
 
     Blank lines and ``#`` comments are skipped, as ``np.loadtxt`` does. Every
     row must hold the same number of cells, each a finite number; a
-    one-column file is (rows, 1). Raises ``error`` naming the file, the line,
-    the ``what`` row and the column.
+    one-column file is (rows, 1). The file must be UTF-8 text. Raises
+    ``error`` naming the file and, for a bad cell, the line, the ``what`` row
+    and the column.
     """
     rows: list[list[float]] = []
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
+    with open(path, encoding="utf-8") as fh:
+        try:
+            lines = fh.readlines()
+        except UnicodeDecodeError as e:
+            raise error(f"{path}: not UTF-8 text ({e.reason})") from None
+        for lineno, raw in enumerate(lines, 1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
@@ -123,8 +123,7 @@ def load_grid(path) -> LogProbGrid:
     The format and its checks are ``read_csv_matrix``'s; a one-column file is
     an I x 1 grid. Raises ``GridError``.
     """
-    P = read_csv_matrix(path, GridError, "grid")
-    return LogProbGrid(P=P, valid_i=P.shape[0], valid_j=P.shape[1])
+    return LogProbGrid(read_csv_matrix(path, GridError, "grid"))
 
 
 def noise_scale_at(step: int) -> float:
@@ -147,15 +146,13 @@ def log_prob_grid(z: np.ndarray, mu: np.ndarray, sigma: np.ndarray) -> LogProbGr
         raise ValueError(f"channel mismatch: z {z.shape}, mu {mu.shape}, sigma {sigma.shape}")
     if (sigma <= 0).any():
         raise ValueError("sigma must be strictly positive")
-    i, c = mu.shape
-    j = z.shape[0]
     # one (I, J, C) buffer: the same IEEE ops as diff * diff / (2 sigma^2)
     quad = z[None, :, :] - mu[:, None, :]
     quad *= quad
     quad /= 2.0 * sigma[:, None, :] ** 2
     const = (-np.log(sigma) - 0.5 * LOG_2PI).sum(axis=1)  # (I,)
     P = const[:, None] - quad.sum(axis=2)
-    return LogProbGrid(P=P, valid_i=i, valid_j=j)
+    return LogProbGrid(P)
 
 
 def alignment_score(grid: LogProbGrid, alignment: Alignment) -> float:
@@ -165,12 +162,11 @@ def alignment_score(grid: LogProbGrid, alignment: Alignment) -> float:
     equal alignments produce bitwise-equal totals.
     """
     tokens = alignment.frame_tokens()
-    if tokens.size != grid.valid_j:
-        raise ValueError(
-            f"alignment covers {tokens.size} frames, grid has {grid.valid_j}"
-        )
+    vj = grid.P.shape[1]
+    if tokens.size != vj:
+        raise ValueError(f"alignment covers {tokens.size} frames, grid has {vj}")
     total = 0.0
-    for j in range(grid.valid_j):
+    for j in range(vj):
         total += grid.P[tokens[j], j]
     return total
 
@@ -181,8 +177,8 @@ def mas_search(
     """Forward DP with optional exploration noise, then backtrack to durations.
 
     Recurrence: Q[i, j] = max(Q[i-1, j-1], Q[i, j-1]) + P[i, j] + eps[i, j],
-    where eps is fresh standard-normal noise scaled by std(P over the valid
-    region) times ``noise_scale``. With noise_scale = 0 the result maximizes
+    where eps is fresh standard-normal noise scaled by std(P) times
+    ``noise_scale``. With noise_scale = 0 the result maximizes
     the exact total log-likelihood; ties prefer advancing the token.
 
     Frame j's column depends only on frame j-1's, so the DP runs one column
@@ -200,12 +196,12 @@ def mas_search(
 
     Returns (alignment, Q at the terminal cell).
     """
-    vi, vj = grid.valid_i, grid.valid_j
+    P = grid.P
+    vi, vj = P.shape
     if vi > vj:
         raise InfeasibleAlignmentError(
             f"{vi} tokens cannot align onto {vj} frames monotonically"
         )
-    P = grid.valid_region
     eps = None
     if noise_scale > 0.0:
         if rng is None:
@@ -244,10 +240,10 @@ def mas_search(
 def brute_force_align(grid: LogProbGrid) -> tuple[Alignment, float]:
     """Exhaustive argmax over all compositions of J frames into I positive runs.
 
-    Guarded to valid_i <= 6, valid_j <= 10; candidate counts explode beyond
-    that and the point is to stay obviously correct.
+    Guarded to I <= 6, J <= 10; candidate counts explode beyond that and the
+    point is to stay obviously correct.
     """
-    vi, vj = grid.valid_i, grid.valid_j
+    vi, vj = grid.P.shape
     if vi > 6 or vj > 10:
         raise GridSizeError(
             f"brute force limited to I<=6, J<=10; got I={vi}, J={vj}"

@@ -1,13 +1,13 @@
 """Synthetic corpora with known ground-truth alignments.
 
-Each vocabulary token owns a prototype frame vector and an integer duration
-law; an instance is a token sequence, per-token durations drawn from the
-laws, and a frame matrix built by repeating prototypes (plus optional
-Gaussian observation noise). Because the true alignment is known by
+Each vocabulary token owns a prototype frame vector; an instance is a token
+sequence, per-token durations drawn uniformly from [dur_min, dur_max], and a
+frame matrix built by repeating prototypes (plus optional Gaussian
+observation noise). Because the true alignment is known by
 construction, alignment search and the end-to-end trainer can be scored
 objectively instead of by listening tests.
 
-Prototypes sit on a circle (or a line for 1-channel corpora), so tokens are
+Prototypes sit on a circle in the first two channels, so tokens are
 separated by construction; in multi-speaker mode each speaker adds a fixed
 offset to every prototype. Adjacent repeated tokens are resampled away:
 identical neighbouring prototypes make the optimal alignment non-unique,
@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 import typing
 from dataclasses import asdict, dataclass, field
 
@@ -40,18 +41,12 @@ class CorpusSpec:
     prototype_radius: float = 0.8
     speakers: int = 1
     speaker_shift: float = 0.0
-    duration_laws: list[tuple[int, int]] | None = None  # per-token (lo, hi) override
-
-    def law(self, token: int) -> tuple[int, int]:
-        if self.duration_laws is not None:
-            return self.duration_laws[token]
-        return (self.dur_min, self.dur_max)
 
     def validate(self):
         if self.vocab < 2:
             raise ValueError(f"vocab must be >= 2, got {self.vocab}")
-        if self.channels < 1:
-            raise ValueError(f"channels must be >= 1, got {self.channels}")
+        if self.channels < 2:
+            raise ValueError(f"channels must be >= 2, got {self.channels}")
         if self.seq_min < 1 or self.seq_max < self.seq_min:
             raise ValueError(f"bad sequence length range ({self.seq_min}, {self.seq_max})")
         if self.n_train < 1 or self.n_eval < 0:
@@ -60,10 +55,9 @@ class CorpusSpec:
             raise ValueError(f"speakers must be >= 1, got {self.speakers}")
         if self.noise < 0:
             raise ValueError("observation noise must be >= 0")
-        for v in range(self.vocab):
-            lo, hi = self.law(v)
-            if lo < 1 or hi < lo:
-                raise ValueError(f"token {v} has a bad duration law ({lo}, {hi})")
+        if self.dur_min < 1 or self.dur_max < self.dur_min:
+            raise ValueError(
+                f"bad duration range (dur_min={self.dur_min}, dur_max={self.dur_max})")
 
 
 @dataclass
@@ -94,12 +88,8 @@ class ToyCorpus:
 
 
 def token_prototypes(vocab: int, channels: int, radius: float) -> np.ndarray:
-    """Evenly spread prototype vectors: a circle in the first two channels,
-    or evenly spaced points on a line for single-channel corpora."""
+    """Evenly spread prototype vectors on a circle in the first two channels."""
     protos = np.zeros((vocab, channels))
-    if channels == 1:
-        protos[:, 0] = np.linspace(-radius, radius, vocab)
-        return protos
     angles = 2.0 * math.pi * np.arange(vocab) / vocab
     protos[:, 0] = radius * np.cos(angles)
     protos[:, 1] = radius * np.sin(angles)
@@ -109,9 +99,6 @@ def token_prototypes(vocab: int, channels: int, radius: float) -> np.ndarray:
 def _speaker_offsets(speakers: int, channels: int, shift: float) -> np.ndarray:
     offsets = np.zeros((speakers, channels))
     if speakers == 1 or shift == 0.0:
-        return offsets
-    if channels == 1:
-        offsets[:, 0] = np.linspace(0.0, shift, speakers)
         return offsets
     angles = 2.0 * math.pi * (np.arange(speakers) + 0.5) / speakers
     offsets[:, 0] = shift * np.cos(angles)
@@ -129,10 +116,8 @@ def _sample_instance(spec: CorpusSpec, protos: np.ndarray, offsets: np.ndarray,
         while i > 0 and t == tokens[i - 1]:  # adjacent repeats make ties
             t = rng.integers(0, spec.vocab)
         tokens[i] = t
-    durations = np.array(
-        [rng.integers(*[spec.law(t)[0], spec.law(t)[1] + 1]) for t in tokens],
-        dtype=np.int64,
-    )
+    durations = np.array([rng.integers(spec.dur_min, spec.dur_max + 1) for _ in tokens],
+                         dtype=np.int64)
     speaker = rng.integers(0, spec.speakers) if spec.speakers > 1 else 0
     frames = np.repeat(protos[tokens], durations, axis=0) + offsets[speaker]
     if spec.noise > 0:
@@ -154,10 +139,6 @@ def generate_corpus(spec: CorpusSpec, rng: Rng) -> ToyCorpus:
 # --- on-disk form: plain JSON, so files are diffable and byte-stable --------
 
 
-def _spec_to_dict(spec: CorpusSpec) -> dict:
-    return {k: v for k, v in asdict(spec).items() if v is not None}
-
-
 def _instance_to_dict(inst: Instance) -> dict:
     return {
         "tokens": inst.tokens.tolist(),
@@ -169,7 +150,7 @@ def _instance_to_dict(inst: Instance) -> dict:
 
 def save_corpus(corpus: ToyCorpus, path):
     payload = {
-        "spec": _spec_to_dict(corpus.spec),
+        "spec": asdict(corpus.spec),
         "prototypes": corpus.prototypes.tolist(),
         "speaker_offsets": corpus.speaker_offsets.tolist(),
         "train": [_instance_to_dict(i) for i in corpus.train],
@@ -191,7 +172,8 @@ def _is_int(v) -> bool:
 
 
 def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+    """A JSON number float64 can hold: any float, or an int up to the largest float."""
+    return isinstance(v, float) or (_is_int(v) and abs(v) <= sys.float_info.max)
 
 
 def _field(path, obj: dict, where: str, key: str, check=None, kind: str = ""):
@@ -226,21 +208,14 @@ def _load_spec(path, sd) -> CorpusSpec:
     unknown = sorted(set(sd) - set(_SPEC_TYPES))
     if unknown:
         raise CorpusError(f"{path}: spec has unknown fields {', '.join(unknown)}")
+    finite = (lambda v: _is_number(v) and math.isfinite(v))
     values = {}
     for name, kind in _SPEC_TYPES.items():
-        if name == "duration_laws":
-            if name in sd:
-                laws = _field(path, sd, "spec", name, lambda v: isinstance(v, list) and all(
-                    isinstance(law, list) and len(law) == 2 and all(map(_is_int, law))
-                    for law in v), "a list of [lo, hi] integer pairs")
-                values[name] = [tuple(law) for law in laws]
-        elif kind is int:
+        if kind is int:
             values[name] = _field(path, sd, "spec", name, _is_int, "an integer")
         else:
-            values[name] = float(_field(path, sd, "spec", name, _is_number, "a number"))
+            values[name] = float(_field(path, sd, "spec", name, finite, "a finite number"))
     spec = CorpusSpec(**values)
-    if spec.duration_laws is not None and len(spec.duration_laws) != spec.vocab:
-        raise CorpusError(f"{path}: spec.duration_laws needs one law per token ({spec.vocab})")
     try:
         spec.validate()
     except ValueError as e:
@@ -270,11 +245,13 @@ def _load_instance(path, d, where: str, spec: CorpusSpec) -> Instance:
 
 def load_corpus(path) -> ToyCorpus:
     """Read a ``save_corpus`` file; any malformed field raises ``CorpusError``."""
-    with open(path) as f:
-        try:
+    try:
+        with open(path, encoding="utf-8") as f:
             payload = json.load(f)
-        except json.JSONDecodeError as e:
-            raise CorpusError(f"{path}: not valid JSON: {e}") from e
+    except UnicodeDecodeError as e:
+        raise CorpusError(f"{path}: not UTF-8 text ({e.reason})") from None
+    except (ValueError, RecursionError) as e:  # a JSONDecodeError, too many digits, too deep
+        raise CorpusError(f"{path}: not valid JSON: {e}") from None
     top = "the top level"
     payload = _object(path, payload, top)
     spec = _load_spec(path, _field(path, payload, top, "spec"))

@@ -240,7 +240,7 @@ def train_duration(
     one generator update on adversarial + MSE loss. With ``disc=None`` the
     step is the generator update on the MSE loss alone (the
     deterministic-baseline arm), and its record has no critic or adversarial
-    loss. ``cond`` may be a single condition vector or a list aligned with
+    loss. ``cond`` is None or a list of condition vectors aligned with
     ``corpus``. Returns one loss record per step; a non-finite loss aborts
     with the offending step index.
     """
@@ -248,6 +248,8 @@ def train_duration(
         raise ValueError("steps must be >= 0")
     if gen.z_dim and rng is None:
         raise ValueError("a generator with a noise input needs an rng")
+    if cond is not None and len(cond) != len(corpus):
+        raise ValueError(f"cond has {len(cond)} entries for {len(corpus)} batches")
     critic = disc.params() if disc is not None else []
     opt_g = AdamW(gen.params(), opt_cfg)
     opt_d = AdamW(critic, opt_cfg) if disc is not None else None
@@ -262,7 +264,7 @@ def train_duration(
     for step in range(steps):
         idx = step % len(corpus)
         batch = corpus[idx]
-        batch_cond = cond[idx] if isinstance(cond, list) else cond
+        batch_cond = None if cond is None else cond[idx]
         for opt in opts:
             opt.set_epoch(step // len(corpus))
         row = {"step": step}

@@ -143,10 +143,15 @@ def save_config(config: TrainConfig, path):
 
 
 def load_config(path) -> TrainConfig:
-    """Parse the flat key=value format; unknown keys are rejected outright."""
+    """Parse the flat key=value UTF-8 format; unknown keys are rejected outright.
+    Every error is a ``ConfigError`` whose message starts with the path."""
     values: dict[str, object] = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
+    with open(path, encoding="utf-8") as fh:
+        try:
+            lines = fh.readlines()
+        except UnicodeDecodeError as e:
+            raise ConfigError(f"{path}: not UTF-8 text ({e.reason})") from None
+        for lineno, raw in enumerate(lines, 1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
@@ -171,7 +176,10 @@ def load_config(path) -> TrainConfig:
             except ValueError as e:
                 raise ConfigError(f"{path}:{lineno}: bad value for {key!r}: {e}") from e
     config = TrainConfig(**values)
-    config.validate()
+    try:
+        config.validate()
+    except ValueError as e:
+        raise ConfigError(f"{path}: {e}") from None
     return config
 
 
@@ -411,13 +419,17 @@ def _duration_cell(path, lineno: int, column: str, cell: str, kind: type):
 
 def load_duration_corpus(path) -> list[DurationBatch]:
     """Inverse of ``save_duration_corpus``; raises ``DurationCorpusError``."""
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
+    with open(path, encoding="utf-8") as fh:
+        try:
+            lines = fh.readlines()
+        except UnicodeDecodeError as e:
+            raise DurationCorpusError(f"{path}: not UTF-8 text ({e.reason})") from None
+        header = (lines[0] if lines else "").strip().split(",")
         if header[:3] != ["instance", "position", "log_duration"]:
             raise DurationCorpusError(f"{path}: not a duration corpus (header {header[:3]})")
         kinds = [int, int] + [float] * (len(header) - 2)
         per_inst: dict[int, list[tuple[int, float, np.ndarray]]] = {}
-        for lineno, raw in enumerate(fh, 2):
+        for lineno, raw in enumerate(lines[1:], 2):
             cells = raw.strip().split(",")
             if len(cells) != len(header):
                 raise DurationCorpusError(

@@ -1,4 +1,9 @@
+import contextlib
+import io
 import math
+import os
+import re
+import tempfile
 
 import numpy as np
 import numpy.testing as npt
@@ -6,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from alignflow import cli
 from alignflow.alignment import (
     Alignment,
     GridError,
@@ -18,7 +24,9 @@ from alignflow.alignment import (
     log_prob_grid,
     mas_search,
     noise_scale_at,
+    read_csv_matrix,
 )
+from alignflow.harness import TrainConfig, build_model, save_model
 from alignflow.numerics import Rng
 
 
@@ -33,10 +41,10 @@ def mas_reference(grid, noise_scale=0.0, rng=None):
     The column-wise mas_search must match it bit for bit: same noise draw,
     same ``(max(diag, stay) + P) + eps`` per cell, same tie-break.
     """
-    vi, vj = grid.valid_i, grid.valid_j
+    P = grid.P
+    vi, vj = P.shape
     if vi > vj:
         raise InfeasibleAlignmentError(f"{vi} tokens onto {vj} frames")
-    P = grid.valid_region
     if noise_scale > 0.0:
         eps = rng.normal((vi, vj)) * P.std() * noise_scale
     else:
@@ -118,22 +126,30 @@ class TestLogProbGrid:
         with pytest.raises(ValueError, match="positive"):
             log_prob_grid(np.zeros((2, 1)), np.zeros((2, 1)), np.array([[1.0], [0.0]]))
 
-    def test_padding_outside_valid_region_is_ignored(self):
-        rng = Rng(2)
-        grid = random_grid(rng, 3, 5, 2)
-        padded = np.full((6, 9), 1e12)  # huge finite garbage
-        padded[:3, :5] = grid.P
-        pg = LogProbGrid(P=padded, valid_i=3, valid_j=5)
-        a1, q1 = mas_search(grid)
-        a2, q2 = mas_search(pg)
-        npt.assert_array_equal(a1.durations, a2.durations)
-        assert q1 == q2
-
     def test_invalid_entries_in_valid_region_rejected(self):
         bad = np.zeros((2, 3))
         bad[1, 1] = np.nan
         with pytest.raises(ValueError, match="finite"):
-            LogProbGrid(P=bad, valid_i=2, valid_j=3)
+            LogProbGrid(bad)
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf])
+    def test_infinite_entries_rejected(self, value):
+        bad = np.zeros((3, 4))
+        bad[2, 0] = value
+        with pytest.raises(ValueError, match="^grid has non-finite entries$"):
+            LogProbGrid(bad)
+
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0), (), (4,), (2, 2, 2)])
+    def test_empty_or_non_2d_grid_rejected(self, shape):
+        with pytest.raises(ValueError, match=re.escape(f"2-D and non-empty, got shape {shape}")):
+            LogProbGrid(np.zeros(shape))
+
+    def test_shape_is_the_whole_grid(self):
+        # mas_search scores every cell: I * J of them
+        grid = LogProbGrid(np.zeros((3, 7)))
+        assert (grid.valid_i, grid.valid_j) == (3, 7)
+        with pytest.raises(TypeError):
+            LogProbGrid(np.zeros((3, 7)), valid_i=2, valid_j=5)
 
 
 class TestAlignmentType:
@@ -158,7 +174,7 @@ class TestMasSearch:
         n = 5
         P = np.full((n, n), -10.0)
         np.fill_diagonal(P, 0.0)
-        grid = LogProbGrid(P=P, valid_i=n, valid_j=n)
+        grid = LogProbGrid(P)
         align, _ = mas_search(grid)
         npt.assert_array_equal(align.durations, np.ones(n))
 
@@ -174,20 +190,20 @@ class TestMasSearch:
         assert alignment_score(grid, align) == max(scores)
 
     def test_tie_break_prefers_advancing_token(self):
-        grid = LogProbGrid(P=np.zeros((2, 3)), valid_i=2, valid_j=3)
+        grid = LogProbGrid(np.zeros((2, 3)))
         align, _ = mas_search(grid)
         # all alignments tie at 0; advancing on ties keeps the tail short
         npt.assert_array_equal(align.durations, [2, 1])
 
     def test_infeasible_raises(self):
-        grid = LogProbGrid(P=np.zeros((4, 3)), valid_i=4, valid_j=3)
+        grid = LogProbGrid(np.zeros((4, 3)))
         with pytest.raises(InfeasibleAlignmentError):
             mas_search(grid)
         with pytest.raises(InfeasibleAlignmentError):
             brute_force_align(grid)
 
     def test_noise_requires_rng(self):
-        grid = LogProbGrid(P=np.zeros((2, 3)), valid_i=2, valid_j=3)
+        grid = LogProbGrid(np.zeros((2, 3)))
         with pytest.raises(ValueError, match="rng"):
             mas_search(grid, noise_scale=0.5)
 
@@ -250,7 +266,7 @@ class TestColumnwiseMatchesReference:
     ])
     def test_edge_shapes(self, shape):
         i, j = shape
-        grid = LogProbGrid(P=Rng(i * 1000 + j).normal((i, j)) * 5.0, valid_i=i, valid_j=j)
+        grid = LogProbGrid(Rng(i * 1000 + j).normal((i, j)) * 5.0)
         for seed, scale in enumerate(self.SCALES):
             assert_same_search(grid, scale, seed)
 
@@ -268,16 +284,7 @@ class TestColumnwiseMatchesReference:
             i = rng.integers(1, 12)
             j = rng.integers(i, i + 30)
             P = np.round(rng.normal((i, j)))  # few distinct values, many equal sums
-            assert_same_search(LogProbGrid(P=P, valid_i=i, valid_j=j), self.SCALES[k % 3], k)
-
-    def test_padded_grids(self):
-        rng = Rng(23)
-        for k in range(40):
-            i = rng.integers(1, 15)
-            j = rng.integers(i, i + 40)
-            P = np.full((i + rng.integers(0, 4), j + rng.integers(0, 6)), -1e12)
-            P[:i, :j] = rng.normal((i, j))
-            assert_same_search(LogProbGrid(P=P, valid_i=i, valid_j=j), self.SCALES[k % 3], k)
+            assert_same_search(LogProbGrid(P), self.SCALES[k % 3], k)
 
     def test_signed_zeros(self):
         # constant grid: std(P) = 0, so the noise is a mix of +0.0 and -0.0 and
@@ -285,7 +292,7 @@ class TestColumnwiseMatchesReference:
         # (1, 1): best_Q is P[0, 0] itself, so only the final + 0.0 makes it +0.0
         for shape in ((1, 1), (1, 4), (2, 3), (3, 5), (4, 11), (6, 20)):
             for fill in (0.0, -0.0):
-                grid = LogProbGrid(P=np.full(shape, fill), valid_i=shape[0], valid_j=shape[1])
+                grid = LogProbGrid(np.full(shape, fill))
                 assert_same_search(grid)
                 for seed in range(50):
                     assert_same_search(grid, 1.0, seed)
@@ -301,7 +308,7 @@ def small_grids(draw):
         st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False),
     )
     cells = draw(st.lists(value, min_size=i * j, max_size=i * j))
-    return LogProbGrid(P=np.array(cells).reshape(i, j), valid_i=i, valid_j=j)
+    return LogProbGrid(np.array(cells).reshape(i, j))
 
 
 @settings(max_examples=300, deadline=None)
@@ -317,15 +324,15 @@ def test_mas_matches_brute_force_property(grid):
 
 class TestBruteForce:
     def test_single_composition_cases(self):
-        g13 = LogProbGrid(P=Rng(11).normal((1, 3)), valid_i=1, valid_j=3)
+        g13 = LogProbGrid(Rng(11).normal((1, 3)))
         a, _ = brute_force_align(g13)
         npt.assert_array_equal(a.durations, [3])
-        g22 = LogProbGrid(P=Rng(12).normal((2, 2)), valid_i=2, valid_j=2)
+        g22 = LogProbGrid(Rng(12).normal((2, 2)))
         a, _ = brute_force_align(g22)
         npt.assert_array_equal(a.durations, [1, 1])
 
     def test_two_candidate_case(self):
-        grid = LogProbGrid(P=Rng(13).normal((2, 3)), valid_i=2, valid_j=3)
+        grid = LogProbGrid(Rng(13).normal((2, 3)))
         s12 = alignment_score(grid, Alignment(np.array([1, 2])))
         s21 = alignment_score(grid, Alignment(np.array([2, 1])))
         a, score = brute_force_align(grid)
@@ -335,9 +342,9 @@ class TestBruteForce:
 
     def test_size_guard(self):
         with pytest.raises(GridSizeError):
-            brute_force_align(LogProbGrid(P=np.zeros((7, 9)), valid_i=7, valid_j=9))
+            brute_force_align(LogProbGrid(np.zeros((7, 9))))
         with pytest.raises(GridSizeError):
-            brute_force_align(LogProbGrid(P=np.zeros((3, 11)), valid_i=3, valid_j=11))
+            brute_force_align(LogProbGrid(np.zeros((3, 11))))
 
 
 class TestNoiseSchedule:
@@ -386,3 +393,119 @@ class TestLoadGrid:
         with pytest.raises(GridError) as err:
             load_grid(path)
         assert str(err.value) == str(path) + message
+
+
+def csv_text(matrix) -> str:
+    """A matrix in the CSV form the loaders read, each cell its shortest repr."""
+    return "".join(",".join(repr(float(v)) for v in row) + "\n" for row in matrix)
+
+
+@st.composite
+def csv_matrices(draw):
+    """1-6 rows of 1-8 finite float64 cells, extremes and subnormals included."""
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 8))
+    cells = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                          min_size=rows * cols, max_size=rows * cols))
+    return np.array(cells).reshape(rows, cols)
+
+
+# bytes that are never valid UTF-8 after an ASCII byte: continuation bytes,
+# overlong lead bytes and lead bytes past U+10FFFF
+_NOT_UTF8 = [*range(0x80, 0xC2), *range(0xF5, 0x100)]
+
+
+@st.composite
+def corrupted_csv(draw):
+    """A saved valid matrix made invalid one way: cut right after a comma (or
+    to nothing), a cell that is not a number or not finite, a row of another
+    width, or a byte that is not UTF-8."""
+    matrix = draw(csv_matrices())
+    text = csv_text(matrix)
+    kind = draw(st.sampled_from(["truncated", "not a number", "not finite", "ragged",
+                                 "not UTF-8"]))
+    if kind == "truncated":
+        commas = [k for k, ch in enumerate(text) if ch == ","]
+        return text[:draw(st.sampled_from(commas)) + 1 if commas else 0].encode()
+    lines = text.splitlines()
+    if kind == "ragged":
+        i = draw(st.integers(0, len(lines)))
+        return "\n".join(lines[:i] + [",".join(["0.5"] * (matrix.shape[1] + 1))]
+                         + lines[i:]).encode()
+    if kind == "not UTF-8":
+        data = text.encode()
+        k = draw(st.integers(0, len(data)))
+        return data[:k] + bytes([draw(st.sampled_from(_NOT_UTF8))]) + data[k:]
+    if kind == "not a number":
+        bad = draw(st.text(alphabet="xyz?!$%", min_size=1, max_size=8))
+    else:
+        bad = draw(st.sampled_from(["nan", "-nan", "inf", "-inf", "Infinity", "1e999"]))
+    i, j = draw(st.integers(0, len(lines) - 1)), draw(st.integers(0, matrix.shape[1] - 1))
+    cells = lines[i].split(",")
+    cells[j] = bad
+    return "\n".join(lines[:i] + [",".join(cells)] + lines[i + 1:]).encode()
+
+
+@pytest.fixture(scope="module")
+def frames_ckpt(tmp_path_factory):
+    cfg = TrainConfig(hidden_width=16, ff_width=24, dur_hidden=8, flow_hidden=8)
+    path = tmp_path_factory.mktemp("ckpt") / "model.bin"
+    save_model(path, build_model(cfg, Rng(cfg.seed).child(3)))
+    return path
+
+
+class TestCsvMatrixFuzz:
+    """``mas --grid`` and ``dump-attention --input`` read their CSV with
+    ``read_csv_matrix``, raising ``GridError`` and ``FramesError``."""
+
+    LOADERS = [("mas", "--grid", GridError, "grid"),
+               ("dump-attention", "--input", cli.FramesError, "input")]
+
+    @settings(max_examples=50, deadline=None)
+    @given(csv_matrices())
+    def test_roundtrip(self, matrix):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "m.csv")
+            with open(path, "w") as fh:
+                fh.write(csv_text(matrix))
+            assert load_grid(path).P.tobytes() == matrix.tobytes()
+            got = read_csv_matrix(path, cli.FramesError, "input")
+            assert got.tobytes() == matrix.tobytes()
+
+    @pytest.mark.parametrize("command, flag, error, what", LOADERS, ids=["grid", "frames"])
+    @settings(max_examples=50, deadline=None)
+    @given(data=corrupted_csv())
+    def test_corrupted_file_is_one_error_naming_the_file(self, frames_ckpt, command, flag,
+                                                         error, what, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "bad.csv")
+            with open(path, "wb") as fh:
+                fh.write(data)
+            with pytest.raises(error) as info:
+                read_csv_matrix(path, error, what)
+            assert str(info.value).startswith(f"{path}:")
+            out, err = os.path.join(tmp, "out"), io.StringIO()
+            rest = [] if command == "mas" else ["--ckpt", str(frames_ckpt), "--out", out]
+            with contextlib.redirect_stderr(err):
+                code = cli.main([command, flag, path, *rest])
+            assert code == 2
+            assert err.getvalue() == f"alignflow {command}: {info.value}\n"
+            assert not os.path.exists(out)
+
+    @settings(max_examples=50, deadline=None)
+    @given(csv_matrices(), st.data())
+    def test_any_byte_edit_loads_or_raises_grid_error(self, matrix, data):
+        text = csv_text(matrix).encode()
+        k = data.draw(st.integers(0, len(text) - 1))
+        edit = data.draw(st.sampled_from(["cut", "replace"]))
+        mutated = text[:k] if edit == "cut" else text[:k] + bytes([data.draw(
+            st.integers(0, 255))]) + text[k + 1:]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "m.csv")
+            with open(path, "wb") as fh:
+                fh.write(mutated)
+            try:
+                grid = load_grid(path)
+            except GridError as e:
+                assert str(e).startswith(f"{path}:")
+            else:
+                assert np.isfinite(grid.P).all()

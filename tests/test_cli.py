@@ -251,7 +251,7 @@ class TestLoaderErrors:
         code, err = self.invoke_err(capsys, "train-toy", "--config", path,
                                     "--out", tmp_path / "run", "--seed", "0")
         assert code == 2
-        assert err == "alignflow train-toy: hidden_width must be >= 1, got 0\n"
+        assert err == f"alignflow train-toy: {path}: hidden_width must be >= 1, got 0\n"
         assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("col, value, message", [
@@ -293,6 +293,30 @@ class TestLoaderErrors:
         path = tmp_path / "spk.bin"
         save_model(path, build_model(cfg, Rng(cfg.seed).child(3)))
         return path
+
+    @pytest.mark.parametrize("command, flag, text", [
+        pytest.param("mas", "--grid", b"0.5,-1\n2,\xff4\n", id="mas"),
+        pytest.param("train-toy", "--config", b"seed = 1\n# caf\xe9\n", id="train-toy"),
+        pytest.param("train-duration", "--corpus",
+                     b"instance,position,log_duration,h0\n0,0,0.5,\x80\n", id="train-duration"),
+        pytest.param("eval-align", "--corpus", b'{"spec": "\xc0\xaf"}', id="eval-align"),
+        pytest.param("dump-attention", "--input", b"0.3,-1.2\n\xfe1.1,0.2\n",
+                     id="dump-attention"),
+    ])
+    def test_non_utf8_input_is_one_line_naming_the_file(self, capsys, tmp_path, speaker_ckpt,
+                                                        command, flag, text):
+        path = tmp_path / "input.txt"
+        path.write_bytes(text)
+        out = tmp_path / "out"
+        rest = {"mas": [], "train-toy": ["--out", out, "--seed", "0"],
+                "train-duration": ["--steps", "2", "--seed", "0", "--out", out],
+                "eval-align": ["--ckpt", speaker_ckpt],
+                "dump-attention": ["--ckpt", speaker_ckpt, "--out", out]}[command]
+        code, err = self.invoke_err(capsys, command, flag, path, *rest)
+        assert code == 2
+        assert err.startswith(f"alignflow {command}: {path}: not UTF-8 text (")
+        assert err.count("\n") == 1
+        assert not out.exists()
 
     def test_dump_attention_channel_mismatch(self, capsys, tmp_path, speaker_ckpt):
         frames = tmp_path / "frames.csv"

@@ -282,3 +282,13 @@ class TestTraining:
         assert [row["step"] for row in hist] == list(range(7))
         for row in hist:
             assert set(row) == {"step", "loss_d", "loss_g_adv", "loss_g_mse"}
+
+    def test_conditions_align_with_the_corpus(self):
+        gen = DurationGenerator(h_dim=4, z_dim=2, hidden=4, rng=Rng(42), cond_dim=3)
+        disc = DurationDiscriminator(h_dim=4, hidden=4, rng=Rng(43))
+        corpus = [small_batch(44, width=4), small_batch(45, width=4)]
+        conds = [Tensor(Rng(46).normal(3)), Tensor(Rng(47).normal(3))]
+        hist = train_duration(gen, disc, corpus, 4, rng=Rng(48), cond=conds)
+        assert [row["step"] for row in hist] == list(range(4))
+        with pytest.raises(ValueError, match="cond has 1 entries for 2 batches"):
+            train_duration(gen, disc, corpus, 4, rng=Rng(48), cond=conds[:1])

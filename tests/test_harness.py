@@ -48,13 +48,13 @@ from alignflow.numerics import AdamWConfig, Rng, Tensor, check_grad
 class TestCorpus:
     def test_noiseless_frames_are_prototypes(self):
         spec = CorpusSpec(vocab=2, channels=2, n_train=4, n_eval=0, seq_min=2,
-                          seq_max=2, noise=0.0, duration_laws=[(2, 2), (3, 3)])
+                          seq_max=2, dur_min=3, dur_max=3, noise=0.0)
         corpus = generate_corpus(spec, Rng(1))
         for inst in corpus.train:
             assert inst.durations.sum() == inst.frames.shape[0]
             j = 0
             for tok, dur in zip(inst.tokens, inst.durations):
-                assert dur == (2 if tok == 0 else 3)
+                assert dur == 3
                 for _ in range(dur):
                     npt.assert_array_equal(inst.frames[j], corpus.prototypes[tok])
                     j += 1
@@ -92,8 +92,12 @@ class TestCorpus:
             generate_corpus(CorpusSpec(seq_min=0), Rng(0))
         with pytest.raises(ValueError):
             generate_corpus(CorpusSpec(vocab=1), Rng(0))
-        with pytest.raises(ValueError):
-            generate_corpus(CorpusSpec(duration_laws=[(0, 2)] * 3), Rng(0))
+        with pytest.raises(ValueError, match="dur_min=0"):
+            generate_corpus(CorpusSpec(dur_min=0), Rng(0))
+        with pytest.raises(ValueError, match="dur_max=1"):
+            generate_corpus(CorpusSpec(dur_min=2, dur_max=1), Rng(0))
+        with pytest.raises(ValueError, match="channels must be >= 2, got 1"):
+            generate_corpus(CorpusSpec(channels=1), Rng(0))
 
     def test_prototypes_are_separated(self):
         protos = token_prototypes(5, 3, 0.8)
@@ -122,14 +126,12 @@ class TestCorpus:
             npt.assert_array_equal(a.tokens, b.tokens)
             assert a.speaker == b.speaker
 
-    @pytest.mark.parametrize("laws", [None, [(1, 2), (2, 3), (1, 4)]])
-    def test_saved_spec_keys_are_the_spec_fields(self, tmp_path, laws):
-        spec = CorpusSpec(duration_laws=laws)
+    def test_saved_spec_keys_are_the_spec_fields(self, tmp_path):
+        spec = CorpusSpec()
         path = tmp_path / "corpus.json"
         save_corpus(generate_corpus(spec, Rng(12)), path)
         saved = json.loads(path.read_text())["spec"]
-        fields = {f.name for f in dataclasses.fields(CorpusSpec)}
-        assert set(saved) == (fields if laws else fields - {"duration_laws"})
+        assert set(saved) == {f.name for f in dataclasses.fields(CorpusSpec)}
         assert load_corpus(path).spec == spec
 
 
@@ -164,7 +166,10 @@ class TestLoadCorpus:
         (_edit(["spec", "vocab"], -1), "vocab"),
         (_edit(["spec", "seq_max"], 1), "sequence length"),
         (_edit(["spec", "colour"], 1), "colour"),
-        (_edit(["spec", "duration_laws"], [[1, 2]]), "spec.duration_laws"),
+        (_edit(["spec", "duration_laws"], [[1, 2], [2, 3], [1, 4]]),
+         "spec has unknown fields duration_laws"),
+        (_edit(["spec", "channels"], 1), "spec: channels must be >= 2, got 1"),
+        (_edit(["spec", "dur_min"], 6), "spec: bad duration range (dur_min=6, dur_max=5)"),
         (_edit(["train"], None), "'train'"),
         (_edit(["eval"], {}), "eval"),
         (_edit(["prototypes"], [[0.0, 0.0]]), "prototypes"),
@@ -205,6 +210,136 @@ class TestLoadCorpus:
         path = tmp_path / "c.json"
         path.write_text(json.dumps(corpus_payload))
         assert load_corpus(path).spec.noise == 0.0
+
+
+_FINITE = st.floats(-1e6, 1e6)
+
+
+@st.composite
+def corpus_specs(draw):
+    """Small valid specs; the float fields anywhere in a wide finite range."""
+    seq_min, dur_min = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    return CorpusSpec(vocab=draw(st.integers(2, 5)), channels=draw(st.integers(2, 4)),
+                      n_train=draw(st.integers(1, 3)), n_eval=draw(st.integers(0, 2)),
+                      seq_min=seq_min, seq_max=seq_min + draw(st.integers(0, 3)),
+                      dur_min=dur_min, dur_max=dur_min + draw(st.integers(0, 3)),
+                      noise=draw(st.floats(0.0, 1e3)), prototype_radius=draw(_FINITE),
+                      speakers=draw(st.integers(1, 3)), speaker_shift=draw(_FINITE))
+
+
+def saved_corpus_text(spec: CorpusSpec, seed: int) -> str:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "corpus.json")
+        save_corpus(generate_corpus(spec, Rng(seed)), path)
+        with open(path) as fh:
+            return fh.read()
+
+
+_SEEDS = st.integers(0, 2**32)
+_NOT_UTF8 = [*range(0x80, 0xC2), *range(0xF5, 0x100)]
+
+
+@st.composite
+def corrupted_corpus(draw):
+    """A saved valid corpus made invalid one way: cut anywhere, a byte that is
+    not UTF-8, a required field dropped or of the wrong type, an unknown spec
+    field, a spec or frame value that is not finite or too large for a float,
+    or a token or speaker outside its range."""
+    text = saved_corpus_text(draw(corpus_specs()), draw(_SEEDS))
+    kind = draw(st.sampled_from(["truncated", "not UTF-8", "missing", "wrong type",
+                                 "unknown field", "not finite", "too large", "out of range"]))
+    if kind == "truncated":
+        return text[:draw(st.integers(0, len(text) - 1))].encode()
+    if kind == "not UTF-8":
+        data = text.encode()
+        k = draw(st.integers(0, len(data)))
+        return data[:k] + bytes([draw(st.sampled_from(_NOT_UTF8))]) + data[k:]
+    payload = json.loads(text)
+    inst = draw(st.sampled_from(payload["train"] + payload["eval"]))
+    if kind in ("missing", "wrong type"):
+        obj = draw(st.sampled_from([payload, payload["spec"], inst]))
+        key = draw(st.sampled_from(sorted(obj)))
+        if kind == "missing":
+            del obj[key]
+        else:
+            obj[key] = "x"
+    elif kind == "unknown field":
+        payload["spec"][draw(st.sampled_from(["duration_laws", "colour", "law"]))] = [[1, 2]]
+    elif kind in ("not finite", "too large"):
+        bad = (draw(st.sampled_from([math.nan, math.inf, -math.inf])) if kind == "not finite"
+               else draw(st.sampled_from([10**309, -(10**400)])))
+        if draw(st.booleans()):
+            payload["spec"][draw(st.sampled_from(["noise", "prototype_radius",
+                                                  "speaker_shift"]))] = bad
+        else:
+            row = draw(st.sampled_from(inst["frames"]))
+            row[draw(st.integers(0, len(row) - 1))] = bad
+    elif draw(st.booleans()):
+        inst["speaker"] = payload["spec"]["speakers"]
+    else:
+        inst["tokens"][draw(st.integers(0, len(inst["tokens"]) - 1))] = payload["spec"]["vocab"]
+    return json.dumps(payload).encode()
+
+
+@pytest.fixture(scope="module")
+def small_ckpt(tmp_path_factory):
+    path = tmp_path_factory.mktemp("ckpt") / "model.bin"
+    save_model(path, build_model(tiny_config(), Rng(0)))
+    return path
+
+
+class TestCorpusFuzz:
+    @settings(max_examples=50, deadline=None)
+    @given(corpus_specs(), _SEEDS)
+    def test_roundtrip(self, spec, seed):
+        corpus = generate_corpus(spec, Rng(seed))
+        with tempfile.TemporaryDirectory() as tmp:
+            path, again = os.path.join(tmp, "a.json"), os.path.join(tmp, "b.json")
+            save_corpus(corpus, path)
+            loaded = load_corpus(path)
+            save_corpus(loaded, again)
+            with open(path, "rb") as a, open(again, "rb") as b:
+                assert a.read() == b.read()
+        assert loaded.spec == spec
+        assert loaded.prototypes.tobytes() == corpus.prototypes.tobytes()
+        assert loaded.speaker_offsets.tobytes() == corpus.speaker_offsets.tobytes()
+        for want, got in zip(corpus.train + corpus.eval, loaded.train + loaded.eval,
+                             strict=True):
+            assert got.tokens.tobytes() == want.tokens.tobytes()
+            assert got.durations.tobytes() == want.durations.tobytes()
+            assert got.frames.tobytes() == want.frames.tobytes()
+            assert got.speaker == want.speaker
+
+    @settings(max_examples=50, deadline=None)
+    @given(corrupted_corpus())
+    def test_corrupted_file_is_one_error_naming_the_file(self, small_ckpt, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "bad.json")
+            with open(path, "wb") as fh:
+                fh.write(data)
+            with pytest.raises(CorpusError) as info:
+                load_corpus(path)
+            assert str(info.value).startswith(f"{path}: ")
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = cli.main(["eval-align", "--ckpt", str(small_ckpt), "--corpus", path])
+            assert code == 2
+            assert err.getvalue() == f"alignflow eval-align: {info.value}\n"
+
+    @settings(max_examples=50, deadline=None)
+    @given(corpus_specs(), _SEEDS, st.data())
+    def test_any_byte_edit_loads_or_raises_corpus_error(self, spec, seed, data):
+        text = saved_corpus_text(spec, seed).encode()
+        k = data.draw(st.integers(0, len(text) - 1))
+        mutated = text[:k] + bytes([data.draw(st.integers(0, 255))]) + text[k + 1:]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "c.json")
+            with open(path, "wb") as fh:
+                fh.write(mutated)
+            try:
+                load_corpus(path)
+            except CorpusError as e:
+                assert str(e).startswith(f"{path}: ")
 
 
 class TestMainPhaseGradientOracle:
@@ -309,8 +444,9 @@ class TestConfig:
     def test_empty_model_sizes_rejected_at_load(self, tmp_path, key, value):
         path = tmp_path / "size.cfg"
         path.write_text(f"{key} = {value}\n")
-        with pytest.raises(ConfigError, match=f"^{key} must be >= 1, got {value}$"):
+        with pytest.raises(ConfigError) as info:
             load_config(path)
+        assert str(info.value) == f"{path}: {key} must be >= 1, got {value}"
 
     def test_settings_map_onto_adamw_config_corpus_spec_and_cli(self):
         assert TrainConfig().optimizer() == AdamWConfig()
@@ -321,8 +457,7 @@ class TestConfig:
                    dur_max=7, obs_noise=0.25, prototype_radius=1.5, speakers=3,
                    speaker_shift=0.5)
         spec_names = {"noise" if key == "obs_noise" else key: key for key in off}
-        assert set(spec_names) == {f.name for f in dataclasses.fields(CorpusSpec)} - {
-            "duration_laws"}
+        assert set(spec_names) == {f.name for f in dataclasses.fields(CorpusSpec)}
         spec = TrainConfig(**off).corpus_spec()
         for spec_name, key in spec_names.items():
             assert getattr(TrainConfig(), key) != off[key]
