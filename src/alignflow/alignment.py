@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import LOG_2PI, Rng
+from .numerics import LOG_2PI, NumericError, Rng
 
 
 # exploration-noise schedule: scale starts at 0.01 and loses 2e-6 per global
@@ -194,7 +194,9 @@ def mas_search(
     sentinel in front of token 0 stands in for its missing diagonal
     predecessor, and cells with i > j stay ``-inf``.
 
-    Returns (alignment, Q at the terminal cell).
+    Returns (alignment, Q at the terminal cell). A grid whose scores
+    overflow float64 (or whose std does, with noise on) gives a non-finite
+    best_Q and raises ``NumericError``.
     """
     P = grid.P
     vi, vj = P.shape
@@ -232,6 +234,8 @@ def mas_search(
             i -= 1
     durations[i] += 1
     best_q = Q[vj - 1, vi]
+    if not math.isfinite(best_q):
+        raise NumericError(f"alignment search overflowed: best_Q = {float(best_q)!r}")
     if eps is None:
         best_q += 0.0  # the zero noise term's one effect: -0.0 becomes +0.0
     return Alignment(durations), float(best_q)

@@ -19,6 +19,7 @@ from .corpus import load_corpus
 from .duration import DurationDiscriminator, DurationGenerator, train_duration
 from .harness import (
     DUR_HEADER_ADV,
+    ConfigError,
     TrainConfig,
     eval_alignment,
     load_config,
@@ -47,7 +48,10 @@ def _cmd_mas(args) -> int:
 def _cmd_train_toy(args) -> int:
     config = load_config(args.config)
     config.seed = args.seed
-    history, model = train_toy(config, out_dir=args.out)
+    try:
+        history, model = train_toy(config, out_dir=args.out)
+    except ConfigError as e:  # the model cannot be built
+        raise ConfigError(f"{args.config}: {e}") from None
     last = history["main"][-1] if history["main"] else {}
     print(f"wrote {args.out}")
     if last.get("eval_exact") is not None:

@@ -53,8 +53,11 @@ class CorpusSpec:
             raise ValueError("need at least one training instance")
         if self.speakers < 1:
             raise ValueError(f"speakers must be >= 1, got {self.speakers}")
-        if self.noise < 0:
-            raise ValueError("observation noise must be >= 0")
+        if not 0 <= self.noise < math.inf:
+            raise ValueError(f"observation noise must be finite and >= 0, got {self.noise!r}")
+        for name in ("prototype_radius", "speaker_shift"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.dur_min < 1 or self.dur_max < self.dur_min:
             raise ValueError(
                 f"bad duration range (dur_min={self.dur_min}, dur_max={self.dur_max})")

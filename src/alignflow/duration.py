@@ -7,6 +7,9 @@ one real/fake score per token rather than pooling, which is what lets it
 handle variable-length sequences. Training uses the least-squares adversarial
 objective (real scores pushed to 1, fake to 0) plus a mean-squared-error
 anchor on the search-derived log-durations.
+
+The phase passes one ``DurationBatch`` around: features, targets and speaker
+condition together. Only ``instances()`` and ``generate`` read its padding.
 """
 
 from __future__ import annotations
@@ -23,7 +26,8 @@ KERNEL = 3  # conv kernel width along the token axis, in every tower
 
 @dataclass
 class DurationBatch:
-    """Padded batch: h_text (B, I, H), d (B, I) log-durations, mask (B, I).
+    """Padded batch: h_text (B, I, H), d (B, I) log-durations, mask (B, I),
+    and ``cond``, None or the generator's condition vector for every instance.
 
     Masks must be prefix-form (valid tokens first). Valid log-durations are
     finite and >= 0, i.e. at least one frame per token.
@@ -32,6 +36,7 @@ class DurationBatch:
     h_text: np.ndarray
     d: np.ndarray
     mask: np.ndarray
+    cond: np.ndarray | None = None
 
     def __post_init__(self):
         self.h_text = np.asarray(self.h_text, dtype=np.float64)
@@ -55,12 +60,9 @@ class DurationBatch:
         if (self.d[self.mask] < 0).any():
             raise ValueError("valid log-durations must be >= 0 (durations >= 1 frame)")
 
-    @property
-    def batch_size(self) -> int:
-        return self.h_text.shape[0]
-
-    def valid_len(self, b: int) -> int:
-        return int(self.mask[b].sum())
+    def instances(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Each instance's valid prefix as views ``(h_text[b, :n], d[b, :n])``."""
+        return [(h[:n], d[:n]) for h, d, n in zip(self.h_text, self.d, self.mask.sum(axis=1))]
 
 
 class _ConvTower(nm.Module):
@@ -147,17 +149,15 @@ def generate(gen: DurationGenerator, h_text, z_d, mask, cond=None) -> list[Tenso
     """Predicted log-durations per instance, valid prefix only.
 
     h_text: (B, I, H); z_d: (B, I, Z) standard normal (ignored for a
-    deterministic generator); mask: (B, I) prefix masks. The returned tensors
-    are tape-connected to the generator parameters.
+    deterministic generator); mask: (B, I) prefix masks; cond: None or one
+    condition vector for every instance. The returned tensors are
+    tape-connected to the generator parameters.
     """
     h_text = np.asarray(h_text, dtype=np.float64)
-    mask = np.asarray(mask, dtype=bool)
+    z_d = np.asarray(z_d, dtype=np.float64) if gen.z_dim else None
     out = []
-    for b in range(h_text.shape[0]):
-        n = int(mask[b].sum())
-        z = None
-        if gen.z_dim:
-            z = np.asarray(z_d, dtype=np.float64)[b, :n]
+    for b, n in enumerate(np.asarray(mask, dtype=bool).sum(axis=1)):
+        z = None if z_d is None else z_d[b, :n]
         out.append(gen.forward(h_text[b, :n], z, cond=cond))
     return out
 
@@ -172,50 +172,40 @@ def _masked_mean(per_token_terms: list[Tensor]) -> Tensor:
     return total * (1.0 / count)
 
 
-def adv_loss_d(disc: DurationDiscriminator, d, d_hat, h_text, mask) -> Tensor:
+def adv_loss_d(disc: DurationDiscriminator, batch: DurationBatch, d_hat) -> Tensor:
     """Least-squares critic loss: mean over valid tokens of
-    (D(d, h) - 1)^2 + D(d_hat, h)^2.
+    (D(d, h) - 1)^2 + D(d_hat, h)^2, ``d_hat`` one tensor per instance.
 
     Predicted durations are detached here, so this loss can never move the
     generator.
     """
-    h_text = np.asarray(h_text, dtype=np.float64)
-    d = np.asarray(d, dtype=np.float64)
-    mask = np.asarray(mask, dtype=bool)
     terms = []
-    for b in range(h_text.shape[0]):
-        n = int(mask[b].sum())
-        h = h_text[b, :n]
-        real = disc.forward(h, d[b, :n])
-        fake = disc.forward(h, d_hat[b].detach())
+    for (h, d), fake_d in zip(batch.instances(), d_hat, strict=True):
+        real = disc.forward(h, d)
+        fake = disc.forward(h, fake_d.detach())
         terms.append((real - 1.0) ** 2 + fake**2)
     return _masked_mean(terms)
 
 
-def adv_loss_g(disc: DurationDiscriminator, d_hat, h_text, mask) -> Tensor:
-    """Least-squares generator loss: mean over valid tokens of (D(d_hat, h) - 1)^2.
+def adv_loss_g(disc: DurationDiscriminator, batch: DurationBatch, d_hat) -> Tensor:
+    """Least-squares generator loss: mean over valid tokens of (D(d_hat, h) - 1)^2,
+    ``d_hat`` one tensor per instance.
 
     Freeze the discriminator parameters around backward when training; the
     tape checks requires_grad at backward time.
     """
-    h_text = np.asarray(h_text, dtype=np.float64)
-    mask = np.asarray(mask, dtype=bool)
     terms = []
-    for b in range(h_text.shape[0]):
-        n = int(mask[b].sum())
-        fake = disc.forward(h_text[b, :n], d_hat[b])
+    for (h, _), fake_d in zip(batch.instances(), d_hat, strict=True):
+        fake = disc.forward(h, fake_d)
         terms.append((fake - 1.0) ** 2)
     return _masked_mean(terms)
 
 
-def mse_loss(d_hat, d, mask) -> Tensor:
-    """Mean squared error between predicted and target log-durations."""
-    d = np.asarray(d, dtype=np.float64)
-    mask = np.asarray(mask, dtype=bool)
+def mse_loss(batch: DurationBatch, d_hat) -> Tensor:
+    """Mean over valid tokens of (d_hat - d)^2, ``d_hat`` one tensor per instance."""
     terms = []
-    for b in range(d.shape[0]):
-        n = int(mask[b].sum())
-        diff = d_hat[b] - d[b, :n]
+    for (_, d), pred in zip(batch.instances(), d_hat, strict=True):
+        diff = pred - d
         terms.append(diff * diff)
     return _masked_mean(terms)
 
@@ -231,47 +221,40 @@ def train_duration(
     steps: int,
     opt_cfg: AdamWConfig = AdamWConfig(),
     rng: Rng | None = None,
-    cond=None,
     verify_isolation: bool = False,
 ) -> list[dict]:
-    """Alternating critic/generator updates over a corpus of batches.
+    """Alternating critic/generator updates over a corpus of batches, the
+    generator conditioned on each batch's own ``cond``.
 
     Per step: one discriminator update on the least-squares critic loss, then
     one generator update on adversarial + MSE loss. With ``disc=None`` the
     step is the generator update on the MSE loss alone (the
     deterministic-baseline arm), and its record has no critic or adversarial
-    loss. ``cond`` is None or a list of condition vectors aligned with
-    ``corpus``. Returns one loss record per step; a non-finite loss aborts
-    with the offending step index.
+    loss. Returns one loss record per step; a non-finite loss aborts with the
+    offending step index.
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
     if gen.z_dim and rng is None:
         raise ValueError("a generator with a noise input needs an rng")
-    if cond is not None and len(cond) != len(corpus):
-        raise ValueError(f"cond has {len(cond)} entries for {len(corpus)} batches")
     critic = disc.params() if disc is not None else []
     opt_g = AdamW(gen.params(), opt_cfg)
     opt_d = AdamW(critic, opt_cfg) if disc is not None else None
     opts = [opt for opt in (opt_g, opt_d) if opt is not None]
 
     def draw_noise(batch: DurationBatch) -> np.ndarray | None:
-        if not gen.z_dim:
-            return None
-        return rng.normal((batch.batch_size, batch.mask.shape[1], gen.z_dim))
+        return rng.normal((*batch.mask.shape, gen.z_dim)) if gen.z_dim else None
 
     history = []
     for step in range(steps):
-        idx = step % len(corpus)
-        batch = corpus[idx]
-        batch_cond = None if cond is None else cond[idx]
+        batch = corpus[step % len(corpus)]
         for opt in opts:
             opt.set_epoch(step // len(corpus))
         row = {"step": step}
         try:
             if disc is not None:
-                d_hat = generate(gen, batch.h_text, draw_noise(batch), batch.mask, batch_cond)
-                loss_d = adv_loss_d(disc, batch.d, d_hat, batch.h_text, batch.mask)
+                d_hat = generate(gen, batch.h_text, draw_noise(batch), batch.mask, batch.cond)
+                loss_d = adv_loss_d(disc, batch, d_hat)
                 for opt in opts:
                     opt.zero_grad()
                 loss_d.backward()
@@ -282,11 +265,11 @@ def train_duration(
                 opt_d.step()
                 row["loss_d"] = loss_d.item()
 
-            d_hat = generate(gen, batch.h_text, draw_noise(batch), batch.mask, batch_cond)
+            d_hat = generate(gen, batch.h_text, draw_noise(batch), batch.mask, batch.cond)
             if disc is not None:
-                loss_adv = adv_loss_g(disc, d_hat, batch.h_text, batch.mask)
+                loss_adv = adv_loss_g(disc, batch, d_hat)
                 row["loss_g_adv"] = loss_adv.item()
-            loss_mse = mse_loss(d_hat, batch.d, batch.mask)
+            loss_mse = mse_loss(batch, d_hat)
             loss_g = loss_mse if disc is None else loss_adv + loss_mse
             for opt in opts:
                 opt.zero_grad()

@@ -14,6 +14,7 @@ import numpy as np
 from . import numerics as nm
 from .corpus import Instance
 from .duration import (
+    DurationBatch,
     DurationDiscriminator,
     DurationGenerator,
     adv_loss_d,
@@ -317,14 +318,14 @@ def _duration_phase_checks(rng: Rng) -> list[tuple[str, object, Tensor]]:
     mask = np.arange(tokens) < np.array([[tokens], [tokens - 1]])
     d = rng.uniform(0.0, 1.5, (2, tokens))
     z = rng.normal((2, tokens, 2))
-    cond = Tensor(rng.normal(3))
+    batch = DurationBatch(h_text, d, mask, cond=rng.normal(3))
 
     def loss_d() -> Tensor:
-        return adv_loss_d(disc, d, generate(gen, h_text, z, mask, cond), h_text, mask)
+        return adv_loss_d(disc, batch, generate(gen, h_text, z, mask, batch.cond))
 
     def loss_g() -> Tensor:
-        d_hat = generate(gen, h_text, z, mask, cond)
-        return adv_loss_g(disc, d_hat, h_text, mask) + mse_loss(d_hat, d, mask)
+        d_hat = generate(gen, h_text, z, mask, batch.cond)
+        return adv_loss_g(disc, batch, d_hat) + mse_loss(batch, d_hat)
 
     gen_row = _swap_param(gen.tower, "conv1_w", loss_g)
     gen_row.frozen = disc.params()  # checked, backward included, under nm.frozen

@@ -257,14 +257,14 @@ def _instance_forward(model: ToyModel, inst: Instance):
     return h, mu, sigma, u, logdet, cond
 
 
-def _encode_and_align(model: ToyModel, inst: Instance) -> tuple[Tensor, np.ndarray]:
-    """Encoder output and noise-free alignment-search durations from one forward
-    pass, recording no tape."""
+def _encode_and_align(model: ToyModel, inst: Instance) -> tuple[Tensor, np.ndarray, Tensor | None]:
+    """Encoder output, noise-free alignment-search durations and the projected
+    speaker condition (or None) from one forward pass, recording no tape."""
     with nm.no_grad():
-        h, mu, sigma, u, _, _ = _instance_forward(model, inst)
+        h, mu, sigma, u, _, cond = _instance_forward(model, inst)
     grid = log_prob_grid(u.data.T, mu.data, sigma.data)
     align, _ = mas_search(grid, noise_scale=0.0)
-    return h, align.durations
+    return h, align.durations, cond
 
 
 def predict_durations(model: ToyModel, inst: Instance) -> np.ndarray:
@@ -288,15 +288,17 @@ def eval_alignment(model, instances) -> dict[str, float]:
 
 
 def duration_targets(model: ToyModel, instances) -> list[DurationBatch]:
-    """Frozen log-duration targets from noise-free alignment search."""
+    """Frozen log-duration targets from noise-free alignment search, each batch
+    carrying its instance's speaker condition."""
     batches = []
     for inst in instances:
-        h, pred = _encode_and_align(model, inst)
+        h, pred, cond = _encode_and_align(model, inst)
         batches.append(
             DurationBatch(
                 h_text=h.data[None, :, :].copy(),
                 d=np.log(pred.astype(np.float64))[None, :],
                 mask=np.ones((1, pred.size), dtype=bool),
+                cond=None if cond is None else cond.data,
             )
         )
     return batches
@@ -305,6 +307,7 @@ def duration_targets(model: ToyModel, instances) -> list[DurationBatch]:
 def train_toy(config: TrainConfig, corpus: ToyCorpus | None = None,
               out_dir=None) -> tuple[dict, ToyModel]:
     """Run both phases; returns ({"main": [...], "duration": [...]}, model).
+    A config whose model cannot be built raises ``ConfigError``.
 
     With an out_dir, also writes corpus.json, per-phase metrics CSVs, the
     duration-target corpus, and checkpoint.bin (format in docs/).
@@ -313,7 +316,10 @@ def train_toy(config: TrainConfig, corpus: ToyCorpus | None = None,
     if corpus is None:
         corpus = generate_corpus(config.corpus_spec(), root.child(1))
     noise_rng = root.child(2)
-    model = build_model(config, root.child(3))
+    try:
+        model = build_model(config, root.child(3))
+    except ValueError as e:
+        raise ConfigError(f"config does not build a model: {e}") from None
     dur_rng = root.child(4)
 
     opt = nm.AdamW(model.main_params(), config.optimizer())
@@ -343,10 +349,6 @@ def train_toy(config: TrainConfig, corpus: ToyCorpus | None = None,
         main_rows.append(row)
 
     targets = duration_targets(model, corpus.train)
-    conds = None
-    if model.speakers is not None and config.condition_speaker:
-        # duration training runs on frozen targets; detach the conditions too
-        conds = [model.speaker_condition(i.speaker)[1].detach() for i in corpus.train]
     dur_rows = train_duration(
         model.dur_gen,
         model.dur_disc,
@@ -354,7 +356,6 @@ def train_toy(config: TrainConfig, corpus: ToyCorpus | None = None,
         config.steps_duration,
         opt_cfg=config.optimizer(lr=config.duration_lr),
         rng=dur_rng,
-        cond=conds,
     )
 
     history = {"main": main_rows, "duration": dur_rows}
@@ -392,15 +393,12 @@ def save_duration_corpus(path, batches: list[DurationBatch]):
     width = batches[0].h_text.shape[2]
     header = ["instance", "position", "log_duration"] + [f"h{i}" for i in range(width)]
     lines = [",".join(header)]
-    idx = 0
-    for batch in batches:
-        for b in range(batch.batch_size):
-            n = batch.valid_len(b)
-            for pos in range(n):
-                cells = [str(idx), str(pos), repr(float(batch.d[b, pos]))]
-                cells += [repr(float(x)) for x in batch.h_text[b, pos]]
-                lines.append(",".join(cells))
-            idx += 1
+    instances = (inst for batch in batches for inst in batch.instances())
+    for idx, (h, d) in enumerate(instances):
+        for pos, (d_pos, h_pos) in enumerate(zip(d, h)):
+            cells = [str(idx), str(pos), repr(float(d_pos))]
+            cells += [repr(float(x)) for x in h_pos]
+            lines.append(",".join(cells))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 

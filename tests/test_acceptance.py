@@ -129,7 +129,7 @@ def test_5_loss_identities():
         n = 4
         h = rng.normal((1, n, 3))
         d = np.abs(rng.normal((1, n))) + 0.2
-        mask = np.ones((1, n), bool)
+        batch = DurationBatch(h, d, np.ones((1, n), bool))
         d_hat = [Tensor(d[0] + 1.0)]
 
         class ConstDisc:
@@ -140,9 +140,9 @@ def test_5_loss_identities():
                 is_real = np.array_equal(nm.ensure_tensor(dd).data, d[0])
                 return Tensor(np.full(n, self.real if is_real else self.fake))
 
-        assert adv_loss_d(ConstDisc(1.0, 0.0), d, d_hat, h, mask).item() == 0.0
-        npt.assert_allclose(adv_loss_d(ConstDisc(0.5, 0.5), d, d_hat, h, mask).item(), 0.5)
-        npt.assert_allclose(mse_loss(d_hat, d, mask).item(), 1.0)
+        assert adv_loss_d(ConstDisc(1.0, 0.0), batch, d_hat).item() == 0.0
+        npt.assert_allclose(adv_loss_d(ConstDisc(0.5, 0.5), batch, d_hat).item(), 0.5)
+        npt.assert_allclose(mse_loss(batch, d_hat).item(), 1.0)
 
 
 def test_6_duration_training_convergence():

@@ -27,7 +27,7 @@ from alignflow.alignment import (
     read_csv_matrix,
 )
 from alignflow.harness import TrainConfig, build_model, save_model
-from alignflow.numerics import Rng
+from alignflow.numerics import NumericError, Rng
 
 
 def gaussian_logpdf_scalar(x, mu, sigma):
@@ -253,6 +253,26 @@ class TestMasSearch:
             grid = random_grid(rng, rng.integers(1, 6), rng.integers(6, 11), 2)
             align, q = mas_search(grid)
             assert abs(q - alignment_score(grid, align)) <= 1e-9
+
+    OVERFLOWING = np.array([[1e308, -1e308, 1e308], [-1e308, 1e308, -1e308]])
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("P, scale, best_q", [
+        (OVERFLOWING, 0.0, "inf"),  # the score sum overflows
+        (np.full((1, 2), -1e308), 0.0, "-inf"),
+        (OVERFLOWING, 0.5, "nan"),  # P.std() overflows, so eps is +-inf
+        (np.ones((2, 3)), math.inf, "nan"),  # std 0 times an infinite scale
+        (np.array([[0.5, -1.0, 2.0]]), math.inf, "(-?inf|nan)"),
+    ])
+    def test_non_finite_best_q_raises(self, P, scale, best_q):
+        with pytest.raises(NumericError, match=f"overflowed: best_Q = {best_q}$"):
+            mas_search(LogProbGrid(P), scale, Rng(3))
+
+    def test_largest_finite_scores_still_align(self):
+        P = np.array([[1e307, -1e307, 1e307], [-1e307, 1e307, -1e307]])
+        align, q = mas_search(LogProbGrid(P))
+        npt.assert_array_equal(align.durations, [1, 2])
+        assert q == 1e307
 
 
 class TestColumnwiseMatchesReference:

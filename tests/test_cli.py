@@ -254,6 +254,17 @@ class TestLoaderErrors:
         assert err == f"alignflow train-toy: {path}: hidden_width must be >= 1, got 0\n"
         assert not (tmp_path / "run").exists()
 
+    def test_config_that_cannot_build_a_model_names_the_file(self, capsys, tmp_path):
+        # passes validate(), but numpy refuses the embedding's size before allocating
+        path = tmp_path / "huge.cfg"
+        path.write_text("hidden_width = 1152921504606846976\nn_heads = 1\n")
+        code, err = self.invoke_err(capsys, "train-toy", "--config", path,
+                                    "--out", tmp_path / "run", "--seed", "0")
+        assert code == 2
+        assert err.startswith(f"alignflow train-toy: {path}: config does not build a model: ")
+        assert "array is too big" in err and err.count("\n") == 1
+        assert not (tmp_path / "run").exists()
+
     @pytest.mark.parametrize("col, value, message", [
         (0, "x", ":2: instance 'x' is not an integer"),
         (1, "0.5", ":2: position '0.5' is not an integer"),
@@ -285,6 +296,18 @@ class TestLoaderErrors:
             code, err = self.invoke_err(capsys, "mas", "--grid", path)
         assert code == 2
         assert err == f"alignflow mas: {path}{message}\n"
+
+    @pytest.mark.parametrize("noise", [[], ["--noise-scale", "0.5"]])
+    def test_overflowing_mas_grid(self, capsys, tmp_path, noise):
+        path = tmp_path / "grid.csv"
+        path.write_text("1e308,-1e308,1e308\n-1e308,1e308,-1e308\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, err = self.invoke_err(capsys, "mas", "--grid", path, *noise)
+        best_q = "nan" if noise else "inf"
+        assert code == 2
+        assert err == f"alignflow mas: alignment search overflowed: best_Q = {best_q}\n"
+        assert capsys.readouterr().out == ""
 
     @pytest.fixture
     def speaker_ckpt(self, tmp_path):

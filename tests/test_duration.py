@@ -33,11 +33,11 @@ class ConstantDisc:
         return Tensor(np.full(n, self.real if is_real else self.fake))
 
 
-def small_batch(seed=0, n=4, width=6):
+def small_batch(seed=0, n=4, width=6, cond=None):
     rng = Rng(seed)
     h = rng.normal((1, n, width))
     d = np.abs(rng.normal((1, n))) + 0.2
-    return DurationBatch(h_text=h, d=d, mask=np.ones((1, n), bool))
+    return DurationBatch(h_text=h, d=d, mask=np.ones((1, n), bool), cond=cond)
 
 
 class TestDurationBatch:
@@ -56,6 +56,18 @@ class TestDurationBatch:
                 d=np.array([[0.5, -0.1]]),
                 mask=np.ones((1, 2), bool),
             )
+
+    def test_instances_are_views_of_the_valid_prefixes(self):
+        rng = Rng(49)
+        h, d = rng.normal((2, 4, 3)), rng.uniform(0.0, 1.0, (2, 4))
+        batch = DurationBatch(h_text=h, d=d, mask=np.arange(4) < np.array([[4], [2]]))
+        got = batch.instances()
+        assert [(hb.shape, db.shape) for hb, db in got] == [((4, 3), (4,)), ((2, 3), (2,))]
+        for b, (hb, db) in enumerate(got):
+            n = db.shape[0]
+            assert hb.tobytes() == h[b, :n].tobytes() and db.tobytes() == d[b, :n].tobytes()
+            assert np.shares_memory(hb, batch.h_text) and np.shares_memory(db, batch.d)
+        assert batch.cond is None
 
 
 class TestGenerator:
@@ -99,21 +111,21 @@ class TestLossIdentities:
         batch = small_batch()
         d_hat = [Tensor(batch.d[0] + 1.0)]
         disc = ConstantDisc(1.0, 0.0, batch.d[0])
-        loss = adv_loss_d(disc, batch.d, d_hat, batch.h_text, batch.mask)
+        loss = adv_loss_d(disc, batch, d_hat)
         assert loss.item() == 0.0
 
     def test_constant_half_discriminator(self):
         batch = small_batch()
         d_hat = [Tensor(batch.d[0] + 1.0)]
         disc = ConstantDisc(0.5, 0.5, batch.d[0])
-        loss = adv_loss_d(disc, batch.d, d_hat, batch.h_text, batch.mask)
+        loss = adv_loss_d(disc, batch, d_hat)
         npt.assert_allclose(loss.item(), 0.5)
 
     def test_worst_case_discriminator(self):
         batch = small_batch()
         d_hat = [Tensor(batch.d[0] + 1.0)]
         disc = ConstantDisc(0.0, 1.0, batch.d[0])
-        loss = adv_loss_d(disc, batch.d, d_hat, batch.h_text, batch.mask)
+        loss = adv_loss_d(disc, batch, d_hat)
         npt.assert_allclose(loss.item(), 2.0)
 
     def test_generator_loss_cases(self):
@@ -121,7 +133,7 @@ class TestLossIdentities:
         d_hat = [Tensor(batch.d[0] + 1.0)]
         for score, want in [(1.0, 0.0), (0.0, 1.0), (0.25, 0.5625)]:
             disc = ConstantDisc(score, score, batch.d[0])
-            loss = adv_loss_g(disc, d_hat, batch.h_text, batch.mask)
+            loss = adv_loss_g(disc, batch, d_hat)
             npt.assert_allclose(loss.item(), want)
 
     def test_lsgan_constant_fixed_point(self):
@@ -132,16 +144,28 @@ class TestLossIdentities:
         losses = []
         for c in grid:
             disc = ConstantDisc(c, c, batch.d[0])
-            losses.append(adv_loss_d(disc, batch.d, d_hat, batch.h_text, batch.mask).item())
+            losses.append(adv_loss_d(disc, batch, d_hat).item())
         npt.assert_allclose(losses, (grid - 1) ** 2 + grid**2, atol=1e-12)
         assert grid[int(np.argmin(losses))] == 0.5
 
+    def test_one_prediction_per_instance(self):
+        batch = small_batch()
+        disc = ConstantDisc(0.5, 0.5, batch.d[0])
+        for d_hat in ([], [Tensor(batch.d[0])] * 2):
+            for loss in (lambda: adv_loss_d(disc, batch, d_hat),
+                         lambda: adv_loss_g(disc, batch, d_hat),
+                         lambda: mse_loss(batch, d_hat)):
+                with pytest.raises(ValueError, match="zip"):
+                    loss()
+
     def test_mse_cases(self):
         d = np.array([[0.3, 1.1, 0.8]])
-        mask = np.ones((1, 3), bool)
-        assert mse_loss([Tensor(d[0])], d, mask).item() == 0.0
-        npt.assert_allclose(mse_loss([Tensor(d[0] + 1.0)], d, mask).item(), 1.0)
-        hand = mse_loss([Tensor([0.0, 2.0])], np.array([[1.0, 1.0]]), np.ones((1, 2), bool))
+        batch = DurationBatch(h_text=np.zeros((1, 3, 2)), d=d, mask=np.ones((1, 3), bool))
+        assert mse_loss(batch, [Tensor(d[0])]).item() == 0.0
+        npt.assert_allclose(mse_loss(batch, [Tensor(d[0] + 1.0)]).item(), 1.0)
+        ones = DurationBatch(h_text=np.zeros((1, 2, 2)), d=np.array([[1.0, 1.0]]),
+                             mask=np.ones((1, 2), bool))
+        hand = mse_loss(ones, [Tensor([0.0, 2.0])])
         npt.assert_allclose(hand.item(), 1.0)
 
 
@@ -174,10 +198,10 @@ class TestTimeStepWise:
         d = np.abs(rng.normal((1, 6))) + 0.5
         mask = np.ones((1, 6), bool)
         d_hat = [Tensor(np.abs(rng.normal(6)) + 0.5)]
-        before = adv_loss_d(disc, d, d_hat, h, mask).item()
+        before = adv_loss_d(disc, DurationBatch(h, d, mask), d_hat).item()
         d_perturbed = d.copy()
         d_perturbed[0, 2] += 0.7
-        after = adv_loss_d(disc, d_perturbed, d_hat, h, mask).item()
+        after = adv_loss_d(disc, DurationBatch(h, d_perturbed, mask), d_hat).item()
         assert before != after
 
 
@@ -205,9 +229,9 @@ class TestMasking:
         npt.assert_array_equal(dh1[0].data, dh2[0].data)
 
         for fn in (
-            lambda b, dh: adv_loss_d(disc, b.d, dh, b.h_text, b.mask),
-            lambda b, dh: adv_loss_g(disc, dh, b.h_text, b.mask),
-            lambda b, dh: mse_loss(dh, b.d, b.mask),
+            lambda b, dh: adv_loss_d(disc, b, dh),
+            lambda b, dh: adv_loss_g(disc, b, dh),
+            lambda b, dh: mse_loss(b, dh),
         ):
             assert abs(fn(batch, dh1).item() - fn(padded, dh2).item()) <= 1e-12
 
@@ -222,7 +246,7 @@ class TestGradientIsolation:
 
     def test_critic_loss_never_moves_generator(self):
         d_hat = generate(self.gen, self.batch.h_text, self.z, self.batch.mask)
-        loss = adv_loss_d(self.disc, self.batch.d, d_hat, self.batch.h_text, self.batch.mask)
+        loss = adv_loss_d(self.disc, self.batch, d_hat)
         loss.backward()
         for p in self.gen.params():
             assert p.grad is None
@@ -230,8 +254,8 @@ class TestGradientIsolation:
 
     def test_generator_loss_with_frozen_critic(self):
         d_hat = generate(self.gen, self.batch.h_text, self.z, self.batch.mask)
-        loss = adv_loss_g(self.disc, d_hat, self.batch.h_text, self.batch.mask)
-        loss = loss + mse_loss(d_hat, self.batch.d, self.batch.mask)
+        loss = adv_loss_g(self.disc, self.batch, d_hat)
+        loss = loss + mse_loss(self.batch, d_hat)
         with nm.frozen(self.disc.params()):
             loss.backward()
         for p in self.disc.params():
@@ -286,9 +310,28 @@ class TestTraining:
     def test_conditions_align_with_the_corpus(self):
         gen = DurationGenerator(h_dim=4, z_dim=2, hidden=4, rng=Rng(42), cond_dim=3)
         disc = DurationDiscriminator(h_dim=4, hidden=4, rng=Rng(43))
-        corpus = [small_batch(44, width=4), small_batch(45, width=4)]
-        conds = [Tensor(Rng(46).normal(3)), Tensor(Rng(47).normal(3))]
-        hist = train_duration(gen, disc, corpus, 4, rng=Rng(48), cond=conds)
+        corpus = [small_batch(44, width=4, cond=Rng(46).normal(3)),
+                  small_batch(45, width=4, cond=Rng(47).normal(3))]
+        hist = train_duration(gen, disc, corpus, 4, rng=Rng(48))
         assert [row["step"] for row in hist] == list(range(4))
-        with pytest.raises(ValueError, match="cond has 1 entries for 2 batches"):
-            train_duration(gen, disc, corpus, 4, rng=Rng(48), cond=conds[:1])
+
+    @staticmethod
+    def conditioned_history(conds, steps=3):
+        gen = DurationGenerator(h_dim=4, z_dim=2, hidden=4, rng=Rng(50), cond_dim=3)
+        disc = DurationDiscriminator(h_dim=4, hidden=4, rng=Rng(51))
+        corpus = [small_batch(52, width=4, cond=c) for c in conds]
+        return train_duration(gen, disc, corpus, steps, rng=Rng(53))
+
+    def test_each_step_reads_its_own_batch_condition(self):
+        losses = ("loss_d", "loss_g_adv", "loss_g_mse")
+        c1, c2 = Rng(54).normal(3), Rng(55).normal(3)
+        one = self.conditioned_history([c1])
+        assert one == self.conditioned_history([c1.copy()])
+        # the critic and the generator update both see the condition
+        other = self.conditioned_history([c2])
+        assert all(one[0][k] != other[0][k] for k in losses)
+        # the same features under two conditions: step 0 trains on c1 in both
+        # runs; step 1's batch carries c2 in one run only
+        same, mixed = self.conditioned_history([c1, c1]), self.conditioned_history([c1, c2])
+        assert same[0] == mixed[0]
+        assert all(same[1][k] != mixed[1][k] for k in losses)

@@ -25,6 +25,7 @@ from alignflow.corpus import (
     save_corpus,
     token_prototypes,
 )
+from alignflow.duration import DurationBatch
 from alignflow.encoder import TextEncoder
 from alignflow.harness import (
     ConfigError,
@@ -98,6 +99,19 @@ class TestCorpus:
             generate_corpus(CorpusSpec(dur_min=2, dur_max=1), Rng(0))
         with pytest.raises(ValueError, match="channels must be >= 2, got 1"):
             generate_corpus(CorpusSpec(channels=1), Rng(0))
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("prototype_radius", math.nan, "prototype_radius must be finite, got nan"),
+        ("prototype_radius", -math.inf, "prototype_radius must be finite, got -inf"),
+        ("speaker_shift", math.inf, "speaker_shift must be finite, got inf"),
+        ("noise", math.nan, "observation noise must be finite and >= 0, got nan"),
+        ("noise", math.inf, "observation noise must be finite and >= 0, got inf"),
+        ("noise", -0.5, "observation noise must be finite and >= 0, got -0.5"),
+    ])
+    def test_non_finite_floats_rejected(self, field, value, message):
+        spec = CorpusSpec(speakers=2, **{field: value})
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            generate_corpus(spec, Rng(0))
 
     def test_prototypes_are_separated(self):
         protos = token_prototypes(5, 3, 0.8)
@@ -340,6 +354,121 @@ class TestCorpusFuzz:
                 load_corpus(path)
             except CorpusError as e:
                 assert str(e).startswith(f"{path}: ")
+
+
+_ANY_FLOAT = st.floats()  # padding is never read, so it may hold anything
+_FINITE_FLOAT = st.floats(allow_nan=False, allow_infinity=False)
+_LOG_DURATION = st.floats(0.0, 1e300)
+
+
+@st.composite
+def duration_batches(draw):
+    """1-3 padded batches of 1-3 instances each, prefix masks, one feature width;
+    valid cells any finite value (log-durations >= 0), padding any float."""
+    width = draw(st.integers(1, 3))
+    batches = []
+    for _ in range(draw(st.integers(1, 3))):
+        tokens = draw(st.integers(1, 4))
+        lengths = draw(st.lists(st.integers(1, tokens), min_size=1, max_size=3))
+        mask = np.arange(tokens) < np.array(lengths)[:, None]
+        h = [[[draw(_FINITE_FLOAT if valid else _ANY_FLOAT) for _ in range(width)]
+              for valid in row] for row in mask]
+        d = [[draw(_LOG_DURATION if valid else _ANY_FLOAT) for valid in row] for row in mask]
+        batches.append(DurationBatch(h_text=np.array(h), d=np.array(d), mask=mask))
+    return batches
+
+
+def saved_duration_text(batches) -> str:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "dur.csv")
+        save_duration_corpus(path, batches)
+        with open(path) as fh:
+            return fh.read()
+
+
+@st.composite
+def corrupted_duration_corpus(draw):
+    """A saved valid duration corpus made invalid one way: a byte that is not
+    UTF-8, a wrong header, a row of another width, a cell that is not a number
+    (not an integer in the first two columns) or not finite, or a gap in one
+    instance's positions."""
+    lines = saved_duration_text(draw(duration_batches())).splitlines()
+    kind = draw(st.sampled_from(["not UTF-8", "header", "width", "cell", "gap"]))
+    if kind == "not UTF-8":
+        data = "\n".join(lines).encode()
+        k = draw(st.integers(0, len(data)))
+        return data[:k] + bytes([draw(st.sampled_from(_NOT_UTF8))]) + data[k:] + b"\n"
+    if kind == "header":
+        header = lines[0].split(",")
+        header[draw(st.integers(0, 2))] = draw(st.sampled_from(["", "x", "h0", "instances"]))
+        lines[0] = ",".join(header)
+    else:
+        row = draw(st.integers(1, len(lines) - 1))
+        cells = lines[row].split(",")
+        if kind == "width":
+            if draw(st.booleans()):
+                cells.append(draw(st.sampled_from(["", "0.5"])))
+            else:
+                del cells[draw(st.integers(0, len(cells) - 1))]
+        elif kind == "cell":
+            col = draw(st.integers(0, len(cells) - 1))
+            bad = ["", "x", "0x1", "nan", "inf", "-inf", "1e999"]
+            cells[col] = draw(st.sampled_from(bad + (["1.5", "1e3"] if col < 2 else [])))
+        else:  # any other position breaks the instance's run 0..n-1
+            cells[1] = str(draw(st.integers(-3, 8).filter(lambda p: p != int(cells[1]))))
+        lines[row] = ",".join(cells)
+    return ("\n".join(lines) + "\n").encode()
+
+
+class TestDurationCorpusFuzz:
+    @settings(max_examples=50, deadline=None)
+    @given(duration_batches())
+    def test_roundtrip(self, batches):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "dur.csv")
+            save_duration_corpus(path, batches)
+            loaded = load_duration_corpus(path)
+        want = [inst for batch in batches for inst in batch.instances()]
+        assert all(batch.mask.shape[0] == 1 and batch.cond is None for batch in loaded)
+        for (h_want, d_want), (h_got, d_got) in zip(
+                want, [batch.instances()[0] for batch in loaded], strict=True):
+            assert h_got.tobytes() == h_want.tobytes()
+            assert d_got.tobytes() == d_want.tobytes()
+
+    @staticmethod
+    def assert_one_error_naming_the_file(path, data: bytes):
+        """``data`` loads, or raises DurationCorpusError naming ``path``, and then
+        train-duration exits 2 with that error as its one stderr line."""
+        with open(path, "wb") as fh:
+            fh.write(data)
+        try:
+            load_duration_corpus(path)
+        except DurationCorpusError as e:
+            assert str(e).startswith(f"{path}:")
+            out, err = path + ".losses.csv", io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = cli.main(["train-duration", "--corpus", path, "--steps", "1",
+                                 "--seed", "0", "--out", out])
+            assert code == 2
+            assert err.getvalue() == f"alignflow train-duration: {e}\n"
+            assert not os.path.exists(out)
+            return False
+        return True
+
+    @settings(max_examples=50, deadline=None)
+    @given(corrupted_duration_corpus())
+    def test_corrupted_file_is_one_error_naming_the_file(self, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            assert not self.assert_one_error_naming_the_file(os.path.join(tmp, "bad.csv"), data)
+
+    @settings(max_examples=50, deadline=None)
+    @given(duration_batches(), st.data())
+    def test_any_byte_edit_loads_or_raises_duration_corpus_error(self, batches, data):
+        text = saved_duration_text(batches).encode()
+        k = data.draw(st.integers(0, len(text) - 1))
+        mutated = text[:k] + bytes([data.draw(st.integers(0, 255))]) + text[k + 1:]
+        with tempfile.TemporaryDirectory() as tmp:
+            self.assert_one_error_naming_the_file(os.path.join(tmp, "dur.csv"), mutated)
 
 
 class TestMainPhaseGradientOracle:
@@ -918,6 +1047,26 @@ class TestDurationTargets:
         for inst, batch in zip(corpus.train, targets):
             npt.assert_array_equal(batch.d[0], np.log(predict_durations(model, inst)))
 
+    def test_batches_carry_the_taped_speaker_condition(self):
+        cfg = tiny_config(speakers=3, speaker_shift=0.5)
+        corpus = generate_corpus(cfg.corpus_spec(), Rng(36))
+        model = build_model(cfg, Rng(37))
+        targets = duration_targets(model, corpus.train)
+        assert len({i.speaker for i in corpus.train}) > 1
+        for inst, batch in zip(corpus.train, targets, strict=True):
+            taped = model.speaker_condition(inst.speaker)[1]
+            assert taped._vjp is not None  # recorded, unlike the batch's copy
+            assert isinstance(batch.cond, np.ndarray)
+            assert batch.cond.tobytes() == taped.data.tobytes()
+
+    @pytest.mark.parametrize("overrides", [{}, dict(speakers=3, speaker_shift=0.5,
+                                                    condition_speaker=False)])
+    def test_no_condition_without_a_conditioned_speaker(self, overrides):
+        cfg = tiny_config(**overrides)
+        corpus = generate_corpus(cfg.corpus_spec(), Rng(38))
+        model = build_model(cfg, Rng(39))
+        assert all(b.cond is None for b in duration_targets(model, corpus.train))
+
 
 class TestDurationOnHarnessTargets:
     def test_long_run_cuts_mse_fivefold(self):
@@ -1057,13 +1206,16 @@ class TestTapeFreeInference:
         corpus = generate_corpus(cfg.corpus_spec(), Rng(31))
         model = build_model(cfg, Rng(32))
         for inst in corpus.train + corpus.eval:
-            h, mu, sigma, u, _, _ = harness._instance_forward(model, inst)
+            h, mu, sigma, u, _, cond = harness._instance_forward(model, inst)
             assert mu._vjp is not None and u._vjp is not None  # recorded
             grid = harness.log_prob_grid(u.data.T, mu.data, sigma.data)
             want = harness.mas_search(grid, noise_scale=0.0)[0].durations
-            h_free, got = harness._encode_and_align(model, inst)
+            h_free, got, cond_free = harness._encode_and_align(model, inst)
             assert h_free._parents == () and h_free._vjp is None
             assert h_free.data.tobytes() == h.data.tobytes()
+            assert (cond_free is None) == (cond is None)
+            if cond is not None:
+                assert cond_free._vjp is None and cond_free.data.tobytes() == cond.data.tobytes()
             assert got.tobytes() == want.tobytes()
             assert predict_durations(model, inst).tobytes() == want.tobytes()
 

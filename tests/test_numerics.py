@@ -1024,8 +1024,8 @@ class TestCreationOrderWalk:
             assert all(a.tobytes() == b.tobytes() for a, b in pairs)
 
     def test_adversarial_duration_step_matches_the_depth_first_walk(self, monkeypatch):
-        from alignflow.duration import (DurationDiscriminator, DurationGenerator, adv_loss_d,
-                                        adv_loss_g, generate, mse_loss)
+        from alignflow.duration import (DurationBatch, DurationDiscriminator, DurationGenerator,
+                                        adv_loss_d, adv_loss_g, generate, mse_loss)
 
         # one instance per batch, as training runs it; the critic sees it twice
         # (real and fake), so no parameter has more than two consumers
@@ -1034,12 +1034,13 @@ class TestCreationOrderWalk:
         disc = DurationDiscriminator(h_dim=5, hidden=6, rng=rng.child(1))
         h, d, z = rng.normal((1, 4, 5)), rng.uniform(0.0, 1.5, (1, 4)), rng.normal((1, 4, 2))
         mask = np.ones((1, 4), dtype=bool)
+        batch = DurationBatch(h, d, mask)
         cond = Tensor(rng.normal(3), requires_grad=True)
         calls = _walk_both_ways(monkeypatch)
-        adv_loss_d(disc, d, generate(gen, h, z, mask, cond), h, mask).backward()
+        adv_loss_d(disc, batch, generate(gen, h, z, mask, cond)).backward()
         d_hat = generate(gen, h, z, mask, cond)
         with nm.frozen(disc.params()):
-            (adv_loss_g(disc, d_hat, h, mask) + mse_loss(d_hat, d, mask)).backward()
+            (adv_loss_g(disc, batch, d_hat) + mse_loss(batch, d_hat)).backward()
         critic, generator = calls
         assert len(critic) == len(disc.params())
         assert len(generator) == len(gen.params()) + 1  # and the condition
