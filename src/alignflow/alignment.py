@@ -171,6 +171,13 @@ def alignment_score(grid: LogProbGrid, alignment: Alignment) -> float:
     return total
 
 
+def check_noise_scale(scale: float, label: str = "noise_scale"):
+    """Raise ``ValueError`` unless ``scale`` is finite and >= 0 (0 is no
+    noise); the message names ``label``."""
+    if not 0.0 <= scale < math.inf:
+        raise ValueError(f"{label} must be finite and >= 0, got {scale!r}")
+
+
 def mas_search(
     grid: LogProbGrid, noise_scale: float = 0.0, rng: Rng | None = None
 ) -> tuple[Alignment, float]:
@@ -196,8 +203,10 @@ def mas_search(
 
     Returns (alignment, Q at the terminal cell). A grid whose scores
     overflow float64 (or whose std does, with noise on) gives a non-finite
-    best_Q and raises ``NumericError``.
+    best_Q and raises ``NumericError``. A ``noise_scale`` that is NaN,
+    infinite or negative raises ``ValueError``.
     """
+    check_noise_scale(noise_scale)
     P = grid.P
     vi, vj = P.shape
     if vi > vj:

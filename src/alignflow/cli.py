@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from . import gradcheck
-from .alignment import load_grid, mas_search, read_csv_matrix
+from .alignment import check_noise_scale, load_grid, mas_search, read_csv_matrix
 from .corpus import load_corpus
 from .duration import DurationDiscriminator, DurationGenerator, train_duration
 from .harness import (
@@ -37,6 +37,7 @@ class FramesError(ValueError):
 
 
 def _cmd_mas(args) -> int:
+    check_noise_scale(args.noise_scale, "--noise-scale")
     grid = load_grid(args.grid)
     rng = Rng(args.seed) if args.noise_scale > 0 else None
     align, best_q = mas_search(grid, noise_scale=args.noise_scale, rng=rng)
@@ -60,11 +61,13 @@ def _cmd_train_toy(args) -> int:
 
 
 def _cmd_train_duration(args) -> int:
+    AdamWConfig.check("lr", args.lr, "--lr")
     corpus = load_duration_corpus(args.corpus)
     width = corpus[0].h_text.shape[2]
+    cond = corpus[0].cond  # the corpus carries a condition on every batch or on none
     root = Rng(args.seed)
     gen = DurationGenerator(h_dim=width, z_dim=args.z_dim, hidden=args.hidden,
-                            rng=root.child(0))
+                            rng=root.child(0), cond_dim=None if cond is None else cond.size)
     disc = DurationDiscriminator(h_dim=width, hidden=args.hidden, rng=root.child(1))
     history = train_duration(
         gen, disc, corpus, args.steps,

@@ -9,6 +9,7 @@ and 2 are provably speaker-independent, which the tests pin down bit-exactly.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -35,13 +36,16 @@ class SpeakerTable(nm.Module):
         return nm.take_rows(self.table, [speaker_id])[0]
 
 
+@functools.lru_cache(maxsize=256)
 def sinusoidal_encoding(length: int, dim: int) -> np.ndarray:
-    """Classic fixed position encoding, (length, dim)."""
+    """Classic fixed position encoding, (length, dim). Cached per shape, so the
+    array is shared between calls and read-only."""
     pe = np.zeros((length, dim))
     pos = np.arange(length, dtype=np.float64)[:, None]
     div = np.exp(np.arange(0, dim, 2, dtype=np.float64) * (-math.log(10000.0) / dim))
     pe[:, 0::2] = np.sin(pos * div)
     pe[:, 1::2] = np.cos(pos * div[: dim // 2])
+    pe.flags.writeable = False
     return pe
 
 
@@ -69,10 +73,10 @@ class EncoderBlock(nm.Module):
         self.b2 = self.param("ffn.b2", nm.zeros((width,), requires_grad=True))
 
     def forward(self, x: Tensor, attn_bias: np.ndarray | None = None) -> Tensor:
-        heads = nm.attention(x, self.wqkv, self.n_heads, 1.0 / math.sqrt(self.head_dim), attn_bias)
-        x = nm.add_layer_norm(x, heads @ self.wo, axis=1)
-        ff = nm.linear(nm.relu(nm.linear(x, self.w1, self.b1)), self.w2, self.b2)
-        return nm.add_layer_norm(x, ff, axis=1)
+        attended = nm.attention(x, self.wqkv, self.n_heads, 1.0 / math.sqrt(self.head_dim),
+                                attn_bias, self.wo)
+        x = nm.add_layer_norm(x, attended, axis=1)
+        return nm.add_layer_norm(x, nm.ffn(x, self.w1, self.b1, self.w2, self.b2), axis=1)
 
 
 class TextEncoder(nm.Module):

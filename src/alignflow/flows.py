@@ -72,9 +72,11 @@ class CouplingLayer(nm.Module):
 
     def _attend(self, xa: Tensor) -> Tensor:
         # self-attention over time; xa is (half, T)
-        return (nm.attention(xa.T, self.wqkv, 1, 1.0 / math.sqrt(self.key_dim)) @ self.wo).T
+        return nm.attention(xa.T, self.wqkv, 1, 1.0 / math.sqrt(self.key_dim), wo=self.wo).T
 
-    def _shift_and_logscale(self, xa: Tensor, cond: Tensor | None):
+    def _logscale_and_out(self, xa: Tensor, cond: Tensor | None) -> tuple[Tensor, Tensor]:
+        """(s, out): the clamped log-scale and the conv output whose second
+        half is the shift."""
         h = xa
         if self.attention:
             h = h + self._attend(xa)
@@ -85,9 +87,7 @@ class CouplingLayer(nm.Module):
             pre = pre + nm.reshape(self.wc @ nm.reshape(cond, (-1, 1)), (-1, 1))
         hid = nm.relu(pre)
         out = nm.conv1d(hid, self.conv2_w, self.conv2_b)
-        s = nm.clamp(out[: self.half], -8.0, 8.0)  # keeps exp(s) invertible
-        t = out[self.half :]
-        return s, t
+        return nm.clamp(out[: self.half], -8.0, 8.0), out  # the clamp keeps exp(s) invertible
 
     def forward(self, x: Tensor, cond: Tensor | None = None) -> tuple[Tensor, Tensor]:
         """y = [x_a, x_b * exp(s) + t]; returns (y, logdet) with logdet = sum(s)."""
@@ -97,10 +97,8 @@ class CouplingLayer(nm.Module):
                 f"expected ({self.channels}, T) input, got {x.shape}"
             )
         xa, xb = x[: self.half], x[self.half :]
-        s, t = self._shift_and_logscale(xa, cond)
-        yb = xb * nm.exp(s) + t
-        y = nm.concat([xa, yb], axis=0)
-        return y, nm.summation(s)
+        s, out = self._logscale_and_out(xa, cond)
+        return nm.affine_coupling(xa, xb, s, out), nm.summation(s)
 
     def inverse(self, y: Tensor, cond: Tensor | None = None) -> Tensor:
         """Exact algebraic inverse: x_b = (y_b - t) * exp(-s)."""
@@ -110,8 +108,8 @@ class CouplingLayer(nm.Module):
                 f"expected ({self.channels}, T) input, got {y.shape}"
             )
         ya, yb = y[: self.half], y[self.half :]
-        s, t = self._shift_and_logscale(ya, cond)
-        xb = (yb - t) * nm.exp(-s)
+        s, out = self._logscale_and_out(ya, cond)
+        xb = (yb - out[self.half :]) * nm.exp(-s)
         return nm.concat([ya, xb], axis=0)
 
     def attention_map(self, x) -> np.ndarray:

@@ -102,11 +102,14 @@ class TrainConfig:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.n_heads < 1 or self.hidden_width % self.n_heads != 0:
             raise ConfigError(f"n_heads {self.n_heads} does not divide hidden_width")
+        try:  # the optimizer fields, in AdamWConfig's ranges
+            for name in ("lr", "eps", "lr_decay", "beta1", "beta2", "weight_decay"):
+                AdamWConfig.check(name, getattr(self, name))
+            AdamWConfig.check("lr", self.duration_lr, "duration_lr")
+        except ValueError as e:
+            raise ConfigError(str(e)) from None
         for names, ok, want in (
-            (("lr", "duration_lr", "eps", "lr_decay"), lambda v: 0 < v < math.inf,
-             "finite and > 0"),
-            (("beta1", "beta2"), lambda v: 0 <= v < 1, "in [0, 1)"),
-            (("weight_decay", "obs_noise"), lambda v: 0 <= v < math.inf, "finite and >= 0"),
+            (("obs_noise",), lambda v: 0 <= v < math.inf, "finite and >= 0"),
             (("prototype_radius", "speaker_shift"), math.isfinite, "finite"),
         ):
             for name in names:
@@ -389,16 +392,24 @@ def write_csv(path, header: list[str], rows: list[dict]):
 
 
 def save_duration_corpus(path, batches: list[DurationBatch]):
-    """CSV with one row per valid token: instance, position, log_duration, h0..hN."""
+    """CSV with one row per valid token: instance, position, log_duration,
+    h0..h{H-1} and, when the batches carry a speaker condition, its K values
+    c0..c{K-1} on every row of the instance. Raises ``ValueError`` unless
+    every batch carries a condition of one size or none does."""
     width = batches[0].h_text.shape[2]
+    sizes = {None if batch.cond is None else batch.cond.size for batch in batches}
+    if len(sizes) > 1:
+        raise ValueError("duration corpus: every batch needs a condition of one size, or none")
     header = ["instance", "position", "log_duration"] + [f"h{i}" for i in range(width)]
+    header += [f"c{i}" for i in range(sizes.pop() or 0)]
     lines = [",".join(header)]
-    instances = (inst for batch in batches for inst in batch.instances())
-    for idx, (h, d) in enumerate(instances):
+    instances = ((inst, batch.cond) for batch in batches for inst in batch.instances())
+    for idx, ((h, d), cond) in enumerate(instances):
+        tail = "" if cond is None else "," + ",".join(repr(float(x)) for x in cond)
         for pos, (d_pos, h_pos) in enumerate(zip(d, h)):
             cells = [str(idx), str(pos), repr(float(d_pos))]
             cells += [repr(float(x)) for x in h_pos]
-            lines.append(",".join(cells))
+            lines.append(",".join(cells) + tail)
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -416,7 +427,8 @@ def _duration_cell(path, lineno: int, column: str, cell: str, kind: type):
 
 
 def load_duration_corpus(path) -> list[DurationBatch]:
-    """Inverse of ``save_duration_corpus``; raises ``DurationCorpusError``."""
+    """Inverse of ``save_duration_corpus``; raises ``DurationCorpusError``.
+    The rows of one instance must carry the same condition."""
     with open(path, encoding="utf-8") as fh:
         try:
             lines = fh.readlines()
@@ -425,16 +437,26 @@ def load_duration_corpus(path) -> list[DurationBatch]:
         header = (lines[0] if lines else "").strip().split(",")
         if header[:3] != ["instance", "position", "log_duration"]:
             raise DurationCorpusError(f"{path}: not a duration corpus (header {header[:3]})")
+        names = header[3:]  # h0..h{H-1}, then c0..c{K-1} if there is a condition
+        k = len(names) - names.index("c0") if "c0" in names else 0
+        if names[len(names) - k:] != [f"c{i}" for i in range(k)]:
+            raise DurationCorpusError(f"{path}: the columns from c0 on are not c0..c{k - 1}")
+        n_h = len(names) - k
         kinds = [int, int] + [float] * (len(header) - 2)
         per_inst: dict[int, list[tuple[int, float, np.ndarray]]] = {}
+        conds: dict[int, list[float]] = {}
         for lineno, raw in enumerate(lines[1:], 2):
             cells = raw.strip().split(",")
             if len(cells) != len(header):
                 raise DurationCorpusError(
                     f"{path}:{lineno}: row width {len(cells)} != header {len(header)}")
-            inst, pos, d, *h = (_duration_cell(path, lineno, *col)
-                                for col in zip(header, cells, kinds))
-            per_inst.setdefault(inst, []).append((pos, d, np.array(h)))
+            inst, pos, d, *rest = (_duration_cell(path, lineno, *col)
+                                   for col in zip(header, cells, kinds))
+            cond = conds.setdefault(inst, rest[n_h:])
+            if rest[n_h:] != cond:
+                raise DurationCorpusError(
+                    f"{path}:{lineno}: instance {inst} has another condition than its first row")
+            per_inst.setdefault(inst, []).append((pos, d, np.array(rest[:n_h])))
     if not per_inst:
         raise DurationCorpusError(f"{path}: duration corpus has a header but no rows")
     batches = []
@@ -446,9 +468,9 @@ def load_duration_corpus(path) -> list[DurationBatch]:
         h = np.stack([r[2] for r in rows])
         d = np.array([r[1] for r in rows])
         try:
-            batches.append(
-                DurationBatch(h_text=h[None], d=d[None], mask=np.ones((1, len(rows)), bool))
-            )
+            batches.append(DurationBatch(h_text=h[None], d=d[None],
+                                         mask=np.ones((1, len(rows)), bool),
+                                         cond=np.array(conds[inst]) if k else None))
         except ValueError as e:
             raise DurationCorpusError(f"{path}: instance {inst}: {e}") from None
     return batches

@@ -8,7 +8,8 @@ choices worth knowing:
 - Tensors are tiny, so a training step's time goes to Python and numpy call
   overhead per op, not to arithmetic; the hot paths keep their numpy calls few.
   ``_make`` builds every node with ``object.__new__``, not ``Tensor.__init__``;
-  it and ``attention`` call the ufunc reductions behind ``.all``/``.max``/``.sum``.
+  it, the fused ops and ``_unbroadcast`` call the ufunc reductions behind
+  ``.all``/``.max``/``.sum``, without their Python wrappers.
 - ``AdamW`` owns the storage of the parameters it is given: each ``p.data``
   becomes a view into one flat buffer. Write a parameter in place
   (``p.data[...] = x``), never rebind it; ``AdamW.step`` raises if one was.
@@ -28,16 +29,19 @@ choices worth knowing:
   immediately instead of letting the poison spread.
 - Layers are fused ops, one tape node each, because a step's time is per node:
   ``attention`` (all heads of a multi-head self-attention, from one (3H, D, d)
-  q/k/v leaf; the encoder blocks and the coupling flows), ``conv1d`` with its
-  bias (the coupling layers and the duration towers), ``linear``
-  (``x @ w + b``: the encoder FFN and heads), ``add_layer_norm`` (the
-  encoder's post-norm residual) and ``aligned_nll`` (the training loss, 14
-  nodes before). Each has a hand-written VJP, and each is bit-identical,
-  forward and backward, to the chain of smaller ops it replaced. Each raises
-  ``NumericError`` on exactly the inputs where that chain raised:
-  ``attention`` checks the stacked q/k/v and the scaled, biased scores,
-  ``add_layer_norm`` the sum, ``aligned_nll`` the denominator 2 s s, and
-  ``_make`` every output.
+  q/k/v leaf, times the output projection ``wo``; the encoder blocks and the
+  coupling flows), ``conv1d`` with its bias (the coupling layers and the
+  duration towers), ``linear`` (``x @ w + b``: the encoder heads), ``ffn``
+  (linear, relu, linear: the encoder's position-wise net), ``add_layer_norm``
+  (the encoder's post-norm residual), ``affine_coupling`` (a coupling layer's
+  output ``[xa, xb * exp(s) + t]``, 5 nodes before) and ``aligned_nll`` (the
+  training loss, 14 nodes before). Each has a hand-written VJP, and each is
+  bit-identical, forward and backward, to the chain of smaller ops it
+  replaced, down to the order in which a multi-consumer cotangent is summed.
+  Each raises ``NumericError`` on exactly the inputs where that chain raised:
+  ``attention`` checks the stacked q/k/v, the scaled, biased scores and the
+  heads before ``wo``, ``ffn`` its first affine map, ``add_layer_norm`` the
+  sum, ``aligned_nll`` the denominator 2 s s, and ``_make`` every output.
 - ``conv1d`` is im2col + one BLAS matmul forward and two in its VJP. BLAS
   picks its own summation order, so it agrees with the per-tap contraction
   it replaced, or a scalar loop, to 1e-12 (relative and absolute), not bit
@@ -260,10 +264,10 @@ def _make(data, parents: tuple[Tensor, ...], vjp, op: str) -> Tensor:
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum a broadcast gradient back down to the operand's shape."""
     while g.ndim > len(shape):
-        g = g.sum(axis=0)
+        g = _sum(g, axis=0)
     for ax, s in enumerate(shape):
         if s == 1 and g.shape[ax] != 1:
-            g = g.sum(axis=ax, keepdims=True)
+            g = _sum(g, axis=ax, keepdims=True)
     return g.reshape(shape)
 
 
@@ -412,7 +416,7 @@ def linear(x, w, b) -> Tensor:
                          f"{x.shape}, {w.shape}, {b.shape}")
     data = x.data @ w.data
     data += b.data
-    return _make(data, (x, w, b), lambda g: (g @ w.data.T, x.data.T @ g, g.sum(axis=0)),
+    return _make(data, (x, w, b), lambda g: (g @ w.data.T, x.data.T @ g, _sum(g, axis=0)),
                  "linear")
 
 
@@ -447,7 +451,7 @@ def concat(tensors, axis: int = 0) -> Tensor:
 
 def _getitem(a: Tensor, idx) -> Tensor:
     data = a.data[idx]
-    if np.isscalar(data) or data.ndim == 0:
+    if type(data) is not np.ndarray:  # a scalar index of every axis gives an np.float64
         data = np.asarray(data)
     shape = a.shape
 
@@ -550,7 +554,7 @@ def aligned_nll(mu, sigma, u, logdet, frame_tokens) -> Tensor:
     diff = np.subtract(u.data.T, m, out=np.empty(m.shape))  # C-ordered, as the sum needs
     two_s = 2.0 * s
     den = two_s * s
-    if not np.isfinite(den).all():
+    if not _all(np.isfinite(den), axis=None):
         raise NumericError("aligned_nll produced a non-finite value")
     sq = diff * diff
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -625,7 +629,7 @@ def add_layer_norm(a, b, axis: int = -1) -> Tensor:
     if a.shape != b.shape:
         raise ShapeError(f"add_layer_norm: shapes {a.shape} and {b.shape} differ")
     s = a.data + b.data
-    if not np.isfinite(s).all():
+    if not _all(np.isfinite(s), axis=None):
         raise NumericError("add_layer_norm produced a non-finite value")
     return _layer_norm_node(s, (a, b), axis, "add_layer_norm")
 
@@ -657,22 +661,27 @@ def attention_probs(q: np.ndarray, k: np.ndarray, scale: float,
     return scores
 
 
-def attention(x, w, n_heads: int, scale: float, bias: np.ndarray | None = None) -> Tensor:
-    """Multi-head self-attention as one tape node.
+def attention(x, w, n_heads: int, scale: float, bias: np.ndarray | None = None,
+              wo=None) -> Tensor:
+    """Multi-head self-attention, with its output projection, as one tape node.
 
     x: (T, D); w: (3H, D, d), the wq, wk, wv of head h at rows h, H + h, 2H + h
-    for H = ``n_heads``. Returns (T, H*d) with head h in columns h*d:(h+1)*d:
+    for H = ``n_heads``. The heads form (T, H*d), head h in columns h*d:(h+1)*d:
     softmax(x@wq @ (x@wk).T * scale + bias) @ x@wv. ``bias`` is a constant
-    additive (T, T) score bias or None.
+    additive (T, T) score bias or None. With ``wo``, an (H*d, M) output
+    projection, the op returns ``heads @ wo``; without, the heads.
 
     The forward is bit-identical to the per-head chain of matmul, transpose,
-    mul, add, softmax, matmul and concat ops: each product runs the same 2-D
-    BLAS call on operands of the same layout. The chain's transpose op made
-    k.T contiguous, so this one does too. It raises ``NumericError`` exactly
-    where that chain would: on a non-finite q, k or v, on a non-finite score
-    before the softmax (in ``attention_probs``), and, through ``_make``, on a
-    non-finite output. Softmax of finite scores is finite, so nothing in
-    between needs a check. The maps take one (H, T, T) buffer and the VJP two.
+    mul, add, softmax, matmul and concat ops, then the matmul by ``wo``: each
+    product runs the same 2-D BLAS call on operands of the same layout. The
+    chain's transpose op made k.T contiguous, so this one does too. It raises
+    ``NumericError`` exactly where that chain would: on a non-finite q, k or
+    v, on a non-finite score before the softmax (in ``attention_probs``), on
+    non-finite heads when ``wo`` follows them (IEEE products carry them into
+    the output, but a BLAS may skip a zero entry of ``wo``), and, through
+    ``_make``, on a non-finite output. Softmax of finite scores is finite, so
+    nothing in between needs a check. The maps take one (H, T, T) buffer and
+    the VJP two.
     """
     x, w = ensure_tensor(x), ensure_tensor(w)
     n = n_heads
@@ -680,14 +689,26 @@ def attention(x, w, n_heads: int, scale: float, bias: np.ndarray | None = None) 
         raise ShapeError(f"attention: x {x.shape} needs (3H, D, d) weights for H = {n} heads "
                          f"with D = x.shape[1], got {w.shape}")
     length, d, wd = x.shape[0], w.shape[2], w.data
+    if wo is not None:
+        wo = ensure_tensor(wo)
+        if wo.ndim != 2 or wo.shape[0] != n * d:
+            raise ShapeError(f"attention: output projection {wo.shape} needs {n * d} rows")
     qkv = np.matmul(x.data, wd)  # (3H, T, d)
     if not _all(np.isfinite(qkv), axis=None):
         raise NumericError("attention produced a non-finite q, k or v")
     q, k, v = qkv[:n], qkv[n : 2 * n], qkv[2 * n :]
     att = attention_probs(q, k, scale, bias)  # (H, T, T)
-    data = np.matmul(att, v).transpose(1, 0, 2).reshape(length, n * d)
+    heads = np.matmul(att, v).transpose(1, 0, 2).reshape(length, n * d)
+    data, parents = heads, (x, w)
+    if wo is not None:
+        if not _all(np.isfinite(heads), axis=None):
+            raise NumericError("attention produced a non-finite value")
+        data, parents = heads @ wo.data, (x, w, wo)
 
     def vjp(g):
+        if wo is not None:  # the output projection's matmul VJP
+            g_wo = heads.T @ g
+            g = g @ wo.data.T
         gh = g.reshape(length, n, d).transpose(1, 0, 2)  # (H, T, d)
         g_att = np.matmul(gh, v.transpose(0, 2, 1))
         g_qkv = np.empty_like(qkv)
@@ -701,9 +722,76 @@ def attention(x, w, n_heads: int, scale: float, bias: np.ndarray | None = None) 
         # sum over the 3H projections of g_qkv[i] @ w[i].T, as one product
         g_x = g_qkv.transpose(1, 0, 2).reshape(length, -1) @ wd.transpose(1, 0, 2).reshape(
             wd.shape[1], -1).T
-        return g_x, np.matmul(x.data.T, g_qkv)
+        g_w = np.matmul(x.data.T, g_qkv)
+        return (g_x, g_w) if wo is None else (g_x, g_w, g_wo)
 
-    return _make(data, (x, w), vjp, "attention")
+    return _make(data, parents, vjp, "attention")
+
+
+def ffn(x, w1, b1, w2, b2) -> Tensor:
+    """Position-wise feed-forward net ``relu(x @ w1 + b1) @ w2 + b2`` as one
+    tape node; x: (N, D), w1: (D, F), b1: (F,), w2: (F, M), b2: (M,).
+
+    The result and the five cotangents equal the linear, relu, linear chain
+    byte for byte. It raises ``NumericError`` exactly where that chain did: on
+    a non-finite first affine map (relu would turn a -inf into 0), and through
+    ``_make`` on a non-finite output; relu of a finite value is finite.
+    """
+    x, w1, b1, w2, b2 = (ensure_tensor(t) for t in (x, w1, b1, w2, b2))
+    if (x.ndim != 2 or w1.ndim != 2 or w2.ndim != 2 or x.shape[1] != w1.shape[0]
+            or b1.shape != w1.shape[1:] or w2.shape[0] != w1.shape[1] or b2.shape != w2.shape[1:]):
+        raise ShapeError(f"ffn expects x (N,D), w1 (D,F), b1 (F,), w2 (F,M) and b2 (M,), got "
+                         f"{x.shape}, {w1.shape}, {b1.shape}, {w2.shape}, {b2.shape}")
+    pre = x.data @ w1.data
+    pre += b1.data
+    if not _all(np.isfinite(pre), axis=None):
+        raise NumericError("ffn produced a non-finite value")
+    hid = np.maximum(pre, 0.0)
+    data = hid @ w2.data
+    data += b2.data
+
+    def vjp(g):
+        g_pre = (g @ w2.data.T) * (pre > 0.0)
+        return (g_pre @ w1.data.T, x.data.T @ g_pre, _sum(g_pre, axis=0),
+                hid.T @ g, _sum(g, axis=0))
+
+    return _make(data, (x, w1, b1, w2, b2), vjp, "ffn")
+
+
+def affine_coupling(xa, xb, s, out) -> Tensor:
+    """The output ``concat([xa, xb * exp(s) + out[h:]])`` of an affine
+    coupling layer as one tape node, h = ``xa.shape[0]``. xa, xb, s: (h, T),
+    the passed half, the transformed half and its log-scale; out: (2h, T), the
+    conv output whose second half is the shift.
+
+    The result and the four cotangents equal the getitem, exp, mul, add and
+    concat chain byte for byte; the cotangent of ``out`` is the zero buffer
+    with the shift's cotangent added in, as the getitem VJP gave it. It raises
+    ``NumericError`` exactly where that chain did: any non-finite step of the
+    chain (exp, product, sum, or a non-finite input it copies) leaves a
+    non-finite value in the output, which ``_make`` checks.
+    """
+    xa, xb, s, out = (ensure_tensor(t) for t in (xa, xb, s, out))
+    if (xa.ndim != 2 or xb.shape != xa.shape or s.shape != xa.shape
+            or out.shape != (2 * xa.shape[0], xa.shape[1])):
+        raise ShapeError(f"affine_coupling expects xa, xb and s (h,T) and out (2h,T), got "
+                         f"{xa.shape}, {xb.shape}, {s.shape}, {out.shape}")
+    h = xa.shape[0]
+    data = np.empty(out.shape)
+    data[:h] = xa.data
+    yb = data[h:]
+    with np.errstate(over="ignore", invalid="ignore"):  # _make reports what these would
+        scale = np.exp(s.data)
+        np.multiply(xb.data, scale, out=yb)
+        yb += out.data[h:]
+
+    def vjp(g):
+        gb = g[h:]
+        g_out = np.zeros(out.shape)
+        g_out[h:] += gb  # as the getitem VJP: a -0.0 becomes +0.0
+        return g[:h], gb * scale, (gb * xb.data) * scale, g_out
+
+    return _make(data, (xa, xb, s, out), vjp, "affine_coupling")
 
 
 # ---------------------------------------------------------------------------
@@ -766,7 +854,7 @@ def conv1d(x, w, b=None) -> Tensor:
                 gx[:, lo + off : hi + off] += gcols[:, i, lo:hi]
         if w.requires_grad:
             gw = (g @ cols.T).reshape(cout, cin, k)
-        return (gx, gw) if b is None else (gx, gw, g.sum(axis=1))
+        return (gx, gw) if b is None else (gx, gw, _sum(g, axis=1))
 
     return _make(data, parents, vjp, "conv1d")
 
@@ -873,11 +961,23 @@ class Module:
 # ---------------------------------------------------------------------------
 
 
+_ADAMW_RULES = {  # field: (the test a value must pass, what the error asks for)
+    "lr": (lambda v: 0 < v < math.inf, "finite and > 0"),
+    "beta1": (lambda v: 0 <= v < 1, "in [0, 1)"),
+    "beta2": (lambda v: 0 <= v < 1, "in [0, 1)"),
+    "weight_decay": (lambda v: 0 <= v < math.inf, "finite and >= 0"),
+    "eps": (lambda v: 0 < v < math.inf, "finite and > 0"),
+    "lr_decay": (lambda v: 0 < v < math.inf, "finite and > 0"),
+}
+
+
 @dataclass(frozen=True)
 class AdamWConfig:
     """Adam with decoupled weight decay; defaults follow the training recipe
     used throughout this project (lr decays by 0.999^(1/8) per epoch). These
-    are the only copies of the defaults: ``AdamW`` and the run config read them."""
+    are the only copies of the defaults and of the valid ranges: ``AdamW``
+    and the run config read them. Building one with a value out of range
+    raises ``ValueError``."""
 
     lr: float = 2e-4
     beta1: float = 0.8
@@ -885,6 +985,18 @@ class AdamWConfig:
     weight_decay: float = 0.01
     eps: float = 1e-9
     lr_decay: float = 0.999 ** (1 / 8)
+
+    def __post_init__(self):
+        for name in _ADAMW_RULES:
+            self.check(name, getattr(self, name))
+
+    @staticmethod
+    def check(field: str, value, label: str | None = None):
+        """Raise ``ValueError`` unless ``value`` is in the valid range of
+        ``field``; the message names ``label``, by default the field."""
+        ok, want = _ADAMW_RULES[field]
+        if not ok(value):
+            raise ValueError(f"{label or field} must be {want}, got {value!r}")
 
 
 class AdamW:

@@ -16,7 +16,8 @@ from alignflow.harness import (
     save_model,
 )
 from alignflow.corpus import CorpusSpec, generate_corpus, save_corpus
-from alignflow.numerics import Rng
+from alignflow.duration import DurationDiscriminator, DurationGenerator, train_duration
+from alignflow.numerics import AdamWConfig, Rng
 
 
 @pytest.fixture
@@ -134,6 +135,27 @@ class TestTrainDuration:
         invoke(capsys, "train-duration", "--corpus", duration_corpus, "--steps", "10",
                "--seed", "6", "--out", o2)
         assert o1.read_bytes() == o2.read_bytes()
+
+    def test_conditioned_corpus_trains_a_conditioned_generator(self, capsys, tmp_path):
+        cfg = TrainConfig(n_train=4, hidden_width=16, ff_width=24, flow_hidden=8,
+                          speakers=3, speaker_shift=0.5)
+        targets = duration_targets(build_model(cfg, Rng(3)),
+                                   generate_corpus(cfg.corpus_spec(), Rng(2)).train)
+        path, out = tmp_path / "durations.csv", tmp_path / "losses.csv"
+        save_duration_corpus(path, targets)
+        code, _ = invoke(capsys, "train-duration", "--corpus", path, "--steps", "6",
+                         "--seed", "4", "--out", out, "--hidden", "8")
+        assert code == 0
+        root = Rng(4)
+        gen = DurationGenerator(h_dim=16, z_dim=TrainConfig.z_dim, hidden=8, rng=root.child(0),
+                                cond_dim=16)
+        disc = DurationDiscriminator(h_dim=16, hidden=8, rng=root.child(1))
+        history = train_duration(gen, disc, targets, 6,
+                                 opt_cfg=AdamWConfig(lr=TrainConfig.duration_lr),
+                                 rng=root.child(2))
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert [[float(c) for c in row[1:]] for row in rows] == [
+            [r["loss_d"], r["loss_g_adv"], r["loss_g_mse"]] for r in history]
 
 
 class TestEvalAlign:
@@ -308,6 +330,25 @@ class TestLoaderErrors:
         assert code == 2
         assert err == f"alignflow mas: alignment search overflowed: best_Q = {best_q}\n"
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("value", ["nan", "-1", "inf", "-0.5"])
+    def test_noise_scale_out_of_range(self, capsys, grid_csv, value):
+        code, err = self.invoke_err(capsys, "mas", "--grid", grid_csv, "--noise-scale", value)
+        assert code == 2
+        assert err == ("alignflow mas: --noise-scale must be finite and >= 0, "
+                       f"got {float(value)!r}\n")
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("value", ["nan", "0", "-1", "inf"])
+    def test_train_duration_lr_out_of_range(self, capsys, tmp_path, value):
+        path = tmp_path / "dur.csv"
+        path.write_text("instance,position,log_duration,h0\n0,0,0.5,0.1\n")
+        code, err = self.invoke_err(capsys, "train-duration", "--corpus", path, "--steps", "2",
+                                    "--seed", "0", "--out", tmp_path / "l.csv", "--lr", value)
+        assert code == 2
+        assert err == (f"alignflow train-duration: --lr must be finite and > 0, "
+                       f"got {float(value)!r}\n")
+        assert not (tmp_path / "l.csv").exists()
 
     @pytest.fixture
     def speaker_ckpt(self, tmp_path):

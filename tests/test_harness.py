@@ -362,10 +362,12 @@ _LOG_DURATION = st.floats(0.0, 1e300)
 
 
 @st.composite
-def duration_batches(draw):
+def duration_batches(draw, conditioned=False):
     """1-3 padded batches of 1-3 instances each, prefix masks, one feature width;
-    valid cells any finite value (log-durations >= 0), padding any float."""
+    valid cells any finite value (log-durations >= 0), padding any float.
+    ``conditioned`` gives each batch a condition of 1-3 finite values."""
     width = draw(st.integers(1, 3))
+    k = draw(st.integers(1, 3)) if conditioned else 0
     batches = []
     for _ in range(draw(st.integers(1, 3))):
         tokens = draw(st.integers(1, 4))
@@ -374,7 +376,8 @@ def duration_batches(draw):
         h = [[[draw(_FINITE_FLOAT if valid else _ANY_FLOAT) for _ in range(width)]
               for valid in row] for row in mask]
         d = [[draw(_LOG_DURATION if valid else _ANY_FLOAT) for valid in row] for row in mask]
-        batches.append(DurationBatch(h_text=np.array(h), d=np.array(d), mask=mask))
+        cond = np.array([draw(_FINITE_FLOAT) for _ in range(k)]) if k else None
+        batches.append(DurationBatch(h_text=np.array(h), d=np.array(d), mask=mask, cond=cond))
     return batches
 
 
@@ -434,6 +437,60 @@ class TestDurationCorpusFuzz:
                 want, [batch.instances()[0] for batch in loaded], strict=True):
             assert h_got.tobytes() == h_want.tobytes()
             assert d_got.tobytes() == d_want.tobytes()
+
+    @settings(max_examples=50, deadline=None)
+    @given(duration_batches(conditioned=True))
+    def test_roundtrip_with_a_condition(self, batches):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "dur.csv")
+            save_duration_corpus(path, batches)
+            loaded = load_duration_corpus(path)
+        want = [(inst, batch.cond) for batch in batches for inst in batch.instances()]
+        for ((h_want, d_want), c_want), batch in zip(want, loaded, strict=True):
+            (h_got, d_got), = batch.instances()
+            assert h_got.tobytes() == h_want.tobytes()
+            assert d_got.tobytes() == d_want.tobytes()
+            assert batch.cond.tobytes() == c_want.tobytes()
+
+    def test_roundtrip_of_a_three_speaker_run(self, tmp_path):
+        cfg = tiny_config(speakers=3, speaker_shift=0.5)
+        corpus = generate_corpus(cfg.corpus_spec(), Rng(36))
+        targets = duration_targets(build_model(cfg, Rng(37)), corpus.train)
+        path = tmp_path / "duration_corpus.csv"
+        save_duration_corpus(path, targets)
+        header = path.read_text().splitlines()[0].split(",")
+        assert header[-17:] == ["h15"] + [f"c{i}" for i in range(16)]
+        loaded = load_duration_corpus(path)
+        assert len({b.cond.tobytes() for b in loaded}) > 1
+        for want, got in zip(targets, loaded, strict=True):
+            for a, b in ((want.h_text, got.h_text), (want.d, got.d), (want.cond, got.cond)):
+                assert a.tobytes() == b.tobytes()
+        unconditioned = [dataclasses.replace(b, cond=None) for b in targets]
+        plain = tmp_path / "plain.csv"
+        save_duration_corpus(plain, unconditioned)
+        kept = [",".join(line.split(",")[:-16]) for line in path.read_text().splitlines()]
+        assert plain.read_text() == "\n".join(kept) + "\n"
+
+    def test_condition_errors_name_the_file_and_line(self, tmp_path):
+        batches = [DurationBatch(np.ones((1, 2, 1)), np.zeros((1, 2)), np.ones((1, 2), bool),
+                                 cond=np.array([0.5, -1.0]))]
+        path = str(tmp_path / "dur.csv")
+        lines = saved_duration_text(batches).splitlines()
+        assert lines[0] == "instance,position,log_duration,h0,c0,c1"
+        for row, bad, message in ((2, "0,1,0.0,1.0,0.5,x", "c1 'x' is not a number"),
+                                  (2, "0,1,0.0,1.0,0.5,-2.0", "instance 0 has another condition"),
+                                  (1, "0,0,0.0,1.0,inf,-1.0", "c0 'inf' is not finite"),
+                                  (0, "instance,position,log_duration,h0,c0,c2",
+                                   "the columns from c0 on are not c0..c1")):
+            edited = lines.copy()
+            edited[row] = bad
+            assert not self.assert_one_error_naming_the_file(
+                path, ("\n".join(edited) + "\n").encode())
+            where = f"{path}:{row + 1}: " if row else f"{path}: "
+            with pytest.raises(DurationCorpusError, match="^" + re.escape(where + message)):
+                load_duration_corpus(path)
+        with pytest.raises(ValueError, match="a condition of one size"):
+            save_duration_corpus(path, batches + [dataclasses.replace(batches[0], cond=None)])
 
     @staticmethod
     def assert_one_error_naming_the_file(path, data: bytes):
@@ -1138,9 +1195,9 @@ class TestTapeBudget:
     """Tape nodes per training step on the acceptance-7 model (the default
     sizes), counted per op. A change that adds nodes fails here with a diff."""
 
-    MAIN = {"add": 6, "add_layer_norm": 8, "aligned_nll": 1, "attention": 6, "clamp": 3,
-            "concat": 2, "conv1d": 4, "exp": 3, "getitem": 9, "linear": 10, "matmul": 6,
-            "mul": 2, "relu": 6, "sum": 2, "take_rows": 1, "transpose": 4}
+    MAIN = {"add": 4, "add_layer_norm": 8, "affine_coupling": 2, "aligned_nll": 1,
+            "attention": 6, "clamp": 3, "conv1d": 4, "exp": 1, "ffn": 4, "getitem": 7,
+            "linear": 2, "relu": 2, "sum": 2, "take_rows": 1, "transpose": 4}
     DURATION = {"add": 2, "concat": 5, "conv1d": 15, "getitem": 5, "mul": 4, "pow": 3,
                 "relu": 10, "reshape": 3, "sub": 3, "sum": 3, "transpose": 5}
 
@@ -1175,10 +1232,29 @@ class TestTapeBudget:
         monkeypatch.setattr(harness, "train_duration", one_duration_step)
         train_toy(TrainConfig(seed=7, steps_main=1, steps_duration=1, n_eval=0))
         assert phases == {"main": self.MAIN, "duration": self.DURATION}
-        assert sum(self.MAIN.values()) == 73 and sum(self.DURATION.values()) == 58
-        # one stacked q/k/v leaf per attention block: 41 leaf cotangents, not 65
-        assert attention_parents == {2}
+        assert sum(self.MAIN.values()) == 51 and sum(self.DURATION.values()) == 58
+        # one stacked q/k/v leaf and the output projection per attention block:
+        # 41 leaf cotangents, not 65
+        assert attention_parents == {3}
         assert len(leaves) == 41 and all(leaves)
+
+    def test_nodes_per_predict_durations_call(self, monkeypatch):
+        """One eval-align utterance on the acceptance-7 model: the main step's
+        forward without the loss node."""
+        cfg = TrainConfig(seed=7)
+        inst = generate_corpus(cfg.corpus_spec(), Rng(7).child(1)).eval[0]
+        model = build_model(cfg, Rng(7).child(3))
+        counts: dict[str, int] = {}
+        make = nm._make
+
+        def counting_make(data, parents, vjp, op):
+            counts[op] = counts.get(op, 0) + 1
+            return make(data, parents, vjp, op)
+
+        monkeypatch.setattr(nm, "_make", counting_make)
+        predict_durations(model, inst)
+        assert counts == {op: n for op, n in self.MAIN.items() if op != "aligned_nll"}
+        assert sum(counts.values()) == 50
 
 
 def long_instance(frames: int, seed: int = 0):

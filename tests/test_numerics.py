@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -52,7 +53,7 @@ def conv1d_oracle_vjp(x, w, g):
     return gxp[:, pl : pl + length], gw
 
 
-def attention_reference(x, w, n_heads, scale, bias=None):
+def attention_reference(x, w, n_heads, scale, bias=None, wo=None):
     """Multi-head self-attention as the chain of scalar tape ops it replaces;
     head h projects with rows h, H + h and 2H + h of the stacked weights."""
     parts = []
@@ -64,7 +65,29 @@ def attention_reference(x, w, n_heads, scale, bias=None):
         if bias is not None:
             scores = scores + bias
         parts.append(nm.softmax(scores, axis=1) @ v)
-    return nm.concat(parts, axis=1)
+    heads = nm.concat(parts, axis=1)
+    return heads if wo is None else heads @ wo
+
+
+_attention = nm.attention  # the op itself, for a reference that outlives a monkeypatch
+
+
+def projected_attention_reference(x, w, n_heads, scale, bias=None, wo=None):
+    """``nm.attention`` with an output projection as the two tape nodes it
+    replaces: the attention heads, then a matmul by ``wo``."""
+    heads = _attention(x, w, n_heads, scale, bias)
+    return heads if wo is None else heads @ wo
+
+
+def ffn_reference(x, w1, b1, w2, b2):
+    """``nm.ffn`` as the chain of tape ops it replaces."""
+    return nm.linear(nm.relu(nm.linear(x, w1, b1)), w2, b2)
+
+
+def affine_coupling_reference(xa, xb, s, out):
+    """``nm.affine_coupling`` as the chain of tape ops it replaces."""
+    t = out[xa.shape[0]:]
+    return nm.concat([xa, xb * nm.exp(s) + t], axis=0)
 
 
 def attention_four_buffers(x, ws, n_heads, scale, bias, g):
@@ -416,6 +439,18 @@ class TestRng:
 
 
 class TestAdamW:
+    @pytest.mark.parametrize("field, value, want", [
+        ("lr", np.nan, "finite and > 0"), ("lr", 0.0, "finite and > 0"),
+        ("lr", -1.0, "finite and > 0"), ("eps", np.inf, "finite and > 0"),
+        ("lr_decay", 0.0, "finite and > 0"), ("beta1", 1.0, "in [0, 1)"),
+        ("beta2", -0.1, "in [0, 1)"), ("beta1", np.nan, "in [0, 1)"),
+        ("weight_decay", -1e-3, "finite and >= 0"), ("weight_decay", np.inf, "finite and >= 0"),
+    ])
+    def test_config_rejects_values_out_of_range_when_built(self, field, value, want):
+        with pytest.raises(ValueError, match=re.escape(f"{field} must be {want}, got {value!r}")):
+            AdamWConfig(**{field: value})
+        AdamWConfig(beta1=0.0, beta2=0.0, weight_decay=0.0)  # the closed ends are valid
+
     def test_lr_schedule_monotone(self):
         opt = AdamW([Tensor([1.0], requires_grad=True)])
         lrs = []
@@ -964,6 +999,184 @@ class TestFusedLayerOps:
         monkeypatch.setattr(nm, "conv1d", conv1d_reference)
         monkeypatch.setattr(nm, "linear", linear_reference)
         monkeypatch.setattr(nm, "add_layer_norm", add_layer_norm_reference)
+        assert outputs() == fused
+
+
+class TestFusedProjectionFfnCoupling:
+    """The output projection folded into ``attention``, ``ffn`` and
+    ``affine_coupling`` against the op chains they replace: the same bytes
+    forward and backward, and a ``NumericError`` on exactly the same inputs."""
+
+    @pytest.mark.parametrize("bias_kind", [None, "mask", "dense"])
+    @pytest.mark.parametrize("shape", [(1, 4, 2, 2), (5, 32, 2, 16), (9, 4, 1, 8),
+                                       (33, 32, 4, 8), (64, 3, 3, 5)])
+    def test_projected_attention_bytes_match_the_chain(self, shape, bias_kind):
+        x, w, scale, bias = _attention_case(Rng(sum(shape) + 2), *shape, bias_kind)
+        n, d = shape[2], shape[3]
+        wo = Tensor(Rng(5).normal((n * d, 7)), requires_grad=True)
+        fused, chain = (
+            _forward_and_grads(lambda *leaves: op(*leaves[:2], n, scale, bias, leaves[2]),
+                               [x, w, wo])
+            for op in (nm.attention, projected_attention_reference))
+        assert fused == chain
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_projected_attention_raises_where_the_chain_raises(self):
+        # finite v at the largest double: rounding in att @ v overflows the
+        # heads for some lengths, and a zero projection would hide that
+        big = np.finfo(np.float64).max
+        outcomes = set()
+        for length in range(2, 40):
+            x = Tensor(np.ones((length, 1)))
+            w = Tensor([[[0.0]], [[0.0]], [[big]]])
+            for proj in (0.0, 1e-300, 1.0):
+                wo = Tensor([[proj]])
+                fused = _raises_numeric(nm.attention, x, w, 1, 1.0, None, wo)
+                assert fused == _raises_numeric(projected_attention_reference, x, w, 1, 1.0,
+                                                None, wo), (length, proj)
+                outcomes.add(fused)
+        assert outcomes == {False, True}
+        outcomes = set()
+        for exponent in range(150, 160):  # finite heads, overflowing projection
+            x = Tensor(np.ones((3, 1)))
+            w = Tensor([[[1.0]], [[1.0]], [[10.0 ** exponent]]])
+            wo = Tensor([[10.0 ** exponent, 1.0]])
+            fused = _raises_numeric(nm.attention, x, w, 1, 1.0, None, wo)
+            assert fused == _raises_numeric(projected_attention_reference, x, w, 1, 1.0,
+                                            None, wo), exponent
+            outcomes.add(fused)
+        assert outcomes == {False, True}
+
+    @pytest.mark.parametrize("n, d, f, m", [(1, 1, 1, 1), (5, 32, 64, 32), (6, 16, 24, 16),
+                                            (40, 3, 7, 5)])
+    def test_ffn_bytes_match_the_chain(self, n, d, f, m):
+        rng = Rng(n + d + f + m)
+        leaves = [Tensor(rng.normal(s), requires_grad=True)
+                  for s in ((n, d), (d, f), (f,), (f, m), (m,))]
+        leaves[0].data[0] = 0.0  # pre-activations at relu's kink
+        leaves[2].data[::2] = 0.0
+        assert _forward_and_grads(nm.ffn, leaves) == _forward_and_grads(ffn_reference, leaves)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_ffn_raises_where_the_chain_raises(self):
+        outcomes = {1.0: set(), -1.0: set()}
+        for exponent in range(300, 309):
+            big = 1.7 * 10.0 ** exponent
+            for sign in (1.0, -1.0):  # relu turns an overflow to -inf into 0
+                args = (Tensor([[sign * big, sign * big]]), Tensor(np.ones((2, 1))),
+                        Tensor([0.0]), Tensor([[10.0]]), Tensor([0.0]))
+                fused = _raises_numeric(nm.ffn, *args)
+                assert fused == _raises_numeric(ffn_reference, *args), (exponent, sign)
+                outcomes[sign].add(fused)
+        assert outcomes == {1.0: {False, True}, -1.0: {False, True}}
+        with pytest.raises(NumericError, match=r"^ffn produced a non-finite value$"):
+            nm.ffn(*args)
+
+    @pytest.mark.parametrize("h, length", [(1, 1), (1, 9), (2, 5), (3, 40)])
+    def test_affine_coupling_bytes_match_the_chain(self, h, length):
+        rng = Rng(h * 100 + length)
+        leaves = [Tensor(rng.normal(s), requires_grad=True)
+                  for s in ((h, length), (h, length), (h, length), (2 * h, length))]
+        assert (_forward_and_grads(nm.affine_coupling, leaves)
+                == _forward_and_grads(affine_coupling_reference, leaves))
+
+    def test_affine_coupling_shift_cotangent_has_the_getitem_zeros(self):
+        rng = Rng(4)
+        leaves = [Tensor(rng.normal(s), requires_grad=True) for s in ((2, 3),) * 3 + ((4, 3),)]
+        weight = rng.normal((4, 3))
+        weight[2:, 0] = weight[:2, 1] = -0.0
+        grads = []
+        for op in (nm.affine_coupling, affine_coupling_reference):
+            nm.summation(op(*leaves) * weight).backward()
+            grads.append([t.grad.tobytes() for t in leaves])
+            for t in leaves:
+                t.zero_grad()
+        assert grads[0] == grads[1]
+        g_out = np.frombuffer(grads[0][3]).reshape(4, 3)
+        assert not np.signbit(g_out[2:, 0]).any()  # 0.0 + -0.0, as the getitem VJP adds
+        assert np.signbit(np.frombuffer(grads[0][0]).reshape(2, 3)[:, 1]).all()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_affine_coupling_raises_where_the_chain_raises(self):
+        outcomes = set()
+        for s_val in (-np.inf, -800.0, 0.0, 700.0, 709.0, 710.0, 800.0, np.inf, np.nan):
+            for xb_val in (0.0, 1e-300, 1.0, 1e300):
+                for t_val in (0.0, 1e308, -1e308):
+                    args = (Tensor([[1.0]]), Tensor([[xb_val]]), Tensor([[s_val]]),
+                            Tensor([[np.nan], [t_val]]))  # out[:h] is not the chain's
+                    fused = _raises_numeric(nm.affine_coupling, *args)
+                    assert fused == _raises_numeric(affine_coupling_reference, *args), (
+                        s_val, xb_val, t_val)
+                    outcomes.add(fused)
+        for xa_val, xb_val, t_val in ((np.inf, 1.0, 0.0), (1.0, np.nan, 0.0),
+                                      (1.0, 1.0, -np.inf)):
+            args = (Tensor([[xa_val]]), Tensor([[xb_val]]), Tensor([[0.0]]),
+                    Tensor([[0.0], [t_val]]))
+            assert _raises_numeric(nm.affine_coupling, *args)
+            assert _raises_numeric(affine_coupling_reference, *args)
+        assert outcomes == {False, True}
+
+    def test_one_tape_node_each(self):
+        x, w, scale, _ = _attention_case(Rng(1), 4, 6, 3, 2)
+        wo = Tensor(np.ones((6, 5)), requires_grad=True)
+        out = nm.attention(x, w, 3, scale, None, wo)
+        assert out.shape == (4, 5) and out._parents == (x, w, wo)
+        assert [g.shape for g in out._vjp(np.ones(out.shape))] == [x.shape, w.shape, wo.shape]
+        leaves = [Tensor(np.ones(s), requires_grad=True)
+                  for s in ((2, 3), (3, 4), (4,), (4, 5), (5,))]
+        assert nm.ffn(*leaves)._parents == tuple(leaves)
+        halves = [Tensor(np.ones((2, 3)), requires_grad=True) for _ in range(3)]
+        out = Tensor(np.ones((4, 3)), requires_grad=True)
+        assert nm.affine_coupling(*halves, out)._parents == (*halves, out)
+
+    def test_shape_errors(self):
+        x, w, _, _ = _attention_case(Rng(1), 4, 6, 3, 2)
+        with pytest.raises(ShapeError, match=r"output projection \(5, 2\) needs 6 rows"):
+            nm.attention(x, w, 3, 1.0, None, Tensor(np.ones((5, 2))))
+        with pytest.raises(ShapeError, match="output projection"):
+            nm.attention(x, w, 3, 1.0, None, Tensor(np.ones(6)))
+        ones = [np.ones(s) for s in ((2, 3), (3, 4), (4,), (4, 5), (5,))]
+        for i, bad in enumerate([(2, 2), (4, 4), (3,), (3, 5), (4,)]):
+            with pytest.raises(ShapeError, match="ffn expects"):
+                nm.ffn(*ones[:i], np.ones(bad), *ones[i + 1:])
+        halves = [np.ones((2, 3))] * 3
+        for args in ([*halves, np.ones((3, 3))], [*halves, np.ones((4, 2))],
+                     [halves[0], np.ones((1, 3)), halves[2], np.ones((4, 3))],
+                     [np.ones(3), np.ones(3), np.ones(3), np.ones(6)]):
+            with pytest.raises(ShapeError, match="affine_coupling expects"):
+                nm.affine_coupling(*args)
+
+    def test_modules_and_training_bit_identical_to_the_chains(self, monkeypatch):
+        from alignflow.encoder import SpeakerTable, TextEncoder
+        from alignflow.flows import FlowStack
+        from alignflow.harness import TrainConfig, train_toy
+
+        enc = TextEncoder(vocab=5, width=16, n_heads=4, speaker_dim=4, rng=Rng(1))
+        table = SpeakerTable(3, 4, Rng(2))
+        flows = FlowStack(4, 3, 6, Rng(3), key_dim=4, cond_dim=5, head_init="small")
+        cond, frames = Tensor(Rng(6).normal(5)), Tensor(Rng(7).normal((4, 9)))
+        leaves = enc.params() + table.params() + flows.params()
+        config = TrainConfig(seed=3, steps_main=6, steps_duration=2, n_train=3, n_eval=0,
+                             hidden_width=16, ff_width=24, speakers=3, speaker_shift=0.5)
+
+        def outputs():
+            h, mu, sigma = enc.encode([0, 3, 1, 4, 2, 2], table.lookup(1),
+                                      np.array([1, 1, 1, 1, 1, 0], bool))
+            y, logdet = flows.forward(frames, cond)
+            loss = sum(nm.summation(t * Rng(9).normal(t.shape)) for t in (h, mu, sigma, y))
+            (loss + logdet).backward()
+            grads = [p.grad.tobytes() for p in leaves]
+            for p in leaves:
+                p.zero_grad()
+            history, model = train_toy(config)
+            trained = [t.data.tobytes() for _, t in model.named_params()]
+            return [t.data.tobytes() for t in (h, mu, sigma, y, logdet)] + grads + [
+                [row["loss"] for row in history["main"]]] + trained
+
+        fused = outputs()
+        monkeypatch.setattr(nm, "attention", projected_attention_reference)
+        monkeypatch.setattr(nm, "ffn", ffn_reference)
+        monkeypatch.setattr(nm, "affine_coupling", affine_coupling_reference)
         assert outputs() == fused
 
 
