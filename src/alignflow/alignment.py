@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import LOG_2PI, NumericError, Rng
+from .numerics import LOG_2PI, NON_NEGATIVE, NumericError, Rng, check
 
 
 # exploration-noise schedule: scale starts at 0.01 and loses 2e-6 per global
@@ -171,13 +171,6 @@ def alignment_score(grid: LogProbGrid, alignment: Alignment) -> float:
     return total
 
 
-def check_noise_scale(scale: float, label: str = "noise_scale"):
-    """Raise ``ValueError`` unless ``scale`` is finite and >= 0 (0 is no
-    noise); the message names ``label``."""
-    if not 0.0 <= scale < math.inf:
-        raise ValueError(f"{label} must be finite and >= 0, got {scale!r}")
-
-
 def mas_search(
     grid: LogProbGrid, noise_scale: float = 0.0, rng: Rng | None = None
 ) -> tuple[Alignment, float]:
@@ -206,7 +199,7 @@ def mas_search(
     best_Q and raises ``NumericError``. A ``noise_scale`` that is NaN,
     infinite or negative raises ``ValueError``.
     """
-    check_noise_scale(noise_scale)
+    check(NON_NEGATIVE, noise_scale, "noise_scale")
     P = grid.P
     vi, vj = P.shape
     if vi > vj:

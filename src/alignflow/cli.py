@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from . import gradcheck
-from .alignment import check_noise_scale, load_grid, mas_search, read_csv_matrix
+from .alignment import load_grid, mas_search, read_csv_matrix
 from .corpus import load_corpus
 from .duration import DurationDiscriminator, DurationGenerator, train_duration
 from .harness import (
@@ -28,7 +28,14 @@ from .harness import (
     train_toy,
     write_csv,
 )
-from .numerics import AdamWConfig, NumericError, Rng
+from .numerics import NON_NEGATIVE, AdamWConfig, NumericError, Rng, at_least, check
+
+
+# flag (argparse dest) -> (test, wording); a flag that stands for a config key has its rule
+FLAG_RULES = {"seed": TrainConfig.RULES["seed"], "lr": TrainConfig.RULES["duration_lr"],
+              "hidden": TrainConfig.RULES["dur_hidden"], "z_dim": TrainConfig.RULES["z_dim"],
+              "steps": TrainConfig.RULES["steps_duration"], "noise_scale": NON_NEGATIVE,
+              "seeds": at_least(1), "tolerance": NON_NEGATIVE}
 
 
 class FramesError(ValueError):
@@ -37,7 +44,6 @@ class FramesError(ValueError):
 
 
 def _cmd_mas(args) -> int:
-    check_noise_scale(args.noise_scale, "--noise-scale")
     grid = load_grid(args.grid)
     rng = Rng(args.seed) if args.noise_scale > 0 else None
     align, best_q = mas_search(grid, noise_scale=args.noise_scale, rng=rng)
@@ -61,7 +67,6 @@ def _cmd_train_toy(args) -> int:
 
 
 def _cmd_train_duration(args) -> int:
-    AdamWConfig.check("lr", args.lr, "--lr")
     corpus = load_duration_corpus(args.corpus)
     width = corpus[0].h_text.shape[2]
     cond = corpus[0].cond  # the corpus carries a condition on every batch or on none
@@ -213,6 +218,9 @@ def main(argv=None) -> int:
     such a warning would report, so the error line is all that is printed."""
     args = build_parser().parse_args(argv)
     try:
+        for dest, rule in FLAG_RULES.items():
+            if hasattr(args, dest):
+                check(rule, getattr(args, dest), "--" + dest.replace("_", "-"))
         with np.errstate(all="ignore"):
             return args.func(args)
     except (OSError, ValueError, NumericError) as e:

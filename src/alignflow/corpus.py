@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .numerics import Rng
+from .numerics import FINITE, NON_NEGATIVE, Rng, at_least, check_fields
 
 
 @dataclass
@@ -42,23 +42,17 @@ class CorpusSpec:
     speakers: int = 1
     speaker_shift: float = 0.0
 
+    # field -> (test, wording); seq_max and dur_max are checked against the minimums
+    RULES = {"vocab": at_least(2), "channels": at_least(2), "n_train": at_least(1),
+             "n_eval": at_least(0), "seq_min": at_least(1), "dur_min": at_least(1),
+             "noise": NON_NEGATIVE, "prototype_radius": FINITE, "speakers": at_least(1),
+             "speaker_shift": FINITE}
+
     def validate(self):
-        if self.vocab < 2:
-            raise ValueError(f"vocab must be >= 2, got {self.vocab}")
-        if self.channels < 2:
-            raise ValueError(f"channels must be >= 2, got {self.channels}")
-        if self.seq_min < 1 or self.seq_max < self.seq_min:
+        check_fields(self, self.RULES)
+        if self.seq_max < self.seq_min:
             raise ValueError(f"bad sequence length range ({self.seq_min}, {self.seq_max})")
-        if self.n_train < 1 or self.n_eval < 0:
-            raise ValueError("need at least one training instance")
-        if self.speakers < 1:
-            raise ValueError(f"speakers must be >= 1, got {self.speakers}")
-        if not 0 <= self.noise < math.inf:
-            raise ValueError(f"observation noise must be finite and >= 0, got {self.noise!r}")
-        for name in ("prototype_radius", "speaker_shift"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
-        if self.dur_min < 1 or self.dur_max < self.dur_min:
+        if self.dur_max < self.dur_min:
             raise ValueError(
                 f"bad duration range (dur_min={self.dur_min}, dur_max={self.dur_max})")
 

@@ -233,8 +233,7 @@ def train_duration(
     loss. Returns one loss record per step; a non-finite loss aborts with the
     offending step index.
     """
-    if steps < 0:
-        raise ValueError("steps must be >= 0")
+    nm.check(nm.at_least(0), steps, "steps")
     if gen.z_dim and rng is None:
         raise ValueError("a generator with a noise input needs an rng")
     critic = disc.params() if disc is not None else []

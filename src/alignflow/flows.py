@@ -143,8 +143,7 @@ class FlowStack(nm.Module):
         cond_dim: int | None = None,
         head_init: str = "zero",
     ):
-        if depth < 2:
-            raise ValueError(f"stack depth must be >= 2, got {depth}")
+        nm.check(nm.at_least(2), depth, "stack depth")
         self.channels = channels
         self.depth = depth
         self.layers = [

@@ -28,7 +28,7 @@ from .corpus import CorpusSpec, Instance, ToyCorpus, generate_corpus, save_corpu
 from .duration import DurationBatch, DurationDiscriminator, DurationGenerator, train_duration
 from .encoder import SpeakerTable, TextEncoder
 from .flows import FlowStack
-from .numerics import AdamWConfig, NumericError, Rng, Tensor
+from .numerics import AdamWConfig, NumericError, Rng, Tensor, at_least, check_fields
 
 
 class ConfigError(ValueError):
@@ -86,36 +86,30 @@ class TrainConfig:
     speakers: int = CorpusSpec.speakers
     speaker_shift: float = CorpusSpec.speaker_shift
 
+    # field -> (test, wording); the optimizer and corpus keys keep AdamWConfig's and CorpusSpec's
+    RULES = {
+        "seed": at_least(0), "z_dim": at_least(0),
+        **dict.fromkeys(("steps_main", "steps_duration", "eval_every", "hidden_width", "n_heads",
+                         "ff_width", "flow_hidden", "key_dim", "dur_hidden", "speaker_dim"),
+                        at_least(1)),
+        **AdamWConfig.RULES, "duration_lr": AdamWConfig.RULES["lr"],
+        **{name: rule for name, rule in CorpusSpec.RULES.items() if name != "noise"},
+        "obs_noise": CorpusSpec.RULES["noise"],
+    }
+
     def validate(self):
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if self.steps_main <= 0 or self.steps_duration <= 0:
-            raise ConfigError("step counts must be > 0")
-        if self.eval_every <= 0:
-            raise ConfigError("eval_every must be > 0")
+        """Raise ``ConfigError`` at the first key out of range or out of step with the others."""
+        try:
+            check_fields(self, self.RULES)
+            self.corpus_spec().validate()  # seq_max >= seq_min, dur_max >= dur_min
+        except ValueError as e:
+            raise ConfigError(str(e)) from None
         if self.channels % 2 != 0:
             raise ConfigError("channels must be even for the coupling split")
         if self.n_blocks <= TextEncoder.SPEAKER_BLOCK:
             raise ConfigError(f"n_blocks {self.n_blocks} must be > {TextEncoder.SPEAKER_BLOCK}")
-        for name in ("hidden_width", "ff_width", "flow_hidden", "dur_hidden", "key_dim"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.n_heads < 1 or self.hidden_width % self.n_heads != 0:
+        if self.hidden_width % self.n_heads != 0:
             raise ConfigError(f"n_heads {self.n_heads} does not divide hidden_width")
-        try:  # the optimizer fields, in AdamWConfig's ranges
-            for name in ("lr", "eps", "lr_decay", "beta1", "beta2", "weight_decay"):
-                AdamWConfig.check(name, getattr(self, name))
-            AdamWConfig.check("lr", self.duration_lr, "duration_lr")
-        except ValueError as e:
-            raise ConfigError(str(e)) from None
-        for names, ok, want in (
-            (("obs_noise",), lambda v: 0 <= v < math.inf, "finite and >= 0"),
-            (("prototype_radius", "speaker_shift"), math.isfinite, "finite"),
-        ):
-            for name in names:
-                if not ok(getattr(self, name)):
-                    raise ConfigError(f"{name} must be {want}, got {getattr(self, name)!r}")
-        self.corpus_spec().validate()
 
     def _derive(self, cls, **overrides):
         """A ``cls`` holding this config's fields of the same name, then ``overrides``."""
@@ -442,6 +436,9 @@ def load_duration_corpus(path) -> list[DurationBatch]:
         if names[len(names) - k:] != [f"c{i}" for i in range(k)]:
             raise DurationCorpusError(f"{path}: the columns from c0 on are not c0..c{k - 1}")
         n_h = len(names) - k
+        if n_h < 1 or names[:n_h] != [f"h{i}" for i in range(n_h)]:
+            raise DurationCorpusError(
+                f"{path}: the feature columns must be h0..h{{H-1}} with H >= 1, got {names[:n_h]}")
         kinds = [int, int] + [float] * (len(header) - 2)
         per_inst: dict[int, list[tuple[int, float, np.ndarray]]] = {}
         conds: dict[int, list[float]] = {}

@@ -957,27 +957,46 @@ class Module:
 
 
 # ---------------------------------------------------------------------------
-# optimizer
+# range rules and the optimizer
 # ---------------------------------------------------------------------------
 
+# A rule is (the test a value must pass, what the error asks for). Each class
+# of settings keeps one table, field -> rule, and ``check`` reads them all.
+FINITE = (math.isfinite, "finite")
+POSITIVE = (lambda v: 0 < v < math.inf, "finite and > 0")
+NON_NEGATIVE = (lambda v: 0 <= v < math.inf, "finite and >= 0")
+UNIT_INTERVAL = (lambda v: 0 <= v < 1, "in [0, 1)")
 
-_ADAMW_RULES = {  # field: (the test a value must pass, what the error asks for)
-    "lr": (lambda v: 0 < v < math.inf, "finite and > 0"),
-    "beta1": (lambda v: 0 <= v < 1, "in [0, 1)"),
-    "beta2": (lambda v: 0 <= v < 1, "in [0, 1)"),
-    "weight_decay": (lambda v: 0 <= v < math.inf, "finite and >= 0"),
-    "eps": (lambda v: 0 < v < math.inf, "finite and > 0"),
-    "lr_decay": (lambda v: 0 < v < math.inf, "finite and > 0"),
-}
+
+def at_least(n: int) -> tuple:
+    """The rule of an integer setting whose least valid value is ``n``."""
+    return (lambda v: v >= n), f">= {n}"
+
+
+def check(rule: tuple, value, label: str):
+    """Raise ``ValueError`` unless ``value`` passes ``rule``; the message names
+    ``label``, the field or the CLI flag that stands for it."""
+    ok, want = rule
+    if not ok(value):
+        raise ValueError(f"{label} must be {want}, got {value!r}")
+
+
+def check_fields(obj, rules: dict):
+    """``check`` each field of ``obj`` that ``rules`` names, in table order."""
+    for name, rule in rules.items():
+        check(rule, getattr(obj, name), name)
 
 
 @dataclass(frozen=True)
 class AdamWConfig:
     """Adam with decoupled weight decay; defaults follow the training recipe
     used throughout this project (lr decays by 0.999^(1/8) per epoch). These
-    are the only copies of the defaults and of the valid ranges: ``AdamW``
-    and the run config read them. Building one with a value out of range
-    raises ``ValueError``."""
+    are the only copies of the defaults and of the valid ranges (``RULES``):
+    ``AdamW`` and the run config read them. Building one with a value out of
+    range raises ``ValueError``."""
+
+    RULES = {"lr": POSITIVE, "beta1": UNIT_INTERVAL, "beta2": UNIT_INTERVAL,
+             "weight_decay": NON_NEGATIVE, "eps": POSITIVE, "lr_decay": POSITIVE}
 
     lr: float = 2e-4
     beta1: float = 0.8
@@ -987,16 +1006,7 @@ class AdamWConfig:
     lr_decay: float = 0.999 ** (1 / 8)
 
     def __post_init__(self):
-        for name in _ADAMW_RULES:
-            self.check(name, getattr(self, name))
-
-    @staticmethod
-    def check(field: str, value, label: str | None = None):
-        """Raise ``ValueError`` unless ``value`` is in the valid range of
-        ``field``; the message names ``label``, by default the field."""
-        ok, want = _ADAMW_RULES[field]
-        if not ok(value):
-            raise ValueError(f"{label or field} must be {want}, got {value!r}")
+        check_fields(self, self.RULES)
 
 
 class AdamW:

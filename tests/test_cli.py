@@ -304,6 +304,20 @@ class TestLoaderErrors:
         assert err == f"alignflow train-duration: {path}{message}\n"
         assert not (tmp_path / "l.csv").exists()
 
+    @pytest.mark.parametrize("header, names", [
+        ("instance,position,log_duration,x,y", "['x', 'y']"),
+        ("instance,position,log_duration", "[]"),
+    ])
+    def test_bad_duration_corpus_header(self, capsys, tmp_path, header, names):
+        path = tmp_path / "dur.csv"
+        path.write_text(header + "\n0,0,0.5,0.1,0.2\n")
+        code, err = self.invoke_err(capsys, "train-duration", "--corpus", path, "--steps", "2",
+                                    "--seed", "0", "--out", tmp_path / "l.csv")
+        assert code == 2
+        assert err == (f"alignflow train-duration: {path}: the feature columns must be "
+                       f"h0..h{{H-1}} with H >= 1, got {names}\n")
+        assert not (tmp_path / "l.csv").exists()
+
     @pytest.mark.parametrize("text, message", [
         ("", ": grid has no rows"),
         ("1,2,3\n4,5\n", ":2: grid row 1 has 2 cells, row 0 has 3"),
@@ -349,6 +363,45 @@ class TestLoaderErrors:
         assert err == (f"alignflow train-duration: --lr must be finite and > 0, "
                        f"got {float(value)!r}\n")
         assert not (tmp_path / "l.csv").exists()
+
+    @pytest.mark.parametrize("command, flag, value, message", [
+        ("train-duration", "--hidden", "0", "--hidden must be >= 1, got 0"),
+        ("train-duration", "--z-dim", "-1", "--z-dim must be >= 0, got -1"),
+        ("train-duration", "--steps", "0", "--steps must be >= 1, got 0"),
+        ("train-duration", "--seed", "-1", "--seed must be >= 0, got -1"),
+        ("train-toy", "--seed", "-1", "--seed must be >= 0, got -1"),
+        ("mas", "--seed", "-1", "--seed must be >= 0, got -1"),
+        ("check-grad", "--seeds", "0", "--seeds must be >= 1, got 0"),
+        ("check-grad", "--tolerance", "nan", "--tolerance must be finite and >= 0, got nan"),
+    ])
+    def test_flag_out_of_range(self, capsys, tmp_path, command, flag, value, message):
+        corpus, config, grid, out = (tmp_path / name
+                                     for name in ("dur.csv", "run.cfg", "grid.csv", "out"))
+        corpus.write_text("instance,position,log_duration,h0\n0,0,0.5,0.1\n")
+        config.write_text("steps_main = 2\nsteps_duration = 1\n")
+        grid.write_text("1,2\n3,4\n")
+        argv = {"train-duration": ["--corpus", corpus, "--steps", "2", "--seed", "0",
+                                   "--out", out],
+                "train-toy": ["--config", config, "--seed", "0", "--out", out],
+                "mas": ["--grid", grid, "--noise-scale", "0.5"],
+                "check-grad": ["--seeds", "1"]}[command]
+        code, err = self.invoke_err(capsys, command, *argv, flag, value)
+        assert code == 2
+        assert err == f"alignflow {command}: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text, message", [
+        ("z_dim = -1\n", "z_dim must be >= 0, got -1"),
+        ("speakers = 2\nspeaker_dim = 0\n", "speaker_dim must be >= 1, got 0"),
+    ])
+    def test_train_toy_setting_out_of_range(self, capsys, tmp_path, text, message):
+        path = tmp_path / "run.cfg"
+        path.write_text("steps_main = 2\nsteps_duration = 1\n" + text)
+        code, err = self.invoke_err(capsys, "train-toy", "--config", path,
+                                    "--out", tmp_path / "run", "--seed", "0")
+        assert code == 2
+        assert err == f"alignflow train-toy: {path}: {message}\n"
+        assert not (tmp_path / "run").exists()
 
     @pytest.fixture
     def speaker_ckpt(self, tmp_path):

@@ -93,7 +93,7 @@ class TestCorpus:
             generate_corpus(CorpusSpec(seq_min=0), Rng(0))
         with pytest.raises(ValueError):
             generate_corpus(CorpusSpec(vocab=1), Rng(0))
-        with pytest.raises(ValueError, match="dur_min=0"):
+        with pytest.raises(ValueError, match="^dur_min must be >= 1, got 0$"):
             generate_corpus(CorpusSpec(dur_min=0), Rng(0))
         with pytest.raises(ValueError, match="dur_max=1"):
             generate_corpus(CorpusSpec(dur_min=2, dur_max=1), Rng(0))
@@ -104,9 +104,10 @@ class TestCorpus:
         ("prototype_radius", math.nan, "prototype_radius must be finite, got nan"),
         ("prototype_radius", -math.inf, "prototype_radius must be finite, got -inf"),
         ("speaker_shift", math.inf, "speaker_shift must be finite, got inf"),
-        ("noise", math.nan, "observation noise must be finite and >= 0, got nan"),
-        ("noise", math.inf, "observation noise must be finite and >= 0, got inf"),
-        ("noise", -0.5, "observation noise must be finite and >= 0, got -0.5"),
+        ("noise", math.nan, "noise must be finite and >= 0, got nan"),
+        ("noise", math.inf, "noise must be finite and >= 0, got inf"),
+        ("noise", -0.5, "noise must be finite and >= 0, got -0.5"),
+        ("n_eval", -1, "n_eval must be >= 0, got -1"),
     ])
     def test_non_finite_floats_rejected(self, field, value, message):
         spec = CorpusSpec(speakers=2, **{field: value})
@@ -481,7 +482,13 @@ class TestDurationCorpusFuzz:
                                   (2, "0,1,0.0,1.0,0.5,-2.0", "instance 0 has another condition"),
                                   (1, "0,0,0.0,1.0,inf,-1.0", "c0 'inf' is not finite"),
                                   (0, "instance,position,log_duration,h0,c0,c2",
-                                   "the columns from c0 on are not c0..c1")):
+                                   "the columns from c0 on are not c0..c1"),
+                                  (0, "instance,position,log_duration,x,y",
+                                   "the feature columns must be h0..h{H-1} with H >= 1, "
+                                   "got ['x', 'y']"),
+                                  (0, "instance,position,log_duration",
+                                   "the feature columns must be h0..h{H-1} with H >= 1, "
+                                   "got []")):
             edited = lines.copy()
             edited[row] = bad
             assert not self.assert_one_error_naming_the_file(
@@ -613,7 +620,8 @@ class TestConfig:
     def test_nonpositive_steps_rejected(self, tmp_path):
         path = tmp_path / "zero.cfg"
         path.write_text("steps_main = 0\n")
-        with pytest.raises(ConfigError, match="step counts"):
+        with pytest.raises(ConfigError,
+                           match=f"^{re.escape(str(path))}: steps_main must be >= 1, got 0$"):
             load_config(path)
 
     @pytest.mark.parametrize("line, key", [("n_blocks = 2", "n_blocks"),
@@ -625,7 +633,7 @@ class TestConfig:
             load_config(path)
 
     @pytest.mark.parametrize("key", ["hidden_width", "ff_width", "flow_hidden", "dur_hidden",
-                                     "key_dim"])
+                                     "key_dim", "speaker_dim"])
     @pytest.mark.parametrize("value", [0, -1])
     def test_empty_model_sizes_rejected_at_load(self, tmp_path, key, value):
         path = tmp_path / "size.cfg"
@@ -652,6 +660,25 @@ class TestConfig:
             ["train-duration", "--corpus", "c.csv", "--steps", "1", "--seed", "0", "--out", "o"])
         assert (args.lr, args.hidden, args.z_dim) == (
             TrainConfig.duration_lr, TrainConfig.dur_hidden, TrainConfig.z_dim)
+
+    def test_readme_config_table_matches_the_rules(self):
+        """README's config table lists every key once, and the `valid` cell of
+        each key with a range rule is that rule's wording."""
+        with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md"),
+                  encoding="utf-8") as fh:
+            section = fh.read().split("\n## Config file\n", 1)[1].split("\n## ", 1)[0]
+        rows = {}
+        for line in section.splitlines():
+            if line.startswith("| `"):
+                key, _, valid, _ = line.removeprefix("| ").split(" | ")
+                assert key.strip("`") not in rows, f"{key} is listed twice"
+                rows[key.strip("`")] = valid
+        fields = typing.get_type_hints(TrainConfig)
+        assert sorted(rows) == sorted(fields)
+        for key, (_, want) in TrainConfig.RULES.items():
+            assert rows[key] == f"`{want}`", key
+        unruled = {key for key, kind in fields.items() if kind is not bool} - set(TrainConfig.RULES)
+        assert unruled == {"n_blocks", "flow_depth", "seq_max", "dur_max"}
 
 
 _POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
@@ -894,7 +921,7 @@ class TestCheckpoint:
         ("cfg.noise_anneal", 0.5, r"cfg.noise_anneal = 0.5 is not a bool \(0 or 1\)"),
         ("cfg.transformer_block", 2.0, r"cfg.transformer_block = 2.0 is not a bool"),
         ("cfg.channels", 3.0, r"not a valid config: channels must be even"),
-        ("cfg.steps_duration", 0.0, r"not a valid config: step counts"),
+        ("cfg.steps_duration", 0.0, r"not a valid config: steps_duration must be >= 1, got 0$"),
         ("cfg.n_heads", 3.0, r"not a valid config: n_heads 3 does not divide hidden_width"),
         ("cfg.seed", -1.0, r"not a valid config: seed must be >= 0, got -1$"),
         ("cfg.lr", np.nan, r"not a valid config: lr must be finite and > 0, got nan$"),
@@ -907,6 +934,8 @@ class TestCheckpoint:
         ("cfg.obs_noise", np.nan, r"obs_noise must be finite and >= 0, got nan$"),
         ("cfg.prototype_radius", np.inf, r"prototype_radius must be finite, got inf$"),
         ("cfg.speaker_shift", -np.inf, r"speaker_shift must be finite, got -inf$"),
+        ("cfg.z_dim", -1.0, r"not a valid config: z_dim must be >= 0, got -1$"),
+        ("cfg.speaker_dim", 0.0, r"not a valid config: speaker_dim must be >= 1, got 0$"),
         ("cfg.hidden_width", 2.0**60, r"cfg entries do not build a model: array is too big"),
     ])
     def test_bad_config_entry_raises_checkpoint_error(self, tmp_path, key, value, message):
