@@ -4,6 +4,14 @@ trained stochastic duration model, transformer-augmented coupling flows, and
 a speaker-conditioned text encoder, all on a minimal float64 autodiff core.
 """
 
+import os
+
+# One BLAS thread unless the caller chose otherwise: on long inputs OpenBLAS
+# sums a matmul in another order under another thread count, and every command's
+# output bytes must not depend on the host's cores. Set before numpy loads.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("OMP_NUM_THREADS", "1")
+
 from . import alignment, duration, encoder, flows, harness, numerics
 from .numerics import AdamW, AdamWConfig, Rng, Tensor, check_grad
 

@@ -88,7 +88,7 @@ class TrainConfig:
 
     # field -> (test, wording); the optimizer and corpus keys keep AdamWConfig's and CorpusSpec's
     RULES = {
-        "seed": at_least(0), "z_dim": at_least(0),
+        "seed": at_least(0), "z_dim": at_least(0), "flow_depth": at_least(2),
         **dict.fromkeys(("steps_main", "steps_duration", "eval_every", "hidden_width", "n_heads",
                          "ff_width", "flow_hidden", "key_dim", "dur_hidden", "speaker_dim"),
                         at_least(1)),
@@ -304,7 +304,8 @@ def duration_targets(model: ToyModel, instances) -> list[DurationBatch]:
 def train_toy(config: TrainConfig, corpus: ToyCorpus | None = None,
               out_dir=None) -> tuple[dict, ToyModel]:
     """Run both phases; returns ({"main": [...], "duration": [...]}, model).
-    A config whose model cannot be built raises ``ConfigError``.
+    A config whose model cannot be built, or is too large to allocate, raises
+    ``ConfigError``.
 
     With an out_dir, also writes corpus.json, per-phase metrics CSVs, the
     duration-target corpus, and checkpoint.bin (format in docs/).
@@ -315,7 +316,7 @@ def train_toy(config: TrainConfig, corpus: ToyCorpus | None = None,
     noise_rng = root.child(2)
     try:
         model = build_model(config, root.child(3))
-    except ValueError as e:
+    except (ValueError, MemoryError) as e:
         raise ConfigError(f"config does not build a model: {e}") from None
     dur_rng = root.child(4)
 
@@ -502,7 +503,7 @@ def load_model(path) -> ToyModel:
         raise CheckpointError(f"{path}: cfg entries are not a valid config: {e}") from None
     try:
         model = build_model(config, Rng(config.seed).child(3))
-    except ValueError as e:
+    except (ValueError, MemoryError) as e:
         raise CheckpointError(f"{path}: cfg entries do not build a model: {e}") from None
     named = model.named_params()
     known = {f"cfg.{name}" for name in _FIELD_TYPES}

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from alignflow import harness
 from alignflow.cli import main
 from alignflow.harness import (
     TrainConfig,
@@ -562,6 +563,29 @@ class TestLoaderErrors:
         code, err = self.invoke_err(capsys, command, "--ckpt", speaker_ckpt, *args)
         assert code == 2
         assert err == f"alignflow {command}: {speaker_ckpt}: {message}\n"
+
+    @pytest.mark.parametrize("command", ["train-toy", "eval-align", "dump-attention"])
+    def test_model_too_large_to_allocate(self, capsys, tmp_path, monkeypatch, speaker_ckpt,
+                                         command):
+        # numpy's "Unable to allocate" error is a MemoryError; the real allocation is never
+        # attempted, since under memory overcommit it could succeed and then be written
+        def build_model(config, rng):
+            raise MemoryError("Unable to allocate 48.0 TiB")
+
+        monkeypatch.setattr(harness, "build_model", build_model)
+        if command == "train-toy":
+            path, reason = tmp_path / "run.cfg", "config does not build a model"
+            path.write_text("steps_main = 1\n")
+            args = ["--config", path, "--out", tmp_path / "run", "--seed", "0"]
+        else:
+            path, reason = speaker_ckpt, "cfg entries do not build a model"
+            args = ["--ckpt", path, *(["--corpus", tmp_path / "corpus.json"]
+                                      if command == "eval-align" else
+                                      ["--input", tmp_path / "f.csv", "--out", tmp_path / "maps"])]
+        code, err = self.invoke_err(capsys, command, *args)
+        assert code == 2
+        assert err == f"alignflow {command}: {path}: {reason}: Unable to allocate 48.0 TiB\n"
+        assert not (tmp_path / "run").exists() and not (tmp_path / "maps").exists()
 
     def test_infinite_config_entry_one_line_in_a_fresh_process(self, tmp_path, speaker_ckpt):
         from alignflow.checkpoint import load_checkpoint, save_checkpoint

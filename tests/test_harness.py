@@ -642,6 +642,14 @@ class TestConfig:
             load_config(path)
         assert str(info.value) == f"{path}: {key} must be >= 1, got {value}"
 
+    @pytest.mark.parametrize("value", [1, 0])
+    def test_single_coupling_layer_rejected_at_load(self, tmp_path, value):
+        path = tmp_path / "flow.cfg"
+        path.write_text(f"flow_depth = {value}\n")
+        with pytest.raises(ConfigError) as info:
+            load_config(path)
+        assert str(info.value) == f"{path}: flow_depth must be >= 2, got {value}"
+
     def test_settings_map_onto_adamw_config_corpus_spec_and_cli(self):
         assert TrainConfig().optimizer() == AdamWConfig()
         cfg = TrainConfig(lr=1e-3, beta2=0.9)
@@ -678,7 +686,7 @@ class TestConfig:
         for key, (_, want) in TrainConfig.RULES.items():
             assert rows[key] == f"`{want}`", key
         unruled = {key for key, kind in fields.items() if kind is not bool} - set(TrainConfig.RULES)
-        assert unruled == {"n_blocks", "flow_depth", "seq_max", "dur_max"}
+        assert unruled == {"n_blocks", "seq_max", "dur_max"}
 
 
 _POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
@@ -708,6 +716,7 @@ def valid_configs(draw):
     values["hidden_width"] *= values["n_heads"]
     values["channels"] *= 2
     values["n_blocks"] += TextEncoder.SPEAKER_BLOCK
+    values["flow_depth"] += 1
     values["seq_max"] += values["seq_min"]
     values["dur_max"] += values["dur_min"]
     return TrainConfig(**values)
@@ -936,6 +945,7 @@ class TestCheckpoint:
         ("cfg.speaker_shift", -np.inf, r"speaker_shift must be finite, got -inf$"),
         ("cfg.z_dim", -1.0, r"not a valid config: z_dim must be >= 0, got -1$"),
         ("cfg.speaker_dim", 0.0, r"not a valid config: speaker_dim must be >= 1, got 0$"),
+        ("cfg.flow_depth", 1.0, r"not a valid config: flow_depth must be >= 2, got 1$"),
         ("cfg.hidden_width", 2.0**60, r"cfg entries do not build a model: array is too big"),
     ])
     def test_bad_config_entry_raises_checkpoint_error(self, tmp_path, key, value, message):
