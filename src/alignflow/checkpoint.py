@@ -76,13 +76,19 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
         except UnicodeDecodeError as e:
             raise CheckpointError(f"{path}: {entry} name is not UTF-8") from e
         entry = f"entry {k} ({name!r})"
+        if name in out:
+            raise CheckpointError(f"{path}: {entry} repeats the name of an earlier entry")
         (rank,), off = _unpack(path, blob, "<B", off, f"{entry} rank")
         dims, off = _unpack(path, blob, f"<{rank}I", off, f"{entry} dims")
         n = math.prod(dims)
         _check_room(path, blob, off + 8 * n, f"{entry} values")
         arr = np.frombuffer(blob, dtype="<f8", count=n, offset=off).copy()
         off += 8 * n
-        out[name] = arr.reshape(dims)
+        try:
+            out[name] = arr.reshape(dims)
+        except ValueError as e:  # rank above numpy's limit, or dims whose product overflows
+            raise CheckpointError(f"{path}: {entry} has rank {rank} and dims {dims}, "
+                                  f"which numpy cannot hold: {e}") from None
     if off != len(blob):
         raise CheckpointError(f"{path}: {len(blob) - off} trailing bytes")
     return out

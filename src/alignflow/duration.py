@@ -83,21 +83,18 @@ class _ConvTower(nm.Module):
             "cond.w", nm.init_uniform(rng, (hidden, cond_dim), cond_dim) if cond_dim else None
         )
 
-    def run(self, x: Tensor, cond: Tensor | None) -> Tensor:
-        # x: (in_dim, I) -> (I,)
-        pre = nm.conv1d(x, self.conv1_w, self.conv1_b)
-        if cond is not None:
-            if self.wc is None:
-                raise ValueError("tower built without cond_dim cannot take a condition")
-            pre = pre + nm.reshape(self.wc @ nm.reshape(cond, (-1, 1)), (-1, 1))
-        h = nm.relu(pre)
-        h = nm.relu(nm.conv1d(h, self.conv2_w, self.conv2_b))
-        out = nm.conv1d(h, self.head_w, self.head_b)
-        return out[0]
+    def run(self, feats: Tensor, extra: Tensor | None, cond: Tensor | None) -> Tensor:
+        """(I,) scores of the features (I, H) with the extra input channels
+        (None, (I, Z) or (I,)) stacked after them, as one ``nm.conv_tower`` node."""
+        if cond is not None and self.wc is None:
+            raise ValueError("tower built without cond_dim cannot take a condition")
+        return nm.conv_tower(feats, extra, self.conv1_w, self.conv1_b, self.conv2_w,
+                             self.conv2_b, self.head_w, self.head_b,
+                             None if cond is None else self.wc, cond)
 
 
 class DurationGenerator(nm.Module):
-    """Per-token log-duration network: concat(text features, noise) -> conv tower.
+    """Per-token log-duration network: (text features, noise) -> conv tower.
 
     z_dim = 0 builds the deterministic variant (no noise input), used by the
     non-adversarial baseline.
@@ -120,10 +117,7 @@ class DurationGenerator(nm.Module):
                 raise nm.ShapeError(
                     f"noise must be ({h.shape[0]}, {self.z_dim}), got {z.shape}"
                 )
-            x = nm.concat([h, z], axis=1).T
-        else:
-            x = h.T
-        return self.tower.run(x, cond)
+        return self.tower.run(h, z if self.z_dim else None, cond)
 
 
 class DurationDiscriminator(nm.Module):
@@ -141,8 +135,7 @@ class DurationDiscriminator(nm.Module):
         d = nm.ensure_tensor(d)
         if d.ndim != 1 or d.shape[0] != h.shape[0]:
             raise nm.ShapeError(f"durations {d.shape} must match tokens {h.shape}")
-        x = nm.concat([h, nm.reshape(d, (-1, 1))], axis=1).T
-        return self.tower.run(x, cond=None)
+        return self.tower.run(h, d, cond=None)
 
 
 def generate(gen: DurationGenerator, h_text, z_d, mask, cond=None) -> list[Tensor]:

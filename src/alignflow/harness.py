@@ -490,6 +490,9 @@ def load_model(path) -> ToyModel:
         key = f"cfg.{name}"
         if key not in entries:
             raise CheckpointError(f"{path}: missing config entry {key}")
+        if entries[key].size != 1:
+            raise CheckpointError(f"{path}: {key} has shape {entries[key].shape}, "
+                                  f"expected one value")
         raw = float(entries[key].reshape(()))
         if ftype is bool and raw not in (0.0, 1.0):
             raise CheckpointError(f"{path}: {key} = {raw!r} is not a bool (0 or 1)")
@@ -501,8 +504,10 @@ def load_model(path) -> ToyModel:
         config.validate()
     except ValueError as e:
         raise CheckpointError(f"{path}: cfg entries are not a valid config: {e}") from None
-    try:
-        model = build_model(config, Rng(config.seed).child(3))
+    stored = sum(arr.size for key, arr in entries.items() if key.startswith("param."))
+    try:  # a model with more values than the file is never built, however large
+        with nm.param_budget(stored):
+            model = build_model(config, Rng(config.seed).child(3))
     except (ValueError, MemoryError) as e:
         raise CheckpointError(f"{path}: cfg entries do not build a model: {e}") from None
     named = model.named_params()
@@ -518,6 +523,8 @@ def load_model(path) -> ToyModel:
         arr = entries[key]
         if arr.shape != tensor.shape:
             raise CheckpointError(f"{path}: {key} has shape {arr.shape}, expected {tensor.shape}")
+        if not np.isfinite(arr).all():  # save_model never writes one: training stops first
+            raise CheckpointError(f"{path}: {key} holds a non-finite value")
         tensor.data[...] = arr
     return model
 

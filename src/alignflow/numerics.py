@@ -34,21 +34,26 @@ choices worth knowing:
   duration towers), ``linear`` (``x @ w + b``: the encoder heads), ``ffn``
   (linear, relu, linear: the encoder's position-wise net), ``add_layer_norm``
   (the encoder's post-norm residual), ``affine_coupling`` (a coupling layer's
-  output ``[xa, xb * exp(s) + t]``, 5 nodes before) and ``aligned_nll`` (the
+  output ``[xa, xb * exp(s) + t]``, 5 nodes before), ``conv_tower`` (a
+  duration tower's conv, condition term, relu, conv, relu and 1x1 head with
+  its input assembly, 9 to 13 nodes before) and ``aligned_nll`` (the
   training loss, 14 nodes before). Each has a hand-written VJP, and each is
   bit-identical, forward and backward, to the chain of smaller ops it
   replaced, down to the order in which a multi-consumer cotangent is summed.
   Each raises ``NumericError`` on exactly the inputs where that chain raised:
   ``attention`` checks the stacked q/k/v, the scaled, biased scores and the
   heads before ``wo``, ``ffn`` its first affine map, ``add_layer_norm`` the
-  sum, ``aligned_nll`` the denominator 2 s s, and ``_make`` every output.
-- ``conv1d`` is im2col + one BLAS matmul forward and two in its VJP. BLAS
+  sum, ``conv_tower`` its input, each conv output and the condition product
+  and sum, ``aligned_nll`` the denominator 2 s s, and ``_make`` every output.
+- ``conv1d`` is im2col + one BLAS matmul forward and two in its VJP, and
+  ``conv_tower`` is three of them; both build their columns with ``_im2col``
+  and add them back with ``_col2im``. BLAS
   picks its own summation order, so it agrees with the per-tap contraction
   it replaced, or a scalar loop, to 1e-12 (relative and absolute), not bit
   for bit; its fused bias is still bit-identical to the add it replaced.
 - A VJP may return ``None`` for a parent that takes no gradient at backward
-  time (a constant, or a parameter under ``frozen``); ``conv1d`` skips that
-  work.
+  time (a constant, or a parameter under ``frozen``); ``conv1d`` and
+  ``conv_tower`` skip that work.
 - ``no_grad`` turns recording off for the calling thread: ops still run
   their finite checks, but their outputs keep no parents and no VJP, so an
   inference forward retains nothing once a layer is done with it. It is
@@ -59,6 +64,7 @@ choices worth knowing:
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import math
@@ -799,6 +805,42 @@ def affine_coupling(xa, xb, s, out) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=1024)  # one immutable entry per (kernel, length)
+def _taps(k: int, length: int) -> tuple[tuple[int, int, int, int], ...]:
+    """The (i, lo, hi, off) of each tap of a width-``k`` same-padded conv over
+    ``length`` steps that reads inside [0, L): tap i of output t reads input
+    t + off, off = i - (k-1)//2, for t in [lo, hi)."""
+    pl = (k - 1) // 2
+    out = []
+    for i in range(k):
+        off = i - pl
+        lo, hi = max(0, -off), min(length, length - off)
+        if lo < hi:
+            out.append((i, lo, hi, off))
+    return tuple(out)
+
+
+def _im2col(x: np.ndarray, k: int, taps) -> np.ndarray:
+    """The (C*K, L) column matrix of x (C, L): row c*K + i, column t holds
+    x[c, t + i - (K-1)//2], zero where that falls outside [0, L)."""
+    cin, length = x.shape
+    windows = np.zeros((cin, k, length))
+    for i, lo, hi, off in taps:
+        windows[:, i, lo:hi] = x[:, lo + off : hi + off]
+    return windows.reshape(cin * k, length)
+
+
+def _col2im(gcols: np.ndarray, cin: int, k: int, taps) -> np.ndarray:
+    """The input cotangent (C, L) from the column cotangent (C*K, L): each tap
+    added back into a zero buffer, in ascending tap order."""
+    length = gcols.shape[1]
+    gcols = gcols.reshape(cin, k, length)
+    gx = np.zeros((cin, length))
+    for i, lo, hi, off in taps:
+        gx[:, lo + off : hi + off] += gcols[:, i, lo:hi]
+    return gx
+
+
 def conv1d(x, w, b=None) -> Tensor:
     """1-D convolution over the last axis, stride 1, same-padding, plus an
     optional per-output-channel bias, as one tape node.
@@ -821,17 +863,8 @@ def conv1d(x, w, b=None) -> Tensor:
     cout, cin_w, k = w.shape
     if cin != cin_w:
         raise ShapeError(f"conv1d: x has {cin} channels but kernel expects {cin_w}")
-    pl = (k - 1) // 2
-    # windows[:, i, t] = x[:, t + i - pl], zero where that falls outside [0, L)
-    taps = []
-    windows = np.zeros((cin, k, length))
-    for i in range(k):
-        off = i - pl
-        lo, hi = max(0, -off), min(length, length - off)
-        if lo < hi:
-            windows[:, i, lo:hi] = x.data[:, lo + off : hi + off]
-            taps.append((i, lo, hi, off))
-    cols = windows.reshape(cin * k, length)
+    taps = _taps(k, length)
+    cols = _im2col(x.data, k, taps)
     w2 = w.data.reshape(cout, cin * k)
     data = w2 @ cols
     parents = (x, w)
@@ -843,20 +876,118 @@ def conv1d(x, w, b=None) -> Tensor:
         parents = (x, w, b)
 
     def vjp(g):
-        # skip the cotangents nothing will use: a constant input (the duration
-        # critic's features) or a kernel frozen for the generator's update
-        gx = gw = None
-        if x.requires_grad:
-            # col2im: tap i of column t came from x[:, t + i - pl]
-            gcols = (w2.T @ g).reshape(cin, k, length)
-            gx = np.zeros((cin, length))
-            for i, lo, hi, off in taps:
-                gx[:, lo + off : hi + off] += gcols[:, i, lo:hi]
-        if w.requires_grad:
-            gw = (g @ cols.T).reshape(cout, cin, k)
+        # skip the cotangents nothing will use: a constant input or a frozen kernel
+        gx = _col2im(w2.T @ g, cin, k, taps) if x.requires_grad else None
+        gw = (g @ cols.T).reshape(cout, cin, k) if w.requires_grad else None
         return (gx, gw) if b is None else (gx, gw, _sum(g, axis=1))
 
     return _make(data, parents, vjp, "conv1d")
+
+
+def conv_tower(feats, extra, w1, b1, w2, b2, wh, bh, wc=None, cond=None) -> Tensor:
+    """A duration tower, conv(k) -> relu -> conv(k) -> relu -> 1x1 head, over
+    the token axis as one tape node; returns the (I,) scores.
+
+    feats: (I, H) features; extra: None, the noise (I, Z) or the durations
+    (I,), stacked after the features as the input channels; w1: (F, C, K)
+    with C the input channels, b1: (F,); w2: (G, F, K2), b2: (G,); wh: (1, G,
+    1), bh: (1,). With ``wc`` (F, D) and ``cond`` (D values), the condition
+    term ``wc @ cond`` is added to every step of the first conv's output
+    before its relu. The im2col columns are built from ``feats`` and
+    ``extra`` directly, with no input assembly on the tape.
+
+    The result and every cotangent equal, byte for byte, the chain it
+    replaced: concat, transpose (and reshape of the durations), ``conv1d``
+    with its bias, ``pre + reshape(wc @ reshape(cond, (-1, 1)), (-1, 1))``,
+    relu, ``conv1d``, relu, ``conv1d`` by the head and ``[0]``. That includes
+    the relu masks at exactly 0, the ``+0.0`` start of the getitem and col2im
+    zero buffers, and the condition's cotangent, the row sum of the first
+    conv's cotangent. As ``conv1d`` does, the VJP returns ``None``, and skips
+    the work, for an input or a kernel that takes no gradient. It raises
+    ``NumericError`` exactly where that chain raised: on a non-finite input,
+    first conv output, condition product or sum, or second conv output, and
+    through ``_make`` on a non-finite score; relu of a finite value is finite.
+    """
+    feats, w1, b1, w2, b2, wh, bh = (ensure_tensor(t) for t in (feats, w1, b1, w2, b2, wh, bh))
+    extra = None if extra is None else ensure_tensor(extra)
+    if wc is not None or cond is not None:
+        wc, cond = ensure_tensor(wc), ensure_tensor(cond)
+    length, h = feats.shape if feats.ndim == 2 else (0, 0)
+    f, g_ch = w1.shape[0] if w1.ndim == 3 else 0, w2.shape[0] if w2.ndim == 3 else 0
+    n_extra = 0 if extra is None else extra.size // max(length, 1)
+    if (feats.ndim != 2 or w1.ndim != 3 or w2.ndim != 3
+            or extra is not None and extra.shape not in ((length,), (length, n_extra))
+            or w1.shape[1] != h + n_extra or b1.shape != (f,) or w2.shape[1] != f
+            or b2.shape != (g_ch,) or wh.shape != (1, g_ch, 1) or bh.shape != (1,)
+            or wc is not None and wc.shape != (f, cond.size)):
+        shapes = ", ".join(str(None if t is None else t.shape)
+                           for t in (feats, extra, w1, b1, w2, b2, wh, bh, wc, cond))
+        raise ShapeError("conv_tower expects feats (I,H), extra None, (I,) or (I,Z), w1 "
+                         "(F,H+Z,K), b1 (F,), w2 (G,F,K2), b2 (G,), wh (1,G,1), bh (1,), and "
+                         f"wc (F,D) with D cond values or neither, got {shapes}")
+    x = feats.data.T
+    if extra is not None:
+        x = np.concatenate((x, extra.data.reshape(length, -1).T))
+    if not _all(np.isfinite(x), axis=None):  # where the chain's concat or transpose raised
+        raise NumericError("conv_tower produced a non-finite value")
+    cin, k1, k2 = x.shape[0], w1.shape[2], w2.shape[2]
+    taps1, taps2 = _taps(k1, length), _taps(k2, length)
+    cols1, w1m = _im2col(x, k1, taps1), w1.data.reshape(f, cin * k1)
+    pre1 = w1m @ cols1
+    pre1 += b1.data[:, None]
+    if not _all(np.isfinite(pre1), axis=None):
+        raise NumericError("conv_tower produced a non-finite value")
+    if wc is not None:
+        cond_col = cond.data.reshape(-1, 1)
+        cm = wc.data @ cond_col
+        if not _all(np.isfinite(cm), axis=None):
+            raise NumericError("conv_tower produced a non-finite value")
+        pre1 += cm
+        if not _all(np.isfinite(pre1), axis=None):
+            raise NumericError("conv_tower produced a non-finite value")
+    h1 = np.maximum(pre1, 0.0)
+    cols2, w2m = _im2col(h1, k2, taps2), w2.data.reshape(g_ch, f * k2)
+    pre2 = w2m @ cols2
+    pre2 += b2.data[:, None]
+    if not _all(np.isfinite(pre2), axis=None):
+        raise NumericError("conv_tower produced a non-finite value")
+    h2 = np.maximum(pre2, 0.0)  # C-ordered, so it is the 1x1 head's im2col columns as is
+    whm = wh.data.reshape(1, g_ch)
+    out = whm @ h2
+    out += bh.data[:, None]
+    slots = (feats, extra, w1, b1, w2, b2, wh, bh, wc, cond)
+
+    def vjp(g):
+        g_o = (g + 0.0).reshape(1, length)  # the getitem VJP: 0.0 + g, so -0.0 becomes +0.0
+        gf = ge = g_w1 = g_b1 = g_w2 = g_b2 = g_wc = g_cond = None
+        g_wh = (g_o @ h2.T).reshape(wh.shape) if wh.requires_grad else None
+        g_bh = _sum(g_o, axis=1) if bh.requires_grad else None
+        x_rg = feats.requires_grad or (extra is not None and extra.requires_grad)
+        need1 = (x_rg or w1.requires_grad or b1.requires_grad
+                 or (wc is not None and (wc.requires_grad or cond.requires_grad)))
+        if need1 or w2.requires_grad or b2.requires_grad:
+            g_h2 = whm.T @ g_o
+            g_h2 += 0.0  # the head's col2im: its one tap added into a zero buffer
+            g_pre2 = g_h2 * (pre2 > 0.0)
+            g_w2 = (g_pre2 @ cols2.T).reshape(w2.shape) if w2.requires_grad else None
+            g_b2 = _sum(g_pre2, axis=1) if b2.requires_grad else None
+        if need1:
+            g_pre1 = _col2im(w2m.T @ g_pre2, f, k2, taps2) * (pre1 > 0.0)
+            g_w1 = (g_pre1 @ cols1.T).reshape(w1.shape) if w1.requires_grad else None
+            g_b1 = _sum(g_pre1, axis=1) if b1.requires_grad else None
+            if wc is not None:
+                g_cm = _unbroadcast(g_pre1, (f, 1))  # the add's VJP: the row sum (I > 1)
+                g_wc = g_cm @ cond_col.T if wc.requires_grad else None
+                g_cond = (wc.data.T @ g_cm).reshape(cond.shape) if cond.requires_grad else None
+            if x_rg:  # the transpose and concat VJPs: views of the col2im's rows
+                gx = _col2im(w1m.T @ g_pre1, cin, k1, taps1)
+                gf = gx.T[:, :h] if feats.requires_grad else None
+                if extra is not None and extra.requires_grad:
+                    ge = gx.T[:, h:] if extra.ndim == 2 else gx[h]
+        grads = (gf, ge, g_w1, g_b1, g_w2, g_b2, g_wh, g_bh, g_wc, g_cond)
+        return [gr for t, gr in zip(slots, grads) if t is not None]
+
+    return _make(out[0], tuple(t for t in slots if t is not None), vjp, "conv_tower")
 
 
 # ---------------------------------------------------------------------------
@@ -893,13 +1024,50 @@ class Rng:
         return Rng(self.seed, _entropy=(self.seed, int(tag)))
 
 
+class _ParamBudget(threading.local):
+    """Per-thread (limit, values left) of ``param_budget``; None is no limit."""
+
+    state = None
+
+
+_param_budget = _ParamBudget()
+
+
+@contextmanager
+def param_budget(limit: int):
+    """Let ``init_uniform`` and ``zeros`` make at most ``limit`` values in all
+    in the calling thread; the one that would pass it raises ``ValueError``
+    before it allocates. A model whose parameters cannot fit ``limit`` values
+    is then refused at the cost of what it drew so far."""
+    saved = _param_budget.state
+    _param_budget.state = (limit, limit)
+    try:
+        yield
+    finally:
+        _param_budget.state = saved
+
+
+_MAX_FLOAT64S = np.iinfo(np.intp).max // 8  # numpy refuses more, before it allocates
+
+
+def _spend(shape):
+    if _param_budget.state is not None:
+        limit, left = _param_budget.state
+        n = math.prod(shape) if isinstance(shape, tuple) else int(shape)
+        if left < n <= _MAX_FLOAT64S:  # past that, numpy's own "array is too big" speaks
+            raise ValueError(f"its parameters need more than {limit} values")
+        _param_budget.state = (limit, left - n)
+
+
 def init_uniform(rng: Rng, shape, fan_in: int) -> Tensor:
     """Trainable parameter init: uniform in [-k, k], k = 1/sqrt(fan_in)."""
+    _spend(shape)
     k = 1.0 / math.sqrt(max(1, fan_in))
     return Tensor(rng.uniform(-k, k, shape), requires_grad=True)
 
 
 def zeros(shape, requires_grad: bool = False) -> Tensor:
+    _spend(shape)
     return Tensor(np.zeros(shape), requires_grad=requires_grad)
 
 

@@ -604,6 +604,37 @@ class TestLoaderErrors:
         assert proc.stderr == (f"alignflow dump-attention: {speaker_ckpt}: "
                                f"cfg.steps_main = inf is not an integer\n")
 
+    @pytest.mark.parametrize("defect", ["rank", "dims", "cfg shape", "non-finite param"])
+    def test_checkpoint_defect_is_one_line_naming_the_file(self, capsys, tmp_path, speaker_ckpt,
+                                                           defect):
+        import struct
+
+        from alignflow.checkpoint import load_checkpoint, save_checkpoint
+
+        entries = load_checkpoint(speaker_ckpt)
+        if defect in ("rank", "dims"):
+            # one more entry whose dims hold no values but cannot be an array
+            dims = (0,) * 99 if defect == "rank" else (257, 2576980480, 2576980480, 0)
+            blob = bytearray(speaker_ckpt.read_bytes())
+            blob[8:12] = struct.pack("<I", len(entries) + 1)
+            blob += struct.pack(f"<H5sB{len(dims)}I", 5, b"zz.xx", len(dims), *dims)
+            speaker_ckpt.write_bytes(bytes(blob))
+            message = (f"entry {len(entries)} ('zz.xx') has rank {len(dims)} and dims "
+                       f"{dims}, which numpy cannot hold: ")
+        else:
+            if defect == "cfg shape":
+                key, message = "cfg.seed", "cfg.seed has shape (2,), expected one value"
+                entries[key] = np.array([4.0, 4.0])
+            else:
+                key, message = "param.enc.mu.w", "param.enc.mu.w holds a non-finite value"
+                entries[key][0, 1] = np.nan
+            save_checkpoint(speaker_ckpt, entries)
+        code, err = self.invoke_err(capsys, "eval-align", "--ckpt", speaker_ckpt,
+                                    "--corpus", tmp_path / "corpus.json")
+        assert code == 2
+        assert err.startswith(f"alignflow eval-align: {speaker_ckpt}: {message}")
+        assert err.count("\n") == 1
+
     def test_eval_align_token_outside_vocab(self, capsys, tmp_path, speaker_ckpt):
         path = tmp_path / "corpus.json"
         save_corpus(generate_corpus(CorpusSpec(speakers=3), Rng(6)), path)

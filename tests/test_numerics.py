@@ -131,6 +131,26 @@ def conv1d_reference(x, w, b=None):
     return out if b is None else out + nm.reshape(b, (-1, 1))
 
 
+def conv_tower_reference(feats, extra, w1, b1, w2, b2, wh, bh, wc=None, cond=None):
+    """``nm.conv_tower`` as the chain of tape ops it replaces: the input
+    assembly of the duration generator and critic, then their towers' conv,
+    condition add, relu, conv, relu, 1x1 head and ``[0]``."""
+    feats = nm.ensure_tensor(feats)
+    if extra is None:
+        x = feats.T
+    else:
+        extra = nm.ensure_tensor(extra)
+        if extra.ndim == 1:  # the critic's durations
+            extra = nm.reshape(extra, (-1, 1))
+        x = nm.concat([feats, extra], axis=1).T
+    pre = _conv1d(x, w1, b1)
+    if cond is not None:
+        pre = pre + nm.reshape(wc @ nm.reshape(cond, (-1, 1)), (-1, 1))
+    h = nm.relu(pre)
+    h = nm.relu(_conv1d(h, w2, b2))
+    return _conv1d(h, wh, bh)[0]
+
+
 def linear_reference(x, w, b):
     """``nm.linear`` as the chain of tape ops it replaces."""
     return x @ w + b
@@ -1178,6 +1198,191 @@ class TestFusedProjectionFfnCoupling:
         monkeypatch.setattr(nm, "ffn", ffn_reference)
         monkeypatch.setattr(nm, "affine_coupling", affine_coupling_reference)
         assert outputs() == fused
+
+
+def _tower_case(rng, length, h, extra, hidden, k=3, cond_dim=0):
+    """Leaves of a ``conv_tower`` call, every one trainable: ``extra`` is 0
+    (no extra block), -1 (durations, (I,)) or Z (noise, (I, Z))."""
+    cin = h + (1 if extra == -1 else extra)
+    shapes = [(length, h), None if extra == 0 else (length,) if extra == -1 else (length, extra),
+              (hidden, cin, k), (hidden,), (hidden, hidden, k), (hidden,), (1, hidden, 1), (1,)]
+    if cond_dim:
+        shapes += [(hidden, cond_dim), (cond_dim,)]
+    return [None if s is None else Tensor(rng.normal(s), requires_grad=True) for s in shapes]
+
+
+def _tower_bytes(op, leaves, g):
+    """Output bytes and each leaf's gradient bytes (None where it has none)
+    of ``op(*leaves)`` under the output cotangent ``g``."""
+    out = op(*leaves)
+    nm.summation(out * g).backward()
+    result = [out.data.tobytes()] + [None if t is None or t.grad is None else t.grad.tobytes()
+                                     for t in leaves]
+    for t in leaves:
+        if t is not None:
+            t.zero_grad()
+    return result
+
+
+class TestFusedConvTower:
+    """``conv_tower`` against the chain of concat, transpose, reshape, conv1d,
+    add, matmul, relu and getitem ops it replaces: the same bytes forward and
+    backward, the same ``None`` skips, and a ``NumericError`` on exactly the
+    same inputs."""
+
+    CASES = [(length, h, extra, hidden, k, cond_dim)
+             for length in (1, 2, 3, 7) for h, extra in ((3, 2), (3, -1), (4, 0))
+             for hidden, k in ((4, 3), (2, 1), (3, 5)) for cond_dim in (0, 3)]
+
+    @pytest.mark.parametrize("length, h, extra, hidden, k, cond_dim", CASES)
+    def test_bytes_match_the_chain(self, length, h, extra, hidden, k, cond_dim):
+        rng = Rng(length * 1000 + h * 100 + hidden * 10 + k + cond_dim + extra)
+        leaves = _tower_case(rng, length, h, extra, hidden, k, cond_dim)
+        g = rng.normal(length)
+        assert (_tower_bytes(nm.conv_tower, leaves, g)
+                == _tower_bytes(conv_tower_reference, leaves, g))
+
+    @pytest.mark.parametrize("length", [1, 2, 5])
+    @pytest.mark.parametrize("cond_dim", [0, 2])
+    def test_pre_activations_at_zero_and_negative_zero_cotangents(self, length, cond_dim):
+        """A hidden unit whose pre-activation is exactly 0 passes no gradient,
+        and -0.0 output cotangents give the chain's bytes. The op starts its
+        getitem and col2im buffers at +0.0 and takes the condition's
+        cotangent as is at I = 1, as the chain did; where every matmul and
+        sum starts from +0.0 (OpenBLAS and numpy's reductions do), the sign
+        of such a zero cannot reach a cotangent, so this pins the bytes, not
+        those steps."""
+        rng = Rng(40 + length + cond_dim)
+        leaves = _tower_case(rng, length, 3, 2, 4, 3, cond_dim)
+        w1, b1, w2, b2 = leaves[2:6]
+        w1.data[1], b1.data[1], w2.data[2], b2.data[2] = 0.0, 0.0, 0.0, 0.0
+        if cond_dim:
+            leaves[8].data[1] = 0.0
+        g = rng.normal(length)
+        g[0] = -0.0
+        fused = _tower_bytes(nm.conv_tower, leaves, g)
+        assert fused == _tower_bytes(conv_tower_reference, leaves, g)
+        zero = -0.0 * np.ones(length)  # every cotangent a signed zero
+        assert (_tower_bytes(nm.conv_tower, leaves, zero)
+                == _tower_bytes(conv_tower_reference, leaves, zero))
+
+    def test_one_tape_node(self):
+        leaves = _tower_case(Rng(50), 5, 3, -1, 4, 3, 2)
+        out = nm.conv_tower(*leaves)
+        assert out._parents == tuple(leaves) and out.shape == (5,)
+        no_extra = _tower_case(Rng(51), 5, 3, 0, 4)
+        assert nm.conv_tower(*no_extra)._parents == tuple(t for t in no_extra if t is not None)
+        constants = [Tensor(t.data) for t in leaves]
+        assert nm.conv_tower(*constants)._parents == ()
+
+    def test_skips_cotangents_nothing_uses(self):
+        """The critic's constant inputs in ``adv_loss_d`` and its frozen
+        kernels in ``adv_loss_g`` get ``None``, as ``conv1d`` gave them; what
+        is computed equals the chain."""
+        rng = Rng(52)
+        leaves = _tower_case(rng, 5, 3, -1, 4)
+        g = rng.normal(5)
+        want = _tower_bytes(conv_tower_reference, leaves, g)
+        for t in leaves[:2]:  # the adv_loss_d critic: features and durations constant
+            t.requires_grad = False
+        grads = nm.conv_tower(*leaves)._vjp(g)
+        assert grads[:2] == [None, None]
+        assert [gr.tobytes() for gr in grads[2:]] == want[3:]
+        leaves[1].requires_grad = True  # the adv_loss_g critic: trainable durations
+        with nm.frozen(leaves[2:]):
+            grads = nm.conv_tower(*leaves)._vjp(g)
+        assert grads[0] is None and grads[2:] == [None] * 6
+        assert grads[1].tobytes() == want[2]
+        gen = _tower_case(rng, 4, 3, 2, 4, cond_dim=2)
+        for t in (gen[0], gen[1], gen[9]):  # the generator: constant h, z and condition
+            t.requires_grad = False
+        grads = nm.conv_tower(*gen)._vjp(rng.normal(4))
+        assert [gr is None for gr in grads] == [True, True] + [False] * 7 + [True]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_stage_overflows_raise_where_the_chain_raises(self):
+        """Each check of the chain: the input assembly, the first conv, the
+        condition product and sum, the second conv, and the scores."""
+        def case():
+            leaves = [Tensor(np.zeros(s)) for s in ((3, 2), (3,), (2, 3, 3), (2,), (2, 2, 3),
+                                                     (2,), (1, 2, 1), (1,), (2, 1), (1,))]
+            return leaves, dict(zip(("feats", "extra", "w1", "b1", "w2", "b2", "wh", "bh",
+                                     "wc", "cond"), leaves))
+        stages = {
+            "input": lambda t, big: t["feats"].data.__setitem__((0, 0), big * 10.0),
+            "conv1": lambda t, big: (t["feats"].data.fill(big), t["w1"].data.fill(1.0)),
+            "cond product": lambda t, big: (t["wc"].data.fill(3.0), t["cond"].data.fill(big)),
+            "cond sum": lambda t, big: (t["b1"].data.fill(big), t["wc"].data.fill(1.0),
+                                        t["cond"].data.fill(big)),
+            "conv2": lambda t, big: (t["b1"].data.fill(big), t["w2"].data.fill(1.0)),
+            "scores": lambda t, big: (t["b2"].data.fill(big), t["wh"].data.fill(1.0),
+                                      t["bh"].data.fill(big)),
+        }
+        for stage, poison in stages.items():
+            outcomes = set()
+            for exponent in range(300, 309):
+                leaves, named = case()
+                poison(named, 1.7 * 10.0 ** exponent)
+                fused = _raises_numeric(nm.conv_tower, *leaves)
+                assert fused == _raises_numeric(conv_tower_reference, *leaves), (stage, exponent)
+                outcomes.add(fused)
+            assert outcomes == {False, True}, stage
+        leaves, named = case()
+        named["wc"].data.fill(3.0)
+        named["cond"].data.fill(1.7e308)
+        with pytest.raises(NumericError, match=r"^conv_tower produced a non-finite value$"):
+            nm.conv_tower(*leaves)
+
+    def test_shape_errors(self):
+        leaves = _tower_case(Rng(53), 5, 3, 2, 4, cond_dim=2)
+        with pytest.raises(ShapeError, match="conv_tower expects"):
+            nm.conv_tower(leaves[0], Tensor(np.zeros((4, 2))), *leaves[2:])
+        with pytest.raises(ShapeError, match="conv_tower expects"):
+            nm.conv_tower(*leaves[:8], leaves[8], Tensor(np.zeros(3)))
+        with pytest.raises(ShapeError, match="conv_tower expects"):
+            nm.conv_tower(*leaves[:8], leaves[8])
+        with pytest.raises(ShapeError, match="conv_tower expects"):
+            nm.conv_tower(leaves[0], None, *leaves[2:8])
+
+    def test_duration_training_bit_identical_to_the_chain(self, monkeypatch):
+        """Two speaker-conditioned adversarial steps on a padded batch: the
+        losses and every trained parameter, the chain monkeypatched in."""
+        from alignflow.duration import (DurationBatch, DurationDiscriminator,
+                                        DurationGenerator, train_duration)
+
+        rng = Rng(54)
+        batch = DurationBatch(rng.normal((2, 5, 6)), rng.uniform(0.0, 1.5, (2, 5)),
+                              np.arange(5) < np.array([[5], [2]]), cond=rng.normal(3))
+
+        def outputs():
+            gen = DurationGenerator(h_dim=6, z_dim=2, hidden=4, rng=Rng(55), cond_dim=3)
+            disc = DurationDiscriminator(h_dim=6, hidden=4, rng=Rng(56))
+            history = train_duration(gen, disc, [batch], 3, rng=Rng(57), verify_isolation=True)
+            return history, [p.data.tobytes() for p in gen.params() + disc.params()]
+
+        fused = outputs()
+        monkeypatch.setattr(nm, "conv_tower", conv_tower_reference)
+        assert outputs() == fused
+
+    def test_gradcheck_rows_run_through_the_op(self, monkeypatch):
+        from alignflow import gradcheck
+
+        rows = {"duration_gen.conv1_w", "duration.loss_d.disc.conv1_w",
+                "duration.loss_g.gen.conv1_w"}
+        make, ops = nm._make, set()
+
+        def recording_make(data, parents, vjp, op):
+            ops.add(op)
+            return make(data, parents, vjp, op)
+
+        suite = [row for row in gradcheck.suite(Rng(0).child(100)) if row[0] in rows]
+        assert {name for name, _, _ in suite} == rows
+        monkeypatch.setattr(nm, "_make", recording_make)
+        for name, f, probe in suite:
+            ops.clear()
+            with nm.frozen(getattr(f, "frozen", ())):
+                assert check_grad(f, probe) < 1e-4, name
+            assert "conv_tower" in ops and not ops & {"conv1d", "concat", "relu"}, name
 
 
 class TestConcurrency:
