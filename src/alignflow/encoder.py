@@ -73,10 +73,8 @@ class EncoderBlock(nm.Module):
         self.b2 = self.param("ffn.b2", nm.zeros((width,), requires_grad=True))
 
     def forward(self, x: Tensor, attn_bias: np.ndarray | None = None) -> Tensor:
-        attended = nm.attention(x, self.wqkv, self.n_heads, 1.0 / math.sqrt(self.head_dim),
-                                attn_bias, self.wo)
-        x = nm.add_layer_norm(x, attended, axis=1)
-        return nm.add_layer_norm(x, nm.ffn(x, self.w1, self.b1, self.w2, self.b2), axis=1)
+        return nm.encoder_block(x, self.wqkv, self.wo, self.w1, self.b1, self.w2, self.b2,
+                                self.n_heads, 1.0 / math.sqrt(self.head_dim), attn_bias)
 
 
 class TextEncoder(nm.Module):
@@ -143,7 +141,7 @@ class TextEncoder(nm.Module):
         tokens = np.asarray(tokens, dtype=np.int64)
         if tokens.ndim != 1 or tokens.size == 0:
             raise ValueError("tokens must be a non-empty 1-D id sequence")
-        if (tokens < 0).any() or (tokens >= self.vocab).any():
+        if np.maximum.reduce(tokens.view(np.uint64)) >= self.vocab:  # a negative id is >= 2**63
             raise IndexError(f"token ids outside [0, {self.vocab})")
         if speaker is not None and self.w_speaker is None:
             raise ValueError("encoder was built without speaker conditioning")
@@ -167,5 +165,4 @@ class TextEncoder(nm.Module):
         """Returns (h_text, mu, sigma), each length-I along the token axis."""
         h = self.hidden_states(tokens, speaker, mask)[-1]
         mu = nm.linear(h, self.w_mu, self.b_mu)
-        log_sigma = nm.clamp(nm.linear(h, self.w_logsigma, self.b_logsigma), -6.0, 6.0)
-        return h, mu, nm.exp(log_sigma)
+        return h, mu, nm.scale_head(h, self.w_logsigma, self.b_logsigma)

@@ -70,55 +70,40 @@ class CouplingLayer(nm.Module):
             None if cond_dim is None else nm.init_uniform(rng, (hidden, cond_dim), cond_dim),
         )
 
-    def _attend(self, xa: Tensor) -> Tensor:
-        # self-attention over time; xa is (half, T)
-        return nm.attention(xa.T, self.wqkv, 1, 1.0 / math.sqrt(self.key_dim), wo=self.wo).T
-
-    def _logscale_and_out(self, xa: Tensor, cond: Tensor | None) -> tuple[Tensor, Tensor]:
-        """(s, out): the clamped log-scale and the conv output whose second
-        half is the shift."""
-        h = xa
-        if self.attention:
-            h = h + self._attend(xa)
-        pre = nm.conv1d(h, self.conv1_w, self.conv1_b)
-        if cond is not None:
-            if self.wc is None:
-                raise ValueError("layer built without cond_dim cannot take a condition")
-            pre = pre + nm.reshape(self.wc @ nm.reshape(cond, (-1, 1)), (-1, 1))
-        hid = nm.relu(pre)
-        out = nm.conv1d(hid, self.conv2_w, self.conv2_b)
-        return nm.clamp(out[: self.half], -8.0, 8.0), out  # the clamp keeps exp(s) invertible
+    def _condition(self, x: Tensor, cond: Tensor | None) -> Tensor:
+        """The (3h, T) rows [s, t, x[:h]]: the clamped log-scale and the shift
+        the passed half x[:h] conditions, and that half."""
+        if x.ndim != 2 or x.shape[0] != self.channels:
+            raise nm.ShapeError(f"expected ({self.channels}, T) input, got {x.shape}")
+        if cond is not None and self.wc is None:
+            raise ValueError("layer built without cond_dim cannot take a condition")
+        attn = self.attention
+        return nm.coupling_conditioner(
+            x, self.conv1_w, self.conv1_b, self.conv2_w, self.conv2_b,
+            self.wqkv if attn else None, self.wo if attn else None, 1.0 / math.sqrt(self.key_dim),
+            None if cond is None else self.wc, cond)
 
     def forward(self, x: Tensor, cond: Tensor | None = None) -> tuple[Tensor, Tensor]:
         """y = [x_a, x_b * exp(s) + t]; returns (y, logdet) with logdet = sum(s)."""
         x = nm.ensure_tensor(x)
-        if x.ndim != 2 or x.shape[0] != self.channels:
-            raise nm.ShapeError(
-                f"expected ({self.channels}, T) input, got {x.shape}"
-            )
-        xa, xb = x[: self.half], x[self.half :]
-        s, out = self._logscale_and_out(xa, cond)
-        return nm.affine_coupling(xa, xb, s, out), nm.summation(s)
+        c = self._condition(x, cond)
+        return nm.affine_coupling(x, c), nm.sum_rows(c, self.half)
 
     def inverse(self, y: Tensor, cond: Tensor | None = None) -> Tensor:
         """Exact algebraic inverse: x_b = (y_b - t) * exp(-s)."""
         y = nm.ensure_tensor(y)
-        if y.ndim != 2 or y.shape[0] != self.channels:
-            raise nm.ShapeError(
-                f"expected ({self.channels}, T) input, got {y.shape}"
-            )
-        ya, yb = y[: self.half], y[self.half :]
-        s, out = self._logscale_and_out(ya, cond)
-        xb = (yb - out[self.half :]) * nm.exp(-s)
-        return nm.concat([ya, xb], axis=0)
+        c = self._condition(y, cond)
+        h = self.half
+        xb = (y[h:] - c[h : 2 * h]) * nm.exp(-c[:h])
+        return nm.concat([c[2 * h :], xb], axis=0)  # y[:h] through c, as forward passes x[:h]
 
     def attention_map(self, x) -> np.ndarray:
         """The T x T row-stochastic attention matrix this input produces.
 
         Pure numpy, side-effect free; rows sum to 1 even when attention is
-        off (the map the block *would* use). It is the map ``nm.attention``
-        uses inside ``_attend``, byte for byte: the same q, k products and
-        the same ``nm.attention_probs``.
+        off (the map the block *would* use). It is the map the attention
+        inside ``nm.coupling_conditioner`` uses, byte for byte: the same q, k
+        products and the same ``nm.attention_probs``.
         """
         xt = np.ascontiguousarray(nm.ensure_tensor(x).data[: self.half].T)
         q, k = np.matmul(xt, self.wqkv.data[:2])

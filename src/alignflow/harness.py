@@ -86,9 +86,11 @@ class TrainConfig:
     speakers: int = CorpusSpec.speakers
     speaker_shift: float = CorpusSpec.speaker_shift
 
-    # field -> (test, wording); the optimizer and corpus keys keep AdamWConfig's and CorpusSpec's
+    # field -> (test, wording); the optimizer and corpus keys keep AdamWConfig's and CorpusSpec's.
+    # A checkpoint stores the seed as a float64, which holds every integer up to 2**53 exactly.
     RULES = {
-        "seed": at_least(0), "z_dim": at_least(0), "flow_depth": at_least(2),
+        "seed": (lambda v: 0 <= v <= 2**53, "in [0, 2**53]"), "z_dim": at_least(0),
+        "flow_depth": at_least(2),
         **dict.fromkeys(("steps_main", "steps_duration", "eval_every", "hidden_width", "n_heads",
                          "ff_width", "flow_hidden", "key_dim", "dur_hidden", "speaker_dim"),
                         at_least(1)),
@@ -515,7 +517,8 @@ def load_model(path) -> ToyModel:
     known.update(f"param.{name}" for name, _ in named)
     unknown = sorted(set(entries) - known)
     if unknown:
-        raise CheckpointError(f"{path}: entries not in this model: {', '.join(unknown)}")
+        raise CheckpointError(f"{path}: entries not in this model: "
+                              f"{', '.join(map(repr, unknown))}")  # a name may hold a newline
     for name, tensor in named:
         key = f"param.{name}"
         if key not in entries:

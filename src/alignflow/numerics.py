@@ -29,31 +29,44 @@ choices worth knowing:
   immediately instead of letting the poison spread.
 - Layers are fused ops, one tape node each, because a step's time is per node:
   ``attention`` (all heads of a multi-head self-attention, from one (3H, D, d)
-  q/k/v leaf, times the output projection ``wo``; the encoder blocks and the
-  coupling flows), ``conv1d`` with its bias (the coupling layers and the
-  duration towers), ``linear`` (``x @ w + b``: the encoder heads), ``ffn``
-  (linear, relu, linear: the encoder's position-wise net), ``add_layer_norm``
-  (the encoder's post-norm residual), ``affine_coupling`` (a coupling layer's
-  output ``[xa, xb * exp(s) + t]``, 5 nodes before), ``conv_tower`` (a
-  duration tower's conv, condition term, relu, conv, relu and 1x1 head with
-  its input assembly, 9 to 13 nodes before) and ``aligned_nll`` (the
-  training loss, 14 nodes before). Each has a hand-written VJP, and each is
-  bit-identical, forward and backward, to the chain of smaller ops it
-  replaced, down to the order in which a multi-consumer cotangent is summed.
-  Each raises ``NumericError`` on exactly the inputs where that chain raised:
-  ``attention`` checks the stacked q/k/v, the scaled, biased scores and the
-  heads before ``wo``, ``ffn`` its first affine map, ``add_layer_norm`` the
-  sum, ``conv_tower`` its input, each conv output and the condition product
-  and sum, ``aligned_nll`` the denominator 2 s s, and ``_make`` every output.
+  q/k/v leaf, times the output projection ``wo``), ``conv1d`` with its bias,
+  ``linear`` (``x @ w + b``: the encoder's mean head), ``ffn`` (linear, relu,
+  linear), ``add_layer_norm`` (a post-norm residual), ``encoder_block`` (a
+  whole post-norm encoder block: attention with ``wo``, add_layer_norm, ffn,
+  add_layer_norm; 4 nodes before), ``scale_head`` (the encoder's sigma head
+  ``exp(clamp(x @ w + b, -6, 6))``; 3 nodes before),
+  ``coupling_conditioner`` (a coupling layer's channel split, attention
+  residual, conv, condition term, relu, conv and clamp, returning the rows
+  ``[s, t, xa]``; 9 to 13 nodes before), ``affine_coupling`` (the layer
+  output ``[xa, xb * exp(s) + t]`` from the input and those rows) and
+  ``sum_rows`` (the log-det, the sum of the s rows), so a coupling layer is 3
+  nodes, not 13; ``conv_tower`` (a duration tower's conv, condition term,
+  relu, conv, relu and 1x1 head with its input assembly, 9 to 13 nodes
+  before) and ``aligned_nll`` (the training loss, 14 nodes before). Each has
+  a hand-written VJP, and each is bit-identical, forward and backward, to the
+  chain of smaller ops it replaced, down to the order in which a
+  multi-consumer cotangent is summed. Each raises ``NumericError`` on exactly
+  the inputs where that chain raised: ``attention`` checks the stacked q/k/v,
+  the scaled, biased scores and the heads before ``wo``, ``ffn`` and
+  ``scale_head`` their affine map, ``add_layer_norm`` the sum,
+  ``encoder_block`` what its attention and net check,
+  ``coupling_conditioner`` those of its attention, the residual sum, each
+  conv output and the condition and its sum, ``conv_tower`` its input, each
+  conv output and the condition product and sum, ``aligned_nll`` the
+  denominator 2 s s, and ``_make`` every output. The layers share their
+  parts: ``_attend``, ``_feed_forward`` and ``_normalize`` are the
+  attention, net and layer norm on arrays, each returning its output and its
+  VJP.
 - ``conv1d`` is im2col + one BLAS matmul forward and two in its VJP, and
-  ``conv_tower`` is three of them; both build their columns with ``_im2col``
-  and add them back with ``_col2im``. BLAS
+  ``conv_tower`` is three of them and ``coupling_conditioner`` two; all build
+  their columns with ``_im2col`` and add them back with ``_col2im``. BLAS
   picks its own summation order, so it agrees with the per-tap contraction
   it replaced, or a scalar loop, to 1e-12 (relative and absolute), not bit
   for bit; its fused bias is still bit-identical to the add it replaced.
 - A VJP may return ``None`` for a parent that takes no gradient at backward
-  time (a constant, or a parameter under ``frozen``); ``conv1d`` and
-  ``conv_tower`` skip that work.
+  time (a constant, or a parameter under ``frozen``); ``conv1d``,
+  ``conv_tower``, ``encoder_block``, ``scale_head``, ``coupling_conditioner``
+  and ``affine_coupling`` skip that work.
 - ``no_grad`` turns recording off for the calling thread: ops still run
   their finite checks, but their outputs keep no parents and no VJP, so an
   inference forward retains nothing once a layer is done with it. It is
@@ -426,6 +439,36 @@ def linear(x, w, b) -> Tensor:
                  "linear")
 
 
+def scale_head(x, w, b) -> Tensor:
+    """A positive scale ``exp(clamp(x @ w + b, -6, 6))`` as one tape node: the
+    encoder's sigma head, whose clamp keeps the scale in [e**-6, e**6]; x: (N,
+    D), w: (D, M), b: (M,).
+
+    The result and the three cotangents equal the linear, clamp and exp chain
+    byte for byte, and the VJP returns ``None``, skipping the work, for a
+    parent that takes no gradient. It raises ``NumericError`` exactly where
+    that chain did: on a non-finite affine map (the clamp would turn an inf
+    into a bound); the exp of a clamped value is finite.
+    """
+    x, w, b = ensure_tensor(x), ensure_tensor(w), ensure_tensor(b)
+    if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0] or b.shape != w.shape[1:]:
+        raise ShapeError(f"scale_head expects x (N,D), w (D,M) and b (M,), got "
+                         f"{x.shape}, {w.shape}, {b.shape}")
+    pre = x.data @ w.data
+    pre += b.data
+    if not _all(np.isfinite(pre), axis=None):
+        raise NumericError("scale_head produced a non-finite value")
+    data = np.exp(np.minimum(np.maximum(pre, -6.0), 6.0))
+
+    def vjp(g):
+        g_pre = (g * data) * ((pre > -6.0) & (pre < 6.0))  # the exp, then the clamp VJP
+        return (g_pre @ w.data.T if x.requires_grad else None,
+                x.data.T @ g_pre if w.requires_grad else None,
+                _sum(g_pre, axis=0) if b.requires_grad else None)
+
+    return _make(data, (x, w, b), vjp, "scale_head")
+
+
 def transpose(a) -> Tensor:
     a = ensure_tensor(a)
     if a.ndim != 2:
@@ -516,6 +559,24 @@ def summation(a, axis=None) -> Tensor:
     return _make(np.asarray(data), (a,), vjp, "sum")
 
 
+def sum_rows(a, n: int) -> Tensor:
+    """``summation(a[:n])``, the sum of the first ``n`` rows, as one tape node
+    (a coupling layer's log-determinant, from its conditioner's rows). The
+    result and cotangent equal that getitem-then-sum chain byte for byte: the
+    rows are summed as one C-ordered block, as the getitem's copy was, and
+    the cotangent is a zero buffer with ``g`` added into those rows."""
+    a = ensure_tensor(a)
+    shape = a.shape
+
+    def vjp(g):
+        buf = np.zeros(shape)
+        buf[:n] += g
+        return (buf,)
+
+    return _make(np.asarray(_sum(np.ascontiguousarray(a.data[:n]), axis=None)), (a,), vjp,
+                 "sum_rows")
+
+
 def mean(a, axis=None) -> Tensor:
     a = ensure_tensor(a)
     n = a.size if axis is None else a.shape[axis]
@@ -598,23 +659,29 @@ def softmax(a, axis: int = -1) -> Tensor:
     return _make(data, (a,), vjp, "softmax")
 
 
-def _layer_norm_node(s: np.ndarray, parents: tuple[Tensor, ...], axis: int, op: str) -> Tensor:
-    """Layer norm of ``s`` as one node whose every parent receives the same
-    gradient (each parent's shape is ``s.shape``). The means are
-    ``np.add.reduce(...) / n``: what ``ndarray.mean`` computes, without its
-    Python wrapper."""
+def _normalize(s: np.ndarray, axis: int):
+    """Layer norm of ``s`` along ``axis``: (output, back), where ``back(g)`` is
+    the cotangent of ``s``. The means are ``np.add.reduce(...) / n``: what
+    ``ndarray.mean`` computes, without its Python wrapper."""
     n = s.shape[axis]
     xc = s - np.add.reduce(s, axis=axis, keepdims=True) / n
     var = np.add.reduce(xc * xc, axis=axis, keepdims=True) / n
     inv = 1.0 / np.sqrt(var + 1e-8)  # eps keeps a constant row finite
     data = xc * inv
 
-    def vjp(g):
+    def back(g):
         g_mean = np.add.reduce(g, axis=axis, keepdims=True) / n
         gy_mean = np.add.reduce(g * data, axis=axis, keepdims=True) / n
-        return (inv * (g - g_mean - data * gy_mean),) * len(parents)
+        return inv * (g - g_mean - data * gy_mean)
 
-    return _make(data, parents, vjp, op)
+    return data, back
+
+
+def _layer_norm_node(s: np.ndarray, parents: tuple[Tensor, ...], axis: int, op: str) -> Tensor:
+    """Layer norm of ``s`` as one node whose every parent receives the same
+    gradient (each parent's shape is ``s.shape``)."""
+    data, back = _normalize(s, axis)
+    return _make(data, parents, lambda g: (back(g),) * len(parents), op)
 
 
 def layer_norm(a, axis: int = -1) -> Tensor:
@@ -634,22 +701,29 @@ def add_layer_norm(a, b, axis: int = -1) -> Tensor:
     a, b = ensure_tensor(a), ensure_tensor(b)
     if a.shape != b.shape:
         raise ShapeError(f"add_layer_norm: shapes {a.shape} and {b.shape} differ")
-    s = a.data + b.data
+    return _layer_norm_node(_checked_sum(a.data, b.data, "add_layer_norm"), (a, b), axis,
+                            "add_layer_norm")
+
+
+def _checked_sum(a: np.ndarray, b: np.ndarray, op: str) -> np.ndarray:
+    """``a + b``; raises ``NumericError`` naming ``op`` if a value is not finite."""
+    s = a + b
     if not _all(np.isfinite(s), axis=None):
-        raise NumericError("add_layer_norm produced a non-finite value")
-    return _layer_norm_node(s, (a, b), axis, "add_layer_norm")
+        raise NumericError(f"{op} produced a non-finite value")
+    return s
 
 
 def attention_probs(q: np.ndarray, k: np.ndarray, scale: float,
-                    bias: np.ndarray | None = None) -> np.ndarray:
+                    bias: np.ndarray | None = None, op: str = "attention") -> np.ndarray:
     """Attention maps softmax(q @ k.T * scale + bias) of every head, as numpy.
 
     q, k: (H, T, d); ``bias`` is a constant additive (T, T) score bias or
     None. Returns the (H, T, T) row-stochastic maps in one buffer: the scores
     are shifted, exponentiated and normalised in place. This is the forward
     of ``attention`` up to the weighted sum of v, so a map read through here
-    is the map the op uses, byte for byte. Raises ``NumericError`` on a
-    non-finite score (the softmax would zero a -inf entry without a trace).
+    is the map the op uses, byte for byte. Raises ``NumericError``, naming
+    ``op``, on a non-finite score (the softmax would zero a -inf entry
+    without a trace).
     """
     scores = np.matmul(q, np.ascontiguousarray(k.transpose(0, 2, 1)))
     scores *= scale
@@ -657,14 +731,62 @@ def attention_probs(q: np.ndarray, k: np.ndarray, scale: float,
         try:
             scores += bias
         except ValueError:
-            raise ShapeError(f"attention: bias {np.shape(bias)} does not fit scores "
+            raise ShapeError(f"{op}: bias {np.shape(bias)} does not fit scores "
                              f"{scores.shape[1:]}")
     if not _all(np.isfinite(scores), axis=None):
-        raise NumericError("attention produced a non-finite score")
+        raise NumericError(f"{op} produced a non-finite score")
     scores -= _max(scores, axis=-1, keepdims=True)
     np.exp(scores, out=scores)
     scores /= _sum(scores, axis=-1, keepdims=True)
     return scores
+
+
+def _attend(x: np.ndarray, wd: np.ndarray, n: int, scale: float, bias, wo, op: str):
+    """The forward of ``attention`` on arrays: (output, back), where
+    ``back(g, want_x, want_w, want_wo)`` gives the cotangents of x, the
+    stacked weights and ``wo`` (None if ``wo`` is None or the cotangent is not
+    wanted) and skips the products nothing wants. Raises ``NumericError``,
+    naming ``op``, where ``attention`` does, bar its output check."""
+    length, d = x.shape[0], wd.shape[2]
+    qkv = np.matmul(x, wd)  # (3H, T, d)
+    if not _all(np.isfinite(qkv), axis=None):
+        raise NumericError(f"{op} produced a non-finite q, k or v")
+    q, k, v = qkv[:n], qkv[n : 2 * n], qkv[2 * n :]
+    att = attention_probs(q, k, scale, bias, op)  # (H, T, T)
+    heads = np.matmul(att, v).transpose(1, 0, 2).reshape(length, n * d)
+    out = heads
+    if wo is not None:
+        if not _all(np.isfinite(heads), axis=None):
+            raise NumericError(f"{op} produced a non-finite value")
+        out = heads @ wo
+
+    def back(g, want_x=True, want_w=True, want_wo=True):
+        g_wo = None
+        if wo is not None:  # the output projection's matmul VJP
+            if want_wo:
+                g_wo = heads.T @ g
+            g = g @ wo.T
+        if not (want_x or want_w):
+            return None, None, g_wo
+        gh = g.reshape(length, n, d).transpose(1, 0, 2)  # (H, T, d)
+        g_att = np.matmul(gh, v.transpose(0, 2, 1))
+        g_qkv = np.empty_like(qkv)
+        np.matmul(att.transpose(0, 2, 1), gh, out=g_qkv[2 * n :])
+        # the softmax VJP att * (g_att - sum(g_att * att)), formed in g_att
+        g_att -= _sum(g_att * att, axis=-1, keepdims=True)
+        g_att *= att
+        g_att *= scale
+        np.matmul(g_att, k, out=g_qkv[:n])
+        np.matmul(g_att.transpose(0, 2, 1), q, out=g_qkv[n : 2 * n])
+        g_x = g_w = None
+        if want_x:  # sum over the 3H projections of g_qkv[i] @ w[i].T, as one product
+            g_x = g_qkv.transpose(1, 0, 2).reshape(length, -1) @ wd.transpose(1, 0, 2).reshape(
+                wd.shape[1], -1).T
+        if want_w:
+            g_w = np.matmul(x.T, g_qkv)
+        return g_x, g_w, g_wo
+
+    return out, back
 
 
 def attention(x, w, n_heads: int, scale: float, bias: np.ndarray | None = None,
@@ -694,44 +816,45 @@ def attention(x, w, n_heads: int, scale: float, bias: np.ndarray | None = None,
     if x.ndim != 2 or w.ndim != 3 or n < 1 or w.shape[0] != 3 * n or w.shape[1] != x.shape[1]:
         raise ShapeError(f"attention: x {x.shape} needs (3H, D, d) weights for H = {n} heads "
                          f"with D = x.shape[1], got {w.shape}")
-    length, d, wd = x.shape[0], w.shape[2], w.data
+    wod = None
     if wo is not None:
         wo = ensure_tensor(wo)
-        if wo.ndim != 2 or wo.shape[0] != n * d:
-            raise ShapeError(f"attention: output projection {wo.shape} needs {n * d} rows")
-    qkv = np.matmul(x.data, wd)  # (3H, T, d)
-    if not _all(np.isfinite(qkv), axis=None):
-        raise NumericError("attention produced a non-finite q, k or v")
-    q, k, v = qkv[:n], qkv[n : 2 * n], qkv[2 * n :]
-    att = attention_probs(q, k, scale, bias)  # (H, T, T)
-    heads = np.matmul(att, v).transpose(1, 0, 2).reshape(length, n * d)
-    data, parents = heads, (x, w)
-    if wo is not None:
-        if not _all(np.isfinite(heads), axis=None):
-            raise NumericError("attention produced a non-finite value")
-        data, parents = heads @ wo.data, (x, w, wo)
+        if wo.ndim != 2 or wo.shape[0] != n * w.shape[2]:
+            raise ShapeError(f"attention: output projection {wo.shape} needs {n * w.shape[2]} "
+                             f"rows")
+        wod = wo.data
+    data, back = _attend(x.data, w.data, n, scale, bias, wod, "attention")
+    if wo is None:
+        return _make(data, (x, w), lambda g: back(g)[:2], "attention")
+    return _make(data, (x, w, wo), back, "attention")
 
-    def vjp(g):
-        if wo is not None:  # the output projection's matmul VJP
-            g_wo = heads.T @ g
-            g = g @ wo.data.T
-        gh = g.reshape(length, n, d).transpose(1, 0, 2)  # (H, T, d)
-        g_att = np.matmul(gh, v.transpose(0, 2, 1))
-        g_qkv = np.empty_like(qkv)
-        np.matmul(att.transpose(0, 2, 1), gh, out=g_qkv[2 * n :])
-        # the softmax VJP att * (g_att - sum(g_att * att)), formed in g_att
-        g_att -= _sum(g_att * att, axis=-1, keepdims=True)
-        g_att *= att
-        g_att *= scale
-        np.matmul(g_att, k, out=g_qkv[:n])
-        np.matmul(g_att.transpose(0, 2, 1), q, out=g_qkv[n : 2 * n])
-        # sum over the 3H projections of g_qkv[i] @ w[i].T, as one product
-        g_x = g_qkv.transpose(1, 0, 2).reshape(length, -1) @ wd.transpose(1, 0, 2).reshape(
-            wd.shape[1], -1).T
-        g_w = np.matmul(x.data.T, g_qkv)
-        return (g_x, g_w) if wo is None else (g_x, g_w, g_wo)
 
-    return _make(data, parents, vjp, "attention")
+def _feed_forward(x: np.ndarray, w1: np.ndarray, b1: np.ndarray, w2: np.ndarray,
+                  b2: np.ndarray, op: str):
+    """The forward of ``ffn`` on arrays: (output, back), where ``back(g,
+    wants)`` gives the cotangents of x, w1, b1, w2 and b2, None where
+    ``wants`` (five flags) says no, skipping what nothing wants. Raises
+    ``NumericError``, naming ``op``, on a non-finite first affine map."""
+    pre = x @ w1
+    pre += b1
+    if not _all(np.isfinite(pre), axis=None):
+        raise NumericError(f"{op} produced a non-finite value")
+    hid = np.maximum(pre, 0.0)
+    data = hid @ w2
+    data += b2
+
+    def back(g, wants=(True,) * 5):
+        want_x, want_w1, want_b1, want_w2, want_b2 = wants
+        g_x = g_w1 = g_b1 = None
+        if want_x or want_w1 or want_b1:
+            g_pre = (g @ w2.T) * (pre > 0.0)
+            g_x = g_pre @ w1.T if want_x else None
+            g_w1 = x.T @ g_pre if want_w1 else None
+            g_b1 = _sum(g_pre, axis=0) if want_b1 else None
+        return (g_x, g_w1, g_b1, hid.T @ g if want_w2 else None,
+                _sum(g, axis=0) if want_b2 else None)
+
+    return data, back
 
 
 def ffn(x, w1, b1, w2, b2) -> Tensor:
@@ -748,56 +871,111 @@ def ffn(x, w1, b1, w2, b2) -> Tensor:
             or b1.shape != w1.shape[1:] or w2.shape[0] != w1.shape[1] or b2.shape != w2.shape[1:]):
         raise ShapeError(f"ffn expects x (N,D), w1 (D,F), b1 (F,), w2 (F,M) and b2 (M,), got "
                          f"{x.shape}, {w1.shape}, {b1.shape}, {w2.shape}, {b2.shape}")
-    pre = x.data @ w1.data
-    pre += b1.data
-    if not _all(np.isfinite(pre), axis=None):
-        raise NumericError("ffn produced a non-finite value")
-    hid = np.maximum(pre, 0.0)
-    data = hid @ w2.data
-    data += b2.data
+    data, back = _feed_forward(x.data, w1.data, b1.data, w2.data, b2.data, "ffn")
+    return _make(data, (x, w1, b1, w2, b2), back, "ffn")
+
+
+def encoder_block(x, w, wo, w1, b1, w2, b2, n_heads: int, scale: float,
+                  bias: np.ndarray | None = None) -> Tensor:
+    """A post-norm transformer block as one tape node: with ``a = attention(x,
+    w, n_heads, scale, bias, wo)`` and ``x1 = add_layer_norm(x, a, axis=1)``,
+    the output ``add_layer_norm(x1, ffn(x1, w1, b1, w2, b2), axis=1)``.
+    x: (T, D); w: (3H, D, d); wo: (H*d, D); w1: (D, F), b1: (F,), w2: (F, D),
+    b2: (D,).
+
+    The result and the seven cotangents equal that four-node chain byte for
+    byte: x1's cotangent is the second norm's plus the net's, and x's the
+    first norm's plus the attention's, as the walk summed them. The VJP
+    returns ``None`` for a parent that takes no gradient and skips the work
+    only it needs. It raises ``NumericError``, naming itself, exactly where
+    the chain raised: on a non-finite q, k or v, score or heads (in
+    ``_attend``) or first affine map of the net (relu would turn a -inf into
+    0), and through ``_make`` on a non-finite output. That last check covers
+    the chain's others: the layer norm of a sum with a non-finite value has a
+    NaN in its row, a non-finite attention output or x makes the first sum
+    non-finite, a non-finite net output the second, and x1 reaches the output
+    through the second sum, elementwise.
+    """
+    parents = x, w, wo, w1, b1, w2, b2 = tuple(map(ensure_tensor, (x, w, wo, w1, b1, w2, b2)))
+    xd, wd, w1d, w2d = x.data, w.data, w1.data, w2.data
+    n, width = n_heads, xd.shape[-1] if xd.ndim else 0
+    d, ff = wd.shape[-1] if wd.ndim else 0, w1d.shape[-1] if w1d.ndim else 0
+    if (xd.ndim != 2 or n < 1 or wd.shape != (3 * n, width, d)
+            or wo.data.shape != (n * d, width) or w1d.shape != (width, ff)
+            or b1.data.shape != (ff,) or w2d.shape != (ff, width) or b2.data.shape != (width,)):
+        shapes = ", ".join(str(t.shape) for t in parents)
+        raise ShapeError(f"encoder_block expects x (T,D), w (3H,D,d), wo (H*d,D), w1 (D,F), "
+                         f"b1 (F,), w2 (F,D) and b2 (D,) for H = {n} heads, got {shapes}")
+    op = "encoder_block"
+    a, attention_back = _attend(xd, wd, n, scale, bias, wo.data, op)
+    x1, norm1_back = _normalize(xd + a, 1)
+    f, ffn_back = _feed_forward(x1, w1d, b1.data, w2d, b2.data, op)
+    data, norm2_back = _normalize(x1 + f, 1)
 
     def vjp(g):
-        g_pre = (g @ w2.data.T) * (pre > 0.0)
-        return (g_pre @ w1.data.T, x.data.T @ g_pre, _sum(g_pre, axis=0),
-                hid.T @ g, _sum(g, axis=0))
+        wants = [t.requires_grad for t in parents]
+        g_s2 = norm2_back(g)
+        upstream = wants[0] or wants[1] or wants[2]
+        g_x1, g_w1, g_b1, g_w2, g_b2 = ffn_back(g_s2, (upstream, *wants[3:]))
+        g_x = g_w = g_wo = None
+        if upstream:
+            g_s1 = norm1_back(g_s2 + g_x1)
+            g_xa, g_w, g_wo = attention_back(g_s1, *wants[:3])
+            if wants[0]:
+                g_x = g_s1 + g_xa
+        return g_x, g_w, g_wo, g_w1, g_b1, g_w2, g_b2
 
-    return _make(data, (x, w1, b1, w2, b2), vjp, "ffn")
+    return _make(data, parents, vjp, op)
 
 
-def affine_coupling(xa, xb, s, out) -> Tensor:
-    """The output ``concat([xa, xb * exp(s) + out[h:]])`` of an affine
-    coupling layer as one tape node, h = ``xa.shape[0]``. xa, xb, s: (h, T),
-    the passed half, the transformed half and its log-scale; out: (2h, T), the
-    conv output whose second half is the shift.
+def affine_coupling(x, c) -> Tensor:
+    """The output ``[xa, xb * exp(s) + t]`` of an affine coupling layer as one
+    tape node. x: (2h, T), whose second half xb is transformed; c: (3h, T), the
+    output of ``coupling_conditioner``: the log-scale s, the shift t and the
+    passed half xa, in that order. Only ``x[h:]`` is read; the passed half
+    comes from c, so its cotangent goes back through the conditioner.
 
-    The result and the four cotangents equal the getitem, exp, mul, add and
-    concat chain byte for byte; the cotangent of ``out`` is the zero buffer
-    with the shift's cotangent added in, as the getitem VJP gave it. It raises
-    ``NumericError`` exactly where that chain did: any non-finite step of the
-    chain (exp, product, sum, or a non-finite input it copies) leaves a
-    non-finite value in the output, which ``_make`` checks.
+    The result and the two cotangents equal the chain ``concat([c[2h:],
+    x[h:] * exp(c[:h]) + c[h:2h]])`` byte for byte; each cotangent is a zero
+    buffer with the slices' cotangents added in, as the getitem VJPs gave
+    them. It raises ``NumericError`` exactly where that chain did: on a
+    non-finite s (exp would turn a -inf into 0), and through ``_make`` on a
+    non-finite output, which any other non-finite step (exp, product, sum, or
+    an input it copies) leaves there.
     """
-    xa, xb, s, out = (ensure_tensor(t) for t in (xa, xb, s, out))
-    if (xa.ndim != 2 or xb.shape != xa.shape or s.shape != xa.shape
-            or out.shape != (2 * xa.shape[0], xa.shape[1])):
-        raise ShapeError(f"affine_coupling expects xa, xb and s (h,T) and out (2h,T), got "
-                         f"{xa.shape}, {xb.shape}, {s.shape}, {out.shape}")
-    h = xa.shape[0]
-    data = np.empty(out.shape)
-    data[:h] = xa.data
+    x, c = ensure_tensor(x), ensure_tensor(c)
+    xs = x.data.shape
+    h = xs[0] // 2 if len(xs) == 2 else 0
+    if len(xs) != 2 or xs[0] != 2 * h or c.data.shape != (3 * h, xs[1]):
+        raise ShapeError(f"affine_coupling expects x (2h,T) and c (3h,T), got {xs}, "
+                         f"{c.shape}")
+    s, xb = c.data[:h], x.data[h:]
+    if not _all(np.isfinite(s), axis=None):
+        raise NumericError("affine_coupling produced a non-finite value")
+    data = np.empty(xs)
+    data[:h] = c.data[2 * h :]
     yb = data[h:]
     with np.errstate(over="ignore", invalid="ignore"):  # _make reports what these would
-        scale = np.exp(s.data)
-        np.multiply(xb.data, scale, out=yb)
-        yb += out.data[h:]
+        scale = np.exp(s)
+        np.multiply(xb, scale, out=yb)
+        yb += c.data[h : 2 * h]
 
     def vjp(g):
         gb = g[h:]
-        g_out = np.zeros(out.shape)
-        g_out[h:] += gb  # as the getitem VJP: a -0.0 becomes +0.0
-        return g[:h], gb * scale, (gb * xb.data) * scale, g_out
+        g_x = g_c = None
+        if x.requires_grad:
+            g_x = np.zeros(xs)
+            g_x[h:] += gb * scale  # as the getitem VJP: a -0.0 becomes +0.0
+        if c.requires_grad:
+            g_c = np.empty(c.data.shape)
+            np.multiply(gb, xb, out=g_c[:h])
+            g_c[:h] *= scale
+            g_c[h : 2 * h] = gb
+            g_c[2 * h :] = g[:h]
+            g_c += 0.0  # as the getitem VJPs: a -0.0 becomes +0.0
+        return g_x, g_c
 
-    return _make(data, (xa, xb, s, out), vjp, "affine_coupling")
+    return _make(data, (x, c), vjp, "affine_coupling")
 
 
 # ---------------------------------------------------------------------------
@@ -988,6 +1166,125 @@ def conv_tower(feats, extra, w1, b1, w2, b2, wh, bh, wc=None, cond=None) -> Tens
         return [gr for t, gr in zip(slots, grads) if t is not None]
 
     return _make(out[0], tuple(t for t in slots if t is not None), vjp, "conv_tower")
+
+
+def coupling_conditioner(x, w1, b1, w2, b2, wqkv=None, wo=None, scale: float = 1.0,
+                         wc=None, cond=None) -> Tensor:
+    """What an affine coupling layer computes from its passed half, as one tape
+    node. With xa = ``x[:h]``: ``hs = xa + attention(xa.T, wqkv, 1, scale,
+    wo=wo).T`` (or ``hs = xa`` without ``wqkv``), ``out = conv1d(relu(conv1d(hs,
+    w1, b1) + wc @ cond), w2, b2)`` (the condition term only with ``wc``) and
+    ``s = clamp(out[:h], -8, 8)`` (the clamp keeps exp(s) invertible);
+    returns the (3h, T) rows ``[s, out[h:], xa]``: the
+    log-scale, the shift and the passed half, as ``affine_coupling`` takes
+    them. x: (2h, T); w1: (F, h, K), b1: (F,); w2: (2h, F, K2), b2: (2h,);
+    wqkv: (3, h, d), wo: (d, h); wc: (F, D) with D ``cond`` values.
+
+    The result and every cotangent equal, byte for byte, the chain it
+    replaced: getitem, transpose, ``attention``, transpose, add, ``conv1d``,
+    ``pre + reshape(wc @ reshape(cond, (-1, 1)), (-1, 1))``, relu,
+    ``conv1d``, getitem and clamp. That includes the transposes' copies (the
+    attention runs on a contiguous xa.T and takes its cotangent as a
+    transposed view), the order in which xa's three cotangents are summed
+    (from the layer output, the residual, then the attention) and the
+    ``+0.0`` start of x's getitem buffer. The conv output's cotangent skips
+    the chain's ``+0.0`` start: every product and sum that reads it starts
+    from +0.0 (OpenBLAS and numpy's reductions do), so the sign of a zero
+    there cannot reach a cotangent. As ``conv1d`` does, the VJP returns
+    ``None``, and skips the work, for a parent that takes no gradient.
+
+    It raises ``NumericError``, naming itself, exactly where that chain
+    raised: on a non-finite q, k or v, score or heads (in ``_attend``),
+    residual sum, first conv output, condition or condition sum, or second
+    conv output (the clamp would hide an inf), and through ``_make`` on a
+    non-finite x[:h], which the result copies. A non-finite attention output
+    makes the residual sum non-finite, and a non-finite condition product
+    the condition sum.
+    """
+    x, w1, b1, w2, b2 = map(ensure_tensor, (x, w1, b1, w2, b2))
+    if wqkv is not None or wo is not None:
+        wqkv, wo = ensure_tensor(wqkv), ensure_tensor(wo)
+    if wc is not None or cond is not None:
+        wc, cond = ensure_tensor(wc), ensure_tensor(cond)
+    slots = (x, w1, b1, w2, b2, wqkv, wo, wc, cond)
+    xs, w1s, w2s = x.data.shape, w1.data.shape, w2.data.shape
+    h = xs[0] // 2 if len(xs) == 2 else 0
+    f = w1s[0] if len(w1s) == 3 else 0
+    if (len(xs) != 2 or xs[0] != 2 * h or len(w1s) != 3 or w1s[1] != h
+            or b1.data.shape != (f,) or len(w2s) != 3 or w2s[:2] != (2 * h, f)
+            or b2.data.shape != (2 * h,)
+            or wqkv is not None and (wqkv.data.ndim != 3 or wqkv.data.shape[:2] != (3, h)
+                                     or wo.data.shape != (wqkv.data.shape[2], h))
+            or wc is not None and wc.data.shape != (f, cond.data.size)):
+        shapes = ", ".join(str(None if t is None else t.shape) for t in slots)
+        raise ShapeError("coupling_conditioner expects x (2h,T), w1 (F,h,K), b1 (F,), w2 "
+                         "(2h,F,K2), b2 (2h,), wqkv (3,h,d) and wo (d,h) or neither, and wc "
+                         f"(F,D) with D cond values or neither, got {shapes}")
+    op = "coupling_conditioner"
+    length, k1, k2 = xs[1], w1s[2], w2s[2]
+    xa = x.data[:h]
+    hs = xa
+    if wqkv is not None:  # the chain's getitem and transpose made xa.T contiguous
+        a, attention_back = _attend(np.ascontiguousarray(xa.T), wqkv.data, 1, scale, None,
+                                    wo.data, op)
+        hs = _checked_sum(xa, a.T, op)
+    taps1, taps2 = _taps(k1, length), _taps(k2, length)
+    cols1, w1m = _im2col(hs, k1, taps1), w1.data.reshape(f, h * k1)
+    pre = w1m @ cols1
+    pre += b1.data[:, None]
+    if not _all(np.isfinite(pre), axis=None):
+        raise NumericError(f"{op} produced a non-finite value")
+    if wc is not None:
+        if not _all(np.isfinite(cond.data), axis=None):
+            raise NumericError(f"{op} produced a non-finite value")
+        cond_col = cond.data.reshape(-1, 1)
+        pre += wc.data @ cond_col
+        if not _all(np.isfinite(pre), axis=None):
+            raise NumericError(f"{op} produced a non-finite value")
+    hid = np.maximum(pre, 0.0)
+    cols2, w2m = _im2col(hid, k2, taps2), w2.data.reshape(2 * h, f * k2)
+    out = w2m @ cols2
+    out += b2.data[:, None]
+    if not _all(np.isfinite(out), axis=None):
+        raise NumericError(f"{op} produced a non-finite value")
+    data = np.empty((3 * h, length))
+    np.minimum(np.maximum(out[:h], -8.0), 8.0, out=data[:h])
+    data[h : 2 * h] = out[h:]
+    data[2 * h :] = xa
+
+    def vjp(g):
+        wants = [t is not None and t.requires_grad for t in slots]
+        x_rg, w1_rg, b1_rg, w2_rg, b2_rg, wq_rg, wo_rg, wc_rg, cond_rg = wants
+        g_x = g_wqkv = g_wo = g_w1 = g_b1 = g_w2 = g_b2 = g_wc = g_cond = None
+        g_out = np.empty((2 * h, length))
+        s_in = out[:h]
+        np.multiply(g[:h], (s_in > -8.0) & (s_in < 8.0), out=g_out[:h])  # the clamp VJP
+        g_out[h:] = g[h : 2 * h]  # no +0.0 start: what reads g_out starts from +0.0
+        g_w2 = (g_out @ cols2.T).reshape(w2s) if w2_rg else None
+        g_b2 = _sum(g_out, axis=1) if b2_rg else None
+        need_hs = x_rg or wq_rg or wo_rg
+        if need_hs or w1_rg or b1_rg or wc_rg or cond_rg:
+            g_pre = _col2im(w2m.T @ g_out, f, k2, taps2) * (pre > 0.0)
+            g_w1 = (g_pre @ cols1.T).reshape(w1s) if w1_rg else None
+            g_b1 = _sum(g_pre, axis=1) if b1_rg else None
+            if wc is not None and (wc_rg or cond_rg):
+                g_cm = _unbroadcast(g_pre, (f, 1))  # the add's VJP: the row sum (T > 1)
+                g_wc = g_cm @ cond_col.T if wc_rg else None
+                g_cond = (wc.data.T @ g_cm).reshape(cond.shape) if cond_rg else None
+            if need_hs:
+                g_hs = _col2im(w1m.T @ g_pre, h, k1, taps1)
+                if wqkv is not None:  # the transpose VJPs hand over transposed views
+                    g_at, g_wqkv, g_wo = attention_back(g_hs.T, x_rg, wq_rg, wo_rg)
+                if x_rg:  # xa's cotangents, newest consumer first
+                    g_xa = g[2 * h :] + g_hs
+                    if wqkv is not None:
+                        g_xa += g_at.T
+                    g_x = np.zeros(xs)
+                    g_x[:h] += g_xa
+        grads = (g_x, g_w1, g_b1, g_w2, g_b2, g_wqkv, g_wo, g_wc, g_cond)
+        return [gr for t, gr in zip(slots, grads) if t is not None]
+
+    return _make(data, tuple(t for t in slots if t is not None), vjp, op)
 
 
 # ---------------------------------------------------------------------------

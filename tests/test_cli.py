@@ -369,9 +369,11 @@ class TestLoaderErrors:
         ("train-duration", "--hidden", "0", "--hidden must be >= 1, got 0"),
         ("train-duration", "--z-dim", "-1", "--z-dim must be >= 0, got -1"),
         ("train-duration", "--steps", "0", "--steps must be >= 1, got 0"),
-        ("train-duration", "--seed", "-1", "--seed must be >= 0, got -1"),
-        ("train-toy", "--seed", "-1", "--seed must be >= 0, got -1"),
-        ("mas", "--seed", "-1", "--seed must be >= 0, got -1"),
+        ("train-duration", "--seed", "-1", "--seed must be in [0, 2**53], got -1"),
+        ("train-toy", "--seed", "-1", "--seed must be in [0, 2**53], got -1"),
+        ("train-toy", "--seed", str(2**53 + 1),
+         f"--seed must be in [0, 2**53], got {2**53 + 1}"),
+        ("mas", "--seed", "-1", "--seed must be in [0, 2**53], got -1"),
         ("check-grad", "--seeds", "0", "--seeds must be >= 1, got 0"),
         ("check-grad", "--tolerance", "nan", "--tolerance must be finite and >= 0, got nan"),
     ])
@@ -537,7 +539,10 @@ class TestLoaderErrors:
         ("cfg.condition_speaker", 0.25, "cfg.condition_speaker = 0.25 is not a bool (0 or 1)"),
         ("cfg.channels", 3.0, "cfg entries are not a valid config: channels must be even "
                               "for the coupling split"),
-        ("cfg.seed", -1.0, "cfg entries are not a valid config: seed must be >= 0, got -1"),
+        ("cfg.seed", -1.0, "cfg entries are not a valid config: seed must be in [0, 2**53], "
+                           "got -1"),
+        ("cfg.seed", 2.0**60, "cfg entries are not a valid config: seed must be in [0, 2**53], "
+                              "got 1152921504606846976"),
         ("cfg.lr", np.nan, "cfg entries are not a valid config: lr must be finite and > 0, "
                            "got nan"),
         ("cfg.beta1", 5.0, "cfg entries are not a valid config: beta1 must be in [0, 1), "

@@ -643,6 +643,22 @@ class TestConfig:
             load_config(path)
         assert str(info.value) == f"{path}: {key} must be >= 1, got {value}"
 
+    def test_seed_must_fit_a_float64_exactly(self, tmp_path):
+        """A checkpoint stores the seed as a float64, so a seed above 2**53
+        would load back rounded (2**60 + 1 as 2**60): the rule refuses it."""
+        TrainConfig(seed=2**53).validate()
+        with pytest.raises(ValueError) as info:
+            TrainConfig(seed=2**53 + 1).validate()
+        assert str(info.value) == "seed must be in [0, 2**53], got 9007199254740993"
+        path = tmp_path / "seed.cfg"
+        path.write_text(f"seed = {2**60 + 1}\n")
+        with pytest.raises(ConfigError) as info:
+            load_config(path)
+        assert str(info.value) == f"{path}: seed must be in [0, 2**53], got {2**60 + 1}"
+        model = tmp_path / "model.bin"
+        save_model(model, build_model(tiny_config(seed=2**53), Rng(0)))
+        assert load_model(model).config.seed == 2**53
+
     @pytest.mark.parametrize("value", [1, 0])
     def test_single_coupling_layer_rejected_at_load(self, tmp_path, value):
         path = tmp_path / "flow.cfg"
@@ -712,7 +728,7 @@ def valid_configs(draw):
         else:
             values[name] = draw(st.integers(1, 10**6))
     # the sizes that constrain each other; validate() visits every token of the vocab
-    values["seed"] = draw(st.integers(0, 2**64))
+    values["seed"] = draw(st.integers(0, 2**53))
     values["vocab"] = draw(st.integers(2, 64))
     values["hidden_width"] *= values["n_heads"]
     values["channels"] *= 2
@@ -923,6 +939,18 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match=extra):
             load_model(path)
 
+    def test_unknown_entry_name_is_quoted_on_one_line(self, tmp_path):
+        """A one-byte edit can put a newline into an entry name; the message
+        still names the file on one line."""
+        path = tmp_path / "model.bin"
+        save_model(path, build_model(tiny_config(), Rng(0)))
+        entries = load_checkpoint(path)
+        entries["param.\nflow"] = np.zeros(2)
+        save_checkpoint(path, entries)
+        with pytest.raises(CheckpointError) as info:
+            load_model(path)
+        assert str(info.value) == f"{path}: entries not in this model: 'param.\\nflow'"
+
     @pytest.mark.parametrize("key, value, message", [
         ("cfg.steps_main", np.inf, r"cfg.steps_main = inf is not an integer"),
         ("cfg.steps_main", -np.inf, r"cfg.steps_main = -inf is not an integer"),
@@ -933,7 +961,8 @@ class TestCheckpoint:
         ("cfg.channels", 3.0, r"not a valid config: channels must be even"),
         ("cfg.steps_duration", 0.0, r"not a valid config: steps_duration must be >= 1, got 0$"),
         ("cfg.n_heads", 3.0, r"not a valid config: n_heads 3 does not divide hidden_width"),
-        ("cfg.seed", -1.0, r"not a valid config: seed must be >= 0, got -1$"),
+        ("cfg.seed", -1.0, r"not a valid config: seed must be in \[0, 2\*\*53\], got -1$"),
+        ("cfg.seed", 2.0**60, r"seed must be in \[0, 2\*\*53\], got 1152921504606846976$"),
         ("cfg.lr", np.nan, r"not a valid config: lr must be finite and > 0, got nan$"),
         ("cfg.duration_lr", 0.0, r"duration_lr must be finite and > 0, got 0.0$"),
         ("cfg.eps", -1e-9, r"eps must be finite and > 0, got -1e-09$"),
@@ -1108,7 +1137,7 @@ def small_models(draw):
     sizes = {name: draw(st.integers(1, 3)) for name in ("ff_width", "flow_hidden", "key_dim",
                                                          "dur_hidden", "speaker_dim")}
     config = TrainConfig(
-        seed=draw(st.integers(0, 2**64)), n_heads=n_heads,
+        seed=draw(st.integers(0, 2**53)), n_heads=n_heads,
         hidden_width=n_heads * draw(st.integers(1, 3)), n_blocks=draw(st.integers(3, 4)),
         flow_depth=draw(st.integers(2, 3)), z_dim=draw(st.integers(0, 2)),
         speakers=draw(st.integers(1, 3)), vocab=draw(st.integers(2, 5)),
@@ -1421,9 +1450,12 @@ class TestTapeBudget:
     """Tape nodes per training step on the acceptance-7 model (the default
     sizes), counted per op. A change that adds nodes fails here with a diff."""
 
-    MAIN = {"add": 4, "add_layer_norm": 8, "affine_coupling": 2, "aligned_nll": 1,
-            "attention": 6, "clamp": 3, "conv1d": 4, "exp": 1, "ffn": 4, "getitem": 7,
-            "linear": 2, "relu": 2, "sum": 2, "take_rows": 1, "transpose": 4}
+    # the embedding and its position add, four encoder_block nodes and the two
+    # heads; per coupling layer a conditioner, its output and its log-det; the
+    # flip between the layers, the log-det sum and the loss
+    MAIN = {"add": 2, "affine_coupling": 2, "aligned_nll": 1, "coupling_conditioner": 2,
+            "encoder_block": 4, "getitem": 1, "linear": 1, "scale_head": 1, "sum_rows": 2,
+            "take_rows": 1}
     # five conv_tower runs (two generator, three critic) plus the loss glue
     DURATION = {"add": 2, "conv_tower": 5, "mul": 4, "pow": 3, "sub": 3, "sum": 3}
 
@@ -1432,13 +1464,13 @@ class TestTapeBudget:
 
         counts: dict[str, int] = {}
         phases: dict[str, dict[str, int]] = {}
-        attention_parents, leaves = set(), []
+        fused_parents, leaves = {}, []
         make, step, train_duration = nm._make, nm.AdamW.step, harness.train_duration
 
         def counting_make(data, parents, vjp, op):
             counts[op] = counts.get(op, 0) + 1
-            if op == "attention":
-                attention_parents.add(len(parents))
+            if op in ("encoder_block", "coupling_conditioner", "affine_coupling"):
+                fused_parents.setdefault(op, set()).add(len(parents))
             return make(data, parents, vjp, op)
 
         def first_step(opt):  # the first optimizer step ends main step 0
@@ -1458,10 +1490,12 @@ class TestTapeBudget:
         monkeypatch.setattr(harness, "train_duration", one_duration_step)
         train_toy(TrainConfig(seed=7, steps_main=1, steps_duration=1, n_eval=0))
         assert phases == {"main": self.MAIN, "duration": self.DURATION}
-        assert sum(self.MAIN.values()) == 51 and sum(self.DURATION.values()) == 20
-        # one stacked q/k/v leaf and the output projection per attention block:
-        # 41 leaf cotangents, not 65
-        assert attention_parents == {3}
+        assert sum(self.MAIN.values()) == 17 and sum(self.DURATION.values()) == 20
+        # an encoder block takes x, one stacked q/k/v leaf, wo and the net's four
+        # leaves; a conditioner x, two convs and the flow's q/k/v and wo; a layer
+        # output x and the conditioner's rows: 41 leaf cotangents, not 65
+        assert fused_parents == {"encoder_block": {7}, "coupling_conditioner": {7},
+                                 "affine_coupling": {2}}
         assert len(leaves) == 41 and all(leaves)
 
     def test_nodes_per_predict_durations_call(self, monkeypatch):
@@ -1480,7 +1514,7 @@ class TestTapeBudget:
         monkeypatch.setattr(nm, "_make", counting_make)
         predict_durations(model, inst)
         assert counts == {op: n for op, n in self.MAIN.items() if op != "aligned_nll"}
-        assert sum(counts.values()) == 50
+        assert sum(counts.values()) == 16
 
 
 def long_instance(frames: int, seed: int = 0):

@@ -84,10 +84,64 @@ def ffn_reference(x, w1, b1, w2, b2):
     return nm.linear(nm.relu(nm.linear(x, w1, b1)), w2, b2)
 
 
-def affine_coupling_reference(xa, xb, s, out):
+def affine_coupling_reference(x, c):
     """``nm.affine_coupling`` as the chain of tape ops it replaces."""
+    h = x.shape[0] // 2
+    return nm.concat([c[2 * h:], x[h:] * nm.exp(c[:h]) + c[h:2 * h]], axis=0)
+
+
+def scale_head_reference(x, w, b):
+    """``nm.scale_head`` as the chain of tape ops it replaces."""
+    return nm.exp(nm.clamp(nm.linear(x, w, b), -6.0, 6.0))
+
+
+def encoder_block_reference(x, w, wo, w1, b1, w2, b2, n_heads, scale, bias=None):
+    """``nm.encoder_block`` as the chain of tape ops it replaces: attention
+    with its output projection, add_layer_norm, ffn and add_layer_norm."""
+    x = nm.add_layer_norm(x, nm.attention(x, w, n_heads, scale, bias, wo), axis=1)
+    return nm.add_layer_norm(x, nm.ffn(x, w1, b1, w2, b2), axis=1)
+
+
+def _conditioner_chain(x, w1, b1, w2, b2, wqkv, wo, scale, wc, cond):
+    """The passed half, the transformed half, the clamped log-scale and the
+    conv output of a coupling layer, as the chain of tape ops it ran."""
+    x = nm.ensure_tensor(x)
+    h = x.shape[0] // 2
+    xa, xb = x[:h], x[h:]
+    hs = xa
+    if wqkv is not None:
+        hs = hs + nm.attention(xa.T, wqkv, 1, scale, wo=wo).T
+    pre = _conv1d(hs, w1, b1)
+    if cond is not None:
+        pre = pre + nm.reshape(wc @ nm.reshape(cond, (-1, 1)), (-1, 1))
+    out = _conv1d(nm.relu(pre), w2, b2)
+    return xa, xb, nm.clamp(out[:h], -8.0, 8.0), out
+
+
+def coupling_reference(x, w1, b1, w2, b2, wqkv=None, wo=None, scale=1.0, wc=None, cond=None):
+    """A coupling layer's (y, logdet) as the chain of tape ops that
+    ``coupling_conditioner``, ``affine_coupling`` and ``sum_rows`` replaced;
+    the output is the chain ``affine_coupling`` replaced before it took the
+    conditioner's rows."""
+    xa, xb, s, out = _conditioner_chain(x, w1, b1, w2, b2, wqkv, wo, scale, wc, cond)
     t = out[xa.shape[0]:]
-    return nm.concat([xa, xb * nm.exp(s) + t], axis=0)
+    return nm.concat([xa, xb * nm.exp(s) + t], axis=0), nm.summation(s)
+
+
+def coupling_conditioner_reference(x, w1, b1, w2, b2, wqkv=None, wo=None, scale=1.0, wc=None,
+                                   cond=None):
+    """``nm.coupling_conditioner`` as the chain of tape ops it replaces, its
+    rows [s, t, xa] joined by a concat."""
+    xa, _, s, out = _conditioner_chain(x, w1, b1, w2, b2, wqkv, wo, scale, wc, cond)
+    return nm.concat([s, out[xa.shape[0]:], xa], axis=0)
+
+
+def fused_coupling(x, w1, b1, w2, b2, wqkv=None, wo=None, scale=1.0, wc=None, cond=None):
+    """A coupling layer's (y, logdet) through the fused ops, as
+    ``CouplingLayer.forward`` runs them: three tape nodes."""
+    x = nm.ensure_tensor(x)
+    c = nm.coupling_conditioner(x, w1, b1, w2, b2, wqkv, wo, scale, wc, cond)
+    return nm.affine_coupling(x, c), nm.sum_rows(c, x.shape[0] // 2)
 
 
 def attention_four_buffers(x, ws, n_heads, scale, bias, g):
@@ -1096,13 +1150,13 @@ class TestFusedProjectionFfnCoupling:
     def test_affine_coupling_bytes_match_the_chain(self, h, length):
         rng = Rng(h * 100 + length)
         leaves = [Tensor(rng.normal(s), requires_grad=True)
-                  for s in ((h, length), (h, length), (h, length), (2 * h, length))]
+                  for s in ((2 * h, length), (3 * h, length))]
         assert (_forward_and_grads(nm.affine_coupling, leaves)
                 == _forward_and_grads(affine_coupling_reference, leaves))
 
     def test_affine_coupling_shift_cotangent_has_the_getitem_zeros(self):
         rng = Rng(4)
-        leaves = [Tensor(rng.normal(s), requires_grad=True) for s in ((2, 3),) * 3 + ((4, 3),)]
+        leaves = [Tensor(rng.normal(s), requires_grad=True) for s in ((4, 3), (6, 3))]
         weight = rng.normal((4, 3))
         weight[2:, 0] = weight[:2, 1] = -0.0
         grads = []
@@ -1112,9 +1166,11 @@ class TestFusedProjectionFfnCoupling:
             for t in leaves:
                 t.zero_grad()
         assert grads[0] == grads[1]
-        g_out = np.frombuffer(grads[0][3]).reshape(4, 3)
-        assert not np.signbit(g_out[2:, 0]).any()  # 0.0 + -0.0, as the getitem VJP adds
-        assert np.signbit(np.frombuffer(grads[0][0]).reshape(2, 3)[:, 1]).all()
+        g_x, g_c = (np.frombuffer(g).reshape(t.shape) for g, t in zip(grads[0], leaves))
+        assert (g_x[:2] == 0).all() and (g_x[2:, 0] == 0).all() and (g_c[2:4, 0] == 0).all()
+        assert (g_c[4:, 1] == 0).all()
+        assert not np.signbit(g_x[g_x == 0]).any()  # 0.0 + -0.0, as the getitem VJPs add
+        assert not np.signbit(g_c[g_c == 0]).any()
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_affine_coupling_raises_where_the_chain_raises(self):
@@ -1122,16 +1178,15 @@ class TestFusedProjectionFfnCoupling:
         for s_val in (-np.inf, -800.0, 0.0, 700.0, 709.0, 710.0, 800.0, np.inf, np.nan):
             for xb_val in (0.0, 1e-300, 1.0, 1e300):
                 for t_val in (0.0, 1e308, -1e308):
-                    args = (Tensor([[1.0]]), Tensor([[xb_val]]), Tensor([[s_val]]),
-                            Tensor([[np.nan], [t_val]]))  # out[:h] is not the chain's
+                    args = (Tensor([[np.nan], [xb_val]]),  # x[:h] is not the chain's
+                            Tensor([[s_val], [t_val], [1.0]]))
                     fused = _raises_numeric(nm.affine_coupling, *args)
                     assert fused == _raises_numeric(affine_coupling_reference, *args), (
                         s_val, xb_val, t_val)
                     outcomes.add(fused)
         for xa_val, xb_val, t_val in ((np.inf, 1.0, 0.0), (1.0, np.nan, 0.0),
                                       (1.0, 1.0, -np.inf)):
-            args = (Tensor([[xa_val]]), Tensor([[xb_val]]), Tensor([[0.0]]),
-                    Tensor([[0.0], [t_val]]))
+            args = (Tensor([[0.0], [xb_val]]), Tensor([[0.0], [t_val], [xa_val]]))
             assert _raises_numeric(nm.affine_coupling, *args)
             assert _raises_numeric(affine_coupling_reference, *args)
         assert outcomes == {False, True}
@@ -1145,9 +1200,9 @@ class TestFusedProjectionFfnCoupling:
         leaves = [Tensor(np.ones(s), requires_grad=True)
                   for s in ((2, 3), (3, 4), (4,), (4, 5), (5,))]
         assert nm.ffn(*leaves)._parents == tuple(leaves)
-        halves = [Tensor(np.ones((2, 3)), requires_grad=True) for _ in range(3)]
-        out = Tensor(np.ones((4, 3)), requires_grad=True)
-        assert nm.affine_coupling(*halves, out)._parents == (*halves, out)
+        x, c = Tensor(np.ones((4, 3)), requires_grad=True), Tensor(np.ones((6, 3)),
+                                                                   requires_grad=True)
+        assert nm.affine_coupling(x, c)._parents == (x, c)
 
     def test_shape_errors(self):
         x, w, _, _ = _attention_case(Rng(1), 4, 6, 3, 2)
@@ -1159,10 +1214,8 @@ class TestFusedProjectionFfnCoupling:
         for i, bad in enumerate([(2, 2), (4, 4), (3,), (3, 5), (4,)]):
             with pytest.raises(ShapeError, match="ffn expects"):
                 nm.ffn(*ones[:i], np.ones(bad), *ones[i + 1:])
-        halves = [np.ones((2, 3))] * 3
-        for args in ([*halves, np.ones((3, 3))], [*halves, np.ones((4, 2))],
-                     [halves[0], np.ones((1, 3)), halves[2], np.ones((4, 3))],
-                     [np.ones(3), np.ones(3), np.ones(3), np.ones(6)]):
+        for args in ([np.ones((4, 3)), np.ones((4, 3))], [np.ones((4, 3)), np.ones((6, 2))],
+                     [np.ones((3, 3)), np.ones((3, 3))], [np.ones(4), np.ones(6)]):
             with pytest.raises(ShapeError, match="affine_coupling expects"):
                 nm.affine_coupling(*args)
 
@@ -1196,6 +1249,9 @@ class TestFusedProjectionFfnCoupling:
         fused = outputs()
         monkeypatch.setattr(nm, "attention", projected_attention_reference)
         monkeypatch.setattr(nm, "ffn", ffn_reference)
+        monkeypatch.setattr(nm, "encoder_block", encoder_block_reference)
+        monkeypatch.setattr(nm, "scale_head", scale_head_reference)
+        monkeypatch.setattr(nm, "coupling_conditioner", coupling_conditioner_reference)
         monkeypatch.setattr(nm, "affine_coupling", affine_coupling_reference)
         assert outputs() == fused
 
@@ -1385,6 +1441,455 @@ class TestFusedConvTower:
             assert "conv_tower" in ops and not ops & {"conv1d", "concat", "relu"}, name
 
 
+def _block_leaves(rng, length, width, n_heads, ff):
+    """Leaves of an ``encoder_block`` call, every one trainable: x, the stacked
+    q/k/v, wo, w1, b1, w2, b2."""
+    d = width // n_heads
+    shapes = [(length, width), (3 * n_heads, width, d), (width, width), (width, ff), (ff,),
+              (ff, width), (width,)]
+    return [Tensor(rng.normal(s) * 0.5, requires_grad=True) for s in shapes]
+
+
+def _coupling_leaves(rng, h, length, hidden, k=3, key_dim=0, cond_dim=0):
+    """Leaves of a coupling layer, every one trainable, in the order of
+    ``coupling_conditioner``'s arguments: x, w1, b1, w2, b2, then wqkv and wo
+    (or None, None: no attention), then wc and cond (or None, None)."""
+    shapes = [(2 * h, length), (hidden, h, k), (hidden,), (2 * h, hidden, k), (2 * h,),
+              (3, h, key_dim) if key_dim else None, (key_dim, h) if key_dim else None,
+              (hidden, cond_dim) if cond_dim else None, (cond_dim,) if cond_dim else None]
+    return [None if s is None else Tensor(rng.normal(s), requires_grad=True) for s in shapes]
+
+
+def _coupling_call(op, leaves, scale=0.5):
+    x, w1, b1, w2, b2, wqkv, wo, wc, cond = leaves
+    return op(x, w1, b1, w2, b2, wqkv, wo, scale, wc, cond)
+
+
+def _layer_bytes(op, leaves, g, ld_weight=0.7):
+    """Output and log-det bytes and each leaf's gradient bytes (None where it
+    has none) of a coupling layer ``op`` under output cotangent ``g``."""
+    y, logdet = _coupling_call(op, leaves)
+    (nm.summation(y * g) + logdet * ld_weight).backward()
+    result = [y.data.tobytes(), logdet.data.tobytes()] + [
+        None if t is None or t.grad is None else t.grad.tobytes() for t in leaves]
+    for t in leaves:
+        if t is not None:
+            t.zero_grad()
+    return result
+
+
+class TestFusedEncoderBlock:
+    """``encoder_block`` against the attention, add_layer_norm, ffn,
+    add_layer_norm chain it replaces: the same bytes forward and backward, the
+    same ``None`` skips, and a ``NumericError`` on exactly the same inputs."""
+
+    @pytest.mark.parametrize("n_heads", [1, 2, 4])
+    @pytest.mark.parametrize("length", [1, 2, 5, 9])
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_bytes_match_the_chain(self, n_heads, length, masked):
+        rng = Rng(100 * n_heads + 10 * length + masked)
+        leaves = _block_leaves(rng, length, 8, n_heads, 12)
+        w1, b1 = leaves[3], leaves[4]
+        w1.data[:, 2], b1.data[2] = 0.0, 0.0  # a hidden unit exactly at relu's kink
+        bias = None
+        if masked:
+            bias = np.zeros((length, length))
+            bias[:, length - 1:] = -1e30 if length > 1 else 0.0
+        scale = 1.0 / np.sqrt(8 // n_heads)
+        g = rng.normal((length, 8))
+        g[0, :3] = -0.0
+        for weights in (g, -0.0 * np.ones((length, 8))):  # signed-zero cotangents
+            fused, chain = (_tower_bytes(lambda *t: op(*t, n_heads, scale, bias), leaves, weights)
+                            for op in (nm.encoder_block, encoder_block_reference))
+            assert fused == chain
+
+    def test_one_tape_node(self):
+        leaves = _block_leaves(Rng(1), 4, 6, 2, 5)
+        out = nm.encoder_block(*leaves, 2, 0.5)
+        assert out._parents == tuple(leaves) and out.shape == (4, 6)
+        with nm.no_grad():
+            untaped = nm.encoder_block(*leaves, 2, 0.5)
+        assert untaped._parents == () and untaped._vjp is None
+        assert untaped.data.tobytes() == out.data.tobytes()
+        constants = [Tensor(t.data) for t in leaves]
+        assert nm.encoder_block(*constants, 2, 0.5)._parents == ()
+
+    def test_skips_cotangents_nothing_uses(self):
+        rng = Rng(2)
+        leaves = _block_leaves(rng, 5, 8, 2, 12)
+        g = rng.normal((5, 8))
+        want = _tower_bytes(lambda *t: encoder_block_reference(*t, 2, 0.5), leaves, g)[1:]
+        leaves[0].requires_grad = False  # a constant input
+        grads = nm.encoder_block(*leaves, 2, 0.5)._vjp(g)
+        assert grads[0] is None and [gr.tobytes() for gr in grads[1:]] == want[1:]
+        with nm.frozen(leaves[1:3]):  # attention frozen: only the net's weights
+            grads = nm.encoder_block(*leaves, 2, 0.5)._vjp(g)
+        assert grads[:3] == (None, None, None)
+        assert [gr.tobytes() for gr in grads[3:]] == want[3:]
+        leaves[0].requires_grad = True
+        with nm.frozen(leaves[3:]):  # the net frozen: x and attention still take theirs
+            grads = nm.encoder_block(*leaves, 2, 0.5)._vjp(g)
+        assert grads[3:] == (None,) * 4
+        assert [gr.tobytes() for gr in grads[:3]] == want[:3]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_stage_overflows_raise_where_the_chain_raises(self):
+        """Each check of the chain: q, k or v, the scores, the first residual
+        sum, the net's affine map (either sign: relu would hide a -inf), the
+        net's output and the second norm's output."""
+        names = ("x", "w", "wo", "w1", "b1", "w2", "b2")
+
+        def case():  # T = 3, D = 2, one head of width 1, a net of width 1
+            leaves = [Tensor(np.zeros(s)) for s in ((3, 2), (3, 2, 1), (1, 2), (2, 1), (1,),
+                                                     (1, 2), (2,))]
+            return leaves, dict(zip(names, leaves))
+
+        def fill(t, **values):
+            for name, (idx, v) in values.items():
+                t[name].data[idx] = v
+
+        stages = {
+            "q, k or v": lambda t, big: (t["x"].data.fill(1.0),
+                                         fill(t, w=((2, slice(None), 0), big))),
+            "score": lambda t, big: (t["x"].data.fill(1.0),
+                                     fill(t, w=((0, slice(None), 0), 1.0)),
+                                     fill(t, w=((1, 0, 0), 2 * big))),
+            "first sum": lambda t, big: (t["x"].data.__setitem__((slice(None), 0), big),
+                                         fill(t, w=((2, 0, 0), 1.0), wo=((0, 0), 1.0))),
+            "net +": lambda t, big: (t["x"].data.__setitem__((slice(None), 1), 1.0),
+                                     fill(t, w1=((0, 0), -big), b1=(0, 0.0)),
+                                     fill(t, w1=((1, 0), big))),
+            "net -": lambda t, big: (t["x"].data.__setitem__((slice(None), 1), 1.0),
+                                     fill(t, w1=((0, 0), big)), fill(t, w1=((1, 0), -big))),
+            "net output": lambda t, big: (t["b1"].data.fill(1.0),
+                                          fill(t, w2=((0, 0), big), b2=(0, big))),
+            "second norm": lambda t, big: t["b2"].data.fill(big),
+        }
+        for stage, poison in stages.items():
+            outcomes = set()
+            for exponent in range(300, 309):
+                leaves, named = case()
+                poison(named, 1.7 * 10.0 ** exponent)
+                args = (*leaves, 1, 1.0)
+                fused = _raises_numeric(nm.encoder_block, *args)
+                assert fused == _raises_numeric(encoder_block_reference, *args), (
+                    stage, exponent)
+                outcomes.add(fused)
+            assert outcomes == {False, True}, stage
+        outcomes = set()
+        for length in range(2, 40):  # heads that round up to inf, hidden by a zero wo
+            leaves, named = case()
+            named["x"] = leaves[0] = Tensor(np.ones((length, 2)))
+            named["w"].data[2, 0, 0] = np.finfo(np.float64).max
+            fused = _raises_numeric(nm.encoder_block, *leaves, 1, 1.0)
+            assert fused == _raises_numeric(encoder_block_reference, *leaves, 1, 1.0), length
+            outcomes.add(fused)
+        assert outcomes == {False, True}
+        leaves, named = case()
+        named["b2"].data.fill(1.7e308)
+        with pytest.raises(NumericError, match=r"^encoder_block produced a non-finite value$"):
+            nm.encoder_block(*leaves, 1, 1.0)
+        leaves, named = case()
+        named["w"].data[:2] = 1e200
+        named["x"].data.fill(1.0)
+        with pytest.raises(NumericError, match=r"^encoder_block produced a non-finite score$"):
+            nm.encoder_block(*leaves, 1, 1.0)
+
+    def test_shape_errors(self):
+        leaves = _block_leaves(Rng(3), 4, 6, 2, 5)
+        with pytest.raises(ShapeError, match="encoder_block expects .* for H = 3 heads"):
+            nm.encoder_block(*leaves, 3, 0.5)
+        with pytest.raises(ShapeError, match="encoder_block expects"):
+            nm.encoder_block(*leaves, 0, 0.5)
+        for i, bad in [(0, (4,)), (0, ()), (1, (6, 5, 3)), (1, ()), (2, (5, 6)), (3, (5, 5)),
+                       (4, (4,)), (5, (5, 4)), (6, (4,))]:
+            with pytest.raises(ShapeError, match="encoder_block expects"):
+                nm.encoder_block(*leaves[:i], np.ones(bad), *leaves[i + 1:], 2, 0.5)
+
+
+class TestScaleHead:
+    """``scale_head`` against the linear, clamp and exp chain it replaces."""
+
+    @pytest.mark.parametrize("n, d, m", [(1, 1, 1), (6, 32, 2), (9, 4, 3)])
+    def test_bytes_match_the_chain(self, n, d, m):
+        rng = Rng(n + d + m)
+        leaves = [Tensor(rng.normal(s) * 4.0, requires_grad=True) for s in ((n, d), (d, m), (m,))]
+        leaves[1].data[:, 0] = 0.0
+        leaves[2].data[0] = 6.0  # a whole column exactly at the clamp's upper kink
+        g = rng.normal((n, m))
+        g[0] = -0.0
+        for weights in (g, -0.0 * np.ones((n, m))):
+            assert (_tower_bytes(nm.scale_head, leaves, weights)
+                    == _tower_bytes(scale_head_reference, leaves, weights))
+
+    def test_one_node_skipping_what_nothing_uses(self):
+        rng = Rng(3)
+        leaves = [Tensor(rng.normal(s), requires_grad=True) for s in ((5, 4), (4, 2), (2,))]
+        out = nm.scale_head(*leaves)
+        assert out._parents == tuple(leaves) and (out.data > 0).all()
+        g = rng.normal((5, 2))
+        want = _tower_bytes(scale_head_reference, leaves, g)[1:]
+        leaves[0].requires_grad = False
+        grads = nm.scale_head(*leaves)._vjp(g)
+        assert grads[0] is None and [gr.tobytes() for gr in grads[1:]] == want[1:]
+        leaves[0].requires_grad = True
+        with nm.frozen(leaves[1:]):
+            grads = nm.scale_head(*leaves)._vjp(g)
+        assert grads[1:] == (None, None) and grads[0].tobytes() == want[0]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_raises_where_the_chain_raises(self):
+        outcomes = set()
+        for exponent in range(300, 309):
+            for sign in (1.0, -1.0):  # the clamp turns either infinity into a bound
+                args = (Tensor([[1.0, 1.0]]), Tensor([[sign * 1.7 * 10.0 ** exponent]] * 2),
+                        Tensor([0.0]))
+                fused = _raises_numeric(nm.scale_head, *args)
+                assert fused == _raises_numeric(scale_head_reference, *args), (exponent, sign)
+                outcomes.add(fused)
+        assert outcomes == {False, True}
+        with pytest.raises(NumericError, match=r"^scale_head produced a non-finite value$"):
+            nm.scale_head(Tensor([[np.nan]]), Tensor([[1.0]]), Tensor([0.0]))
+        for args in ((np.ones(3), np.ones((3, 2)), np.ones(2)),
+                     (np.ones((2, 3)), np.ones((4, 2)), np.ones(2)),
+                     (np.ones((2, 3)), np.ones((3, 2)), np.ones(3))):
+            with pytest.raises(ShapeError, match="scale_head expects"):
+                nm.scale_head(*args)
+
+
+class TestSumRows:
+    """``sum_rows`` against the getitem-then-sum chain it replaces."""
+
+    @pytest.mark.parametrize("shape, n", [((1, 1), 1), ((2, 7), 1), ((6, 5), 2), ((4, 3), 4),
+                                          ((6, 40), 3), ((5, 33), 5)])
+    @pytest.mark.parametrize("order", ["C", "F"])  # F: its rows must be summed in C order
+    def test_bytes_match_the_chain(self, shape, n, order):
+        a = Tensor(np.asarray(Rng(sum(shape) + n).normal(shape), order=order) * 1e3,
+                   requires_grad=True)
+        results = []
+        for op in (nm.sum_rows, lambda t, k: nm.summation(t[:k])):
+            for g in (2.5, -0.0):  # a signed-zero cotangent comes back +0.0, as getitem adds
+                out = op(a, n)
+                (out * g).backward()
+                results.append((out.data.tobytes(), a.grad.tobytes()))
+                a.zero_grad()
+        assert results[:2] == results[2:]
+        assert not np.signbit(np.frombuffer(results[1][1])).any()
+
+    def test_one_node_raising_like_the_chain(self):
+        a = Tensor(np.array([[1.0, 2.0], [np.nan, 0.0]]), requires_grad=True)
+        out = nm.sum_rows(a, 1)  # the rows it does not read may hold anything
+        assert out._parents == (a,) and out.shape == () and out.item() == 3.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with pytest.raises(NumericError, match="^sum_rows produced a non-finite value$"):
+                nm.sum_rows(Tensor(np.array([[1e308, 1e308]])), 1)
+        assert nm.sum_rows(a, 0).item() == 0.0
+
+
+class TestFusedCoupling:
+    """A coupling layer as ``coupling_conditioner``, ``affine_coupling`` and
+    the log-det's getitem and sum, against the chain of getitem, transpose,
+    attention, add, conv1d, condition term, relu, conv1d, getitem, clamp,
+    affine output and sum it replaces: the same bytes forward and backward
+    (the input's cotangent included), the same ``None`` skips, and a
+    ``NumericError`` on exactly the same inputs."""
+
+    CASES = [(h, length, k, key_dim, cond_dim)
+             for h, length in ((1, 1), (1, 2), (1, 5), (2, 3), (2, 16))
+             for k in (3, 5) for key_dim in (0, 4) for cond_dim in (0, 3)]
+
+    @pytest.mark.parametrize("h, length, k, key_dim, cond_dim", CASES)
+    def test_bytes_match_the_chain(self, h, length, k, key_dim, cond_dim):
+        rng = Rng(10000 * h + 100 * length + 10 * k + key_dim + cond_dim)
+        leaves = _coupling_leaves(rng, h, length, 4, k, key_dim, cond_dim)
+        w1, b1, w2, b2 = leaves[1:5]
+        w1.data[1], b1.data[1] = 0.0, 0.0  # a hidden unit at relu's kink (but for cond)
+        w2.data[0], b2.data[0] = 0.0, 8.0  # a log-scale row exactly at the clamp
+        g = rng.normal((2 * h, length))
+        g[:, 0] = -0.0
+        assert _layer_bytes(fused_coupling, leaves, g) == _layer_bytes(coupling_reference,
+                                                                       leaves, g)
+        zero = -0.0 * np.ones((2 * h, length))  # every cotangent a signed zero
+        assert (_layer_bytes(fused_coupling, leaves, zero, -0.0)
+                == _layer_bytes(coupling_reference, leaves, zero, -0.0))
+
+    @pytest.mark.parametrize("key_dim, cond_dim", [(0, 0), (4, 3)])
+    @pytest.mark.parametrize("signed_zeros", ["column", "all"])
+    def test_conditioner_bytes_match_its_chain(self, key_dim, cond_dim, signed_zeros):
+        """On its own, with cotangents no affine output has normalised: a
+        column of -0.0, or -0.0 everywhere (a bias row sum of -0.0s is -0.0
+        unless the getitem buffers' +0.0 starts it)."""
+        rng = Rng(7 + key_dim + cond_dim)
+        leaves = _coupling_leaves(rng, 2, 6, 3, 3, key_dim, cond_dim)
+        g = rng.normal((6, 6))
+        g[:, 1] = -0.0
+        if signed_zeros == "all":
+            g[...] = -0.0
+        results = []
+        for op in (nm.coupling_conditioner, coupling_conditioner_reference):
+            out = _coupling_call(op, leaves)
+            nm.summation(out * g).backward()
+            results.append([out.data.tobytes()] + [t.grad.tobytes() for t in leaves
+                                                   if t is not None])
+            for t in leaves:
+                if t is not None:
+                    t.zero_grad()
+        assert results[0] == results[1]
+
+    def test_inverse_shares_the_conditioner_bytes_match_the_chain(self, monkeypatch):
+        """The inverse runs the same conditioner node; through a forward and
+        inverse, and a loss on both, every byte equals the old chains'."""
+        from alignflow.flows import FlowStack
+
+        stack = FlowStack(4, 3, 5, Rng(20), key_dim=3, cond_dim=2, head_init="small")
+        x = Tensor(Rng(21).normal((4, 7)), requires_grad=True)
+        cond = Tensor(Rng(22).normal(2), requires_grad=True)
+        leaves = stack.params() + [x, cond]
+
+        def outputs():
+            y, logdet = stack.forward(x, cond)
+            back = stack.inverse(y, cond)
+            loss = nm.summation(y * Rng(23).normal(y.shape)) + nm.summation(back * back)
+            (loss + logdet).backward()
+            result = [t.data.tobytes() for t in (y, logdet, back)] + [
+                p.grad.tobytes() for p in leaves]
+            for p in leaves:
+                p.zero_grad()
+            return result
+
+        fused = outputs()
+        monkeypatch.setattr(nm, "coupling_conditioner", coupling_conditioner_reference)
+        monkeypatch.setattr(nm, "affine_coupling", affine_coupling_reference)
+        assert outputs() == fused
+        np.testing.assert_allclose(stack.inverse(stack.forward(x, cond)[0], cond).data, x.data,
+                                   atol=1e-12)
+
+    def test_three_tape_nodes(self):
+        leaves = _coupling_leaves(Rng(30), 2, 5, 4, 3, 3, 2)
+        x = leaves[0]
+        c = _coupling_call(nm.coupling_conditioner, leaves)
+        assert c._parents == tuple(t for t in leaves if t is not None) and c.shape == (6, 5)
+        y, logdet = _coupling_call(fused_coupling, leaves)
+        assert y._parents[0] is x and y._parents[1]._parents == c._parents != ()
+        assert logdet._parents == (y._parents[1],)  # the log-det reads c's rows directly
+        with nm.no_grad():
+            untaped = _coupling_call(nm.coupling_conditioner, leaves)
+        assert untaped._parents == () and untaped.data.tobytes() == c.data.tobytes()
+        no_attention = leaves[:5] + [None, None] + leaves[7:]
+        assert (_coupling_call(nm.coupling_conditioner, no_attention)._parents
+                == tuple(t for t in no_attention if t is not None))
+
+    def test_skips_cotangents_nothing_uses(self):
+        """Layer 0 sees constant frames, and ``frozen`` drops any weight: the
+        VJP gives ``None`` there and the chain's bytes everywhere else."""
+        rng = Rng(31)
+        leaves = _coupling_leaves(rng, 1, 6, 4, 3, 3, 2)
+        g = rng.normal((3, 6))
+        live = [t for t in leaves if t is not None]
+        out = _coupling_call(coupling_conditioner_reference, leaves)
+        nm.summation(out * g).backward()
+        want = [t.grad.tobytes() for t in live]
+        for t in live:
+            t.zero_grad()
+        for frozen_set in ([0], [0, 5, 6], [1, 2, 8], [3, 4, 7], list(range(1, 9))):
+            with nm.frozen([leaves[i] for i in frozen_set]):
+                grads = _coupling_call(nm.coupling_conditioner, leaves)._vjp(g)
+            for i, (gr, w) in enumerate(zip(grads, want)):
+                if i in frozen_set:
+                    assert gr is None, (frozen_set, i)
+                else:
+                    assert gr.tobytes() == w, (frozen_set, i)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_stage_overflows_raise_where_the_chain_raises(self):
+        """Each check of the chain: the input, q, k or v, the scores, the
+        residual sum, the first conv, the condition and its sum, the second
+        conv (the clamp would hide an inf) and the layer output."""
+        names = ("x", "w1", "b1", "w2", "b2", "wqkv", "wo", "wc", "cond")
+
+        def case():  # h = 1, T = 3, hidden 1, key width 1, one condition value
+            leaves = [Tensor(np.zeros(s)) for s in ((2, 3), (1, 1, 3), (1,), (2, 1, 3), (2,),
+                                                     (3, 1, 1), (1, 1), (1, 1), (1,))]
+            return leaves, dict(zip(names, leaves))
+
+        def xa(t, v):
+            t["x"].data[0] = v
+
+        stages = {
+            "input": lambda t, big: t["x"].data.__setitem__((1, 0), big * 10.0),
+            "q, k or v": lambda t, big: (xa(t, 2.0), t["wqkv"].data.__setitem__(2, big)),
+            "score": lambda t, big: (xa(t, 1.0), t["wqkv"].data.__setitem__(0, 2.0),
+                                     t["wqkv"].data.__setitem__(1, big)),
+            "residual": lambda t, big: (xa(t, big), t["wqkv"].data.__setitem__(2, 1.0),
+                                        t["wo"].data.fill(1.0)),
+            "conv1": lambda t, big: (xa(t, 2.0), t["w1"].data.fill(big)),
+            "condition": lambda t, big: t["cond"].data.fill(big * 10.0),
+            "condition sum": lambda t, big: (t["b1"].data.fill(big), t["wc"].data.fill(1.0),
+                                             t["cond"].data.fill(big)),
+            "conv2 log-scale": lambda t, big: (t["b1"].data.fill(1.0),
+                                               t["w2"].data.__setitem__(0, big)),
+            "conv2 shift": lambda t, big: (t["b1"].data.fill(1.0),
+                                           t["w2"].data.__setitem__(1, big)),
+            "output": lambda t, big: (t["x"].data.__setitem__(1, big),
+                                      t["b2"].data.__setitem__(0, 8.0)),
+        }
+        for stage, poison in stages.items():
+            outcomes = set()
+            for exponent in range(300, 309):
+                leaves, named = case()
+                poison(named, 1.7 * 10.0 ** exponent)
+                fused = _raises_numeric(_coupling_call, fused_coupling, leaves, 1.0)
+                assert fused == _raises_numeric(_coupling_call, coupling_reference, leaves,
+                                                1.0), (stage, exponent)
+                outcomes.add(fused)
+            assert outcomes == {False, True}, stage
+        outcomes = set()
+        for length in range(2, 40):  # heads that round up to inf, hidden by a zero wo
+            leaves, named = case()
+            named["x"] = leaves[0] = Tensor(np.ones((2, length)))
+            named["wqkv"].data[2] = np.finfo(np.float64).max
+            fused = _raises_numeric(_coupling_call, fused_coupling, leaves, 1.0)
+            assert fused == _raises_numeric(_coupling_call, coupling_reference, leaves, 1.0)
+            outcomes.add(fused)
+        assert outcomes == {False, True}
+        leaves, named = case()
+        named["cond"].data.fill(np.inf)
+        with pytest.raises(NumericError,
+                           match=r"^coupling_conditioner produced a non-finite value$"):
+            _coupling_call(nm.coupling_conditioner, leaves)
+
+    def test_shape_errors(self):
+        leaves = _coupling_leaves(Rng(32), 2, 5, 4, 3, 3, 2)
+        bad = {0: np.ones((3, 5)), 1: np.ones((4, 3, 3)), 2: np.ones(3), 3: np.ones((3, 4, 3)),
+               4: np.ones(3), 5: np.ones((2, 2, 3)), 6: np.ones((3, 3)), 7: np.ones((4, 3))}
+        for i, value in bad.items():
+            args = list(leaves)
+            args[i] = value
+            with pytest.raises(ShapeError, match="coupling_conditioner expects"):
+                _coupling_call(nm.coupling_conditioner, args)
+
+    def test_gradcheck_rows_run_through_the_ops(self, monkeypatch):
+        from alignflow import gradcheck
+
+        rows = {"coupling.input", "coupling.conv1_w", "coupling.wq", "encoder_block.input",
+                "encoder_block.wo", "main.flow.layer1.attn.wq", "main.enc.block2.head1.wq"}
+        make, ops = nm._make, set()
+
+        def recording_make(data, parents, vjp, op):
+            ops.add(op)
+            return make(data, parents, vjp, op)
+
+        suite = [row for row in gradcheck.suite(Rng(0).child(100)) if row[0] in rows]
+        assert {name for name, _, _ in suite} == rows
+        monkeypatch.setattr(nm, "_make", recording_make)
+        for name, f, probe in suite:
+            ops.clear()
+            assert check_grad(f, probe) < 1e-4, name
+            assert ops & {"encoder_block", "coupling_conditioner"}, name
+            assert not ops & {"attention", "ffn", "add_layer_norm", "conv1d", "relu"}, name
+
+
 class TestConcurrency:
     def test_independent_tapes_in_threads(self):
         from concurrent.futures import ThreadPoolExecutor
@@ -1401,6 +1906,35 @@ class TestConcurrency:
             parallel = list(pool.map(work, range(6)))
         for a, b in zip(serial, parallel):
             npt.assert_array_equal(a, b)
+
+    def test_fused_encoder_block_and_coupling_layer_in_threads(self):
+        """Three threads each run an encoder block and a coupling layer forward
+        and backward on leaves of their own; every gradient equals the
+        serial run's byte for byte."""
+        import sys
+        from concurrent.futures import ThreadPoolExecutor
+
+        def work(seed):
+            rng = Rng(seed)
+            block = _block_leaves(rng, 5, 8, 2, 12)
+            layer = _coupling_leaves(rng, 2, 7, 4, 3, 3, 2)
+            leaves = block + [t for t in layer if t is not None]
+            for _ in range(10):
+                h = nm.encoder_block(*block, 2, 0.5)
+                y, logdet = _coupling_call(fused_coupling, layer)
+                loss = nm.summation(h * rng.normal(h.shape)) + nm.summation(y * y) + logdet
+                loss.backward()
+            return [t.grad.tobytes() for t in leaves]
+
+        serial = [work(s) for s in range(6)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=3) as pool:
+                parallel = list(pool.map(work, range(6), timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert parallel == serial
 
 
 def _walk_both_ways(monkeypatch):
