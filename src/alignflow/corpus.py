@@ -12,6 +12,16 @@ separated by construction; in multi-speaker mode each speaker adds a fixed
 offset to every prototype. Adjacent repeated tokens are resampled away:
 identical neighbouring prototypes make the optimal alignment non-unique,
 which would put a floor on exact-match scores through no fault of a model.
+
+Draw order. Every corpus byte is pinned by the order in which one instance
+draws from the generator: its length; its tokens, in order, each one redrawn
+while it repeats the token before it; its durations; its speaker (only with
+more than one speaker); its observation noise (only when ``noise`` > 0).
+``_sample_instance`` draws the tokens in rounds, each of as many ids as are
+still missing, keeping an id unless it equals the last one kept, and the
+durations in one call. A batch consumes the stream exactly as that many
+scalar draws do (see ``Rng.integers``) and no round draws past the last id
+kept, so the corpus is the one a scalar draw per id gives, bit for bit.
 """
 
 from __future__ import annotations
@@ -107,14 +117,12 @@ def _speaker_offsets(speakers: int, channels: int, shift: float) -> np.ndarray:
 def _sample_instance(spec: CorpusSpec, protos: np.ndarray, offsets: np.ndarray,
                      rng: Rng) -> Instance:
     length = rng.integers(spec.seq_min, spec.seq_max + 1)
-    tokens = np.empty(length, dtype=np.int64)
-    for i in range(length):
-        t = rng.integers(0, spec.vocab)
-        while i > 0 and t == tokens[i - 1]:  # adjacent repeats make ties
-            t = rng.integers(0, spec.vocab)
-        tokens[i] = t
-    durations = np.array([rng.integers(spec.dur_min, spec.dur_max + 1) for _ in tokens],
-                         dtype=np.int64)
+    tokens: list[int] = []
+    while len(tokens) < length:  # each round draws only the tokens still missing
+        for t in rng.integers(0, spec.vocab, length - len(tokens)).tolist():
+            if not tokens or t != tokens[-1]:  # adjacent repeats make ties
+                tokens.append(t)
+    durations = rng.integers(spec.dur_min, spec.dur_max + 1, length)
     speaker = rng.integers(0, spec.speakers) if spec.speakers > 1 else 0
     frames = np.repeat(protos[tokens], durations, axis=0) + offsets[speaker]
     if spec.noise > 0:

@@ -211,6 +211,10 @@ class ToyModel(nm.Module):
 
 
 def build_model(config: TrainConfig, rng: Rng) -> ToyModel:
+    """The model ``config`` describes, its weights drawn from ``rng``. A config
+    ``validate()`` refuses raises ``ConfigError``, so no model is built (and no
+    checkpoint saved) that ``load_model`` would refuse."""
+    config.validate()
     multi = config.speakers > 1
     cond_dim = config.hidden_width if (multi and config.condition_speaker) else None
     encoder = TextEncoder(
@@ -306,20 +310,20 @@ def duration_targets(model: ToyModel, instances) -> list[DurationBatch]:
 def train_toy(config: TrainConfig, corpus: ToyCorpus | None = None,
               out_dir=None) -> tuple[dict, ToyModel]:
     """Run both phases; returns ({"main": [...], "duration": [...]}, model).
-    A config whose model cannot be built, or is too large to allocate, raises
-    ``ConfigError``.
+    A config that fails ``validate()``, or whose model cannot be built or is
+    too large to allocate, raises ``ConfigError`` before any corpus is drawn.
 
     With an out_dir, also writes corpus.json, per-phase metrics CSVs, the
     duration-target corpus, and checkpoint.bin (format in docs/).
     """
-    root = Rng(config.seed)
-    if corpus is None:
-        corpus = generate_corpus(config.corpus_spec(), root.child(1))
-    noise_rng = root.child(2)
+    root = Rng(config.seed)  # children draw independent streams, in any order
     try:
         model = build_model(config, root.child(3))
     except (ValueError, MemoryError) as e:
         raise ConfigError(f"config does not build a model: {e}") from None
+    if corpus is None:
+        corpus = generate_corpus(config.corpus_spec(), root.child(1))
+    noise_rng = root.child(2)
     dur_rng = root.child(4)
 
     opt = nm.AdamW(model.main_params(), config.optimizer())

@@ -1314,6 +1314,10 @@ class Rng:
         return self._gen.uniform(low, high, shape)
 
     def integers(self, low: int, high: int, shape=None):
+        """Uniform ints in [low, high). A draw of ``shape`` n consumes the stream
+        exactly as n scalar draws do, to the same values and the same generator
+        state, whatever the range; the corpus sampler relies on it and
+        ``TestRng`` pins it."""
         out = self._gen.integers(low, high, size=shape)
         return int(out) if shape is None else out
 

@@ -26,7 +26,7 @@ CONFIGS = {
     # the three ablation arms off, with a speaker that is not conditioned on
     "ablation": TINY + ("speakers = 2", "speaker_shift = 0.5", "transformer_block = false",
                         "duration_adversarial = false", "condition_speaker = false"),
-    "spk3": TINY + ("speakers = 3", "speaker_shift = 0.5"),
+    "spk3": TINY + ("speakers = 3", "speaker_shift = 0.5", "obs_noise = 0.05"),  # noise draws
     "heads4": TINY + ("n_heads = 4", "flow_depth = 3"),  # stacked q/k/v leaf at H != 2
     # 40-80 tokens, up to 640 frames: long training and the J x J flow attention
     "long": ("steps_main = 2", "n_eval = 6", "seq_min = 40", "seq_max = 80", "dur_max = 8"),

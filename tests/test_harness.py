@@ -21,6 +21,7 @@ from alignflow.checkpoint import MAGIC, CheckpointError, load_checkpoint, save_c
 from alignflow.corpus import (
     CorpusError,
     CorpusSpec,
+    Instance,
     generate_corpus,
     load_corpus,
     save_corpus,
@@ -232,12 +233,13 @@ _FINITE = st.floats(-1e6, 1e6)
 
 
 @st.composite
-def corpus_specs(draw):
-    """Small valid specs; the float fields anywhere in a wide finite range."""
+def corpus_specs(draw, seq_max=7):
+    """Small valid specs, no instance longer than ``seq_max`` (>= 4) tokens;
+    the float fields anywhere in a wide finite range."""
     seq_min, dur_min = draw(st.integers(1, 4)), draw(st.integers(1, 3))
     return CorpusSpec(vocab=draw(st.integers(2, 5)), channels=draw(st.integers(2, 4)),
                       n_train=draw(st.integers(1, 3)), n_eval=draw(st.integers(0, 2)),
-                      seq_min=seq_min, seq_max=seq_min + draw(st.integers(0, 3)),
+                      seq_min=seq_min, seq_max=seq_min + draw(st.integers(0, seq_max - 4)),
                       dur_min=dur_min, dur_max=dur_min + draw(st.integers(0, 3)),
                       noise=draw(st.floats(0.0, 1e3)), prototype_radius=draw(_FINITE),
                       speakers=draw(st.integers(1, 3)), speaker_shift=draw(_FINITE))
@@ -304,7 +306,41 @@ def small_ckpt(tmp_path_factory):
     return path
 
 
+def sample_instance_reference(spec: CorpusSpec, protos, offsets, rng: Rng) -> Instance:
+    """The corpus sampler as one scalar draw per token and per duration, each
+    token redrawn while it repeats the one before it: the stream every corpus
+    byte is pinned to."""
+    length = rng.integers(spec.seq_min, spec.seq_max + 1)
+    tokens = np.empty(length, dtype=np.int64)
+    for i in range(length):
+        t = rng.integers(0, spec.vocab)
+        while i > 0 and t == tokens[i - 1]:
+            t = rng.integers(0, spec.vocab)
+        tokens[i] = t
+    durations = np.array([rng.integers(spec.dur_min, spec.dur_max + 1) for _ in tokens],
+                         dtype=np.int64)
+    speaker = rng.integers(0, spec.speakers) if spec.speakers > 1 else 0
+    frames = np.repeat(protos[tokens], durations, axis=0) + offsets[speaker]
+    if spec.noise > 0:
+        frames = frames + spec.noise * rng.normal(frames.shape)
+    return Instance(tokens=tokens, durations=durations, frames=frames, speaker=speaker)
+
+
 class TestCorpusFuzz:
+    @settings(max_examples=50, deadline=None)
+    @given(corpus_specs(seq_max=80), _SEEDS)
+    def test_sampler_draws_the_reference_stream(self, spec, seed):
+        rng, ref_rng = Rng(seed), Rng(seed)
+        corpus = generate_corpus(spec, rng)
+        for inst in corpus.train + corpus.eval:
+            want = sample_instance_reference(spec, corpus.prototypes, corpus.speaker_offsets,
+                                             ref_rng)
+            assert inst.tokens.tobytes() == want.tokens.tobytes()
+            assert inst.durations.tobytes() == want.durations.tobytes()
+            assert inst.frames.tobytes() == want.frames.tobytes()
+            assert inst.speaker == want.speaker
+        assert rng._gen.bit_generator.state == ref_rng._gen.bit_generator.state
+
     @settings(max_examples=50, deadline=None)
     @given(corpus_specs(), _SEEDS)
     def test_roundtrip(self, spec, seed):
@@ -811,14 +847,20 @@ def tiny_config(**kw):
 
 
 class TestTrainToy:
-    def test_zero_steps_leaves_params_untouched(self):
-        cfg = tiny_config(steps_main=0, steps_duration=0)
-        history, model = train_toy(cfg)
-        assert history["main"] == [] and history["duration"] == []
-        fresh = build_model(cfg, Rng(cfg.seed).child(3))
-        for (na, a), (nb, b) in zip(model.named_params(), fresh.named_params()):
-            assert na == nb
-            npt.assert_array_equal(a.data, b.data)
+    @pytest.mark.parametrize("overrides, message", [
+        ({"seed": 2**60}, f"seed must be in [0, 2**53], got {2**60}"),
+        ({"steps_main": 0, "steps_duration": 0}, "steps_main must be >= 1, got 0"),
+        ({"seq_min": 5, "seq_max": 3}, "bad sequence length range (5, 3)"),
+    ])
+    def test_invalid_config_refused_before_anything_is_written(self, tmp_path, overrides,
+                                                               message):
+        cfg = tiny_config(**overrides)
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            build_model(cfg, Rng(0))  # so save_model never writes what load_model refuses
+        with pytest.raises(ConfigError, match=f"^config does not build a model: "
+                                              f"{re.escape(message)}$"):
+            train_toy(cfg, out_dir=tmp_path / "run")
+        assert not (tmp_path / "run").exists()
 
     def test_histories_have_expected_shape(self):
         history, model = train_toy(tiny_config())

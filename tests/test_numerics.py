@@ -502,6 +502,17 @@ class TestRng:
         npt.assert_array_equal(x, y)
         assert not np.array_equal(x, z)
 
+    @pytest.mark.parametrize("span", [1, 2, 3, 2**31, 2**32 - 1, 2**32, 2**32 + 1, 2**62])
+    def test_batched_integers_draw_the_scalar_stream(self, span):
+        # the corpus sampler draws a round of ids in one call; a numpy release
+        # that changed how a batch consumes the stream would move every corpus
+        batched, scalar = Rng(31), Rng(31)
+        for n in (1, 5, 64):
+            lo = -(span // 2)
+            got = batched.integers(lo, lo + span, n)
+            assert got.tolist() == [scalar.integers(lo, lo + span) for _ in range(n)]
+            assert batched._gen.bit_generator.state == scalar._gen.bit_generator.state
+
     def test_bit_identical_forward_runs(self):
         def run():
             rng = Rng(77)
