@@ -10,6 +10,13 @@ anchor on the search-derived log-durations.
 
 The phase passes one ``DurationBatch`` around: features, targets and speaker
 condition together. Only ``instances()`` and ``generate`` read its padding.
+
+Each loss is one tape node over its instances, with a hand-written VJP that
+is bit-identical to the chain of sub, pow or mul, sum, add and mul-by-1/count
+nodes it replaced. So a training step is 9 nodes: the two generator and three
+critic towers, the three losses and the generator's adversarial + MSE sum.
+The critic's update reads the generator's output detached, so it generates
+it under ``no_grad``.
 """
 
 from __future__ import annotations
@@ -22,6 +29,7 @@ from . import numerics as nm
 from .numerics import AdamW, AdamWConfig, NumericError, Rng, Tensor, frozen
 
 KERNEL = 3  # conv kernel width along the token axis, in every tower
+_sum = np.add.reduce  # what ndarray.sum runs, minus its wrapper
 
 
 @dataclass
@@ -30,7 +38,9 @@ class DurationBatch:
     and ``cond``, None or the generator's condition vector for every instance.
 
     Masks must be prefix-form (valid tokens first). Valid log-durations are
-    finite and >= 0, i.e. at least one frame per token.
+    finite and >= 0, i.e. at least one frame per token. The fields are checked
+    and cut into instances once, at construction: build a new batch (e.g. with
+    ``dataclasses.replace``) rather than rebinding a field.
     """
 
     h_text: np.ndarray
@@ -45,6 +55,8 @@ class DurationBatch:
         if self.h_text.ndim != 3:
             raise ValueError(f"h_text must be (B, I, H), got {self.h_text.shape}")
         b, i = self.h_text.shape[:2]
+        if b == 0:
+            raise ValueError(f"a batch needs at least one instance, got h_text {self.h_text.shape}")
         if self.d.shape != (b, i) or self.mask.shape != (b, i):
             raise ValueError(
                 f"d {self.d.shape} and mask {self.mask.shape} must both be ({b}, {i})"
@@ -59,10 +71,13 @@ class DurationBatch:
             raise ValueError("log-durations must be finite on valid positions")
         if (self.d[self.mask] < 0).any():
             raise ValueError("valid log-durations must be >= 0 (durations >= 1 frame)")
+        # every training step reads these three times, so they are cut once here
+        self._instances = tuple((h[:n], d[:n]) for h, d, n in
+                                zip(self.h_text, self.d, self.mask.sum(axis=1)))
 
-    def instances(self) -> list[tuple[np.ndarray, np.ndarray]]:
+    def instances(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
         """Each instance's valid prefix as views ``(h_text[b, :n], d[b, :n])``."""
-        return [(h[:n], d[:n]) for h, d, n in zip(self.h_text, self.d, self.mask.sum(axis=1))]
+        return self._instances
 
 
 class _ConvTower(nm.Module):
@@ -144,63 +159,106 @@ def generate(gen: DurationGenerator, h_text, z_d, mask, cond=None) -> list[Tenso
     h_text: (B, I, H); z_d: (B, I, Z) standard normal (ignored for a
     deterministic generator); mask: (B, I) prefix masks; cond: None or one
     condition vector for every instance. The returned tensors are
-    tape-connected to the generator parameters.
+    tape-connected to the generator parameters. Raises ``ShapeError`` when
+    the mask or the noise does not fit ``h_text``.
     """
     h_text = np.asarray(h_text, dtype=np.float64)
-    z_d = np.asarray(z_d, dtype=np.float64) if gen.z_dim else None
+    mask = np.asarray(mask, dtype=bool)
+    if h_text.ndim != 3 or mask.shape != h_text.shape[:2]:
+        raise nm.ShapeError(f"mask {mask.shape} must be (B, I) of h_text (B, I, H) "
+                            f"{h_text.shape}")
+    if gen.z_dim:
+        want = (*mask.shape, gen.z_dim)
+        z_d = None if z_d is None else np.asarray(z_d, dtype=np.float64)
+        if z_d is None or z_d.shape != want:
+            raise nm.ShapeError(f"noise z_d must be {want} for h_text {h_text.shape}, got "
+                                f"{None if z_d is None else z_d.shape}")
     out = []
-    for b, n in enumerate(np.asarray(mask, dtype=bool).sum(axis=1)):
-        z = None if z_d is None else z_d[b, :n]
+    for b, n in enumerate(mask.sum(axis=1)):
+        z = z_d[b, :n] if gen.z_dim else None
         out.append(gen.forward(h_text[b, :n], z, cond=cond))
     return out
 
 
-def _masked_mean(per_token_terms: list[Tensor]) -> Tensor:
-    total = None
-    count = 0
-    for t in per_token_terms:
-        count += t.size
-        s = nm.summation(t)
-        total = s if total is None else total + s
-    return total * (1.0 / count)
+def _mean_node(op: str, parents: list[Tensor], bases: list[np.ndarray],
+               parts: list[np.ndarray], term_vjp) -> Tensor:
+    """The mean over every element of ``parts``, one array of per-token terms
+    per instance, as one tape node on ``parents``. ``term_vjp(gs, bases[k])``
+    is ``parents[k]``'s cotangent, with ``gs`` the cotangent of each term.
+
+    Bit for bit the chain of ``summation`` per instance, ``add`` of those sums
+    in instance order and multiply by 1/count that it replaced: each part's
+    ``np.add.reduce`` sum, added in order, times 1/count, and ``gs = g *
+    (1/count)``. The VJP returns ``None`` for a parent that takes no gradient.
+    The terms are squares, so a non-finite square or sum leaves the mean
+    non-finite, and ``_make`` raises exactly where the chain did; the caller
+    computes ``parts`` and calls this under ``np.errstate(over="ignore")``.
+    """
+    scale = 1.0 / sum(part.size for part in parts)
+    total = _sum(parts[0], axis=None)
+    for part in parts[1:]:
+        total = total + _sum(part, axis=None)
+
+    def vjp(g):
+        gs = g * scale
+        return [term_vjp(gs, base) if p.requires_grad else None
+                for p, base in zip(parents, bases)]
+
+    return nm._make(total * scale, tuple(parents), vjp, op)
+
+
+def _square_vjp(gs, base):
+    return (gs * 2.0) * base  # pow's VJP at p = 2: g * p * base ** 1.0
+
+
+def _product_vjp(gs, base):
+    g_base = gs * base  # mul's VJP for base * base, its two factors summed by the walk
+    return g_base + g_base
 
 
 def adv_loss_d(disc: DurationDiscriminator, batch: DurationBatch, d_hat) -> Tensor:
     """Least-squares critic loss: mean over valid tokens of
-    (D(d, h) - 1)^2 + D(d_hat, h)^2, ``d_hat`` one tensor per instance.
+    (D(d, h) - 1)^2 + D(d_hat, h)^2, ``d_hat`` one tensor per instance, as
+    one ``adv_loss_d`` node on the real and fake scores.
 
     Predicted durations are detached here, so this loss can never move the
     generator.
     """
-    terms = []
+    scores = []
     for (h, d), fake_d in zip(batch.instances(), d_hat, strict=True):
-        real = disc.forward(h, d)
-        fake = disc.forward(h, fake_d.detach())
-        terms.append((real - 1.0) ** 2 + fake**2)
-    return _masked_mean(terms)
+        scores += disc.forward(h, d), disc.forward(h, fake_d.detach())
+    with np.errstate(over="ignore"):
+        bases = [s.data - 1.0 if k % 2 == 0 else s.data for k, s in enumerate(scores)]
+        parts = [r**2.0 + f**2.0 for r, f in zip(bases[::2], bases[1::2])]
+        return _mean_node("adv_loss_d", scores, bases, parts, _square_vjp)
 
 
 def adv_loss_g(disc: DurationDiscriminator, batch: DurationBatch, d_hat) -> Tensor:
     """Least-squares generator loss: mean over valid tokens of (D(d_hat, h) - 1)^2,
-    ``d_hat`` one tensor per instance.
+    ``d_hat`` one tensor per instance, as one ``adv_loss_g`` node on the scores.
 
     Freeze the discriminator parameters around backward when training; the
     tape checks requires_grad at backward time.
     """
-    terms = []
-    for (h, _), fake_d in zip(batch.instances(), d_hat, strict=True):
-        fake = disc.forward(h, fake_d)
-        terms.append((fake - 1.0) ** 2)
-    return _masked_mean(terms)
+    scores = [disc.forward(h, fake_d)
+              for (h, _), fake_d in zip(batch.instances(), d_hat, strict=True)]
+    with np.errstate(over="ignore"):
+        bases = [s.data - 1.0 for s in scores]
+        return _mean_node("adv_loss_g", scores, bases, [b**2.0 for b in bases], _square_vjp)
 
 
 def mse_loss(batch: DurationBatch, d_hat) -> Tensor:
-    """Mean over valid tokens of (d_hat - d)^2, ``d_hat`` one tensor per instance."""
-    terms = []
-    for (_, d), pred in zip(batch.instances(), d_hat, strict=True):
-        diff = pred - d
-        terms.append(diff * diff)
-    return _masked_mean(terms)
+    """Mean over valid tokens of (d_hat - d)^2, ``d_hat`` one (n,) tensor per
+    instance of n valid tokens, as one ``mse_loss`` node on the predictions."""
+    preds, bases = [], []
+    with np.errstate(over="ignore"):
+        for (_, d), pred in zip(batch.instances(), d_hat, strict=True):
+            pred = nm.ensure_tensor(pred)
+            if pred.shape != d.shape:
+                raise nm.ShapeError(f"prediction {pred.shape} must be {d.shape}, one per token")
+            preds.append(pred)
+            bases.append(pred.data - d)
+        return _mean_node("mse_loss", preds, bases, [b * b for b in bases], _product_vjp)
 
 
 def _grads_are_zero(params) -> bool:
@@ -227,6 +285,8 @@ def train_duration(
     offending step index.
     """
     nm.check(nm.at_least(0), steps, "steps")
+    if not corpus:
+        raise ValueError("train_duration needs at least one batch, got an empty corpus")
     if gen.z_dim and rng is None:
         raise ValueError("a generator with a noise input needs an rng")
     critic = disc.params() if disc is not None else []
@@ -245,7 +305,9 @@ def train_duration(
         row = {"step": step}
         try:
             if disc is not None:
-                d_hat = generate(gen, batch.h_text, draw_noise(batch), batch.mask, batch.cond)
+                with nm.no_grad():  # the critic reads these detached
+                    d_hat = generate(gen, batch.h_text, draw_noise(batch), batch.mask,
+                                     batch.cond)
                 loss_d = adv_loss_d(disc, batch, d_hat)
                 for opt in opts:
                     opt.zero_grad()

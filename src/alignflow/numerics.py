@@ -42,18 +42,25 @@ choices worth knowing:
   ``sum_rows`` (the log-det, the sum of the s rows), so a coupling layer is 3
   nodes, not 13; ``conv_tower`` (a duration tower's conv, condition term,
   relu, conv, relu and 1x1 head with its input assembly, 9 to 13 nodes
-  before) and ``aligned_nll`` (the training loss, 14 nodes before). Each has
-  a hand-written VJP, and each is bit-identical, forward and backward, to the
-  chain of smaller ops it replaced, down to the order in which a
-  multi-consumer cotangent is summed. Each raises ``NumericError`` on exactly
-  the inputs where that chain raised: ``attention`` checks the stacked q/k/v,
-  the scaled, biased scores and the heads before ``wo``, ``ffn`` and
+  before) and ``aligned_nll`` (the training loss, 14 nodes before). The
+  duration losses are built in ``duration.py`` on ``_make``, each a mean over
+  a batch's valid tokens (5 or 3 nodes per instance, an add per further
+  instance and a multiply by 1/count before):
+  ``adv_loss_d`` (the critic's mean of (D(real) - 1)^2 + D(fake)^2),
+  ``adv_loss_g`` (the generator's mean of (D(fake) - 1)^2) and
+  ``mse_loss`` (the mean of (pred - d)^2). Each has a hand-written VJP, and
+  each is bit-identical, forward and backward, to the chain of smaller ops it
+  replaced, down to the order in which a multi-consumer cotangent is summed.
+  Each raises ``NumericError`` on exactly the inputs where that chain
+  raised: ``attention`` checks the stacked q/k/v, the scaled, biased scores
+  and the heads before ``wo``, ``ffn`` and
   ``scale_head`` their affine map, ``add_layer_norm`` the sum,
   ``encoder_block`` what its attention and net check,
   ``coupling_conditioner`` those of its attention, the residual sum, each
   conv output and the condition and its sum, ``conv_tower`` its input, each
   conv output and the condition product and sum, ``aligned_nll`` the
-  denominator 2 s s, and ``_make`` every output. The layers share their
+  denominator 2 s s, and ``_make`` every output (a duration loss's terms are
+  squares, so any overflow reaches its mean). The layers share their
   parts: ``_attend``, ``_feed_forward`` and ``_normalize`` are the
   attention, net and layer norm on arrays, each returning its output and its
   VJP.
@@ -65,8 +72,8 @@ choices worth knowing:
   for bit; its fused bias is still bit-identical to the add it replaced.
 - A VJP may return ``None`` for a parent that takes no gradient at backward
   time (a constant, or a parameter under ``frozen``); ``conv1d``,
-  ``conv_tower``, ``encoder_block``, ``scale_head``, ``coupling_conditioner``
-  and ``affine_coupling`` skip that work.
+  ``conv_tower``, ``encoder_block``, ``scale_head``, ``coupling_conditioner``,
+  ``affine_coupling`` and the duration losses skip that work.
 - ``no_grad`` turns recording off for the calling thread: ops still run
   their finite checks, but their outputs keep no parents and no VJP, so an
   inference forward retains nothing once a layer is done with it. It is

@@ -1498,8 +1498,9 @@ class TestTapeBudget:
     MAIN = {"add": 2, "affine_coupling": 2, "aligned_nll": 1, "coupling_conditioner": 2,
             "encoder_block": 4, "getitem": 1, "linear": 1, "scale_head": 1, "sum_rows": 2,
             "take_rows": 1}
-    # five conv_tower runs (two generator, three critic) plus the loss glue
-    DURATION = {"add": 2, "conv_tower": 5, "mul": 4, "pow": 3, "sub": 3, "sum": 3}
+    # five conv_tower runs (two generator, three critic), the three losses and
+    # the generator's adversarial + mse sum
+    DURATION = {"add": 1, "adv_loss_d": 1, "adv_loss_g": 1, "conv_tower": 5, "mse_loss": 1}
 
     def test_nodes_per_main_and_duration_step(self, monkeypatch):
         from alignflow import harness
@@ -1532,7 +1533,7 @@ class TestTapeBudget:
         monkeypatch.setattr(harness, "train_duration", one_duration_step)
         train_toy(TrainConfig(seed=7, steps_main=1, steps_duration=1, n_eval=0))
         assert phases == {"main": self.MAIN, "duration": self.DURATION}
-        assert sum(self.MAIN.values()) == 17 and sum(self.DURATION.values()) == 20
+        assert sum(self.MAIN.values()) == 17 and sum(self.DURATION.values()) == 9
         # an encoder block takes x, one stacked q/k/v leaf, wo and the net's four
         # leaves; a conditioner x, two convs and the flow's q/k/v and wo; a layer
         # output x and the conditioner's rows: 41 leaf cotangents, not 65
