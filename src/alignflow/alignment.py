@@ -80,6 +80,16 @@ class Alignment:
         return np.repeat(np.arange(self.durations.size), self.durations)
 
 
+def read_lines(path, error: type[ValueError]) -> list[str]:
+    """The lines of the UTF-8 text file ``path``, as ``readlines`` gives them;
+    raises ``error`` naming the file if it is not UTF-8."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return fh.readlines()
+        except UnicodeDecodeError as e:
+            raise error(f"{path}: not UTF-8 text ({e.reason})") from None
+
+
 def read_csv_matrix(path, error: type[ValueError], what: str) -> np.ndarray:
     """Read a CSV of finite numbers into an (rows, cells) float64 array.
 
@@ -90,28 +100,23 @@ def read_csv_matrix(path, error: type[ValueError], what: str) -> np.ndarray:
     and the column.
     """
     rows: list[list[float]] = []
-    with open(path, encoding="utf-8") as fh:
-        try:
-            lines = fh.readlines()
-        except UnicodeDecodeError as e:
-            raise error(f"{path}: not UTF-8 text ({e.reason})") from None
-        for lineno, raw in enumerate(lines, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            where = f"{path}:{lineno}: {what} row {len(rows)}"
-            cells = line.split(",")
-            if rows and len(cells) != len(rows[0]):
-                raise error(f"{where} has {len(cells)} cells, row 0 has {len(rows[0])}")
-            row = []
-            for col, cell in enumerate(cells):
-                try:
-                    row.append(float(cell))
-                except ValueError:
-                    raise error(f"{where}, column {col}: {cell!r} is not a number") from None
-                if not math.isfinite(row[-1]):
-                    raise error(f"{where}, column {col}: {cell!r} is not finite")
-            rows.append(row)
+    for lineno, raw in enumerate(read_lines(path, error), 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        where = f"{path}:{lineno}: {what} row {len(rows)}"
+        cells = line.split(",")
+        if rows and len(cells) != len(rows[0]):
+            raise error(f"{where} has {len(cells)} cells, row 0 has {len(rows[0])}")
+        row = []
+        for col, cell in enumerate(cells):
+            try:
+                row.append(float(cell))
+            except ValueError:
+                raise error(f"{where}, column {col}: {cell!r} is not a number") from None
+            if not math.isfinite(row[-1]):
+                raise error(f"{where}, column {col}: {cell!r} is not finite")
+        rows.append(row)
     if not rows:
         raise error(f"{path}: {what} has no rows")
     return np.array(rows)

@@ -32,6 +32,22 @@ KERNEL = 3  # conv kernel width along the token axis, in every tower
 _sum = np.add.reduce  # what ndarray.sum runs, minus its wrapper
 
 
+def _prefix_counts(mask: np.ndarray):
+    """The valid tokens of each row of a (B, I) bool mask. Raises
+    ``ValueError``, for the first row that breaks a rule, unless every row is
+    prefix-form (valid tokens first) with at least one valid token."""
+    if mask.shape[1] and np.logical_and.reduce(mask, axis=None):  # no padding, as in training
+        return (mask.shape[1],) * mask.shape[0]
+    counts = mask.sum(axis=1)
+    rises = mask[:, 1:] > mask[:, :-1]  # a valid token after padding
+    bad = (counts == 0) | rises.any(axis=1)
+    if bad.any():
+        if counts[bad.argmax()]:  # an all-False row has no rise
+            raise ValueError("masks must be prefix-form (valid tokens first)")
+        raise ValueError("every instance needs at least one valid token")
+    return counts
+
+
 @dataclass
 class DurationBatch:
     """Padded batch: h_text (B, I, H), d (B, I) log-durations, mask (B, I),
@@ -61,19 +77,14 @@ class DurationBatch:
             raise ValueError(
                 f"d {self.d.shape} and mask {self.mask.shape} must both be ({b}, {i})"
             )
-        for row in self.mask:
-            n = int(row.sum())
-            if not row[:n].all() or row[n:].any():
-                raise ValueError("masks must be prefix-form (valid tokens first)")
-            if n == 0:
-                raise ValueError("every instance needs at least one valid token")
+        counts = _prefix_counts(self.mask)
         if not np.all(np.isfinite(self.d[self.mask])):
             raise ValueError("log-durations must be finite on valid positions")
         if (self.d[self.mask] < 0).any():
             raise ValueError("valid log-durations must be >= 0 (durations >= 1 frame)")
         # every training step reads these three times, so they are cut once here
         self._instances = tuple((h[:n], d[:n]) for h, d, n in
-                                zip(self.h_text, self.d, self.mask.sum(axis=1)))
+                                zip(self.h_text, self.d, counts))
 
     def instances(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
         """Each instance's valid prefix as views ``(h_text[b, :n], d[b, :n])``."""
@@ -160,7 +171,9 @@ def generate(gen: DurationGenerator, h_text, z_d, mask, cond=None) -> list[Tenso
     deterministic generator); mask: (B, I) prefix masks; cond: None or one
     condition vector for every instance. The returned tensors are
     tape-connected to the generator parameters. Raises ``ShapeError`` when
-    the mask or the noise does not fit ``h_text``.
+    the mask or the noise does not fit ``h_text``, and ``ValueError``, as
+    ``DurationBatch`` does, for a mask row that is not prefix-form or has no
+    valid token.
     """
     h_text = np.asarray(h_text, dtype=np.float64)
     mask = np.asarray(mask, dtype=bool)
@@ -174,7 +187,7 @@ def generate(gen: DurationGenerator, h_text, z_d, mask, cond=None) -> list[Tenso
             raise nm.ShapeError(f"noise z_d must be {want} for h_text {h_text.shape}, got "
                                 f"{None if z_d is None else z_d.shape}")
     out = []
-    for b, n in enumerate(mask.sum(axis=1)):
+    for b, n in enumerate(_prefix_counts(mask)):
         z = z_d[b, :n] if gen.z_dim else None
         out.append(gen.forward(h_text[b, :n], z, cond=cond))
     return out

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics as nm
-from .alignment import log_prob_grid, mas_search, noise_scale_at
+from .alignment import log_prob_grid, mas_search, noise_scale_at, read_lines
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .corpus import CorpusSpec, Instance, ToyCorpus, generate_corpus, save_corpus
 from .duration import DurationBatch, DurationDiscriminator, DurationGenerator, train_duration
@@ -145,35 +145,30 @@ def load_config(path) -> TrainConfig:
     """Parse the flat key=value UTF-8 format; unknown keys are rejected outright.
     Every error is a ``ConfigError`` whose message starts with the path."""
     values: dict[str, object] = {}
-    with open(path, encoding="utf-8") as fh:
+    for lineno, raw in enumerate(read_lines(path, ConfigError), 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
+        key, _, text = line.partition("=")
+        key, text = key.strip(), text.strip()
+        if key not in _FIELD_TYPES:
+            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in values:
+            raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
+        ftype = _FIELD_TYPES[key]
         try:
-            lines = fh.readlines()
-        except UnicodeDecodeError as e:
-            raise ConfigError(f"{path}: not UTF-8 text ({e.reason})") from None
-        for lineno, raw in enumerate(lines, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-            key, _, text = line.partition("=")
-            key, text = key.strip(), text.strip()
-            if key not in _FIELD_TYPES:
-                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            if key in values:
-                raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
-            ftype = _FIELD_TYPES[key]
-            try:
-                if ftype is bool:
-                    if text not in ("true", "false"):
-                        raise ValueError("expected true/false")
-                    values[key] = text == "true"
-                else:
-                    values[key] = ftype(text)
-                    if ftype is float and not math.isfinite(values[key]):
-                        raise ValueError(f"{text!r} is not finite")
-            except ValueError as e:
-                raise ConfigError(f"{path}:{lineno}: bad value for {key!r}: {e}") from e
+            if ftype is bool:
+                if text not in ("true", "false"):
+                    raise ValueError("expected true/false")
+                values[key] = text == "true"
+            else:
+                values[key] = ftype(text)
+                if ftype is float and not math.isfinite(values[key]):
+                    raise ValueError(f"{text!r} is not finite")
+        except ValueError as e:
+            raise ConfigError(f"{path}:{lineno}: bad value for {key!r}: {e}") from e
     config = TrainConfig(**values)
     try:
         config.validate()
@@ -430,37 +425,33 @@ def _duration_cell(path, lineno: int, column: str, cell: str, kind: type):
 def load_duration_corpus(path) -> list[DurationBatch]:
     """Inverse of ``save_duration_corpus``; raises ``DurationCorpusError``.
     The rows of one instance must carry the same condition."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            lines = fh.readlines()
-        except UnicodeDecodeError as e:
-            raise DurationCorpusError(f"{path}: not UTF-8 text ({e.reason})") from None
-        header = (lines[0] if lines else "").strip().split(",")
-        if header[:3] != ["instance", "position", "log_duration"]:
-            raise DurationCorpusError(f"{path}: not a duration corpus (header {header[:3]})")
-        names = header[3:]  # h0..h{H-1}, then c0..c{K-1} if there is a condition
-        k = len(names) - names.index("c0") if "c0" in names else 0
-        if names[len(names) - k:] != [f"c{i}" for i in range(k)]:
-            raise DurationCorpusError(f"{path}: the columns from c0 on are not c0..c{k - 1}")
-        n_h = len(names) - k
-        if n_h < 1 or names[:n_h] != [f"h{i}" for i in range(n_h)]:
+    lines = read_lines(path, DurationCorpusError)
+    header = (lines[0] if lines else "").strip().split(",")
+    if header[:3] != ["instance", "position", "log_duration"]:
+        raise DurationCorpusError(f"{path}: not a duration corpus (header {header[:3]})")
+    names = header[3:]  # h0..h{H-1}, then c0..c{K-1} if there is a condition
+    k = len(names) - names.index("c0") if "c0" in names else 0
+    if names[len(names) - k:] != [f"c{i}" for i in range(k)]:
+        raise DurationCorpusError(f"{path}: the columns from c0 on are not c0..c{k - 1}")
+    n_h = len(names) - k
+    if n_h < 1 or names[:n_h] != [f"h{i}" for i in range(n_h)]:
+        raise DurationCorpusError(
+            f"{path}: the feature columns must be h0..h{{H-1}} with H >= 1, got {names[:n_h]}")
+    kinds = [int, int] + [float] * (len(header) - 2)
+    per_inst: dict[int, list[tuple[int, float, np.ndarray]]] = {}
+    conds: dict[int, list[float]] = {}
+    for lineno, raw in enumerate(lines[1:], 2):
+        cells = raw.strip().split(",")
+        if len(cells) != len(header):
             raise DurationCorpusError(
-                f"{path}: the feature columns must be h0..h{{H-1}} with H >= 1, got {names[:n_h]}")
-        kinds = [int, int] + [float] * (len(header) - 2)
-        per_inst: dict[int, list[tuple[int, float, np.ndarray]]] = {}
-        conds: dict[int, list[float]] = {}
-        for lineno, raw in enumerate(lines[1:], 2):
-            cells = raw.strip().split(",")
-            if len(cells) != len(header):
-                raise DurationCorpusError(
-                    f"{path}:{lineno}: row width {len(cells)} != header {len(header)}")
-            inst, pos, d, *rest = (_duration_cell(path, lineno, *col)
-                                   for col in zip(header, cells, kinds))
-            cond = conds.setdefault(inst, rest[n_h:])
-            if rest[n_h:] != cond:
-                raise DurationCorpusError(
-                    f"{path}:{lineno}: instance {inst} has another condition than its first row")
-            per_inst.setdefault(inst, []).append((pos, d, np.array(rest[:n_h])))
+                f"{path}:{lineno}: row width {len(cells)} != header {len(header)}")
+        inst, pos, d, *rest = (_duration_cell(path, lineno, *col)
+                               for col in zip(header, cells, kinds))
+        cond = conds.setdefault(inst, rest[n_h:])
+        if rest[n_h:] != cond:
+            raise DurationCorpusError(
+                f"{path}:{lineno}: instance {inst} has another condition than its first row")
+        per_inst.setdefault(inst, []).append((pos, d, np.array(rest[:n_h])))
     if not per_inst:
         raise DurationCorpusError(f"{path}: duration corpus has a header but no rows")
     batches = []

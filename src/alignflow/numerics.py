@@ -5,81 +5,50 @@ duration GAN, the text encoder) is built on the small op set here. Design
 choices worth knowing:
 
 - float64 only; finite-difference gradient checks need the precision.
-- Tensors are tiny, so a training step's time goes to Python and numpy call
-  overhead per op, not to arithmetic; the hot paths keep their numpy calls few.
-  ``_make`` builds every node with ``object.__new__``, not ``Tensor.__init__``;
-  it, the fused ops and ``_unbroadcast`` call the ufunc reductions behind
-  ``.all``/``.max``/``.sum``, without their Python wrappers.
+- Tensors are tiny, so a step's time goes to Python and numpy call overhead
+  per op, not to arithmetic: ``_make`` builds every node without
+  ``Tensor.__init__``, and the hot paths call the ufunc reductions behind
+  ``.all``/``.max``/``.sum`` without their Python wrappers.
 - ``AdamW`` owns the storage of the parameters it is given: each ``p.data``
   becomes a view into one flat buffer. Write a parameter in place
   (``p.data[...] = x``), never rebind it; ``AdamW.step`` raises if one was.
-- The tape is per-computation: each forward op records its parents and a
-  vector-Jacobian closure on the output tensor, and ``backward`` walks that
-  graph once. Gradients accumulate only into leaves (tensors you created
-  directly, typically parameters).
-- Every tensor takes a number from one process-wide counter when it is
-  built, so it outranks its parents. ``backward`` pops the newest node a
-  cotangent has reached from a heap, as PyTorch's engine orders ready nodes
-  by sequence number: a popped node's consumers are all done, and the graph
-  is never sorted. A node's cotangents are summed newest consumer first;
-  where a node has at most two consumers this is the sum a depth-first walk
-  gave, bit for bit, and with three or more it may associate differently
-  (within 1e-12 relative on the speaker condition of four coupling layers).
-- Any op producing NaN/Inf from finite inputs raises ``NumericError``
-  immediately instead of letting the poison spread.
-- Layers are fused ops, one tape node each, because a step's time is per node:
-  ``attention`` (all heads of a multi-head self-attention, from one (3H, D, d)
-  q/k/v leaf, times the output projection ``wo``), ``conv1d`` with its bias,
-  ``linear`` (``x @ w + b``: the encoder's mean head), ``ffn`` (linear, relu,
-  linear), ``add_layer_norm`` (a post-norm residual), ``encoder_block`` (a
-  whole post-norm encoder block: attention with ``wo``, add_layer_norm, ffn,
-  add_layer_norm; 4 nodes before), ``scale_head`` (the encoder's sigma head
-  ``exp(clamp(x @ w + b, -6, 6))``; 3 nodes before),
-  ``coupling_conditioner`` (a coupling layer's channel split, attention
-  residual, conv, condition term, relu, conv and clamp, returning the rows
-  ``[s, t, xa]``; 9 to 13 nodes before), ``affine_coupling`` (the layer
-  output ``[xa, xb * exp(s) + t]`` from the input and those rows) and
-  ``sum_rows`` (the log-det, the sum of the s rows), so a coupling layer is 3
-  nodes, not 13; ``conv_tower`` (a duration tower's conv, condition term,
-  relu, conv, relu and 1x1 head with its input assembly, 9 to 13 nodes
-  before) and ``aligned_nll`` (the training loss, 14 nodes before). The
-  duration losses are built in ``duration.py`` on ``_make``, each a mean over
-  a batch's valid tokens (5 or 3 nodes per instance, an add per further
-  instance and a multiply by 1/count before):
-  ``adv_loss_d`` (the critic's mean of (D(real) - 1)^2 + D(fake)^2),
-  ``adv_loss_g`` (the generator's mean of (D(fake) - 1)^2) and
-  ``mse_loss`` (the mean of (pred - d)^2). Each has a hand-written VJP, and
-  each is bit-identical, forward and backward, to the chain of smaller ops it
-  replaced, down to the order in which a multi-consumer cotangent is summed.
-  Each raises ``NumericError`` on exactly the inputs where that chain
-  raised: ``attention`` checks the stacked q/k/v, the scaled, biased scores
-  and the heads before ``wo``, ``ffn`` and
-  ``scale_head`` their affine map, ``add_layer_norm`` the sum,
-  ``encoder_block`` what its attention and net check,
-  ``coupling_conditioner`` those of its attention, the residual sum, each
-  conv output and the condition and its sum, ``conv_tower`` its input, each
-  conv output and the condition product and sum, ``aligned_nll`` the
-  denominator 2 s s, and ``_make`` every output (a duration loss's terms are
-  squares, so any overflow reaches its mean). The layers share their
-  parts: ``_attend``, ``_feed_forward`` and ``_normalize`` are the
-  attention, net and layer norm on arrays, each returning its output and its
-  VJP.
-- ``conv1d`` is im2col + one BLAS matmul forward and two in its VJP, and
-  ``conv_tower`` is three of them and ``coupling_conditioner`` two; all build
-  their columns with ``_im2col`` and add them back with ``_col2im``. BLAS
-  picks its own summation order, so it agrees with the per-tap contraction
-  it replaced, or a scalar loop, to 1e-12 (relative and absolute), not bit
-  for bit; its fused bias is still bit-identical to the add it replaced.
-- A VJP may return ``None`` for a parent that takes no gradient at backward
-  time (a constant, or a parameter under ``frozen``); ``conv1d``,
-  ``conv_tower``, ``encoder_block``, ``scale_head``, ``coupling_conditioner``,
-  ``affine_coupling`` and the duration losses skip that work.
-- ``no_grad`` turns recording off for the calling thread: ops still run
-  their finite checks, but their outputs keep no parents and no VJP, so an
-  inference forward retains nothing once a layer is done with it. It is
-  thread-local, so a thread inside it leaves other threads' tapes alone.
-- ``attention`` softmaxes its scores in place: the forward holds one
-  (H, T, T) buffer, the map ``attention_probs`` returns, and the VJP two.
+- Each forward op records its parents and a VJP closure on its output, and
+  gradients accumulate only into leaves. Every tensor takes a number from
+  one process-wide counter, so it outranks its parents, and ``backward``
+  pops the newest node a cotangent has reached from a heap, as PyTorch's
+  engine orders ready nodes; the graph is never sorted. A node's cotangents
+  are summed newest consumer first: with at most two consumers that is a
+  depth-first walk's sum bit for bit, with three or more it may associate
+  differently (within 1e-12 relative on the speaker condition of four
+  coupling layers).
+- An op whose output holds a NaN or an inf raises ``NumericError`` at once.
+  A VJP may return ``None`` for a parent that takes no gradient at backward
+  time (a constant, or a parameter under ``frozen``), skipping that work.
+- ``no_grad`` turns recording off for the calling thread: ops still check
+  their outputs, but keep no parents and no VJP, so an inference forward
+  retains nothing once a layer is done with it.
+
+A step's time is per node, so layers are fused ops, one tape node each,
+bit-identical forward and backward to the chains of smaller ops they
+replaced and raising ``NumericError`` where those chains raised:
+
+- ``attention``: multi-head self-attention from one (3H, D, d) q/k/v leaf,
+  times the output projection ``wo``, its softmax in place.
+- ``conv1d``: a same-padded conv with its bias, as im2col + one BLAS matmul
+  (within 1e-12 of a per-tap contraction, not bit for bit).
+- ``linear``: ``x @ w + b``, the encoder's mean head.
+- ``add_layer_norm``: a post-norm residual.
+- ``encoder_block``: a whole post-norm transformer block.
+- ``scale_head``: the encoder's sigma head ``exp(clamp(x @ w + b, -6, 6))``.
+- ``coupling_conditioner``: a coupling layer's rows ``[s, t, xa]``.
+- ``affine_coupling``: a coupling layer's output ``[xa, xb * exp(s) + t]``.
+- ``sum_rows``: the sum of the first rows, a coupling layer's log-det.
+- ``conv_tower``: a duration tower's (I,) scores.
+- ``aligned_nll``: the training loss.
+
+The duration losses are built on ``_make`` in ``duration.py``. The fused ops
+share array cores that return (output, back): ``_attend``, ``_feed_forward``,
+``_normalize``, ``_conv`` and ``_conv_net``; ``_check_finite`` is their check.
 """
 
 from __future__ import annotations
@@ -287,6 +256,13 @@ def _make(data, parents: tuple[Tensor, ...], vjp, op: str) -> Tensor:
     return out
 
 
+def _check_finite(a: np.ndarray, op: str, what: str = "value"):
+    """Raise ``NumericError`` ("{op} produced a non-finite {what}") unless
+    every value of ``a`` is finite."""
+    if not _all(np.isfinite(a), axis=None):
+        raise NumericError(f"{op} produced a non-finite {what}")
+
+
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum a broadcast gradient back down to the operand's shape."""
     while g.ndim > len(shape):
@@ -463,8 +439,7 @@ def scale_head(x, w, b) -> Tensor:
                          f"{x.shape}, {w.shape}, {b.shape}")
     pre = x.data @ w.data
     pre += b.data
-    if not _all(np.isfinite(pre), axis=None):
-        raise NumericError("scale_head produced a non-finite value")
+    _check_finite(pre, "scale_head")
     data = np.exp(np.minimum(np.maximum(pre, -6.0), 6.0))
 
     def vjp(g):
@@ -628,8 +603,7 @@ def aligned_nll(mu, sigma, u, logdet, frame_tokens) -> Tensor:
     diff = np.subtract(u.data.T, m, out=np.empty(m.shape))  # C-ordered, as the sum needs
     two_s = 2.0 * s
     den = two_s * s
-    if not _all(np.isfinite(den), axis=None):
-        raise NumericError("aligned_nll produced a non-finite value")
+    _check_finite(den, "aligned_nll")
     sq = diff * diff
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = np.log(s)
@@ -715,8 +689,7 @@ def add_layer_norm(a, b, axis: int = -1) -> Tensor:
 def _checked_sum(a: np.ndarray, b: np.ndarray, op: str) -> np.ndarray:
     """``a + b``; raises ``NumericError`` naming ``op`` if a value is not finite."""
     s = a + b
-    if not _all(np.isfinite(s), axis=None):
-        raise NumericError(f"{op} produced a non-finite value")
+    _check_finite(s, op)
     return s
 
 
@@ -740,8 +713,7 @@ def attention_probs(q: np.ndarray, k: np.ndarray, scale: float,
         except ValueError:
             raise ShapeError(f"{op}: bias {np.shape(bias)} does not fit scores "
                              f"{scores.shape[1:]}")
-    if not _all(np.isfinite(scores), axis=None):
-        raise NumericError(f"{op} produced a non-finite score")
+    _check_finite(scores, op, "score")
     scores -= _max(scores, axis=-1, keepdims=True)
     np.exp(scores, out=scores)
     scores /= _sum(scores, axis=-1, keepdims=True)
@@ -756,15 +728,13 @@ def _attend(x: np.ndarray, wd: np.ndarray, n: int, scale: float, bias, wo, op: s
     naming ``op``, where ``attention`` does, bar its output check."""
     length, d = x.shape[0], wd.shape[2]
     qkv = np.matmul(x, wd)  # (3H, T, d)
-    if not _all(np.isfinite(qkv), axis=None):
-        raise NumericError(f"{op} produced a non-finite q, k or v")
+    _check_finite(qkv, op, "q, k or v")
     q, k, v = qkv[:n], qkv[n : 2 * n], qkv[2 * n :]
     att = attention_probs(q, k, scale, bias, op)  # (H, T, T)
     heads = np.matmul(att, v).transpose(1, 0, 2).reshape(length, n * d)
     out = heads
     if wo is not None:
-        if not _all(np.isfinite(heads), axis=None):
-            raise NumericError(f"{op} produced a non-finite value")
+        _check_finite(heads, op)
         out = heads @ wo
 
     def back(g, want_x=True, want_w=True, want_wo=True):
@@ -838,14 +808,14 @@ def attention(x, w, n_heads: int, scale: float, bias: np.ndarray | None = None,
 
 def _feed_forward(x: np.ndarray, w1: np.ndarray, b1: np.ndarray, w2: np.ndarray,
                   b2: np.ndarray, op: str):
-    """The forward of ``ffn`` on arrays: (output, back), where ``back(g,
-    wants)`` gives the cotangents of x, w1, b1, w2 and b2, None where
-    ``wants`` (five flags) says no, skipping what nothing wants. Raises
-    ``NumericError``, naming ``op``, on a non-finite first affine map."""
+    """The position-wise net ``relu(x @ w1 + b1) @ w2 + b2`` on arrays:
+    (output, back), where ``back(g, wants)`` gives the cotangents of x, w1,
+    b1, w2 and b2, None where ``wants`` (five flags) says no, skipping what
+    nothing wants. Raises ``NumericError``, naming ``op``, on a non-finite
+    first affine map (relu would turn a -inf into 0)."""
     pre = x @ w1
     pre += b1
-    if not _all(np.isfinite(pre), axis=None):
-        raise NumericError(f"{op} produced a non-finite value")
+    _check_finite(pre, op)
     hid = np.maximum(pre, 0.0)
     data = hid @ w2
     data += b2
@@ -864,33 +834,16 @@ def _feed_forward(x: np.ndarray, w1: np.ndarray, b1: np.ndarray, w2: np.ndarray,
     return data, back
 
 
-def ffn(x, w1, b1, w2, b2) -> Tensor:
-    """Position-wise feed-forward net ``relu(x @ w1 + b1) @ w2 + b2`` as one
-    tape node; x: (N, D), w1: (D, F), b1: (F,), w2: (F, M), b2: (M,).
-
-    The result and the five cotangents equal the linear, relu, linear chain
-    byte for byte. It raises ``NumericError`` exactly where that chain did: on
-    a non-finite first affine map (relu would turn a -inf into 0), and through
-    ``_make`` on a non-finite output; relu of a finite value is finite.
-    """
-    x, w1, b1, w2, b2 = (ensure_tensor(t) for t in (x, w1, b1, w2, b2))
-    if (x.ndim != 2 or w1.ndim != 2 or w2.ndim != 2 or x.shape[1] != w1.shape[0]
-            or b1.shape != w1.shape[1:] or w2.shape[0] != w1.shape[1] or b2.shape != w2.shape[1:]):
-        raise ShapeError(f"ffn expects x (N,D), w1 (D,F), b1 (F,), w2 (F,M) and b2 (M,), got "
-                         f"{x.shape}, {w1.shape}, {b1.shape}, {w2.shape}, {b2.shape}")
-    data, back = _feed_forward(x.data, w1.data, b1.data, w2.data, b2.data, "ffn")
-    return _make(data, (x, w1, b1, w2, b2), back, "ffn")
-
-
 def encoder_block(x, w, wo, w1, b1, w2, b2, n_heads: int, scale: float,
                   bias: np.ndarray | None = None) -> Tensor:
     """A post-norm transformer block as one tape node: with ``a = attention(x,
     w, n_heads, scale, bias, wo)`` and ``x1 = add_layer_norm(x, a, axis=1)``,
-    the output ``add_layer_norm(x1, ffn(x1, w1, b1, w2, b2), axis=1)``.
+    the output ``add_layer_norm(x1, linear(relu(linear(x1, w1, b1)), w2, b2),
+    axis=1)``.
     x: (T, D); w: (3H, D, d); wo: (H*d, D); w1: (D, F), b1: (F,), w2: (F, D),
     b2: (D,).
 
-    The result and the seven cotangents equal that four-node chain byte for
+    The result and the seven cotangents equal that six-node chain byte for
     byte: x1's cotangent is the second norm's plus the net's, and x's the
     first norm's plus the attention's, as the walk summed them. The VJP
     returns ``None`` for a parent that takes no gradient and skips the work
@@ -957,8 +910,7 @@ def affine_coupling(x, c) -> Tensor:
         raise ShapeError(f"affine_coupling expects x (2h,T) and c (3h,T), got {xs}, "
                          f"{c.shape}")
     s, xb = c.data[:h], x.data[h:]
-    if not _all(np.isfinite(s), axis=None):
-        raise NumericError("affine_coupling produced a non-finite value")
+    _check_finite(s, "affine_coupling")
     data = np.empty(xs)
     data[:h] = c.data[2 * h :]
     yb = data[h:]
@@ -1026,6 +978,62 @@ def _col2im(gcols: np.ndarray, cin: int, k: int, taps) -> np.ndarray:
     return gx
 
 
+def _conv(x: np.ndarray, w: np.ndarray, b: np.ndarray | None):
+    """The forward of ``conv1d`` on arrays, im2col + one matmul, plus the bias
+    ``b`` unless it is None: (output, back), where ``back(g, want_x, want_w,
+    want_b)`` gives the cotangents of x, w and b, None where a flag says no
+    (or b is None), skipping what nothing wants."""
+    cout, cin, k = w.shape
+    taps = _taps(k, x.shape[1])
+    cols, wm = _im2col(x, k, taps), w.reshape(cout, cin * k)
+    out = wm @ cols
+    if b is not None:
+        out += b[:, None]
+
+    def back(g, want_x=True, want_w=True, want_b=True):
+        return (_col2im(wm.T @ g, cin, k, taps) if want_x else None,
+                (g @ cols.T).reshape(w.shape) if want_w else None,
+                _sum(g, axis=1) if want_b and b is not None else None)
+
+    return out, back
+
+
+def _conv_net(x: np.ndarray, w1: np.ndarray, b1: np.ndarray, w2: np.ndarray, b2: np.ndarray,
+              wc: np.ndarray | None, cond: np.ndarray | None, op: str):
+    """``conv(relu(conv(x, w1, b1) + wc @ cond), w2, b2)`` on arrays, the
+    condition term (added to every step) only with ``wc``: (output, back),
+    where ``back(g, wants)`` gives the cotangents of x, w1, b1, w2, b2, wc and
+    cond, None where ``wants`` (seven flags) says no, skipping what nothing
+    wants. Raises ``NumericError``, naming ``op``, on a non-finite first conv
+    output, condition, condition sum or output; relu of a finite value is
+    finite."""
+    pre, conv1_back = _conv(x, w1, b1)
+    _check_finite(pre, op)
+    if wc is not None:
+        _check_finite(cond, op)
+        cond_col = cond.reshape(-1, 1)
+        pre += wc @ cond_col
+        _check_finite(pre, op)
+    out, conv2_back = _conv(np.maximum(pre, 0.0), w2, b2)
+    _check_finite(out, op)
+
+    def back(g, wants):
+        want_x, want_w1, want_b1, want_w2, want_b2, want_wc, want_cond = wants
+        need_pre = want_x or want_w1 or want_b1 or want_wc or want_cond
+        g_hid, g_w2, g_b2 = conv2_back(g, need_pre, want_w2, want_b2)
+        g_x = g_w1 = g_b1 = g_wc = g_cond = None
+        if need_pre:
+            g_pre = g_hid * (pre > 0.0)
+            g_x, g_w1, g_b1 = conv1_back(g_pre, want_x, want_w1, want_b1)
+            if want_wc or want_cond:
+                g_cm = _unbroadcast(g_pre, (pre.shape[0], 1))  # the add's VJP: the row sum
+                g_wc = g_cm @ cond_col.T if want_wc else None
+                g_cond = (wc.T @ g_cm).reshape(cond.shape) if want_cond else None
+        return g_x, g_w1, g_b1, g_w2, g_b2, g_wc, g_cond
+
+    return out, back
+
+
 def conv1d(x, w, b=None) -> Tensor:
     """1-D convolution over the last axis, stride 1, same-padding, plus an
     optional per-output-channel bias, as one tape node.
@@ -1044,29 +1052,19 @@ def conv1d(x, w, b=None) -> Tensor:
     x, w = ensure_tensor(x), ensure_tensor(w)
     if x.ndim != 2 or w.ndim != 3:
         raise ShapeError(f"conv1d expects x (C,L) and w (O,C,K), got {x.shape}, {w.shape}")
-    cin, length = x.shape
-    cout, cin_w, k = w.shape
-    if cin != cin_w:
-        raise ShapeError(f"conv1d: x has {cin} channels but kernel expects {cin_w}")
-    taps = _taps(k, length)
-    cols = _im2col(x.data, k, taps)
-    w2 = w.data.reshape(cout, cin * k)
-    data = w2 @ cols
+    if x.shape[0] != w.shape[1]:
+        raise ShapeError(f"conv1d: x has {x.shape[0]} channels but kernel expects {w.shape[1]}")
     parents = (x, w)
     if b is not None:
         b = ensure_tensor(b)
-        if b.shape != (cout,):
-            raise ShapeError(f"conv1d: bias {b.shape} does not match {cout} output channels")
-        data += b.data[:, None]
+        if b.shape != w.shape[:1]:
+            raise ShapeError(f"conv1d: bias {b.shape} does not match {w.shape[0]} output "
+                             f"channels")
         parents = (x, w, b)
-
-    def vjp(g):
-        # skip the cotangents nothing will use: a constant input or a frozen kernel
-        gx = _col2im(w2.T @ g, cin, k, taps) if x.requires_grad else None
-        gw = (g @ cols.T).reshape(cout, cin, k) if w.requires_grad else None
-        return (gx, gw) if b is None else (gx, gw, _sum(g, axis=1))
-
-    return _make(data, parents, vjp, "conv1d")
+    data, back = _conv(x.data, w.data, None if b is None else b.data)
+    # skip the cotangents nothing will use: a constant input or a frozen kernel
+    return _make(data, parents,
+                 lambda g: back(g, x.requires_grad, w.requires_grad)[:len(parents)], "conv1d")
 
 
 def conv_tower(feats, extra, w1, b1, w2, b2, wh, bh, wc=None, cond=None) -> Tensor:
@@ -1090,7 +1088,8 @@ def conv_tower(feats, extra, w1, b1, w2, b2, wh, bh, wc=None, cond=None) -> Tens
     conv's cotangent. As ``conv1d`` does, the VJP returns ``None``, and skips
     the work, for an input or a kernel that takes no gradient. It raises
     ``NumericError`` exactly where that chain raised: on a non-finite input,
-    first conv output, condition product or sum, or second conv output, and
+    first conv output, condition (the chain's reshape of it) or condition sum
+    (which a non-finite product makes non-finite), or second conv output, and
     through ``_make`` on a non-finite score; relu of a finite value is finite.
     """
     feats, w1, b1, w2, b2, wh, bh = (ensure_tensor(t) for t in (feats, w1, b1, w2, b2, wh, bh))
@@ -1113,29 +1112,9 @@ def conv_tower(feats, extra, w1, b1, w2, b2, wh, bh, wc=None, cond=None) -> Tens
     x = feats.data.T
     if extra is not None:
         x = np.concatenate((x, extra.data.reshape(length, -1).T))
-    if not _all(np.isfinite(x), axis=None):  # where the chain's concat or transpose raised
-        raise NumericError("conv_tower produced a non-finite value")
-    cin, k1, k2 = x.shape[0], w1.shape[2], w2.shape[2]
-    taps1, taps2 = _taps(k1, length), _taps(k2, length)
-    cols1, w1m = _im2col(x, k1, taps1), w1.data.reshape(f, cin * k1)
-    pre1 = w1m @ cols1
-    pre1 += b1.data[:, None]
-    if not _all(np.isfinite(pre1), axis=None):
-        raise NumericError("conv_tower produced a non-finite value")
-    if wc is not None:
-        cond_col = cond.data.reshape(-1, 1)
-        cm = wc.data @ cond_col
-        if not _all(np.isfinite(cm), axis=None):
-            raise NumericError("conv_tower produced a non-finite value")
-        pre1 += cm
-        if not _all(np.isfinite(pre1), axis=None):
-            raise NumericError("conv_tower produced a non-finite value")
-    h1 = np.maximum(pre1, 0.0)
-    cols2, w2m = _im2col(h1, k2, taps2), w2.data.reshape(g_ch, f * k2)
-    pre2 = w2m @ cols2
-    pre2 += b2.data[:, None]
-    if not _all(np.isfinite(pre2), axis=None):
-        raise NumericError("conv_tower produced a non-finite value")
+    _check_finite(x, "conv_tower")  # where the chain's concat or transpose raised
+    wcd, cd = (None, None) if wc is None else (wc.data, cond.data)
+    pre2, net_back = _conv_net(x, w1.data, b1.data, w2.data, b2.data, wcd, cd, "conv_tower")
     h2 = np.maximum(pre2, 0.0)  # C-ordered, so it is the 1x1 head's im2col columns as is
     whm = wh.data.reshape(1, g_ch)
     out = whm @ h2
@@ -1143,32 +1122,22 @@ def conv_tower(feats, extra, w1, b1, w2, b2, wh, bh, wc=None, cond=None) -> Tens
     slots = (feats, extra, w1, b1, w2, b2, wh, bh, wc, cond)
 
     def vjp(g):
+        f_rg, e_rg = feats.requires_grad, extra is not None and extra.requires_grad
+        net_wants = (f_rg or e_rg, w1.requires_grad, b1.requires_grad, w2.requires_grad,
+                     b2.requires_grad, wc is not None and wc.requires_grad,
+                     wc is not None and cond.requires_grad)
         g_o = (g + 0.0).reshape(1, length)  # the getitem VJP: 0.0 + g, so -0.0 becomes +0.0
-        gf = ge = g_w1 = g_b1 = g_w2 = g_b2 = g_wc = g_cond = None
         g_wh = (g_o @ h2.T).reshape(wh.shape) if wh.requires_grad else None
         g_bh = _sum(g_o, axis=1) if bh.requires_grad else None
-        x_rg = feats.requires_grad or (extra is not None and extra.requires_grad)
-        need1 = (x_rg or w1.requires_grad or b1.requires_grad
-                 or (wc is not None and (wc.requires_grad or cond.requires_grad)))
-        if need1 or w2.requires_grad or b2.requires_grad:
+        gf = ge = g_w1 = g_b1 = g_w2 = g_b2 = g_wc = g_cond = None
+        if True in net_wants:
             g_h2 = whm.T @ g_o
             g_h2 += 0.0  # the head's col2im: its one tap added into a zero buffer
-            g_pre2 = g_h2 * (pre2 > 0.0)
-            g_w2 = (g_pre2 @ cols2.T).reshape(w2.shape) if w2.requires_grad else None
-            g_b2 = _sum(g_pre2, axis=1) if b2.requires_grad else None
-        if need1:
-            g_pre1 = _col2im(w2m.T @ g_pre2, f, k2, taps2) * (pre1 > 0.0)
-            g_w1 = (g_pre1 @ cols1.T).reshape(w1.shape) if w1.requires_grad else None
-            g_b1 = _sum(g_pre1, axis=1) if b1.requires_grad else None
-            if wc is not None:
-                g_cm = _unbroadcast(g_pre1, (f, 1))  # the add's VJP: the row sum (I > 1)
-                g_wc = g_cm @ cond_col.T if wc.requires_grad else None
-                g_cond = (wc.data.T @ g_cm).reshape(cond.shape) if cond.requires_grad else None
-            if x_rg:  # the transpose and concat VJPs: views of the col2im's rows
-                gx = _col2im(w1m.T @ g_pre1, cin, k1, taps1)
-                gf = gx.T[:, :h] if feats.requires_grad else None
-                if extra is not None and extra.requires_grad:
-                    ge = gx.T[:, h:] if extra.ndim == 2 else gx[h]
+            gx, g_w1, g_b1, g_w2, g_b2, g_wc, g_cond = net_back(g_h2 * (pre2 > 0.0), net_wants)
+            if f_rg:  # the transpose and concat VJPs: views of the col2im's rows
+                gf = gx.T[:, :h]
+            if e_rg:
+                ge = gx.T[:, h:] if extra.ndim == 2 else gx[h]
         grads = (gf, ge, g_w1, g_b1, g_w2, g_b2, g_wh, g_bh, g_wc, g_cond)
         return [gr for t, gr in zip(slots, grads) if t is not None]
 
@@ -1228,32 +1197,15 @@ def coupling_conditioner(x, w1, b1, w2, b2, wqkv=None, wo=None, scale: float = 1
                          "(2h,F,K2), b2 (2h,), wqkv (3,h,d) and wo (d,h) or neither, and wc "
                          f"(F,D) with D cond values or neither, got {shapes}")
     op = "coupling_conditioner"
-    length, k1, k2 = xs[1], w1s[2], w2s[2]
+    length = xs[1]
     xa = x.data[:h]
     hs = xa
     if wqkv is not None:  # the chain's getitem and transpose made xa.T contiguous
         a, attention_back = _attend(np.ascontiguousarray(xa.T), wqkv.data, 1, scale, None,
                                     wo.data, op)
         hs = _checked_sum(xa, a.T, op)
-    taps1, taps2 = _taps(k1, length), _taps(k2, length)
-    cols1, w1m = _im2col(hs, k1, taps1), w1.data.reshape(f, h * k1)
-    pre = w1m @ cols1
-    pre += b1.data[:, None]
-    if not _all(np.isfinite(pre), axis=None):
-        raise NumericError(f"{op} produced a non-finite value")
-    if wc is not None:
-        if not _all(np.isfinite(cond.data), axis=None):
-            raise NumericError(f"{op} produced a non-finite value")
-        cond_col = cond.data.reshape(-1, 1)
-        pre += wc.data @ cond_col
-        if not _all(np.isfinite(pre), axis=None):
-            raise NumericError(f"{op} produced a non-finite value")
-    hid = np.maximum(pre, 0.0)
-    cols2, w2m = _im2col(hid, k2, taps2), w2.data.reshape(2 * h, f * k2)
-    out = w2m @ cols2
-    out += b2.data[:, None]
-    if not _all(np.isfinite(out), axis=None):
-        raise NumericError(f"{op} produced a non-finite value")
+    wcd, cd = (None, None) if wc is None else (wc.data, cond.data)
+    out, net_back = _conv_net(hs, w1.data, b1.data, w2.data, b2.data, wcd, cd, op)
     data = np.empty((3 * h, length))
     np.minimum(np.maximum(out[:h], -8.0), 8.0, out=data[:h])
     data[h : 2 * h] = out[h:]
@@ -1262,32 +1214,22 @@ def coupling_conditioner(x, w1, b1, w2, b2, wqkv=None, wo=None, scale: float = 1
     def vjp(g):
         wants = [t is not None and t.requires_grad for t in slots]
         x_rg, w1_rg, b1_rg, w2_rg, b2_rg, wq_rg, wo_rg, wc_rg, cond_rg = wants
-        g_x = g_wqkv = g_wo = g_w1 = g_b1 = g_w2 = g_b2 = g_wc = g_cond = None
         g_out = np.empty((2 * h, length))
         s_in = out[:h]
         np.multiply(g[:h], (s_in > -8.0) & (s_in < 8.0), out=g_out[:h])  # the clamp VJP
         g_out[h:] = g[h : 2 * h]  # no +0.0 start: what reads g_out starts from +0.0
-        g_w2 = (g_out @ cols2.T).reshape(w2s) if w2_rg else None
-        g_b2 = _sum(g_out, axis=1) if b2_rg else None
         need_hs = x_rg or wq_rg or wo_rg
-        if need_hs or w1_rg or b1_rg or wc_rg or cond_rg:
-            g_pre = _col2im(w2m.T @ g_out, f, k2, taps2) * (pre > 0.0)
-            g_w1 = (g_pre @ cols1.T).reshape(w1s) if w1_rg else None
-            g_b1 = _sum(g_pre, axis=1) if b1_rg else None
-            if wc is not None and (wc_rg or cond_rg):
-                g_cm = _unbroadcast(g_pre, (f, 1))  # the add's VJP: the row sum (T > 1)
-                g_wc = g_cm @ cond_col.T if wc_rg else None
-                g_cond = (wc.data.T @ g_cm).reshape(cond.shape) if cond_rg else None
-            if need_hs:
-                g_hs = _col2im(w1m.T @ g_pre, h, k1, taps1)
-                if wqkv is not None:  # the transpose VJPs hand over transposed views
-                    g_at, g_wqkv, g_wo = attention_back(g_hs.T, x_rg, wq_rg, wo_rg)
-                if x_rg:  # xa's cotangents, newest consumer first
-                    g_xa = g[2 * h :] + g_hs
-                    if wqkv is not None:
-                        g_xa += g_at.T
-                    g_x = np.zeros(xs)
-                    g_x[:h] += g_xa
+        g_hs, g_w1, g_b1, g_w2, g_b2, g_wc, g_cond = net_back(
+            g_out, (need_hs, w1_rg, b1_rg, w2_rg, b2_rg, wc_rg, cond_rg))
+        g_x = g_wqkv = g_wo = None
+        if wqkv is not None and need_hs:  # the transpose VJPs hand over transposed views
+            g_at, g_wqkv, g_wo = attention_back(g_hs.T, x_rg, wq_rg, wo_rg)
+        if x_rg:  # xa's cotangents, newest consumer first
+            g_xa = g[2 * h :] + g_hs
+            if wqkv is not None:
+                g_xa += g_at.T
+            g_x = np.zeros(xs)
+            g_x[:h] += g_xa
         grads = (g_x, g_w1, g_b1, g_w2, g_b2, g_wqkv, g_wo, g_wc, g_cond)
         return [gr for t, gr in zip(slots, grads) if t is not None]
 

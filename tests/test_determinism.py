@@ -6,7 +6,7 @@ stdout included, must equal the hash-seed-0 trial's byte for byte; nothing is
 listed by name, so a new output cannot escape the check. As a script,
 ``python tests/test_determinism.py PARENT_TREE CHANGE_TREE`` runs the table on
 two source trees under hash seed 0, prints every output that differs and
-exits 1 if any does.
+exits 1 if any does, or 2 if it cannot run a command.
 """
 
 import argparse
@@ -115,5 +115,11 @@ def compare(parent: Path, change: Path) -> int:
 
 if __name__ == "__main__":
     if len(sys.argv) != 3:
-        sys.exit(f"usage: python {sys.argv[0]} PARENT_TREE CHANGE_TREE")
-    sys.exit(compare(Path(sys.argv[1]), Path(sys.argv[2])))
+        print(f"usage: python {sys.argv[0]} PARENT_TREE CHANGE_TREE", file=sys.stderr)
+        sys.exit(2)
+    try:
+        status = compare(Path(sys.argv[1]), Path(sys.argv[2]))
+    except Exception as e:  # a command failed or timed out: no comparison was made
+        print(f"could not compare: {e}", file=sys.stderr)
+        status = 2
+    sys.exit(status)

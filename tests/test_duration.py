@@ -711,6 +711,10 @@ class TestInputChecks:
                 generate(gen, h, None, mask)
         with pytest.raises(ShapeError, match=r"\(3, 4\)"):
             generate(gen, h[0], None, np.ones((1, 3), bool))
+        for mask, want in (([[True, False, True]], "prefix-form"),
+                           ([[False, False, False]], "at least one valid token")):
+            with pytest.raises(ValueError, match=want):
+                generate(gen, h, None, mask)
         assert [t.shape for t in generate(gen, h, None, np.ones((1, 3), bool))] == [(3,)]
 
     def test_noise_must_fit_the_features(self):

@@ -80,7 +80,8 @@ def projected_attention_reference(x, w, n_heads, scale, bias=None, wo=None):
 
 
 def ffn_reference(x, w1, b1, w2, b2):
-    """``nm.ffn`` as the chain of tape ops it replaces."""
+    """The position-wise net of ``nm.encoder_block`` as the chain of tape ops
+    it replaces."""
     return nm.linear(nm.relu(nm.linear(x, w1, b1)), w2, b2)
 
 
@@ -90,6 +91,15 @@ def affine_coupling_reference(x, c):
     return nm.concat([c[2 * h:], x[h:] * nm.exp(c[:h]) + c[h:2 * h]], axis=0)
 
 
+def feed_forward_node(x, w1, b1, w2, b2):
+    """``nm._feed_forward``, the encoder block's net on arrays, as one tape
+    node named "ffn", wrapped the way ``encoder_block`` wraps it."""
+    parents = x, w1, b1, w2, b2 = tuple(map(nm.ensure_tensor, (x, w1, b1, w2, b2)))
+    data, back = nm._feed_forward(x.data, w1.data, b1.data, w2.data, b2.data, "ffn")
+    return nm._make(data, parents, lambda g: back(g, [t.requires_grad for t in parents]),
+                    "ffn")
+
+
 def scale_head_reference(x, w, b):
     """``nm.scale_head`` as the chain of tape ops it replaces."""
     return nm.exp(nm.clamp(nm.linear(x, w, b), -6.0, 6.0))
@@ -97,9 +107,9 @@ def scale_head_reference(x, w, b):
 
 def encoder_block_reference(x, w, wo, w1, b1, w2, b2, n_heads, scale, bias=None):
     """``nm.encoder_block`` as the chain of tape ops it replaces: attention
-    with its output projection, add_layer_norm, ffn and add_layer_norm."""
+    with its output projection, add_layer_norm, the net and add_layer_norm."""
     x = nm.add_layer_norm(x, nm.attention(x, w, n_heads, scale, bias, wo), axis=1)
-    return nm.add_layer_norm(x, nm.ffn(x, w1, b1, w2, b2), axis=1)
+    return nm.add_layer_norm(x, ffn_reference(x, w1, b1, w2, b2), axis=1)
 
 
 def _conditioner_chain(x, w1, b1, w2, b2, wqkv, wo, scale, wc, cond):
@@ -1088,9 +1098,10 @@ class TestFusedLayerOps:
 
 
 class TestFusedProjectionFfnCoupling:
-    """The output projection folded into ``attention``, ``ffn`` and
-    ``affine_coupling`` against the op chains they replace: the same bytes
-    forward and backward, and a ``NumericError`` on exactly the same inputs."""
+    """``attention`` with its output projection, the encoder block's net
+    ``_feed_forward`` as one node, and ``affine_coupling``, against the op
+    chains they replace: the same bytes forward and backward, and a
+    ``NumericError`` on exactly the same inputs."""
 
     @pytest.mark.parametrize("bias_kind", [None, "mask", "dense"])
     @pytest.mark.parametrize("shape", [(1, 4, 2, 2), (5, 32, 2, 16), (9, 4, 1, 8),
@@ -1140,7 +1151,8 @@ class TestFusedProjectionFfnCoupling:
                   for s in ((n, d), (d, f), (f,), (f, m), (m,))]
         leaves[0].data[0] = 0.0  # pre-activations at relu's kink
         leaves[2].data[::2] = 0.0
-        assert _forward_and_grads(nm.ffn, leaves) == _forward_and_grads(ffn_reference, leaves)
+        assert (_forward_and_grads(feed_forward_node, leaves)
+                == _forward_and_grads(ffn_reference, leaves))
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_ffn_raises_where_the_chain_raises(self):
@@ -1150,12 +1162,12 @@ class TestFusedProjectionFfnCoupling:
             for sign in (1.0, -1.0):  # relu turns an overflow to -inf into 0
                 args = (Tensor([[sign * big, sign * big]]), Tensor(np.ones((2, 1))),
                         Tensor([0.0]), Tensor([[10.0]]), Tensor([0.0]))
-                fused = _raises_numeric(nm.ffn, *args)
+                fused = _raises_numeric(feed_forward_node, *args)
                 assert fused == _raises_numeric(ffn_reference, *args), (exponent, sign)
                 outcomes[sign].add(fused)
         assert outcomes == {1.0: {False, True}, -1.0: {False, True}}
         with pytest.raises(NumericError, match=r"^ffn produced a non-finite value$"):
-            nm.ffn(*args)
+            feed_forward_node(*args)
 
     @pytest.mark.parametrize("h, length", [(1, 1), (1, 9), (2, 5), (3, 40)])
     def test_affine_coupling_bytes_match_the_chain(self, h, length):
@@ -1208,9 +1220,6 @@ class TestFusedProjectionFfnCoupling:
         out = nm.attention(x, w, 3, scale, None, wo)
         assert out.shape == (4, 5) and out._parents == (x, w, wo)
         assert [g.shape for g in out._vjp(np.ones(out.shape))] == [x.shape, w.shape, wo.shape]
-        leaves = [Tensor(np.ones(s), requires_grad=True)
-                  for s in ((2, 3), (3, 4), (4,), (4, 5), (5,))]
-        assert nm.ffn(*leaves)._parents == tuple(leaves)
         x, c = Tensor(np.ones((4, 3)), requires_grad=True), Tensor(np.ones((6, 3)),
                                                                    requires_grad=True)
         assert nm.affine_coupling(x, c)._parents == (x, c)
@@ -1221,10 +1230,6 @@ class TestFusedProjectionFfnCoupling:
             nm.attention(x, w, 3, 1.0, None, Tensor(np.ones((5, 2))))
         with pytest.raises(ShapeError, match="output projection"):
             nm.attention(x, w, 3, 1.0, None, Tensor(np.ones(6)))
-        ones = [np.ones(s) for s in ((2, 3), (3, 4), (4,), (4, 5), (5,))]
-        for i, bad in enumerate([(2, 2), (4, 4), (3,), (3, 5), (4,)]):
-            with pytest.raises(ShapeError, match="ffn expects"):
-                nm.ffn(*ones[:i], np.ones(bad), *ones[i + 1:])
         for args in ([np.ones((4, 3)), np.ones((4, 3))], [np.ones((4, 3)), np.ones((6, 2))],
                      [np.ones((3, 3)), np.ones((3, 3))], [np.ones(4), np.ones(6)]):
             with pytest.raises(ShapeError, match="affine_coupling expects"):
@@ -1259,7 +1264,6 @@ class TestFusedProjectionFfnCoupling:
 
         fused = outputs()
         monkeypatch.setattr(nm, "attention", projected_attention_reference)
-        monkeypatch.setattr(nm, "ffn", ffn_reference)
         monkeypatch.setattr(nm, "encoder_block", encoder_block_reference)
         monkeypatch.setattr(nm, "scale_head", scale_head_reference)
         monkeypatch.setattr(nm, "coupling_conditioner", coupling_conditioner_reference)
@@ -1369,7 +1373,9 @@ class TestFusedConvTower:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_stage_overflows_raise_where_the_chain_raises(self):
         """Each check of the chain: the input assembly, the first conv, the
-        condition product and sum, the second conv, and the scores."""
+        condition (its reshape node: with ``wc`` at zero, no product can
+        carry it), the condition product and sum, the second conv, and the
+        scores."""
         def case():
             leaves = [Tensor(np.zeros(s)) for s in ((3, 2), (3,), (2, 3, 3), (2,), (2, 2, 3),
                                                      (2,), (1, 2, 1), (1,), (2, 1), (1,))]
@@ -1378,6 +1384,7 @@ class TestFusedConvTower:
         stages = {
             "input": lambda t, big: t["feats"].data.__setitem__((0, 0), big * 10.0),
             "conv1": lambda t, big: (t["feats"].data.fill(big), t["w1"].data.fill(1.0)),
+            "cond": lambda t, big: t["cond"].data.fill(big * 10.0),
             "cond product": lambda t, big: (t["wc"].data.fill(3.0), t["cond"].data.fill(big)),
             "cond sum": lambda t, big: (t["b1"].data.fill(big), t["wc"].data.fill(1.0),
                                         t["cond"].data.fill(big)),
@@ -1490,7 +1497,7 @@ def _layer_bytes(op, leaves, g, ld_weight=0.7):
 
 
 class TestFusedEncoderBlock:
-    """``encoder_block`` against the attention, add_layer_norm, ffn,
+    """``encoder_block`` against the attention, add_layer_norm, net,
     add_layer_norm chain it replaces: the same bytes forward and backward, the
     same ``None`` skips, and a ``NumericError`` on exactly the same inputs."""
 
