@@ -49,7 +49,7 @@ class LogProbGrid:
         self.P = np.asarray(self.P, dtype=np.float64)
         if self.P.ndim != 2 or self.P.size == 0:
             raise ValueError(f"grid must be 2-D and non-empty, got shape {self.P.shape}")
-        if not np.all(np.isfinite(self.P)):
+        if not np.logical_and.reduce(np.isfinite(self.P), axis=None):  # np.all, unwrapped
             raise ValueError("grid has non-finite entries")
 
     # the token and frame counts, I and J; perfbench counts MAS cells with them
@@ -176,6 +176,17 @@ def alignment_score(grid: LogProbGrid, alignment: Alignment) -> float:
     return total
 
 
+def _std(a: np.ndarray) -> float:
+    """``a.std()`` as the ufuncs numpy's ``_methods._std`` calls, without its
+    Python wrappers: the same operations in the same order, so the same bits."""
+    n = a.size
+    mean = np.add.reduce(a, axis=None, keepdims=True)
+    np.true_divide(mean, n, out=mean)
+    dev = np.subtract(a, mean)
+    np.square(dev, out=dev)
+    return math.sqrt(np.add.reduce(dev, axis=None) / n)
+
+
 def mas_search(
     grid: LogProbGrid, noise_scale: float = 0.0, rng: Rng | None = None
 ) -> tuple[Alignment, float]:
@@ -215,7 +226,7 @@ def mas_search(
     if noise_scale > 0.0:
         if rng is None:
             raise ValueError("noise_scale > 0 requires an rng")
-        eps = rng.normal((vi, vj)) * P.std() * noise_scale
+        eps = rng.normal((vi, vj)) * _std(P) * noise_scale
 
     # frame-major: Q[j, i + 1] holds the score of token i at frame j, so a
     # frame's column is one contiguous row; Q[:, 0] is the -inf sentinel
@@ -231,20 +242,25 @@ def mas_search(
         if e is not None:
             cur += e
 
-    # advance[j-1, i]: if token i holds frame j, token i-1 holds frame j-1
-    advance = diag[:-1] >= stay[:-1]
-    durations = [0] * vi
-    i = vi - 1
-    for j in range(vj - 1, 0, -1):
-        durations[i] += 1
-        if i > 0 and advance[j - 1, i]:
-            i -= 1
-    durations[i] += 1
     best_q = Q[vj - 1, vi]
     if not math.isfinite(best_q):
         raise NumericError(f"alignment search overflowed: best_Q = {float(best_q)!r}")
     if eps is None:
         best_q += 0.0  # the zero noise term's one effect: -0.0 becomes +0.0
+
+    # byte i*(J-1) + j-1 of advance is 1 if token i holds frame j and token i-1
+    # frame j-1. Each token's row is contiguous, so where the path leaves a
+    # token is one rfind back from its last frame. A NaN or +inf in Q would
+    # reach best_Q, so here every token i holds a 1 at frame i, its first
+    # feasible one (there the stay cell is -inf).
+    advance = (diag[:-1] >= stay[:-1]).T.tobytes()
+    durations = [0] * vi
+    last = vj - 1  # the last frame of token i
+    for i in range(vi - 1, 0, -1):
+        row = i * (vj - 1)
+        k = advance.rfind(b"\x01", row, row + last) - row  # token i-1's last frame
+        durations[i], last = last - k, k
+    durations[0] = last + 1
     return Alignment(durations), float(best_q)
 
 

@@ -15,8 +15,10 @@ choices worth knowing:
 - Each forward op records its parents and a VJP closure on its output, and
   gradients accumulate only into leaves. Every tensor takes a number from
   one process-wide counter, so it outranks its parents, and ``backward``
-  pops the newest node a cotangent has reached from a heap, as PyTorch's
-  engine orders ready nodes; the graph is never sorted. A node's cotangents
+  pops the newest interior node a cotangent has reached from a heap, as
+  PyTorch's engine orders ready nodes; the graph is never sorted. A pending
+  cotangent waits in its node's ``_g`` slot, or for a leaf in a dict of the
+  call that sets each ``grad`` once, after the walk. A node's cotangents
   are summed newest consumer first: with at most two consumers that is a
   depth-first walk's sum bit for bit, with three or more it may associate
   differently (within 1e-12 relative on the speaker condition of four
@@ -48,7 +50,9 @@ replaced and raising ``NumericError`` where those chains raised:
 
 The duration losses are built on ``_make`` in ``duration.py``. The fused ops
 share array cores that return (output, back): ``_attend``, ``_feed_forward``,
-``_normalize``, ``_conv`` and ``_conv_net``; ``_check_finite`` is their check.
+``_normalize`` and ``_conv_net``, which runs two ``_conv`` forwards and one
+back closure over their saved arrays (``_conv_back``); ``_check_finite`` is
+their check.
 """
 
 from __future__ import annotations
@@ -91,7 +95,7 @@ class Tensor:
     into this tensor.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp", "_seq")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp", "_seq", "_g")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = _as_array(data)
@@ -99,6 +103,7 @@ class Tensor:
         self.grad: np.ndarray | None = None
         self._parents: tuple[Tensor, ...] = ()
         self._vjp = None
+        self._g = None  # the pending cotangent during a backward walk
         self._seq = next(_creation_order)  # a node outranks every one it was built from
 
     @property
@@ -173,11 +178,17 @@ class Tensor:
     def backward(self):
         """Populate ``grad`` on every requires_grad leaf reachable from this scalar.
 
-        Nodes are visited newest first: a heap keyed by creation number holds
-        every node a cotangent has reached. A node is built after all of its
+        Interior nodes are visited newest first: a heap keyed by creation
+        number holds every one a cotangent has reached, and each keeps its
+        pending cotangent in its ``_g`` slot. A node is built after all of its
         parents, so each of its consumers is newer and has already been
         visited when it is popped: its cotangent is complete, with no sort of
-        the graph. A node's cotangents are summed newest consumer first.
+        the graph. Leaves never enter the heap: their cotangents are summed in
+        a dict local to this call, and each leaf's ``grad`` is set once, after
+        the walk, so threads that share a leaf never mix their pending sums
+        (concurrent walks may share leaves, not interior nodes). Every
+        cotangent is summed newest consumer first. If a VJP raises, the
+        ``_g`` slots still set are cleared and no leaf's ``grad`` changes.
         Repeated calls without ``zero_grad`` accumulate. Raises ``ShapeError``
         if called on a non-scalar.
         """
@@ -185,25 +196,36 @@ class Tensor:
             raise ShapeError(
                 f"backward() needs a scalar loss, got shape {self.data.shape}"
             )
-        grads: dict[int, np.ndarray] = {id(self): np.ones_like(self.data)}
-        pending = [(-self._seq, self)]  # seqs are unique, so no tie compares Tensors
+        leaves: dict[Tensor, np.ndarray] = {}  # hashed by identity, in first-reached order
+        pending = []  # (-seq, node); seqs are unique, so no tie compares Tensors
+        if self._vjp is not None:
+            self._g = np.ones_like(self.data)
+            pending.append((-self._seq, self))
+        elif self.requires_grad:
+            leaves[self] = np.ones_like(self.data)
         pop, push = heapq.heappop, heapq.heappush
-        while pending:
-            node = pop(pending)[1]
-            g = grads.pop(id(node))
-            if node._vjp is None:
-                if node.requires_grad:
-                    node.grad = g if node.grad is None else node.grad + g
-                continue
-            for parent, pg in zip(node._parents, node._vjp(g)):
-                if pg is None or not parent.requires_grad:
-                    continue
-                key = id(parent)
-                if key in grads:
-                    grads[key] = grads[key] + pg
-                else:
-                    grads[key] = pg
-                    push(pending, (-parent._seq, parent))
+        try:
+            while pending:
+                node = pop(pending)[1]
+                g, node._g = node._g, None
+                for parent, pg in zip(node._parents, node._vjp(g)):
+                    if pg is None or not parent.requires_grad:
+                        continue
+                    if parent._vjp is None:
+                        if parent in leaves:
+                            leaves[parent] = leaves[parent] + pg
+                        else:
+                            leaves[parent] = pg
+                    elif parent._g is None:
+                        parent._g = pg
+                        push(pending, (-parent._seq, parent))
+                    else:
+                        parent._g = parent._g + pg
+        finally:
+            for _, node in pending:  # only when a VJP raised
+                node._g = None
+        for leaf, g in leaves.items():
+            leaf.grad = g if leaf.grad is None else leaf.grad + g
 
 
 def ensure_tensor(x) -> Tensor:
@@ -246,7 +268,7 @@ def _make(data, parents: tuple[Tensor, ...], vjp, op: str) -> Tensor:
     if not _all(np.isfinite(data), axis=None):
         raise NumericError(f"{op} produced a non-finite value")
     out = object.__new__(Tensor)
-    out.data, out.grad, out._seq = data, None, next(_creation_order)
+    out.data, out.grad, out._g, out._seq = data, None, None, next(_creation_order)
     if _grad_mode.enabled:
         for p in parents:
             if p.requires_grad:
@@ -980,22 +1002,26 @@ def _col2im(gcols: np.ndarray, cin: int, k: int, taps) -> np.ndarray:
 
 def _conv(x: np.ndarray, w: np.ndarray, b: np.ndarray | None):
     """The forward of ``conv1d`` on arrays, im2col + one matmul, plus the bias
-    ``b`` unless it is None: (output, back), where ``back(g, want_x, want_w,
-    want_b)`` gives the cotangents of x, w and b, None where a flag says no
-    (or b is None), skipping what nothing wants."""
+    ``b`` unless it is None: (output, saved), where saved holds the arrays
+    ``_conv_back`` reads."""
     cout, cin, k = w.shape
     taps = _taps(k, x.shape[1])
     cols, wm = _im2col(x, k, taps), w.reshape(cout, cin * k)
     out = wm @ cols
     if b is not None:
         out += b[:, None]
+    return out, (w, wm, cols, taps)
 
-    def back(g, want_x=True, want_w=True, want_b=True):
-        return (_col2im(wm.T @ g, cin, k, taps) if want_x else None,
-                (g @ cols.T).reshape(w.shape) if want_w else None,
-                _sum(g, axis=1) if want_b and b is not None else None)
 
-    return out, back
+def _conv_back(g: np.ndarray, saved, want_x: bool, want_w: bool, want_b: bool):
+    """The cotangents of x, w and b of ``_conv(x, w, b)`` from the output
+    cotangent g and what it saved, None where a flag says no, skipping what
+    nothing wants."""
+    w, wm, cols, taps = saved
+    _, cin, k = w.shape
+    return (_col2im(wm.T @ g, cin, k, taps) if want_x else None,
+            (g @ cols.T).reshape(w.shape) if want_w else None,
+            _sum(g, axis=1) if want_b else None)
 
 
 def _conv_net(x: np.ndarray, w1: np.ndarray, b1: np.ndarray, w2: np.ndarray, b2: np.ndarray,
@@ -1007,24 +1033,24 @@ def _conv_net(x: np.ndarray, w1: np.ndarray, b1: np.ndarray, w2: np.ndarray, b2:
     wants. Raises ``NumericError``, naming ``op``, on a non-finite first conv
     output, condition, condition sum or output; relu of a finite value is
     finite."""
-    pre, conv1_back = _conv(x, w1, b1)
+    pre, saved1 = _conv(x, w1, b1)
     _check_finite(pre, op)
     if wc is not None:
         _check_finite(cond, op)
         cond_col = cond.reshape(-1, 1)
         pre += wc @ cond_col
         _check_finite(pre, op)
-    out, conv2_back = _conv(np.maximum(pre, 0.0), w2, b2)
+    out, saved2 = _conv(np.maximum(pre, 0.0), w2, b2)
     _check_finite(out, op)
 
     def back(g, wants):
         want_x, want_w1, want_b1, want_w2, want_b2, want_wc, want_cond = wants
         need_pre = want_x or want_w1 or want_b1 or want_wc or want_cond
-        g_hid, g_w2, g_b2 = conv2_back(g, need_pre, want_w2, want_b2)
+        g_hid, g_w2, g_b2 = _conv_back(g, saved2, need_pre, want_w2, want_b2)
         g_x = g_w1 = g_b1 = g_wc = g_cond = None
         if need_pre:
             g_pre = g_hid * (pre > 0.0)
-            g_x, g_w1, g_b1 = conv1_back(g_pre, want_x, want_w1, want_b1)
+            g_x, g_w1, g_b1 = _conv_back(g_pre, saved1, want_x, want_w1, want_b1)
             if want_wc or want_cond:
                 g_cm = _unbroadcast(g_pre, (pre.shape[0], 1))  # the add's VJP: the row sum
                 g_wc = g_cm @ cond_col.T if want_wc else None
@@ -1061,10 +1087,11 @@ def conv1d(x, w, b=None) -> Tensor:
             raise ShapeError(f"conv1d: bias {b.shape} does not match {w.shape[0]} output "
                              f"channels")
         parents = (x, w, b)
-    data, back = _conv(x.data, w.data, None if b is None else b.data)
+    data, saved = _conv(x.data, w.data, None if b is None else b.data)
     # skip the cotangents nothing will use: a constant input or a frozen kernel
     return _make(data, parents,
-                 lambda g: back(g, x.requires_grad, w.requires_grad)[:len(parents)], "conv1d")
+                 lambda g: _conv_back(g, saved, x.requires_grad, w.requires_grad,
+                                      b is not None)[:len(parents)], "conv1d")
 
 
 def conv_tower(feats, extra, w1, b1, w2, b2, wh, bh, wc=None, cond=None) -> Tensor:
@@ -1092,18 +1119,19 @@ def conv_tower(feats, extra, w1, b1, w2, b2, wh, bh, wc=None, cond=None) -> Tens
     (which a non-finite product makes non-finite), or second conv output, and
     through ``_make`` on a non-finite score; relu of a finite value is finite.
     """
-    feats, w1, b1, w2, b2, wh, bh = (ensure_tensor(t) for t in (feats, w1, b1, w2, b2, wh, bh))
+    feats, w1, b1, w2, b2, wh, bh = map(ensure_tensor, (feats, w1, b1, w2, b2, wh, bh))
     extra = None if extra is None else ensure_tensor(extra)
     if wc is not None or cond is not None:
         wc, cond = ensure_tensor(wc), ensure_tensor(cond)
-    length, h = feats.shape if feats.ndim == 2 else (0, 0)
-    f, g_ch = w1.shape[0] if w1.ndim == 3 else 0, w2.shape[0] if w2.ndim == 3 else 0
-    n_extra = 0 if extra is None else extra.size // max(length, 1)
-    if (feats.ndim != 2 or w1.ndim != 3 or w2.ndim != 3
-            or extra is not None and extra.shape not in ((length,), (length, n_extra))
-            or w1.shape[1] != h + n_extra or b1.shape != (f,) or w2.shape[1] != f
-            or b2.shape != (g_ch,) or wh.shape != (1, g_ch, 1) or bh.shape != (1,)
-            or wc is not None and wc.shape != (f, cond.size)):
+    fs, w1s, w2s = feats.data.shape, w1.data.shape, w2.data.shape  # no property calls
+    length, h = fs if len(fs) == 2 else (0, 0)
+    f, g_ch = w1s[0] if len(w1s) == 3 else 0, w2s[0] if len(w2s) == 3 else 0
+    n_extra = 0 if extra is None else extra.data.size // max(length, 1)
+    if (len(fs) != 2 or len(w1s) != 3 or len(w2s) != 3
+            or extra is not None and extra.data.shape not in ((length,), (length, n_extra))
+            or w1s[1] != h + n_extra or b1.data.shape != (f,) or w2s[1] != f
+            or b2.data.shape != (g_ch,) or wh.data.shape != (1, g_ch, 1)
+            or bh.data.shape != (1,) or wc is not None and wc.data.shape != (f, cond.data.size)):
         shapes = ", ".join(str(None if t is None else t.shape)
                            for t in (feats, extra, w1, b1, w2, b2, wh, bh, wc, cond))
         raise ShapeError("conv_tower expects feats (I,H), extra None, (I,) or (I,Z), w1 "
@@ -1497,7 +1525,8 @@ class AdamW:
 
         Each element sees the IEEE ops of the per-parameter form, in its order:
         p -= (lr*wd)*p; m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*(g*g);
-        p -= (lr*m_hat) / (sqrt(v_hat) + eps).
+        p -= (lr*m_hat) / (sqrt(v_hat) + eps), skipping m_hat's divide once
+        its bias correction is exactly 1.0 (it would return m).
         """
         if first == stop:
             return
@@ -1515,8 +1544,14 @@ class AdamW:
         np.multiply(g, g, out=s1)
         s1 *= 1.0 - c.beta2
         v += s1
-        np.divide(m, 1.0 - c.beta1**self.t, out=s1)
-        s1 *= lr
+        # the first bias correction rounds to exactly 1.0 once beta1**t <= 2**-54
+        # (t >= 168 at beta1 = 0.8, t >= 1 at beta1 = 0), and m / 1.0 is m bit for bit
+        bc1 = 1.0 - c.beta1**self.t
+        if bc1 == 1.0:
+            np.multiply(m, lr, out=s1)
+        else:
+            np.divide(m, bc1, out=s1)
+            s1 *= lr
         np.divide(v, 1.0 - c.beta2**self.t, out=s2)
         np.sqrt(s2, out=s2)
         s2 += c.eps

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from alignflow import cli
 from alignflow.alignment import (
     Alignment,
+    _std,
     GridError,
     GridSizeError,
     InfeasibleAlignmentError,
@@ -322,6 +323,86 @@ class TestColumnwiseMatchesReference:
                 assert_same_search(grid)
                 for seed in range(50):
                     assert_same_search(grid, 1.0, seed)
+
+
+def mas_search_per_frame(grid, noise_scale=0.0, rng=None):
+    """``mas_search`` with its former glue: the noise scaled by ``P.std()``
+    through numpy's wrappers, the same column-wise DP, and a backtrack that
+    reads one numpy scalar of ``advance`` per frame. Returns (durations as a
+    list, best_Q)."""
+    P = grid.P
+    vi, vj = P.shape
+    eps = None if noise_scale == 0.0 else rng.normal((vi, vj)) * P.std() * noise_scale
+    Q = np.full((vj, vi + 1), -np.inf)
+    Q[0, 1] = P[0, 0] if eps is None else P[0, 0] + eps[0, 0]
+    stay, diag = Q[:, 1:], Q[:, :-1]
+    for j in range(1, vj):
+        np.maximum(stay[j - 1], diag[j - 1], out=stay[j])
+        stay[j] += P[:, j]
+        if eps is not None:
+            stay[j] += eps[:, j]
+    advance = diag[:-1] >= stay[:-1]
+    durations = [0] * vi
+    i = vi - 1
+    for j in range(vj - 1, 0, -1):
+        durations[i] += 1
+        if i > 0 and advance[j - 1, i]:
+            i -= 1
+    durations[i] += 1
+    best_q = Q[vj - 1, vi]
+    if eps is None:
+        best_q += 0.0
+    return durations, float(best_q)
+
+
+class TestSearchGlueMatchesPerFrameForm:
+    """The rfind backtrack and the unwrapped std give the per-frame form's
+    durations and best_Q bytes, noise off and on."""
+
+    @staticmethod
+    def assert_same(P, seed):
+        grid = LogProbGrid(P)
+        for scale in (0.0, 0.01, 1.0):
+            align, q = mas_search(grid, scale, Rng(seed))
+            durations, q_ref = mas_search_per_frame(grid, scale, Rng(seed))
+            assert align.durations.tolist() == durations, (P.shape, scale)
+            assert np.float64(q).tobytes() == np.float64(q_ref).tobytes(), (P.shape, scale)
+
+    @pytest.mark.parametrize("shape", [
+        (1, 1),                          # J = 1
+        (1, 2), (1, 80),                 # I = 1
+        (2, 2), (7, 7), (50, 50),        # I = J
+        (2, 3), (30, 150), (60, 300),    # training-sized grids
+    ])
+    def test_shapes(self, shape):
+        i, j = shape
+        self.assert_same(Rng(i * 1000 + j).normal((i, j)) * 4.0, i + j)
+
+    def test_random_grids(self):
+        rng = Rng(31)
+        for k in range(120):
+            i = rng.integers(1, 30)
+            j = rng.integers(i, i + 90)
+            self.assert_same(rng.normal((i, j)) * 10.0 ** rng.integers(-3, 4), k)
+
+    @pytest.mark.parametrize("fill", [0.0, -0.0, 2.5, -7.0])
+    def test_constant_grids_tie_in_every_cell(self, fill):
+        # std(P) = 0, so noise on is a grid of signed zeros
+        for shape in ((1, 1), (1, 9), (3, 3), (3, 10), (8, 40)):
+            for seed in range(5):
+                self.assert_same(np.full(shape, fill), seed)
+
+    def test_std_bytes_match_numpy(self):
+        rng = Rng(32)
+        arrays = [np.full((3, 5), 2.5), np.full((1, 1), -0.0), np.array([[1e308, -1e308]]),
+                  np.array([[5e-324, 0.0, -5e-324]])]
+        for _ in range(200):
+            shape = (rng.integers(1, 40), rng.integers(1, 300))
+            arrays.append(rng.normal(shape) * 10.0 ** rng.integers(-200, 200))
+        with np.errstate(all="ignore"):
+            for a in arrays:
+                for view in (a, a.T, a[:, ::2]):
+                    assert np.float64(_std(view)).tobytes() == view.std().tobytes()
 
 
 @st.composite

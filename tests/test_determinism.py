@@ -28,6 +28,8 @@ CONFIGS = {
                         "duration_adversarial = false", "condition_speaker = false"),
     "spk3": TINY + ("speakers = 3", "speaker_shift = 0.5", "obs_noise = 0.05"),  # noise draws
     "heads4": TINY + ("n_heads = 4", "flow_depth = 3"),  # stacked q/k/v leaf at H != 2
+    # past t = 168, where AdamW's first bias correction rounds to exactly 1.0
+    "steps200": ("steps_main = 200",) + TINY[1:],
     # 40-80 tokens, up to 640 frames: long training and the J x J flow attention
     "long": ("steps_main = 2", "n_eval = 6", "seq_min = 40", "seq_max = 80", "dur_max = 8"),
 }

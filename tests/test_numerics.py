@@ -632,6 +632,41 @@ class TestFlatAdamW:
             assert opt._m.tobytes() == np.concatenate(m, axis=None).tobytes(), step
             assert opt._v.tobytes() == np.concatenate(v, axis=None).tobytes(), step
 
+    def test_first_bias_correction_rounds_to_exactly_one(self):
+        # the steps from which AdamW stops dividing m by it
+        assert 1.0 - 0.8**167 != 1.0 and 1.0 - 0.8**168 == 1.0
+        assert 1.0 - 0.0**1 == 1.0
+
+    @pytest.mark.parametrize("beta1, steps", [
+        (0.8, 170),  # t = 167, 168 and 169 cross to the unit correction
+        (0.0, 6),    # the correction is 1.0 from t = 1
+    ])
+    def test_unit_bias_correction_steps_bit_identical(self, beta1, steps):
+        cfg = AdamWConfig(lr=0.03, beta1=beta1, weight_decay=0.1)
+        flat, ref = self._pair(2)
+        for a, b in zip(flat, ref):  # signed zeros among the params
+            a.data.reshape(-1)[0] = b.data.reshape(-1)[0] = -0.0
+        opt = AdamW(flat, cfg)
+        m = [np.zeros(p.shape) for p in ref]
+        v = [np.zeros(p.shape) for p in ref]
+        rng, negative_zero_moment = Rng(3), False
+        for t in range(1, steps + 1):
+            for i, (a, b) in enumerate(zip(flat, ref)):
+                if (t + i) % 11 == 0:
+                    a.grad = b.grad = None
+                    continue
+                g = rng.normal(a.shape) * 10.0 ** rng.integers(-3, 3)
+                g.reshape(-1)[: t % 3] = -0.0  # zero grads after negative moments
+                a.grad, b.grad = g, g.copy()
+            opt.step()
+            adamw_reference(ref, m, v, t, cfg.lr, cfg)
+            for a, b in zip(flat, ref):
+                assert a.data.tobytes() == b.data.tobytes(), t
+            assert opt._m.tobytes() == np.concatenate(m, axis=None).tobytes(), t
+            assert opt._v.tobytes() == np.concatenate(v, axis=None).tobytes(), t
+            negative_zero_moment |= bool((np.signbit(opt._m) & (opt._m == 0.0)).any())
+        assert negative_zero_moment or beta1 > 0.0  # m = 0 * m + g is -0.0 after a negative m
+
     def test_params_share_one_buffer(self):
         flat, _ = self._pair()
         frozen_param = Tensor([1.0, 2.0])
@@ -2105,6 +2140,101 @@ class TestCreationOrderWalk:
         # the two tapes took their numbers from one counter, op by op
         assert min(s1) < max(s2) and min(s2) < max(s1)
         assert g1.tobytes() == serial[0].tobytes() and g2.tobytes() == serial[1].tobytes()
+
+
+def _acceptance_main_loss():
+    """(main params, loss()), where ``loss()`` builds the tape of one
+    acceptance-7 main step, noise off, on the first training instance."""
+    from alignflow.alignment import log_prob_grid, mas_search
+    from alignflow.corpus import generate_corpus
+    from alignflow.harness import TrainConfig, _instance_forward, build_model
+
+    cfg = TrainConfig(seed=7)
+    root = Rng(cfg.seed)
+    model = build_model(cfg, root.child(3))
+    inst = generate_corpus(cfg.corpus_spec(), root.child(1)).train[0]
+
+    def loss():
+        _, mu, sigma, u, logdet, _ = _instance_forward(model, inst)
+        align, _ = mas_search(log_prob_grid(u.data.T, mu.data, sigma.data))
+        return nm.aligned_nll(mu, sigma, u, logdet, align.frame_tokens())
+
+    return model.main_params(), loss
+
+
+class TestSlotWalk:
+    """``backward`` keeps an interior node's pending cotangent in its ``_g``
+    slot and a leaf's in a dict of its own call, setting each leaf's ``grad``
+    once, after the walk."""
+
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    def test_a_raising_vjp_clears_every_slot_and_sets_no_grad(self, where):
+        params, loss = _acceptance_main_loss()
+        loss().backward()
+        serial = [p.grad.tobytes() for p in params]
+        for p in params:
+            p.grad = None
+        root = loss()
+        nodes = dfs_order(root)
+        # a node is visited after every newer one, so this is the visiting order
+        interior = sorted((n for n in nodes if n._vjp is not None), key=lambda n: -n._seq)
+        victim = interior[{"first": 0, "middle": len(interior) // 2, "last": -1}[where]]
+        vjp, pending = victim._vjp, []
+
+        def raising(g):
+            pending.extend(n for n in nodes if n._g is not None)
+            raise RuntimeError("vjp failed")
+
+        victim._vjp = raising
+        with pytest.raises(RuntimeError, match="vjp failed"):
+            root.backward()
+        if where == "middle":
+            assert pending  # the walk stopped with cotangents in flight
+        assert all(n._g is None for n in nodes)
+        assert all(p.grad is None for p in params)
+        victim._vjp = vjp
+        root.backward()
+        assert [p.grad.tobytes() for p in params] == serial
+
+    def test_leaf_sums_newest_consumer_first_then_adds_to_grad_once(self):
+        x = Tensor([0.0], requires_grad=True)
+        x.grad = np.array([1e16])
+        c1, c2, c3 = -1e16, 1.0, 1.0  # the consumers' cotangents, oldest first
+        nm.summation(x * c1 + x * c2 + x * c3).backward()
+        assert x.grad[0] == 1e16 + ((c3 + c2) + c1) == 2.0
+        # added to grad one consumer at a time it would be 0.0, oldest first -2.0
+        assert ((1e16 + c3) + c2) + c1 == 0.0 and 1e16 + ((c1 + c2) + c3) == 0.0
+
+    def test_a_walk_inside_a_walk_keeps_its_own_leaf_sums(self):
+        # a VJP of the outer walk runs a whole walk over a second tape on the
+        # same leaf; the outer walk's pending sum for that leaf must not see it
+        def tapes(w):
+            inner = nm.summation(w * 3.0 + w * w)
+            scaled = w * 2.0
+            return inner, scaled, nm.summation(scaled + nm.exp(w))
+
+        w = Tensor(np.array([0.5, -1.5]), requires_grad=True)
+        inner, _, _ = tapes(w)
+        inner.backward()
+        g_inner, w.grad = w.grad, None
+        _, _, outer = tapes(w)
+        outer.backward()
+        g_outer, w.grad = w.grad, None
+
+        inner, scaled, outer = tapes(w)
+        vjp = scaled._vjp
+        scaled._vjp = lambda g: (inner.backward(), vjp(g))[1]
+        outer.backward()
+        assert w.grad.tobytes() == (g_inner + g_outer).tobytes()
+
+    def test_leaf_and_constant_roots(self):
+        leaf = Tensor(2.0, requires_grad=True)
+        leaf.backward()
+        leaf.backward()
+        assert leaf.grad.tolist() == 2.0
+        const = Tensor(2.0)
+        const.backward()
+        assert const.grad is None and const._g is None
 
 
 def _nll_case(rng, durations, channels=2):
