@@ -311,7 +311,8 @@ def train_toy(config: TrainConfig, corpus: ToyCorpus | None = None,
     With an out_dir, also writes corpus.json, per-phase metrics CSVs, the
     duration-target corpus, and checkpoint.bin (format in docs/).
     """
-    root = Rng(config.seed)  # children draw independent streams, in any order
+    # a child seeds from (seed, tag) alone, so build_model's rng.child(k) draws as root.child(k)
+    root = Rng(config.seed)
     try:
         model = build_model(config, root.child(3))
     except (ValueError, MemoryError) as e:

@@ -52,7 +52,9 @@ The duration losses are built on ``_make`` in ``duration.py``. The fused ops
 share array cores that return (output, back): ``_attend``, ``_feed_forward``,
 ``_normalize`` and ``_conv_net``, which runs two ``_conv`` forwards and one
 back closure over their saved arrays (``_conv_back``); ``_check_finite`` is
-their check.
+their check. ``_elementwise`` is add, sub, mul and div, ``_affine`` the front
+end of ``linear`` and ``scale_head``, ``_into_zeros`` every getitem-style
+cotangent, and ``_setting`` sets the per-thread ``no_grad`` and ``param_budget``.
 """
 
 from __future__ import annotations
@@ -232,25 +234,39 @@ def ensure_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-class _GradMode(threading.local):
-    """Per-thread switch for tape recording; every thread starts recording."""
+class _Settings(threading.local):
+    """Per-thread settings; every thread starts recording, with no budget."""
 
-    enabled = True
+    grad_enabled = True
+    budget = None  # (limit, values left) of ``param_budget``; None is no limit
 
 
-_grad_mode = _GradMode()
+_settings = _Settings()
 
 
 @contextmanager
-def no_grad():
-    """Record no tape in this thread: ops still check their outputs for
-    non-finite values, but return tensors with no parents and no VJP."""
-    saved = _grad_mode.enabled
-    _grad_mode.enabled = False
+def _setting(name: str, value):
+    """Set one per-thread setting for the block; restore it, also if it raises."""
+    saved = getattr(_settings, name)
+    setattr(_settings, name, value)
     try:
         yield
     finally:
-        _grad_mode.enabled = saved
+        setattr(_settings, name, saved)
+
+
+def no_grad():
+    """Record no tape in this thread: ops still check their outputs for
+    non-finite values, but return tensors with no parents and no VJP."""
+    return _setting("grad_enabled", False)
+
+
+def param_budget(limit: int):
+    """Let ``init_uniform`` and ``zeros`` make at most ``limit`` values in all
+    in the calling thread; the one that would pass it raises ``ValueError``
+    before it allocates. A model whose parameters cannot fit ``limit`` values
+    is then refused at the cost of what it drew so far."""
+    return _setting("budget", (limit, limit))
 
 
 def _make(data, parents: tuple[Tensor, ...], vjp, op: str) -> Tensor:
@@ -269,7 +285,7 @@ def _make(data, parents: tuple[Tensor, ...], vjp, op: str) -> Tensor:
         raise NumericError(f"{op} produced a non-finite value")
     out = object.__new__(Tensor)
     out.data, out.grad, out._g, out._seq = data, None, None, next(_creation_order)
-    if _grad_mode.enabled:
+    if _settings.grad_enabled:
         for p in parents:
             if p.requires_grad:
                 out.requires_grad, out._parents, out._vjp = True, parents, vjp
@@ -300,66 +316,37 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def add(a, b) -> Tensor:
+def _elementwise(op: str, a, b, ufunc, local) -> Tensor:
+    """``ufunc(a, b)``, broadcast, as one tape node named ``op``; ``local(g, a,
+    b)`` gives the two cotangents on the arrays, each summed back to its
+    operand's shape. Raises ``ShapeError`` if the shapes do not broadcast."""
     a, b = ensure_tensor(a), ensure_tensor(b)
     try:
-        data = a.data + b.data
+        data = ufunc(a.data, b.data)
     except ValueError:
-        raise ShapeError(f"add: shapes {a.shape} and {b.shape} do not broadcast")
-    return _make(
-        data,
-        (a, b),
-        lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)),
-        "add",
-    )
+        raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} do not broadcast")
+
+    def vjp(g):
+        ga, gb = local(g, a.data, b.data)
+        return _unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape)
+
+    return _make(data, (a, b), vjp, op)
+
+
+def add(a, b) -> Tensor:
+    return _elementwise("add", a, b, np.add, lambda g, x, y: (g, g))
 
 
 def sub(a, b) -> Tensor:
-    a, b = ensure_tensor(a), ensure_tensor(b)
-    try:
-        data = a.data - b.data
-    except ValueError:
-        raise ShapeError(f"sub: shapes {a.shape} and {b.shape} do not broadcast")
-    return _make(
-        data,
-        (a, b),
-        lambda g: (_unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)),
-        "sub",
-    )
+    return _elementwise("sub", a, b, np.subtract, lambda g, x, y: (g, -g))
 
 
 def mul(a, b) -> Tensor:
-    a, b = ensure_tensor(a), ensure_tensor(b)
-    try:
-        data = a.data * b.data
-    except ValueError:
-        raise ShapeError(f"mul: shapes {a.shape} and {b.shape} do not broadcast")
-    return _make(
-        data,
-        (a, b),
-        lambda g: (
-            _unbroadcast(g * b.data, a.shape),
-            _unbroadcast(g * a.data, b.shape),
-        ),
-        "mul",
-    )
+    return _elementwise("mul", a, b, np.multiply, lambda g, x, y: (g * y, g * x))
 
 
 def div(a, b) -> Tensor:
-    a, b = ensure_tensor(a), ensure_tensor(b)
-    try:
-        data = a.data / b.data
-    except ValueError:
-        raise ShapeError(f"div: shapes {a.shape} and {b.shape} do not broadcast")
-    return _make(
-        data,
-        (a, b),
-        lambda g: (
-            _unbroadcast(g / b.data, a.shape),
-            _unbroadcast(-g * a.data / (b.data * b.data), b.shape),
-        ),
-        "div",
-    )
+    return _elementwise("div", a, b, np.divide, lambda g, x, y: (g / y, -g * x / (y * y)))
 
 
 def neg(a) -> Tensor:
@@ -429,17 +416,24 @@ def matmul(a, b) -> Tensor:
     return _make(data, (a, b), lambda g: (g @ b.data.T, a.data.T @ g), "matmul")
 
 
+def _affine(x, w, b, op: str):
+    """(x, w, b, ``x @ w + b``) for ``linear`` and ``scale_head``: the three as
+    tensors checked as (N, D), (D, M) and (M,), the map on their arrays."""
+    x, w, b = ensure_tensor(x), ensure_tensor(w), ensure_tensor(b)
+    if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0] or b.shape != w.shape[1:]:
+        raise ShapeError(f"{op} expects x (N,D), w (D,M) and b (M,), got "
+                         f"{x.shape}, {w.shape}, {b.shape}")
+    out = x.data @ w.data
+    out += b.data
+    return x, w, b, out
+
+
 def linear(x, w, b) -> Tensor:
     """Affine map ``x @ w + b`` as one tape node; x: (N, D), w: (D, M), b: (M,).
 
     The result equals the matmul-then-add chain byte for byte.
     """
-    x, w, b = ensure_tensor(x), ensure_tensor(w), ensure_tensor(b)
-    if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0] or b.shape != w.shape[1:]:
-        raise ShapeError(f"linear expects x (N,D), w (D,M) and b (M,), got "
-                         f"{x.shape}, {w.shape}, {b.shape}")
-    data = x.data @ w.data
-    data += b.data
+    x, w, b, data = _affine(x, w, b, "linear")
     return _make(data, (x, w, b), lambda g: (g @ w.data.T, x.data.T @ g, _sum(g, axis=0)),
                  "linear")
 
@@ -455,12 +449,7 @@ def scale_head(x, w, b) -> Tensor:
     that chain did: on a non-finite affine map (the clamp would turn an inf
     into a bound); the exp of a clamped value is finite.
     """
-    x, w, b = ensure_tensor(x), ensure_tensor(w), ensure_tensor(b)
-    if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0] or b.shape != w.shape[1:]:
-        raise ShapeError(f"scale_head expects x (N,D), w (D,M) and b (M,), got "
-                         f"{x.shape}, {w.shape}, {b.shape}")
-    pre = x.data @ w.data
-    pre += b.data
+    x, w, b, pre = _affine(x, w, b, "scale_head")
     _check_finite(pre, "scale_head")
     data = np.exp(np.minimum(np.maximum(pre, -6.0), 6.0))
 
@@ -502,18 +491,20 @@ def concat(tensors, axis: int = 0) -> Tensor:
     return _make(data, tuple(ts), vjp, "concat")
 
 
+def _into_zeros(shape, idx, g: np.ndarray) -> np.ndarray:
+    """A getitem's cotangent: zeros of ``shape`` with ``g`` added into ``[idx]``
+    (exact: basic indexing never aliases), so a -0.0 in ``g`` becomes +0.0."""
+    buf = np.zeros(shape)
+    buf[idx] += g
+    return buf
+
+
 def _getitem(a: Tensor, idx) -> Tensor:
     data = a.data[idx]
     if type(data) is not np.ndarray:  # a scalar index of every axis gives an np.float64
         data = np.asarray(data)
     shape = a.shape
-
-    def vjp(g):
-        buf = np.zeros(shape)
-        buf[idx] += g  # basic indexing never aliases, so += is exact
-        return (buf,)
-
-    return _make(data.copy(), (a,), vjp, "getitem")
+    return _make(data.copy(), (a,), lambda g: (_into_zeros(shape, idx, g),), "getitem")
 
 
 def _row_ids(ids, rows: int, op: str) -> np.ndarray:
@@ -571,14 +562,8 @@ def sum_rows(a, n: int) -> Tensor:
     the cotangent is a zero buffer with ``g`` added into those rows."""
     a = ensure_tensor(a)
     shape = a.shape
-
-    def vjp(g):
-        buf = np.zeros(shape)
-        buf[:n] += g
-        return (buf,)
-
-    return _make(np.asarray(_sum(np.ascontiguousarray(a.data[:n]), axis=None)), (a,), vjp,
-                 "sum_rows")
+    return _make(np.asarray(_sum(np.ascontiguousarray(a.data[:n]), axis=None)), (a,),
+                 lambda g: (_into_zeros(shape, slice(None, n), g),), "sum_rows")
 
 
 def mean(a, axis=None) -> Tensor:
@@ -662,15 +647,19 @@ def softmax(a, axis: int = -1) -> Tensor:
     return _make(data, (a,), vjp, "softmax")
 
 
-def _normalize(s: np.ndarray, axis: int):
+def _normalize(s: np.ndarray, axis: int, op: str):
     """Layer norm of ``s`` along ``axis``: (output, back), where ``back(g)`` is
     the cotangent of ``s``. The means are ``np.add.reduce(...) / n``: what
-    ``ndarray.mean`` computes, without its Python wrapper."""
+    ``ndarray.mean`` computes, without its Python wrapper. Raises ``NumericError``,
+    naming ``op``, on an infinite variance (centred values past about 1.3e154)
+    in a finite output, which its zero scale would make all zeros."""
     n = s.shape[axis]
     xc = s - np.add.reduce(s, axis=axis, keepdims=True) / n
     var = np.add.reduce(xc * xc, axis=axis, keepdims=True) / n
     inv = 1.0 / np.sqrt(var + 1e-8)  # eps keeps a constant row finite
     data = xc * inv
+    if np.count_nonzero(inv) < inv.size and _all(np.isfinite(data), axis=None):
+        raise NumericError(f"{op} produced a non-finite variance")  # only var = inf gives 0
 
     def back(g):
         g_mean = np.add.reduce(g, axis=axis, keepdims=True) / n
@@ -683,7 +672,7 @@ def _normalize(s: np.ndarray, axis: int):
 def _layer_norm_node(s: np.ndarray, parents: tuple[Tensor, ...], axis: int, op: str) -> Tensor:
     """Layer norm of ``s`` as one node whose every parent receives the same
     gradient (each parent's shape is ``s.shape``)."""
-    data, back = _normalize(s, axis)
+    data, back = _normalize(s, axis, op)
     return _make(data, parents, lambda g: (back(g),) * len(parents), op)
 
 
@@ -699,7 +688,7 @@ def add_layer_norm(a, b, axis: int = -1) -> Tensor:
 
     The result and gradients equal the add-then-layer_norm chain byte for
     byte, and it raises ``NumericError`` exactly where that chain did: on a
-    non-finite sum, and through ``_make`` on a non-finite output.
+    non-finite sum or variance, and through ``_make`` on a non-finite output.
     """
     a, b = ensure_tensor(a), ensure_tensor(b)
     if a.shape != b.shape:
@@ -871,12 +860,12 @@ def encoder_block(x, w, wo, w1, b1, w2, b2, n_heads: int, scale: float,
     returns ``None`` for a parent that takes no gradient and skips the work
     only it needs. It raises ``NumericError``, naming itself, exactly where
     the chain raised: on a non-finite q, k or v, score or heads (in
-    ``_attend``) or first affine map of the net (relu would turn a -inf into
-    0), and through ``_make`` on a non-finite output. That last check covers
-    the chain's others: the layer norm of a sum with a non-finite value has a
-    NaN in its row, a non-finite attention output or x makes the first sum
-    non-finite, a non-finite net output the second, and x1 reaches the output
-    through the second sum, elementwise.
+    ``_attend``), first affine map of the net (relu would turn a -inf into 0)
+    or either norm's variance, and through ``_make`` on a non-finite output.
+    That last check covers the chain's others: the layer norm of a sum with a
+    non-finite value has a NaN in its row, a non-finite attention output or x
+    makes the first sum non-finite, a non-finite net output the second, and
+    x1 reaches the output through the second sum, elementwise.
     """
     parents = x, w, wo, w1, b1, w2, b2 = tuple(map(ensure_tensor, (x, w, wo, w1, b1, w2, b2)))
     xd, wd, w1d, w2d = x.data, w.data, w1.data, w2.data
@@ -890,9 +879,9 @@ def encoder_block(x, w, wo, w1, b1, w2, b2, n_heads: int, scale: float,
                          f"b1 (F,), w2 (F,D) and b2 (D,) for H = {n} heads, got {shapes}")
     op = "encoder_block"
     a, attention_back = _attend(xd, wd, n, scale, bias, wo.data, op)
-    x1, norm1_back = _normalize(xd + a, 1)
+    x1, norm1_back = _normalize(xd + a, 1, op)
     f, ffn_back = _feed_forward(x1, w1d, b1.data, w2d, b2.data, op)
-    data, norm2_back = _normalize(x1 + f, 1)
+    data, norm2_back = _normalize(x1 + f, 1, op)
 
     def vjp(g):
         wants = [t.requires_grad for t in parents]
@@ -945,8 +934,7 @@ def affine_coupling(x, c) -> Tensor:
         gb = g[h:]
         g_x = g_c = None
         if x.requires_grad:
-            g_x = np.zeros(xs)
-            g_x[h:] += gb * scale  # as the getitem VJP: a -0.0 becomes +0.0
+            g_x = _into_zeros(xs, slice(h, None), gb * scale)
         if c.requires_grad:
             g_c = np.empty(c.data.shape)
             np.multiply(gb, xb, out=g_c[:h])
@@ -1256,8 +1244,7 @@ def coupling_conditioner(x, w1, b1, w2, b2, wqkv=None, wo=None, scale: float = 1
             g_xa = g[2 * h :] + g_hs
             if wqkv is not None:
                 g_xa += g_at.T
-            g_x = np.zeros(xs)
-            g_x[:h] += g_xa
+            g_x = _into_zeros(xs, slice(None, h), g_xa)
         grads = (g_x, g_w1, g_b1, g_w2, g_b2, g_wqkv, g_wo, g_wc, g_cond)
         return [gr for t, gr in zip(slots, grads) if t is not None]
 
@@ -1273,9 +1260,9 @@ class Rng:
     """Seeded PCG64 stream (numpy's documented generator).
 
     The same seed yields the same stream across runs and platforms as long as
-    calls happen in the same order. ``child`` derives an independent stream
-    deterministically, so separate concerns (corpus sampling, alignment noise,
-    GAN noise) never perturb each other's sequences.
+    calls happen in the same order. ``child(tag)`` seeds a stream from the
+    root's ``(seed, tag)`` alone, so a grandchild draws what the root's child
+    of its tag draws: ``Rng(7).child(3).child(1)`` draws ``Rng(7).child(1)``'s.
     """
 
     def __init__(self, seed: int, _entropy=None):
@@ -1302,39 +1289,16 @@ class Rng:
         return Rng(self.seed, _entropy=(self.seed, int(tag)))
 
 
-class _ParamBudget(threading.local):
-    """Per-thread (limit, values left) of ``param_budget``; None is no limit."""
-
-    state = None
-
-
-_param_budget = _ParamBudget()
-
-
-@contextmanager
-def param_budget(limit: int):
-    """Let ``init_uniform`` and ``zeros`` make at most ``limit`` values in all
-    in the calling thread; the one that would pass it raises ``ValueError``
-    before it allocates. A model whose parameters cannot fit ``limit`` values
-    is then refused at the cost of what it drew so far."""
-    saved = _param_budget.state
-    _param_budget.state = (limit, limit)
-    try:
-        yield
-    finally:
-        _param_budget.state = saved
-
-
 _MAX_FLOAT64S = np.iinfo(np.intp).max // 8  # numpy refuses more, before it allocates
 
 
 def _spend(shape):
-    if _param_budget.state is not None:
-        limit, left = _param_budget.state
+    if _settings.budget is not None:
+        limit, left = _settings.budget
         n = math.prod(shape) if isinstance(shape, tuple) else int(shape)
         if left < n <= _MAX_FLOAT64S:  # past that, numpy's own "array is too big" speaks
             raise ValueError(f"its parameters need more than {limit} values")
-        _param_budget.state = (limit, left - n)
+        _settings.budget = (limit, left - n)
 
 
 def init_uniform(rng: Rng, shape, fan_in: int) -> Tensor:
