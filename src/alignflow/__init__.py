@@ -6,9 +6,10 @@ a speaker-conditioned text encoder, all on a minimal float64 autodiff core.
 
 import os
 
-# One BLAS thread unless the caller chose otherwise: on long inputs OpenBLAS
-# sums a matmul in another order under another thread count, and every command's
-# output bytes must not depend on the host's cores. Set before numpy loads.
+# One BLAS thread unless the caller set a count: on long inputs OpenBLAS sums a
+# matmul in another order under another thread count, and every command's output
+# bytes must not depend on the host's cores. It takes effect only if numpy is not
+# loaded yet: a program that loads numpy before alignflow keeps numpy's default.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 os.environ.setdefault("OMP_NUM_THREADS", "1")
 

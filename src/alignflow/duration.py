@@ -205,7 +205,9 @@ def _mean_node(op: str, parents: list[Tensor], bases: list[np.ndarray],
     (1/count)``. The VJP returns ``None`` for a parent that takes no gradient.
     The terms are squares, so a non-finite square or sum leaves the mean
     non-finite, and ``_make`` raises exactly where the chain did; the caller
-    computes ``parts`` and calls this under ``np.errstate(over="ignore")``.
+    computes ``parts`` and calls this under ``nm._ignoring(over="ignore")``,
+    which silences the overflow warnings outside a guard and lets a guard's
+    raise through inside one.
     """
     scale = 1.0 / sum(part.size for part in parts)
     total = _sum(parts[0], axis=None)
@@ -240,7 +242,7 @@ def adv_loss_d(disc: DurationDiscriminator, batch: DurationBatch, d_hat) -> Tens
     scores = []
     for (h, d), fake_d in zip(batch.instances(), d_hat, strict=True):
         scores += disc.forward(h, d), disc.forward(h, fake_d.detach())
-    with np.errstate(over="ignore"):
+    with nm._ignoring(over="ignore"):
         bases = [s.data - 1.0 if k % 2 == 0 else s.data for k, s in enumerate(scores)]
         parts = [r**2.0 + f**2.0 for r, f in zip(bases[::2], bases[1::2])]
         return _mean_node("adv_loss_d", scores, bases, parts, _square_vjp)
@@ -255,7 +257,7 @@ def adv_loss_g(disc: DurationDiscriminator, batch: DurationBatch, d_hat) -> Tens
     """
     scores = [disc.forward(h, fake_d)
               for (h, _), fake_d in zip(batch.instances(), d_hat, strict=True)]
-    with np.errstate(over="ignore"):
+    with nm._ignoring(over="ignore"):
         bases = [s.data - 1.0 for s in scores]
         return _mean_node("adv_loss_g", scores, bases, [b**2.0 for b in bases], _square_vjp)
 
@@ -264,7 +266,7 @@ def mse_loss(batch: DurationBatch, d_hat) -> Tensor:
     """Mean over valid tokens of (d_hat - d)^2, ``d_hat`` one (n,) tensor per
     instance of n valid tokens, as one ``mse_loss`` node on the predictions."""
     preds, bases = [], []
-    with np.errstate(over="ignore"):
+    with nm._ignoring(over="ignore"):
         for (_, d), pred in zip(batch.instances(), d_hat, strict=True):
             pred = nm.ensure_tensor(pred)
             if pred.shape != d.shape:
@@ -310,6 +312,25 @@ def train_duration(
     def draw_noise(batch: DurationBatch) -> np.ndarray | None:
         return rng.normal((*batch.mask.shape, gen.z_dim)) if gen.z_dim else None
 
+    def critic_update(batch: DurationBatch, noise) -> Tensor:
+        with nm.no_grad():  # the critic reads these detached
+            d_hat = generate(gen, batch.h_text, noise, batch.mask, batch.cond)
+        loss_d = adv_loss_d(disc, batch, d_hat)
+        loss_d.backward()
+        return loss_d
+
+    def generator_update(batch: DurationBatch, noise) -> tuple[Tensor | None, Tensor]:
+        d_hat = generate(gen, batch.h_text, noise, batch.mask, batch.cond)
+        loss_adv = adv_loss_g(disc, batch, d_hat) if disc is not None else None
+        loss_mse = mse_loss(batch, d_hat)
+        with frozen(critic):
+            (loss_mse if disc is None else loss_adv + loss_mse).backward()
+        return loss_adv, loss_mse
+
+    # each update, forward and backward, runs guarded by floating-point flags
+    # (nm.run_guarded) on these leaves and the batch's arrays; its noise is
+    # drawn and its grads are cleared before it, its optimizer steps after it
+    leaves = gen.params() + critic
     history = []
     for step in range(steps):
         batch = corpus[step % len(corpus)]
@@ -318,13 +339,11 @@ def train_duration(
         row = {"step": step}
         try:
             if disc is not None:
-                with nm.no_grad():  # the critic reads these detached
-                    d_hat = generate(gen, batch.h_text, draw_noise(batch), batch.mask,
-                                     batch.cond)
-                loss_d = adv_loss_d(disc, batch, d_hat)
+                noise = draw_noise(batch)
                 for opt in opts:
                     opt.zero_grad()
-                loss_d.backward()
+                loss_d = nm.run_guarded(lambda: critic_update(batch, noise), leaves,
+                                        (batch.h_text, batch.d, batch.cond, noise))
                 if verify_isolation and not _grads_are_zero(gen.params()):
                     raise AssertionError(
                         f"step {step}: critic update leaked into generator grads"
@@ -332,16 +351,13 @@ def train_duration(
                 opt_d.step()
                 row["loss_d"] = loss_d.item()
 
-            d_hat = generate(gen, batch.h_text, draw_noise(batch), batch.mask, batch.cond)
-            if disc is not None:
-                loss_adv = adv_loss_g(disc, batch, d_hat)
-                row["loss_g_adv"] = loss_adv.item()
-            loss_mse = mse_loss(batch, d_hat)
-            loss_g = loss_mse if disc is None else loss_adv + loss_mse
+            noise = draw_noise(batch)
             for opt in opts:
                 opt.zero_grad()
-            with frozen(critic):
-                loss_g.backward()
+            loss_adv, loss_mse = nm.run_guarded(lambda: generator_update(batch, noise), leaves,
+                                                (batch.h_text, batch.d, batch.cond, noise))
+            if disc is not None:
+                row["loss_g_adv"] = loss_adv.item()
             if verify_isolation and not _grads_are_zero(critic):
                 raise AssertionError(
                     f"step {step}: generator update leaked into critic grads"

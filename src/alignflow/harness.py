@@ -187,12 +187,13 @@ class ToyModel(nm.Module):
         self.dur_disc = self.child("durd", dur_disc)
         self.speakers = self.child("spk", speakers)
         self.config = config
+        self._main_params = tuple(encoder.params() + flows.params()
+                                  + (speakers.params() if speakers is not None else []))
 
     def main_params(self) -> list[Tensor]:
-        out = self.encoder.params() + self.flows.params()
-        if self.speakers is not None:
-            out += self.speakers.params()
-        return out
+        """The encoder's, the flows' and the speaker table's parameters: every
+        leaf of ``_instance_forward``."""
+        return list(self._main_params)
 
     def speaker_condition(self, speaker_id: int) -> tuple[Tensor | None, Tensor | None]:
         """(embedding row for the encoder, projected vector for flows/durations)."""
@@ -257,9 +258,16 @@ def _instance_forward(model: ToyModel, inst: Instance):
 
 def _encode_and_align(model: ToyModel, inst: Instance) -> tuple[Tensor, np.ndarray, Tensor | None]:
     """Encoder output, noise-free alignment-search durations and the projected
-    speaker condition (or None) from one forward pass, recording no tape."""
-    with nm.no_grad():
-        h, mu, sigma, u, _, cond = _instance_forward(model, inst)
+    speaker condition (or None) from one forward pass, recording no tape. The
+    forward runs guarded by floating-point flags (``nm.run_guarded``) when the
+    model's parameters share one buffer, as a trained model's do; a model that
+    is not a ``ToyModel`` has no known leaves, so it runs scanned."""
+    def forward():
+        with nm.no_grad():
+            return _instance_forward(model, inst)
+
+    h, mu, sigma, u, _, cond = nm.run_guarded(forward, getattr(model, "_main_params", None),
+                                              (inst.frames,))
     grid = log_prob_grid(u.data.T, mu.data, sigma.data)
     align, _ = mas_search(grid, noise_scale=0.0)
     return h, align.durations, cond
@@ -302,6 +310,14 @@ def duration_targets(model: ToyModel, instances) -> list[DurationBatch]:
     return batches
 
 
+def _loss_backward(mu, sigma, u, logdet, frame_tokens) -> Tensor:
+    """The training loss, its backward done; its inputs are a forward's outputs,
+    finite once made, so it guards with no leaf to scan."""
+    loss = nm.aligned_nll(mu, sigma, u, logdet, frame_tokens)
+    loss.backward()
+    return loss
+
+
 def train_toy(config: TrainConfig, corpus: ToyCorpus | None = None,
               out_dir=None) -> tuple[dict, ToyModel]:
     """Run both phases; returns ({"main": [...], "duration": [...]}, model).
@@ -325,17 +341,21 @@ def train_toy(config: TrainConfig, corpus: ToyCorpus | None = None,
     opt = nm.AdamW(model.main_params(), config.optimizer())
     n_train = len(corpus.train)
     main_rows: list[dict] = []
+    # the forward, then the loss and its backward, each run guarded by
+    # floating-point flags (nm.run_guarded); the grid, the noisy search and
+    # the optimizer step run between and after them, as they draw or write
     for step in range(config.steps_main):
         inst = corpus.train[step % n_train]
         opt.set_epoch(step // n_train)
         scale = noise_scale_at(step) if config.noise_anneal else 0.0
         try:
-            _, mu, sigma, u, logdet, _ = _instance_forward(model, inst)
+            _, mu, sigma, u, logdet, _ = nm.run_guarded(
+                lambda: _instance_forward(model, inst), model._main_params, (inst.frames,))
             grid = log_prob_grid(u.data.T, mu.data, sigma.data)
             align, _ = mas_search(grid, scale, noise_rng)
-            loss = nm.aligned_nll(mu, sigma, u, logdet, align.frame_tokens())
+            frame_tokens = align.frame_tokens()
             opt.zero_grad()
-            loss.backward()
+            loss = nm.run_guarded(lambda: _loss_backward(mu, sigma, u, logdet, frame_tokens))
             opt.step()
         except NumericError as e:
             raise NumericError(f"main phase diverged at step {step}: {e}") from e

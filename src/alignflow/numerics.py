@@ -23,7 +23,12 @@ choices worth knowing:
   depth-first walk's sum bit for bit, with three or more it may associate
   differently (within 1e-12 relative on the speaker condition of four
   coupling layers).
-- An op whose output holds a NaN or an inf raises ``NumericError`` at once.
+- An op whose output holds a NaN or an inf raises ``NumericError`` at once:
+  it scans its output, or, inside ``run_guarded``'s guard, numpy raises on
+  the overflow, divide-by-zero or invalid flag that made it and the region
+  reruns scanned, so the error and the bytes are the scanned run's. The
+  guard engages only at one OpenBLAS thread and on finite leaves; the
+  training steps and the alignment forward run in it.
   A VJP may return ``None`` for a parent that takes no gradient at backward
   time (a constant, or a parameter under ``frozen``), skipping that work.
 - ``no_grad`` turns recording off for the calling thread: ops still check
@@ -54,17 +59,19 @@ share array cores that return (output, back): ``_attend``, ``_feed_forward``,
 back closure over their saved arrays (``_conv_back``); ``_check_finite`` is
 their check. ``_elementwise`` is add, sub, mul and div, ``_affine`` the front
 end of ``linear`` and ``scale_head``, ``_into_zeros`` every getitem-style
-cotangent, and ``_setting`` sets the per-thread ``no_grad`` and ``param_budget``.
+cotangent, and ``_setting`` sets the per-thread ``no_grad``, ``param_budget``
+and guard. ``_ignoring`` is the ``np.errstate`` of an op that silences the
+flags its own check reports, and lets a guard's raise through.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import heapq
 import itertools
 import math
 import threading
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -235,24 +242,33 @@ def ensure_tensor(x) -> Tensor:
 
 
 class _Settings(threading.local):
-    """Per-thread settings; every thread starts recording, with no budget."""
+    """Per-thread settings; every thread starts recording, with no budget and
+    no guard."""
 
     grad_enabled = True
     budget = None  # (limit, values left) of ``param_budget``; None is no limit
+    guarded = False  # inside ``run_guarded``'s guard: flags stand in for the finite scans
 
 
 _settings = _Settings()
 
 
-@contextmanager
-def _setting(name: str, value):
-    """Set one per-thread setting for the block; restore it, also if it raises."""
-    saved = getattr(_settings, name)
-    setattr(_settings, name, value)
-    try:
-        yield
-    finally:
-        setattr(_settings, name, saved)
+class _setting:
+    """Set one per-thread setting for the block; restore it, also if it raises.
+    A class, not a generator: entering and leaving costs half as much, and a
+    guarded step and each inference call pass through it."""
+
+    __slots__ = ("name", "value", "saved")
+
+    def __init__(self, name: str, value):
+        self.name, self.value = name, value
+
+    def __enter__(self):
+        self.saved = getattr(_settings, self.name)
+        setattr(_settings, self.name, self.value)
+
+    def __exit__(self, *exc):
+        setattr(_settings, self.name, self.saved)
 
 
 def no_grad():
@@ -269,10 +285,110 @@ def param_budget(limit: int):
     return _setting("budget", (limit, limit))
 
 
+_FLAGS_RAISE = {"over": "raise", "divide": "raise", "invalid": "raise"}
+_AS_IS = contextlib.nullcontext()
+
+
+def _ignoring(**flags):
+    """``np.errstate(**flags)`` outside a guard; inside one, no change, so the
+    guard's raise on these flags gets through."""
+    return _AS_IS if _settings.guarded else np.errstate(**flags)
+
+
+@functools.lru_cache(maxsize=1)
+def _blas_thread_reader():
+    """The thread-count getter of the OpenBLAS numpy loaded from its wheel's
+    library folder, or None if there is none to read (another BLAS, a system
+    OpenBLAS, no ``RTLD_NOLOAD``): ``run_guarded`` then never guards."""
+    import ctypes
+    import glob
+    import os
+
+    mode = getattr(os, "RTLD_NOLOAD", None)
+    root = os.path.dirname(np.__file__)
+    paths = [p for folder in (os.path.join(root, os.pardir, "numpy.libs"),
+                              os.path.join(root, ".dylibs"))
+             for p in sorted(glob.glob(os.path.join(folder, "*openblas*")))]
+    for path in paths if mode is not None else ():
+        try:
+            lib = ctypes.CDLL(path, mode=mode)  # only a copy numpy has loaded
+        except OSError:
+            continue
+        for name in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
+                     "openblas_get_num_threads64_", "openblas_get_num_threads"):
+            getter = getattr(lib, name, None)
+            if getter is not None:
+                getter.restype, getter.argtypes = ctypes.c_int, []
+                return getter
+    return None
+
+
+def blas_threads() -> int | None:
+    """The thread count numpy's OpenBLAS reports now, or None if it cannot be read."""
+    getter = _blas_thread_reader()
+    return None if getter is None else getter()
+
+
+def _leaves_finite(params, arrays) -> bool:
+    """Whether every value ``params`` and ``arrays`` hold is known finite by
+    one scan of each distinct buffer the parameters view (``AdamW`` leaves
+    them viewing its flat buffer) and one of each array; None in ``arrays`` is
+    skipped. False, without a scan, if a parameter owns its data or
+    ``params`` is None (leaves not known)."""
+    if params is None:
+        return False
+    bufs = []
+    for p in params:
+        base = p.data.base
+        if not bufs or base is not bufs[-1]:
+            if type(base) is not np.ndarray or base.dtype is not _F64:
+                return False
+            if not any(b is base for b in bufs):
+                bufs.append(base)
+    for a in (*bufs, *arrays):
+        if a is not None and not _all(np.isfinite(a), axis=None):
+            return False
+    return True
+
+
+def run_guarded(region, params=(), arrays=()):
+    """``region()``, with non-finite values caught by floating-point flags
+    instead of array scans where that is exact; returns what it returns.
+
+    The guard holds ``np.errstate`` at raise for overflow, divide-by-zero and
+    invalid, and sets the calling thread's ``guarded`` setting, under which
+    ``_make``, ``_check_finite`` and ``_normalize`` skip their scans. From
+    finite values, IEEE arithmetic reaches an inf or a NaN only by setting
+    one of those flags, and numpy raises ``FloatingPointError`` on it after
+    the ufunc or BLAS call that set it. So the guard is entered only when
+    both hold: numpy's OpenBLAS reports one thread (a flag set in another
+    BLAS thread is lost), and every leaf the region reads, the tensors in
+    ``params`` and the arrays in ``arrays``, is finite (``_leaves_finite``;
+    ``params`` None says the leaves are not known).
+    On a ``FloatingPointError`` the region runs again without the guard, so
+    its ``NumericError``, its output bytes and its warnings are those of the
+    scanned run; otherwise the result is that run's bit for bit, since flags
+    change no arithmetic. Inside a guard, ``region()`` just runs in it.
+
+    ``region`` must be safe to run twice: no RNG draw, no state change a
+    second run would see, and a backward only into leaves with no ``grad``.
+    """
+    if _settings.guarded:
+        return region()
+    if blas_threads() == 1 and _leaves_finite(params, arrays):
+        try:
+            with _setting("guarded", True), np.errstate(**_FLAGS_RAISE):
+                return region()
+        except FloatingPointError:
+            pass  # run it scanned: the same error, output and warnings as without the guard
+    return region()
+
+
 def _make(data, parents: tuple[Tensor, ...], vjp, op: str) -> Tensor:
     """The output node of an op: ``data`` as a float64 ndarray, recorded on the
     tape with ``parents`` and ``vjp`` when recording is on and a parent takes a
-    gradient. Raises ``NumericError`` if any value is non-finite.
+    gradient. Raises ``NumericError`` if any value is non-finite (inside a
+    guard the flags raise instead, see ``run_guarded``).
 
     This runs once per node, so it skips ``Tensor.__init__``: a float64 ndarray
     is kept as is and anything else (an ``np.float64`` scalar, another dtype)
@@ -281,7 +397,7 @@ def _make(data, parents: tuple[Tensor, ...], vjp, op: str) -> Tensor:
     """
     if type(data) is not np.ndarray or data.dtype is not _F64:
         data = _as_array(data)
-    if not _all(np.isfinite(data), axis=None):
+    if not _settings.guarded and not _all(np.isfinite(data), axis=None):
         raise NumericError(f"{op} produced a non-finite value")
     out = object.__new__(Tensor)
     out.data, out.grad, out._g, out._seq = data, None, None, next(_creation_order)
@@ -296,8 +412,8 @@ def _make(data, parents: tuple[Tensor, ...], vjp, op: str) -> Tensor:
 
 def _check_finite(a: np.ndarray, op: str, what: str = "value"):
     """Raise ``NumericError`` ("{op} produced a non-finite {what}") unless
-    every value of ``a`` is finite."""
-    if not _all(np.isfinite(a), axis=None):
+    every value of ``a`` is finite; inside a guard the flags check instead."""
+    if not _settings.guarded and not _all(np.isfinite(a), axis=None):
         raise NumericError(f"{op} produced a non-finite {what}")
 
 
@@ -357,21 +473,21 @@ def neg(a) -> Tensor:
 def power(a, p: float) -> Tensor:
     a = ensure_tensor(a)
     p = float(p)
-    with np.errstate(over="ignore"):
+    with _ignoring(over="ignore"):
         data = a.data**p
     return _make(data, (a,), lambda g: (g * p * a.data ** (p - 1),), "pow")
 
 
 def exp(a) -> Tensor:
     a = ensure_tensor(a)
-    with np.errstate(over="ignore"):
+    with _ignoring(over="ignore"):
         data = np.exp(a.data)
     return _make(data, (a,), lambda g: (g * data,), "exp")
 
 
 def log(a) -> Tensor:
     a = ensure_tensor(a)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with _ignoring(divide="ignore", invalid="ignore"):
         data = np.log(a.data)
     return _make(data, (a,), lambda g: (g / a.data,), "log")
 
@@ -384,7 +500,7 @@ def tanh(a) -> Tensor:
 
 def sigmoid(a) -> Tensor:
     a = ensure_tensor(a)
-    with np.errstate(over="ignore"):
+    with _ignoring(over="ignore"):
         data = 1.0 / (1.0 + np.exp(-a.data))
     return _make(data, (a,), lambda g: (g * data * (1.0 - data),), "sigmoid")
 
@@ -612,7 +728,7 @@ def aligned_nll(mu, sigma, u, logdet, frame_tokens) -> Tensor:
     den = two_s * s
     _check_finite(den, "aligned_nll")
     sq = diff * diff
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with _ignoring(divide="ignore", invalid="ignore"):
         terms = np.log(s)
     terms += 0.5 * LOG_2PI
     terms += sq / den
@@ -652,14 +768,16 @@ def _normalize(s: np.ndarray, axis: int, op: str):
     the cotangent of ``s``. The means are ``np.add.reduce(...) / n``: what
     ``ndarray.mean`` computes, without its Python wrapper. Raises ``NumericError``,
     naming ``op``, on an infinite variance (centred values past about 1.3e154)
-    in a finite output, which its zero scale would make all zeros."""
+    in a finite output, which its zero scale would make all zeros; inside a
+    guard, the overflow that made it raises."""
     n = s.shape[axis]
     xc = s - np.add.reduce(s, axis=axis, keepdims=True) / n
     var = np.add.reduce(xc * xc, axis=axis, keepdims=True) / n
     inv = 1.0 / np.sqrt(var + 1e-8)  # eps keeps a constant row finite
     data = xc * inv
-    if np.count_nonzero(inv) < inv.size and _all(np.isfinite(data), axis=None):
-        raise NumericError(f"{op} produced a non-finite variance")  # only var = inf gives 0
+    if (not _settings.guarded and np.count_nonzero(inv) < inv.size
+            and _all(np.isfinite(data), axis=None)):  # only var = inf gives 0; a guard raised on it
+        raise NumericError(f"{op} produced a non-finite variance")
 
     def back(g):
         g_mean = np.add.reduce(g, axis=axis, keepdims=True) / n
@@ -925,7 +1043,7 @@ def affine_coupling(x, c) -> Tensor:
     data = np.empty(xs)
     data[:h] = c.data[2 * h :]
     yb = data[h:]
-    with np.errstate(over="ignore", invalid="ignore"):  # _make reports what these would
+    with _ignoring(over="ignore", invalid="ignore"):  # _make reports what these would
         scale = np.exp(s)
         np.multiply(xb, scale, out=yb)
         yb += c.data[h : 2 * h]
@@ -1313,7 +1431,7 @@ def zeros(shape, requires_grad: bool = False) -> Tensor:
     return Tensor(np.zeros(shape), requires_grad=requires_grad)
 
 
-@contextmanager
+@contextlib.contextmanager
 def frozen(params):
     """Temporarily drop params out of gradient accumulation.
 

@@ -1560,6 +1560,124 @@ class TestTapeBudget:
         assert sum(counts.values()) == 16
 
 
+class TestFiniteScans:
+    """``np.isfinite`` scans per step on the acceptance-7 config. Guarded by
+    floating-point flags (``nm.run_guarded``), a step scans only its leaves,
+    and the search its grid; with the guard off (BLAS not at one thread) every
+    op scans its output, as before the guard."""
+
+    @staticmethod
+    def _counting(monkeypatch, guard: bool) -> list:
+        """Patch ``np.isfinite`` to count into the returned list, and keep the
+        guard off unless ``guard``."""
+        scans, isfinite = [], np.isfinite
+
+        def counting(a, *args, **kwargs):
+            scans.append(np.shape(a))
+            return isfinite(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, "isfinite", counting)
+        if not guard:
+            monkeypatch.setattr(nm, "blas_threads", lambda: 2)
+        return scans
+
+    @pytest.mark.parametrize("guard, main, duration", [(True, 3, 10), (False, 50, 24)])
+    def test_scans_per_main_and_duration_step(self, monkeypatch, guard, main, duration):
+        """A main step: the flat buffer, the frames and the grid. A duration
+        step: per update the two optimizers' buffers, the features, the
+        targets and the noise."""
+        from alignflow import harness
+
+        step, train_duration, run_guarded = nm.AdamW.step, harness.train_duration, nm.run_guarded
+        scans = self._counting(monkeypatch, guard)
+        counts, started = {}, []
+
+        def first_region(*args, **kwargs):  # main step 0 starts at its forward
+            if not started:
+                started.append(scans.clear())
+            return run_guarded(*args, **kwargs)
+
+        def first_step(opt):  # the first optimizer step ends main step 0
+            counts.setdefault("main", len(scans))
+            return step(opt)
+
+        def one_duration_step(*args, **kwargs):
+            scans.clear()
+            out = train_duration(*args, **kwargs)
+            counts["duration"] = len(scans)
+            return out
+
+        monkeypatch.setattr(nm, "run_guarded", first_region)
+        monkeypatch.setattr(nm.AdamW, "step", first_step)
+        monkeypatch.setattr(harness, "train_duration", one_duration_step)
+        train_toy(TrainConfig(seed=7, steps_main=1, steps_duration=1, n_eval=0))
+        assert counts == {"main": main, "duration": duration}
+
+    def test_scans_per_predict_durations_call(self, monkeypatch):
+        """On a trained model (its parameters share the optimizer's buffer):
+        the buffer, the frames and the grid; on a freshly built one, whose
+        parameters own their data, every op scans."""
+        cfg = TrainConfig(seed=7, steps_main=2, steps_duration=1, n_eval=1)
+        inst = generate_corpus(cfg.corpus_spec(), Rng(7).child(1)).eval[0]
+        _, trained = train_toy(cfg)
+        fresh = build_model(cfg, Rng(7).child(3))
+        counts = {}
+        for guard in (True, False):
+            with monkeypatch.context() as patch:
+                scans = self._counting(patch, guard)
+                for name, model in (("trained", trained), ("fresh", fresh)):
+                    scans.clear()
+                    predict_durations(model, inst)
+                    counts[name, guard] = len(scans)
+        assert counts == {("trained", True): 3, ("fresh", True): 48, ("trained", False): 48,
+                          ("fresh", False): 48}
+
+    @staticmethod
+    def _run(monkeypatch, guard: bool, cfg):
+        """train_toy's (history, parameter bytes) or its ``NumericError``
+        message, with the guard on or off."""
+        with monkeypatch.context() as patch:
+            if not guard:
+                patch.setattr(nm, "blas_threads", lambda: 2)
+            try:
+                history, model = train_toy(cfg)
+            except nm.NumericError as e:
+                return str(e)
+        return history, [p.data.tobytes() for p in model.params()]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("overrides", [
+        {}, dict(speakers=2, speaker_shift=0.5),
+        dict(lr=1e4),  # the main phase diverges
+        dict(duration_lr=1e30), dict(duration_lr=1e3)])  # the duration phase diverges
+    def test_training_is_the_same_guarded_or_scanned(self, monkeypatch, overrides):
+        cfg = tiny_config(steps_main=12, steps_duration=30, n_train=3, n_eval=1, **overrides)
+        guarded = self._run(monkeypatch, True, cfg)
+        assert guarded == self._run(monkeypatch, False, cfg)
+        if overrides.get("lr") or overrides.get("duration_lr", 0) > 1:
+            assert "diverged at step" in guarded
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("where, want", [
+        ("param", "coupling_conditioner produced a non-finite value"),
+        ("frames", "coupling_conditioner produced a non-finite q, k or v")])
+    def test_a_non_finite_leaf_raises_the_scanned_error(self, monkeypatch, where, want):
+        """A poisoned parameter of a trained model, or a poisoned frame, takes
+        the scanned path: the same error as with the guard off."""
+        cfg = tiny_config(steps_main=2, steps_duration=1)
+        _, model = train_toy(cfg)
+        inst = generate_corpus(cfg.corpus_spec(), Rng(34)).train[0]
+        if where == "param":
+            model.flows.layers[1].conv1_w.data[0, 0, 0] = np.inf
+        else:
+            inst.frames[0, 0] = np.nan
+        with pytest.raises(nm.NumericError, match=f"^{want}$"):
+            predict_durations(model, inst)
+        monkeypatch.setattr(nm, "blas_threads", lambda: 2)
+        with pytest.raises(nm.NumericError, match=f"^{want}$"):
+            predict_durations(model, inst)
+
+
 def long_instance(frames: int, seed: int = 0):
     """An utterance of ``frames`` frames at 4 frames per token (the last token
     takes the rest), on the default 2 channels."""
