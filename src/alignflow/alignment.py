@@ -39,6 +39,11 @@ class GridError(ValueError):
     """A grid CSV is malformed; the message names the file and the row."""
 
 
+class NonFiniteGridError(ValueError):
+    """A grid holds a NaN or an inf: it was given one, or the frames and token
+    statistics it was computed from overflowed it."""
+
+
 @dataclass
 class LogProbGrid:
     """I x J matrix of frame-given-token log-likelihoods: row i = token, column j = frame."""
@@ -50,7 +55,7 @@ class LogProbGrid:
         if self.P.ndim != 2 or self.P.size == 0:
             raise ValueError(f"grid must be 2-D and non-empty, got shape {self.P.shape}")
         if not np.logical_and.reduce(np.isfinite(self.P), axis=None):  # np.all, unwrapped
-            raise ValueError("grid has non-finite entries")
+            raise NonFiniteGridError("grid has non-finite entries")
 
     # the token and frame counts, I and J; perfbench counts MAS cells with them
     @property

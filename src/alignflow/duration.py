@@ -337,13 +337,15 @@ def train_duration(
         for opt in opts:
             opt.set_epoch(step // len(corpus))
         row = {"step": step}
+        checked = False  # the critic update found every leaf and batch array finite
         try:
             if disc is not None:
                 noise = draw_noise(batch)
                 for opt in opts:
                     opt.zero_grad()
-                loss_d = nm.run_guarded(lambda: critic_update(batch, noise), leaves,
-                                        (batch.h_text, batch.d, batch.cond, noise))
+                checked = nm.guard_ready(leaves, (batch.h_text, batch.d, batch.cond, noise))
+                loss_d = nm.run_guarded(lambda: critic_update(batch, noise),
+                                        () if checked else None)
                 if verify_isolation and not _grads_are_zero(gen.params()):
                     raise AssertionError(
                         f"step {step}: critic update leaked into generator grads"
@@ -354,8 +356,10 @@ def train_duration(
             noise = draw_noise(batch)
             for opt in opts:
                 opt.zero_grad()
-            loss_adv, loss_mse = nm.run_guarded(lambda: generator_update(batch, noise), leaves,
-                                                (batch.h_text, batch.d, batch.cond, noise))
+            # since that check only opt_d.step has run: scan the critic's buffer and the new noise
+            known = ((critic, (noise,)) if checked
+                     else (leaves, (batch.h_text, batch.d, batch.cond, noise)))
+            loss_adv, loss_mse = nm.run_guarded(lambda: generator_update(batch, noise), *known)
             if disc is not None:
                 row["loss_g_adv"] = loss_adv.item()
             if verify_isolation and not _grads_are_zero(critic):

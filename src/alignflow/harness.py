@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics as nm
-from .alignment import log_prob_grid, mas_search, noise_scale_at, read_lines
+from .alignment import NonFiniteGridError, log_prob_grid, mas_search, noise_scale_at, read_lines
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .corpus import CorpusSpec, Instance, ToyCorpus, generate_corpus, save_corpus
 from .duration import DurationBatch, DurationDiscriminator, DurationGenerator, train_duration
@@ -189,6 +189,7 @@ class ToyModel(nm.Module):
         self.config = config
         self._main_params = tuple(encoder.params() + flows.params()
                                   + (speakers.params() if speakers is not None else []))
+        nm.pack_params(self._main_params)  # one buffer, so _encode_and_align can guard
 
     def main_params(self) -> list[Tensor]:
         """The encoder's, the flows' and the speaker table's parameters: every
@@ -260,8 +261,9 @@ def _encode_and_align(model: ToyModel, inst: Instance) -> tuple[Tensor, np.ndarr
     """Encoder output, noise-free alignment-search durations and the projected
     speaker condition (or None) from one forward pass, recording no tape. The
     forward runs guarded by floating-point flags (``nm.run_guarded``) when the
-    model's parameters share one buffer, as a trained model's do; a model that
-    is not a ``ToyModel`` has no known leaves, so it runs scanned."""
+    main parameters share one buffer, as those of every built, loaded or
+    trained ``ToyModel`` do; a parameter rebound since, or a model that is not
+    a ``ToyModel`` (no known leaves), runs scanned."""
     def forward():
         with nm.no_grad():
             return _instance_forward(model, inst)
@@ -357,7 +359,7 @@ def train_toy(config: TrainConfig, corpus: ToyCorpus | None = None,
             opt.zero_grad()
             loss = nm.run_guarded(lambda: _loss_backward(mu, sigma, u, logdet, frame_tokens))
             opt.step()
-        except NumericError as e:
+        except (NumericError, NonFiniteGridError) as e:  # finite statistics can overflow the grid
             raise NumericError(f"main phase diverged at step {step}: {e}") from e
         row = {"step": step, "loss": loss.item(), "noise_scale": scale,
                "eval_exact": None, "eval_mae": None}

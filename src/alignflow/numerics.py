@@ -9,9 +9,11 @@ choices worth knowing:
   per op, not to arithmetic: ``_make`` builds every node without
   ``Tensor.__init__``, and the hot paths call the ufunc reductions behind
   ``.all``/``.max``/``.sum`` without their Python wrappers.
-- ``AdamW`` owns the storage of the parameters it is given: each ``p.data``
-  becomes a view into one flat buffer. Write a parameter in place
-  (``p.data[...] = x``), never rebind it; ``AdamW.step`` raises if one was.
+- ``pack_params`` gives parameters one flat buffer: each ``p.data`` becomes
+  a view of its slice. ``AdamW`` packs the parameters it is given into its
+  own, and a built model packs its main parameters. Write a parameter in
+  place (``p.data[...] = x``), never rebind it; ``AdamW.step`` raises if one
+  was.
 - Each forward op records its parents and a VJP closure on its output, and
   gradients accumulate only into leaves. Every tensor takes a number from
   one process-wide counter, so it outranks its parents, and ``backward``
@@ -331,8 +333,8 @@ def blas_threads() -> int | None:
 
 def _leaves_finite(params, arrays) -> bool:
     """Whether every value ``params`` and ``arrays`` hold is known finite by
-    one scan of each distinct buffer the parameters view (``AdamW`` leaves
-    them viewing its flat buffer) and one of each array; None in ``arrays`` is
+    one scan of each distinct buffer the parameters view (``pack_params``
+    leaves them viewing one) and one of each array; None in ``arrays`` is
     skipped. False, without a scan, if a parameter owns its data or
     ``params`` is None (leaves not known)."""
     if params is None:
@@ -351,6 +353,13 @@ def _leaves_finite(params, arrays) -> bool:
     return True
 
 
+def guard_ready(params=(), arrays=()) -> bool:
+    """Whether ``run_guarded`` guards a region whose leaves are the tensors in
+    ``params`` and the arrays in ``arrays``: numpy's OpenBLAS reports one
+    thread, and one scan finds every leaf finite (``_leaves_finite``)."""
+    return blas_threads() == 1 and _leaves_finite(params, arrays)
+
+
 def run_guarded(region, params=(), arrays=()):
     """``region()``, with non-finite values caught by floating-point flags
     instead of array scans where that is exact; returns what it returns.
@@ -363,8 +372,9 @@ def run_guarded(region, params=(), arrays=()):
     the ufunc or BLAS call that set it. So the guard is entered only when
     both hold: numpy's OpenBLAS reports one thread (a flag set in another
     BLAS thread is lost), and every leaf the region reads, the tensors in
-    ``params`` and the arrays in ``arrays``, is finite (``_leaves_finite``;
-    ``params`` None says the leaves are not known).
+    ``params`` and the arrays in ``arrays``, is finite (``guard_ready``).
+    ``params`` None says the leaves are not known; ``()`` with no arrays says
+    a ``guard_ready`` call found them finite and nothing wrote them since.
     On a ``FloatingPointError`` the region runs again without the guard, so
     its ``NumericError``, its output bytes and its warnings are those of the
     scanned run; otherwise the result is that run's bit for bit, since flags
@@ -375,7 +385,7 @@ def run_guarded(region, params=(), arrays=()):
     """
     if _settings.guarded:
         return region()
-    if blas_threads() == 1 and _leaves_finite(params, arrays):
+    if guard_ready(params, arrays):
         try:
             with _setting("guarded", True), np.errstate(**_FLAGS_RAISE):
                 return region()
@@ -1537,14 +1547,30 @@ class AdamWConfig:
         check_fields(self, self.RULES)
 
 
+def pack_params(params) -> np.ndarray:
+    """Copy the values of ``params`` bit for bit, in order, into one new
+    contiguous float64 buffer, rebind each ``p.data`` to a view of its slice
+    and return the buffer. From then on a parameter must be written in place
+    (``p.data[...] = x``) to keep viewing it, never rebound. A buffer nothing
+    views any more is freed."""
+    flat = np.empty(sum(p.size for p in params))
+    lo = 0
+    for p in params:
+        hi = lo + p.size
+        flat[lo:hi] = p.data.reshape(-1)
+        p.data = flat[lo:hi].reshape(p.shape)
+        lo = hi
+    return flat
+
+
 class AdamW:
     """AdamW (Loshchilov & Hutter, arXiv 1711.05101) over one flat buffer.
 
-    The constructor copies its parameters into one contiguous float64 array
-    and rebinds each ``p.data`` to a view of its slice, so a step is a fixed
-    handful of in-place ufuncs over the whole buffer instead of a loop over
-    parameters. From then on a parameter must be written in place
-    (``p.data[...] = x``), never rebound; ``step`` raises if one was.
+    The constructor packs its parameters into a buffer of its own
+    (``pack_params``), so a step is a fixed handful of in-place ufuncs over
+    the whole buffer instead of a loop over parameters. From then on a
+    parameter must be written in place (``p.data[...] = x``), never rebound;
+    ``step`` raises if one was.
 
     ``AdamW(params, cfg)`` keeps ``cfg``, an ``AdamWConfig``, as ``self.cfg``, as in
     ``AdamW([p], AdamWConfig(lr=0.1))``; ``AdamW(params)`` uses the defaults.
@@ -1560,10 +1586,7 @@ class AdamW:
         # offsets[i]:offsets[i + 1] is parameter i's slice of every buffer
         self._offsets = [0, *itertools.accumulate(p.size for p in self.params)]
         total = self._offsets[-1]
-        self._flat = np.empty(total)
-        for p, lo, hi in zip(self.params, self._offsets, self._offsets[1:]):
-            self._flat[lo:hi] = p.data.reshape(-1)
-            p.data = self._flat[lo:hi].reshape(p.shape)
+        self._flat = pack_params(self.params)
         self._m = np.zeros(total)
         self._v = np.zeros(total)
         self._grad = np.empty(total)

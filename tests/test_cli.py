@@ -268,6 +268,18 @@ class TestLoaderErrors:
         assert err.count("\n") == 1
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_a_config_whose_grid_overflows_names_the_phase_and_the_step(self, capsys,
+                                                                         tmp_path):
+        path = tmp_path / "lr.cfg"
+        path.write_text("n_train = 4\nhidden_width = 16\nff_width = 24\nflow_hidden = 8\n"
+                        "dur_hidden = 8\nlr = 1e30\n")
+        code, err = self.invoke_err(capsys, "train-toy", "--config", path,
+                                    "--out", tmp_path / "run", "--seed", "3")
+        assert code == 2
+        assert err == ("alignflow train-toy: main phase diverged at step 1: "
+                       "grid has non-finite entries\n")
+
     def test_config_with_zero_hidden_width(self, capsys, tmp_path):
         path = tmp_path / "zero.cfg"
         path.write_text("hidden_width = 0\nsteps_main = 3\nsteps_duration = 2\n")

@@ -338,6 +338,39 @@ class TestTraining:
         with pytest.raises(NumericError, match="step 0"):
             train_duration(gen, disc, [small_batch(34, width=4)], 3, rng=Rng(35))
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("target, writer, step", [
+        ("gen", "gen", 2), ("critic", "gen", 2),  # between two steps
+        ("critic", "critic", 1)])  # between the critic's and the generator's update
+    def test_an_inf_written_into_a_parameter_raises_the_scanned_error(self, monkeypatch,
+                                                                      target, writer, step):
+        """An inf written in place into a generator or a critic parameter
+        after an optimizer step ends training with the message of a run with
+        the guard off (every op scanned)."""
+        def run(guard: bool) -> str:
+            gen = DurationGenerator(h_dim=4, z_dim=2, hidden=4, rng=Rng(56))
+            disc = DurationDiscriminator(h_dim=4, hidden=4, rng=Rng(57))
+            owner = {"gen": gen, "critic": disc}
+            adamw_step = AdamW.step
+
+            def poisoning(opt):  # after the writer's second step
+                adamw_step(opt)
+                if opt.t == 2 and opt.params[0] is owner[writer].params()[0]:
+                    p = owner[target].params()[0]
+                    p.data[(0,) * p.data.ndim] = np.inf
+
+            with monkeypatch.context() as patch:
+                patch.setattr(AdamW, "step", poisoning)
+                if not guard:
+                    patch.setattr(nm, "blas_threads", lambda: 2)
+                with pytest.raises(NumericError) as err:
+                    train_duration(gen, disc, [small_batch(58, width=4)], 5, rng=Rng(59))
+            return str(err.value)
+
+        guarded = run(True)
+        assert guarded == run(False)
+        assert guarded.startswith(f"duration training diverged at step {step}: ")
+
     def test_deterministic_arm_has_no_adversarial_losses(self):
         gen = DurationGenerator(h_dim=4, z_dim=0, hidden=4, rng=Rng(36))
         hist = train_duration(gen, None, [small_batch(37, width=4)], 5)

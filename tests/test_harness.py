@@ -1581,11 +1581,13 @@ class TestFiniteScans:
             monkeypatch.setattr(nm, "blas_threads", lambda: 2)
         return scans
 
-    @pytest.mark.parametrize("guard, main, duration", [(True, 3, 10), (False, 50, 24)])
+    @pytest.mark.parametrize("guard, main, duration", [(True, 3, 7), (False, 50, 24)])
     def test_scans_per_main_and_duration_step(self, monkeypatch, guard, main, duration):
         """A main step: the flat buffer, the frames and the grid. A duration
-        step: per update the two optimizers' buffers, the features, the
-        targets and the noise."""
+        step: the critic update's leaves (the two optimizers' buffers, the
+        features, the targets and the noise), then the generator update's
+        new ones (the critic's buffer, which ``opt_d.step`` wrote, and the
+        new noise)."""
         from alignflow import harness
 
         step, train_duration, run_guarded = nm.AdamW.step, harness.train_duration, nm.run_guarded
@@ -1613,24 +1615,88 @@ class TestFiniteScans:
         train_toy(TrainConfig(seed=7, steps_main=1, steps_duration=1, n_eval=0))
         assert counts == {"main": main, "duration": duration}
 
-    def test_scans_per_predict_durations_call(self, monkeypatch):
-        """On a trained model (its parameters share the optimizer's buffer):
-        the buffer, the frames and the grid; on a freshly built one, whose
-        parameters own their data, every op scans."""
+    def test_scans_per_predict_durations_call(self, monkeypatch, tmp_path):
+        """On a trained, a freshly built or a loaded model (its main parameters
+        share one buffer): the buffer, the frames and the grid; with the guard
+        off every op scans."""
         cfg = TrainConfig(seed=7, steps_main=2, steps_duration=1, n_eval=1)
         inst = generate_corpus(cfg.corpus_spec(), Rng(7).child(1)).eval[0]
         _, trained = train_toy(cfg)
         fresh = build_model(cfg, Rng(7).child(3))
+        save_model(tmp_path / "m.bin", fresh)
+        loaded = load_model(tmp_path / "m.bin")
         counts = {}
         for guard in (True, False):
             with monkeypatch.context() as patch:
                 scans = self._counting(patch, guard)
-                for name, model in (("trained", trained), ("fresh", fresh)):
+                for name, model in (("trained", trained), ("fresh", fresh), ("loaded", loaded)):
                     scans.clear()
                     predict_durations(model, inst)
                     counts[name, guard] = len(scans)
-        assert counts == {("trained", True): 3, ("fresh", True): 48, ("trained", False): 48,
-                          ("fresh", False): 48}
+        assert counts == {("trained", True): 3, ("fresh", True): 3, ("loaded", True): 3,
+                          ("trained", False): 48, ("fresh", False): 48, ("loaded", False): 48}
+
+    def test_built_and_loaded_main_params_share_one_buffer(self, tmp_path):
+        """Each model's main parameters view one buffer of their own, holding
+        exactly their values; ``AdamW`` packs them into its own buffer and the
+        model's is freed."""
+        import gc
+        import weakref
+
+        cfg = tiny_config(speakers=2, speaker_shift=0.5)
+        built = build_model(cfg, Rng(3))
+        save_model(tmp_path / "m.bin", built)
+        loaded = load_model(tmp_path / "m.bin")
+        bases = []
+        for model in (built, loaded):
+            params = model.main_params()
+            base = params[0].data.base
+            assert all(p.data.base is base for p in params)
+            assert base.size == sum(p.size for p in params)
+            assert base.tobytes() == b"".join(p.data.tobytes() for p in params)
+            assert all(p.data.base is not base
+                       for p in model.dur_gen.params() + model.dur_disc.params())
+            bases.append(base)
+        assert bases[0] is not bases[1]
+        assert bases[0].tobytes() == bases[1].tobytes()
+        freed = weakref.ref(bases[1])
+        del base, bases  # only the loaded model's parameters view its buffer now
+        opt = nm.AdamW(loaded.main_params())
+        gc.collect()
+        assert freed() is None
+        assert all(p.data.base is opt._flat for p in loaded.main_params())
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_a_loaded_model_with_an_inf_parameter_raises_the_scanned_error(self, monkeypatch,
+                                                                           tmp_path):
+        cfg = tiny_config(steps_main=2, steps_duration=1)
+        _, model = train_toy(cfg)
+        save_model(tmp_path / "m.bin", model)
+        loaded = load_model(tmp_path / "m.bin")
+        loaded.flows.layers[1].conv1_w.data[0, 0, 0] = np.inf  # in place: the buffer holds it
+        inst = generate_corpus(cfg.corpus_spec(), Rng(34)).train[0]
+        want = "^coupling_conditioner produced a non-finite value$"
+        with pytest.raises(nm.NumericError, match=want):
+            predict_durations(loaded, inst)
+        monkeypatch.setattr(nm, "blas_threads", lambda: 2)
+        with pytest.raises(nm.NumericError, match=want):
+            predict_durations(loaded, inst)
+
+    def test_a_rebound_parameter_falls_back_to_the_scans(self, monkeypatch):
+        """A parameter rebound to an array of its own leaves the buffer: every
+        op scans, and the durations are the guarded run's."""
+        cfg = TrainConfig(seed=7, steps_main=2, steps_duration=1, n_eval=1)
+        inst = generate_corpus(cfg.corpus_spec(), Rng(7).child(1)).eval[0]
+        model = build_model(cfg, Rng(7).child(3))
+        scans = self._counting(monkeypatch, True)
+        guarded = predict_durations(model, inst)
+        assert len(scans) == 3
+        p = model.encoder.blocks[2].wo
+        p.data = p.data.copy()
+        scans.clear()
+        rebound = predict_durations(model, inst)
+        assert len(scans) == 48
+        assert rebound.tobytes() == guarded.tobytes()
 
     @staticmethod
     def _run(monkeypatch, guard: bool, cfg):
@@ -1656,6 +1722,15 @@ class TestFiniteScans:
         assert guarded == self._run(monkeypatch, False, cfg)
         if overrides.get("lr") or overrides.get("duration_lr", 0) > 1:
             assert "diverged at step" in guarded
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_an_overflowing_grid_names_the_phase_and_the_step(self, monkeypatch):
+        """Finite statistics whose log-likelihood grid overflows (lr = 1e30)
+        end the main phase as a NumericError does, guarded or scanned."""
+        cfg = TrainConfig(seed=3, n_train=4, hidden_width=16, ff_width=24, flow_hidden=8,
+                          dur_hidden=8, lr=1e30)
+        want = "main phase diverged at step 1: grid has non-finite entries"
+        assert self._run(monkeypatch, True, cfg) == self._run(monkeypatch, False, cfg) == want
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("where, want", [

@@ -750,6 +750,28 @@ class TestFlatAdamW:
             AdamW([p, p])
 
 
+class TestPackParams:
+    def test_values_are_copied_bit_for_bit_into_views_of_one_buffer(self):
+        values = [np.array([-0.0, 5e-324, np.nan, -np.inf]), np.array(2.5),
+                  np.empty((0, 3)), np.arange(6.0).reshape(2, 3)]
+        params = [Tensor(v.copy(), requires_grad=bool(i % 2)) for i, v in enumerate(values)]
+        flat = nm.pack_params(params)
+        assert flat.dtype == np.float64 and flat.flags.c_contiguous and flat.size == 11
+        assert flat.tobytes() == b"".join(v.tobytes() for v in values)
+        for p, v in zip(params, values):
+            assert p.data.base is flat and p.shape == v.shape
+            assert p.data.tobytes() == v.tobytes()
+        params[3].data[1, 2] = 9.0  # an in-place write lands in the buffer
+        assert flat[-1] == 9.0 and values[3][1, 2] == 5.0
+
+    def test_packing_again_moves_every_view_to_the_new_buffer(self):
+        params = [Tensor(np.ones(2)), Tensor(np.zeros((1, 3)))]
+        first = nm.pack_params(params)
+        second = nm.pack_params(params[::-1])
+        assert first is not second and second.tolist() == [0.0, 0.0, 0.0, 1.0, 1.0]
+        assert all(p.data.base is second for p in params)
+
+
 class TestNonFiniteCheck:
     """``_make`` catches exactly the arrays holding a NaN or an infinity."""
 
