@@ -53,10 +53,12 @@ class DurationBatch:
     """Padded batch: h_text (B, I, H), d (B, I) log-durations, mask (B, I),
     and ``cond``, None or the generator's condition vector for every instance.
 
-    Masks must be prefix-form (valid tokens first). Valid log-durations are
-    finite and >= 0, i.e. at least one frame per token. The fields are checked
-    and cut into instances once, at construction: build a new batch (e.g. with
-    ``dataclasses.replace``) rather than rebinding a field.
+    Masks must be prefix-form (valid tokens first). Valid features are
+    finite, valid log-durations finite and >= 0 (at least one frame per
+    token), and ``cond`` 1-D and finite; a breach raises ``ValueError``
+    naming the field. The fields are checked and cut into instances once, at
+    construction: build a new batch (e.g. with ``dataclasses.replace``)
+    rather than rebinding a field.
     """
 
     h_text: np.ndarray
@@ -78,10 +80,18 @@ class DurationBatch:
                 f"d {self.d.shape} and mask {self.mask.shape} must both be ({b}, {i})"
             )
         counts = _prefix_counts(self.mask)
+        if not np.all(np.isfinite(self.h_text[self.mask])):
+            raise ValueError("h_text must be finite on valid positions")
         if not np.all(np.isfinite(self.d[self.mask])):
             raise ValueError("log-durations must be finite on valid positions")
         if (self.d[self.mask] < 0).any():
             raise ValueError("valid log-durations must be >= 0 (durations >= 1 frame)")
+        if self.cond is not None:
+            self.cond = np.asarray(self.cond, dtype=np.float64)
+            if self.cond.ndim != 1:
+                raise ValueError(f"cond must be 1-D, got shape {self.cond.shape}")
+            if not np.all(np.isfinite(self.cond)):
+                raise ValueError("cond must be finite")
         # every training step reads these three times, so they are cut once here
         self._instances = tuple((h[:n], d[:n]) for h, d, n in
                                 zip(self.h_text, self.d, counts))
@@ -202,12 +212,12 @@ def _mean_node(op: str, parents: list[Tensor], bases: list[np.ndarray],
     Bit for bit the chain of ``summation`` per instance, ``add`` of those sums
     in instance order and multiply by 1/count that it replaced: each part's
     ``np.add.reduce`` sum, added in order, times 1/count, and ``gs = g *
-    (1/count)``. The VJP returns ``None`` for a parent that takes no gradient.
-    The terms are squares, so a non-finite square or sum leaves the mean
-    non-finite, and ``_make`` raises exactly where the chain did; the caller
-    computes ``parts`` and calls this under ``nm._ignoring(over="ignore")``,
-    which silences the overflow warnings outside a guard and lets a guard's
-    raise through inside one.
+    (1/count)``. The VJP computes every parent's cotangent. The terms are
+    squares, so a non-finite square or sum leaves the mean non-finite, and
+    ``_make`` raises exactly where the chain did; the caller computes
+    ``parts`` and calls this under ``nm._ignoring(over="ignore")``, which
+    silences the overflow warnings outside a guard and lets a guard's raise
+    through inside one.
     """
     scale = 1.0 / sum(part.size for part in parts)
     total = _sum(parts[0], axis=None)
@@ -216,8 +226,7 @@ def _mean_node(op: str, parents: list[Tensor], bases: list[np.ndarray],
 
     def vjp(g):
         gs = g * scale
-        return [term_vjp(gs, base) if p.requires_grad else None
-                for p, base in zip(parents, bases)]
+        return [term_vjp(gs, base) for base in bases]
 
     return nm._make(total * scale, tuple(parents), vjp, op)
 

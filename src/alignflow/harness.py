@@ -413,8 +413,11 @@ def write_csv(path, header: list[str], rows: list[dict]):
 def save_duration_corpus(path, batches: list[DurationBatch]):
     """CSV with one row per valid token: instance, position, log_duration,
     h0..h{H-1} and, when the batches carry a speaker condition, its K values
-    c0..c{K-1} on every row of the instance. Raises ``ValueError`` unless
-    every batch carries a condition of one size or none does."""
+    c0..c{K-1} on every row of the instance. Raises ``ValueError`` for no
+    batches, or unless every batch carries a condition of one size or none
+    does."""
+    if not batches:
+        raise ValueError("duration corpus: no batches to save")
     width = batches[0].h_text.shape[2]
     sizes = {None if batch.cond is None else batch.cond.size for batch in batches}
     if len(sizes) > 1:

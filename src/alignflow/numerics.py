@@ -31,8 +31,9 @@ choices worth knowing:
   reruns scanned, so the error and the bytes are the scanned run's. The
   guard engages only at one OpenBLAS thread and on finite leaves; the
   training steps and the alignment forward run in it.
-  A VJP may return ``None`` for a parent that takes no gradient at backward
-  time (a constant, or a parameter under ``frozen``), skipping that work.
+  A VJP returns ``None``, skipping the work, only where training goes without
+  a cotangent: coupling layer 0's frames, a duration tower's input, a frozen
+  critic's weights. Any other it computes; the walk drops one nobody takes.
 - ``no_grad`` turns recording off for the calling thread: ops still check
   their outputs, but keep no parents and no VJP, so an inference forward
   retains nothing once a layer is done with it.
@@ -57,13 +58,14 @@ replaced and raising ``NumericError`` where those chains raised:
 
 The duration losses are built on ``_make`` in ``duration.py``. The fused ops
 share array cores that return (output, back): ``_attend``, ``_feed_forward``,
-``_normalize`` and ``_conv_net``, which runs two ``_conv`` forwards and one
-back closure over their saved arrays (``_conv_back``); ``_check_finite`` is
-their check. ``_elementwise`` is add, sub, mul and div, ``_affine`` the front
-end of ``linear`` and ``scale_head``, ``_into_zeros`` every getitem-style
-cotangent, and ``_setting`` sets the per-thread ``no_grad``, ``param_budget``
-and guard. ``_ignoring`` is the ``np.errstate`` of an op that silences the
-flags its own check reports, and lets a guard's raise through.
+``_normalize``, ``_conv`` and ``_conv_net``, whose back runs its two
+``_conv`` backs; no back takes more than two flags (input, weights), and
+``_check_finite`` is their check. ``_elementwise`` is add, sub, mul and div,
+``_affine`` the front end of ``linear`` and ``scale_head``, ``_into_zeros``
+every getitem-style cotangent, and ``_setting`` sets the per-thread
+``no_grad``, ``param_budget`` and guard. ``_ignoring`` is the ``np.errstate``
+of an op that silences the flags its own check reports, and lets a guard's
+raise through.
 """
 
 from __future__ import annotations
@@ -570,10 +572,9 @@ def scale_head(x, w, b) -> Tensor:
     D), w: (D, M), b: (M,).
 
     The result and the three cotangents equal the linear, clamp and exp chain
-    byte for byte, and the VJP returns ``None``, skipping the work, for a
-    parent that takes no gradient. It raises ``NumericError`` exactly where
-    that chain did: on a non-finite affine map (the clamp would turn an inf
-    into a bound); the exp of a clamped value is finite.
+    byte for byte; the VJP computes all three. It raises ``NumericError``
+    exactly where that chain did: on a non-finite affine map (the clamp would
+    turn an inf into a bound); the exp of a clamped value is finite.
     """
     x, w, b, pre = _affine(x, w, b, "scale_head")
     _check_finite(pre, "scale_head")
@@ -581,9 +582,7 @@ def scale_head(x, w, b) -> Tensor:
 
     def vjp(g):
         g_pre = (g * data) * ((pre > -6.0) & (pre < 6.0))  # the exp, then the clamp VJP
-        return (g_pre @ w.data.T if x.requires_grad else None,
-                x.data.T @ g_pre if w.requires_grad else None,
-                _sum(g_pre, axis=0) if b.requires_grad else None)
+        return g_pre @ w.data.T, x.data.T @ g_pre, _sum(g_pre, axis=0)
 
     return _make(data, (x, w, b), vjp, "scale_head")
 
@@ -861,10 +860,10 @@ def attention_probs(q: np.ndarray, k: np.ndarray, scale: float,
 
 def _attend(x: np.ndarray, wd: np.ndarray, n: int, scale: float, bias, wo, op: str):
     """The forward of ``attention`` on arrays: (output, back), where
-    ``back(g, want_x, want_w, want_wo)`` gives the cotangents of x, the
-    stacked weights and ``wo`` (None if ``wo`` is None or the cotangent is not
-    wanted) and skips the products nothing wants. Raises ``NumericError``,
-    naming ``op``, where ``attention`` does, bar its output check."""
+    ``back(g, want_x)`` gives the cotangents of x (None, and not computed,
+    unless ``want_x``), the stacked weights and ``wo`` (None if ``wo`` is
+    None). Raises ``NumericError``, naming ``op``, where ``attention`` does,
+    bar its output check."""
     length, d = x.shape[0], wd.shape[2]
     qkv = np.matmul(x, wd)  # (3H, T, d)
     _check_finite(qkv, op, "q, k or v")
@@ -876,14 +875,11 @@ def _attend(x: np.ndarray, wd: np.ndarray, n: int, scale: float, bias, wo, op: s
         _check_finite(heads, op)
         out = heads @ wo
 
-    def back(g, want_x=True, want_w=True, want_wo=True):
+    def back(g, want_x=True):
         g_wo = None
         if wo is not None:  # the output projection's matmul VJP
-            if want_wo:
-                g_wo = heads.T @ g
+            g_wo = heads.T @ g
             g = g @ wo.T
-        if not (want_x or want_w):
-            return None, None, g_wo
         gh = g.reshape(length, n, d).transpose(1, 0, 2)  # (H, T, d)
         g_att = np.matmul(gh, v.transpose(0, 2, 1))
         g_qkv = np.empty_like(qkv)
@@ -894,13 +890,11 @@ def _attend(x: np.ndarray, wd: np.ndarray, n: int, scale: float, bias, wo, op: s
         g_att *= scale
         np.matmul(g_att, k, out=g_qkv[:n])
         np.matmul(g_att.transpose(0, 2, 1), q, out=g_qkv[n : 2 * n])
-        g_x = g_w = None
+        g_x = None
         if want_x:  # sum over the 3H projections of g_qkv[i] @ w[i].T, as one product
             g_x = g_qkv.transpose(1, 0, 2).reshape(length, -1) @ wd.transpose(1, 0, 2).reshape(
                 wd.shape[1], -1).T
-        if want_w:
-            g_w = np.matmul(x.T, g_qkv)
-        return g_x, g_w, g_wo
+        return g_x, np.matmul(x.T, g_qkv), g_wo
 
     return out, back
 
@@ -948,10 +942,9 @@ def attention(x, w, n_heads: int, scale: float, bias: np.ndarray | None = None,
 def _feed_forward(x: np.ndarray, w1: np.ndarray, b1: np.ndarray, w2: np.ndarray,
                   b2: np.ndarray, op: str):
     """The position-wise net ``relu(x @ w1 + b1) @ w2 + b2`` on arrays:
-    (output, back), where ``back(g, wants)`` gives the cotangents of x, w1,
-    b1, w2 and b2, None where ``wants`` (five flags) says no, skipping what
-    nothing wants. Raises ``NumericError``, naming ``op``, on a non-finite
-    first affine map (relu would turn a -inf into 0)."""
+    (output, back), where ``back(g)`` gives the cotangents of x, w1, b1, w2
+    and b2. Raises ``NumericError``, naming ``op``, on a non-finite first
+    affine map (relu would turn a -inf into 0)."""
     pre = x @ w1
     pre += b1
     _check_finite(pre, op)
@@ -959,16 +952,9 @@ def _feed_forward(x: np.ndarray, w1: np.ndarray, b1: np.ndarray, w2: np.ndarray,
     data = hid @ w2
     data += b2
 
-    def back(g, wants=(True,) * 5):
-        want_x, want_w1, want_b1, want_w2, want_b2 = wants
-        g_x = g_w1 = g_b1 = None
-        if want_x or want_w1 or want_b1:
-            g_pre = (g @ w2.T) * (pre > 0.0)
-            g_x = g_pre @ w1.T if want_x else None
-            g_w1 = x.T @ g_pre if want_w1 else None
-            g_b1 = _sum(g_pre, axis=0) if want_b1 else None
-        return (g_x, g_w1, g_b1, hid.T @ g if want_w2 else None,
-                _sum(g, axis=0) if want_b2 else None)
+    def back(g):
+        g_pre = (g @ w2.T) * (pre > 0.0)
+        return g_pre @ w1.T, x.T @ g_pre, _sum(g_pre, axis=0), hid.T @ g, _sum(g, axis=0)
 
     return data, back
 
@@ -985,9 +971,8 @@ def encoder_block(x, w, wo, w1, b1, w2, b2, n_heads: int, scale: float,
     The result and the seven cotangents equal that six-node chain byte for
     byte: x1's cotangent is the second norm's plus the net's, and x's the
     first norm's plus the attention's, as the walk summed them. The VJP
-    returns ``None`` for a parent that takes no gradient and skips the work
-    only it needs. It raises ``NumericError``, naming itself, exactly where
-    the chain raised: on a non-finite q, k or v, score or heads (in
+    computes all seven. It raises ``NumericError``, naming itself, exactly
+    where the chain raised: on a non-finite q, k or v, score or heads (in
     ``_attend``), first affine map of the net (relu would turn a -inf into 0)
     or either norm's variance, and through ``_make`` on a non-finite output.
     That last check covers the chain's others: the layer norm of a sum with a
@@ -1012,17 +997,11 @@ def encoder_block(x, w, wo, w1, b1, w2, b2, n_heads: int, scale: float,
     data, norm2_back = _normalize(x1 + f, 1, op)
 
     def vjp(g):
-        wants = [t.requires_grad for t in parents]
         g_s2 = norm2_back(g)
-        upstream = wants[0] or wants[1] or wants[2]
-        g_x1, g_w1, g_b1, g_w2, g_b2 = ffn_back(g_s2, (upstream, *wants[3:]))
-        g_x = g_w = g_wo = None
-        if upstream:
-            g_s1 = norm1_back(g_s2 + g_x1)
-            g_xa, g_w, g_wo = attention_back(g_s1, *wants[:3])
-            if wants[0]:
-                g_x = g_s1 + g_xa
-        return g_x, g_w, g_wo, g_w1, g_b1, g_w2, g_b2
+        g_x1, g_w1, g_b1, g_w2, g_b2 = ffn_back(g_s2)
+        g_s1 = norm1_back(g_s2 + g_x1)
+        g_xa, g_w, g_wo = attention_back(g_s1)
+        return g_s1 + g_xa, g_w, g_wo, g_w1, g_b1, g_w2, g_b2
 
     return _make(data, parents, vjp, op)
 
@@ -1037,10 +1016,11 @@ def affine_coupling(x, c) -> Tensor:
     The result and the two cotangents equal the chain ``concat([c[2h:],
     x[h:] * exp(c[:h]) + c[h:2h]])`` byte for byte; each cotangent is a zero
     buffer with the slices' cotangents added in, as the getitem VJPs gave
-    them. It raises ``NumericError`` exactly where that chain did: on a
-    non-finite s (exp would turn a -inf into 0), and through ``_make`` on a
-    non-finite output, which any other non-finite step (exp, product, sum, or
-    an input it copies) leaves there.
+    them. The VJP returns ``None`` for x, skipping its work, when x takes no
+    gradient (the frames of the first layer). It raises ``NumericError``
+    exactly where that chain did: on a non-finite s (exp would turn a -inf
+    into 0), and through ``_make`` on a non-finite output, which any other
+    non-finite step (exp, product, sum, or an input it copies) leaves there.
     """
     x, c = ensure_tensor(x), ensure_tensor(c)
     xs = x.data.shape
@@ -1060,17 +1040,13 @@ def affine_coupling(x, c) -> Tensor:
 
     def vjp(g):
         gb = g[h:]
-        g_x = g_c = None
-        if x.requires_grad:
-            g_x = _into_zeros(xs, slice(h, None), gb * scale)
-        if c.requires_grad:
-            g_c = np.empty(c.data.shape)
-            np.multiply(gb, xb, out=g_c[:h])
-            g_c[:h] *= scale
-            g_c[h : 2 * h] = gb
-            g_c[2 * h :] = g[:h]
-            g_c += 0.0  # as the getitem VJPs: a -0.0 becomes +0.0
-        return g_x, g_c
+        g_c = np.empty(c.data.shape)
+        np.multiply(gb, xb, out=g_c[:h])
+        g_c[:h] *= scale
+        g_c[h : 2 * h] = gb
+        g_c[2 * h :] = g[:h]
+        g_c += 0.0  # as the getitem VJPs: a -0.0 becomes +0.0
+        return _into_zeros(xs, slice(h, None), gb * scale) if x.requires_grad else None, g_c
 
     return _make(data, (x, c), vjp, "affine_coupling")
 
@@ -1118,59 +1094,51 @@ def _col2im(gcols: np.ndarray, cin: int, k: int, taps) -> np.ndarray:
 
 def _conv(x: np.ndarray, w: np.ndarray, b: np.ndarray | None):
     """The forward of ``conv1d`` on arrays, im2col + one matmul, plus the bias
-    ``b`` unless it is None: (output, saved), where saved holds the arrays
-    ``_conv_back`` reads."""
+    ``b`` unless it is None: (output, back), where ``back(g, want_x, want_w)``
+    gives the cotangents of x (None, and not computed, unless ``want_x``) and
+    of w and b (both None unless ``want_w``)."""
     cout, cin, k = w.shape
     taps = _taps(k, x.shape[1])
     cols, wm = _im2col(x, k, taps), w.reshape(cout, cin * k)
     out = wm @ cols
     if b is not None:
         out += b[:, None]
-    return out, (w, wm, cols, taps)
 
+    def back(g, want_x=True, want_w=True):
+        return (_col2im(wm.T @ g, cin, k, taps) if want_x else None,
+                (g @ cols.T).reshape(w.shape) if want_w else None,
+                _sum(g, axis=1) if want_w else None)
 
-def _conv_back(g: np.ndarray, saved, want_x: bool, want_w: bool, want_b: bool):
-    """The cotangents of x, w and b of ``_conv(x, w, b)`` from the output
-    cotangent g and what it saved, None where a flag says no, skipping what
-    nothing wants."""
-    w, wm, cols, taps = saved
-    _, cin, k = w.shape
-    return (_col2im(wm.T @ g, cin, k, taps) if want_x else None,
-            (g @ cols.T).reshape(w.shape) if want_w else None,
-            _sum(g, axis=1) if want_b else None)
+    return out, back
 
 
 def _conv_net(x: np.ndarray, w1: np.ndarray, b1: np.ndarray, w2: np.ndarray, b2: np.ndarray,
               wc: np.ndarray | None, cond: np.ndarray | None, op: str):
     """``conv(relu(conv(x, w1, b1) + wc @ cond), w2, b2)`` on arrays, the
     condition term (added to every step) only with ``wc``: (output, back),
-    where ``back(g, wants)`` gives the cotangents of x, w1, b1, w2, b2, wc and
-    cond, None where ``wants`` (seven flags) says no, skipping what nothing
-    wants. Raises ``NumericError``, naming ``op``, on a non-finite first conv
-    output, condition, condition sum or output; relu of a finite value is
-    finite."""
-    pre, saved1 = _conv(x, w1, b1)
+    where ``back(g, want_x, want_w)`` gives the cotangents of x (None, and not
+    computed, unless ``want_x``) and of w1, b1, w2, b2, wc and cond (None
+    unless ``want_w``; wc's and cond's None without ``wc``). Raises
+    ``NumericError``, naming ``op``, on a non-finite first conv output,
+    condition, condition sum or output; relu of a finite value is finite."""
+    pre, back1 = _conv(x, w1, b1)
     _check_finite(pre, op)
     if wc is not None:
         _check_finite(cond, op)
         cond_col = cond.reshape(-1, 1)
         pre += wc @ cond_col
         _check_finite(pre, op)
-    out, saved2 = _conv(np.maximum(pre, 0.0), w2, b2)
+    out, back2 = _conv(np.maximum(pre, 0.0), w2, b2)
     _check_finite(out, op)
 
-    def back(g, wants):
-        want_x, want_w1, want_b1, want_w2, want_b2, want_wc, want_cond = wants
-        need_pre = want_x or want_w1 or want_b1 or want_wc or want_cond
-        g_hid, g_w2, g_b2 = _conv_back(g, saved2, need_pre, want_w2, want_b2)
-        g_x = g_w1 = g_b1 = g_wc = g_cond = None
-        if need_pre:
-            g_pre = g_hid * (pre > 0.0)
-            g_x, g_w1, g_b1 = _conv_back(g_pre, saved1, want_x, want_w1, want_b1)
-            if want_wc or want_cond:
-                g_cm = _unbroadcast(g_pre, (pre.shape[0], 1))  # the add's VJP: the row sum
-                g_wc = g_cm @ cond_col.T if want_wc else None
-                g_cond = (wc.T @ g_cm).reshape(cond.shape) if want_cond else None
+    def back(g, want_x, want_w):
+        g_hid, g_w2, g_b2 = back2(g, True, want_w)
+        g_pre = g_hid * (pre > 0.0)
+        g_x, g_w1, g_b1 = back1(g_pre, want_x, want_w)
+        g_wc = g_cond = None
+        if wc is not None and want_w:
+            g_cm = _unbroadcast(g_pre, (pre.shape[0], 1))  # the add's VJP: the row sum
+            g_wc, g_cond = g_cm @ cond_col.T, (wc.T @ g_cm).reshape(cond.shape)
         return g_x, g_w1, g_b1, g_w2, g_b2, g_wc, g_cond
 
     return out, back
@@ -1203,11 +1171,8 @@ def conv1d(x, w, b=None) -> Tensor:
             raise ShapeError(f"conv1d: bias {b.shape} does not match {w.shape[0]} output "
                              f"channels")
         parents = (x, w, b)
-    data, saved = _conv(x.data, w.data, None if b is None else b.data)
-    # skip the cotangents nothing will use: a constant input or a frozen kernel
-    return _make(data, parents,
-                 lambda g: _conv_back(g, saved, x.requires_grad, w.requires_grad,
-                                      b is not None)[:len(parents)], "conv1d")
+    data, back = _conv(x.data, w.data, None if b is None else b.data)
+    return _make(data, parents, lambda g: back(g)[:len(parents)], "conv1d")
 
 
 def conv_tower(feats, extra, w1, b1, w2, b2, wh, bh, wc=None, cond=None) -> Tensor:
@@ -1228,12 +1193,13 @@ def conv_tower(feats, extra, w1, b1, w2, b2, wh, bh, wc=None, cond=None) -> Tens
     relu, ``conv1d``, relu, ``conv1d`` by the head and ``[0]``. That includes
     the relu masks at exactly 0, the ``+0.0`` start of the getitem and col2im
     zero buffers, and the condition's cotangent, the row sum of the first
-    conv's cotangent. As ``conv1d`` does, the VJP returns ``None``, and skips
-    the work, for an input or a kernel that takes no gradient. It raises
-    ``NumericError`` exactly where that chain raised: on a non-finite input,
-    first conv output, condition (the chain's reshape of it) or condition sum
-    (which a non-finite product makes non-finite), or second conv output, and
-    through ``_make`` on a non-finite score; relu of a finite value is finite.
+    conv's cotangent. The VJP skips the input's cotangents when neither
+    ``feats`` nor ``extra`` takes one, and the other parents' when none of
+    them does (a frozen critic). It raises ``NumericError`` exactly where that
+    chain raised: on a non-finite input, first conv output, condition (the
+    chain's reshape of it) or condition sum (which a non-finite product makes
+    non-finite), or second conv output, and through ``_make`` on a non-finite
+    score; relu of a finite value is finite.
     """
     feats, w1, b1, w2, b2, wh, bh = map(ensure_tensor, (feats, w1, b1, w2, b2, wh, bh))
     extra = None if extra is None else ensure_tensor(extra)
@@ -1266,21 +1232,20 @@ def conv_tower(feats, extra, w1, b1, w2, b2, wh, bh, wc=None, cond=None) -> Tens
     slots = (feats, extra, w1, b1, w2, b2, wh, bh, wc, cond)
 
     def vjp(g):
-        f_rg, e_rg = feats.requires_grad, extra is not None and extra.requires_grad
-        net_wants = (f_rg or e_rg, w1.requires_grad, b1.requires_grad, w2.requires_grad,
-                     b2.requires_grad, wc is not None and wc.requires_grad,
-                     wc is not None and cond.requires_grad)
+        want_x = feats.requires_grad or extra is not None and extra.requires_grad
+        want_w = (w1.requires_grad or b1.requires_grad or w2.requires_grad or b2.requires_grad
+                  or wh.requires_grad or bh.requires_grad
+                  or wc is not None and (wc.requires_grad or cond.requires_grad))
         g_o = (g + 0.0).reshape(1, length)  # the getitem VJP: 0.0 + g, so -0.0 becomes +0.0
-        g_wh = (g_o @ h2.T).reshape(wh.shape) if wh.requires_grad else None
-        g_bh = _sum(g_o, axis=1) if bh.requires_grad else None
-        gf = ge = g_w1 = g_b1 = g_w2 = g_b2 = g_wc = g_cond = None
-        if True in net_wants:
-            g_h2 = whm.T @ g_o
-            g_h2 += 0.0  # the head's col2im: its one tap added into a zero buffer
-            gx, g_w1, g_b1, g_w2, g_b2, g_wc, g_cond = net_back(g_h2 * (pre2 > 0.0), net_wants)
-            if f_rg:  # the transpose and concat VJPs: views of the col2im's rows
-                gf = gx.T[:, :h]
-            if e_rg:
+        g_h2 = whm.T @ g_o
+        g_h2 += 0.0  # the head's col2im: its one tap added into a zero buffer
+        gx, g_w1, g_b1, g_w2, g_b2, g_wc, g_cond = net_back(g_h2 * (pre2 > 0.0), want_x, want_w)
+        gf = ge = g_wh = g_bh = None
+        if want_w:
+            g_wh, g_bh = (g_o @ h2.T).reshape(wh.shape), _sum(g_o, axis=1)
+        if want_x:  # the transpose and concat VJPs: views of the col2im's rows
+            gf = gx.T[:, :h]
+            if extra is not None:
                 ge = gx.T[:, h:] if extra.ndim == 2 else gx[h]
         grads = (gf, ge, g_w1, g_b1, g_w2, g_b2, g_wh, g_bh, g_wc, g_cond)
         return [gr for t, gr in zip(slots, grads) if t is not None]
@@ -1310,8 +1275,8 @@ def coupling_conditioner(x, w1, b1, w2, b2, wqkv=None, wo=None, scale: float = 1
     ``+0.0`` start of x's getitem buffer. The conv output's cotangent skips
     the chain's ``+0.0`` start: every product and sum that reads it starts
     from +0.0 (OpenBLAS and numpy's reductions do), so the sign of a zero
-    there cannot reach a cotangent. As ``conv1d`` does, the VJP returns
-    ``None``, and skips the work, for a parent that takes no gradient.
+    there cannot reach a cotangent. The VJP returns ``None`` for x, skipping
+    its work, when x takes no gradient (the frames of the first layer).
 
     It raises ``NumericError``, naming itself, exactly where that chain
     raised: on a non-finite q, k or v, score or heads (in ``_attend``),
@@ -1356,19 +1321,16 @@ def coupling_conditioner(x, w1, b1, w2, b2, wqkv=None, wo=None, scale: float = 1
     data[2 * h :] = xa
 
     def vjp(g):
-        wants = [t is not None and t.requires_grad for t in slots]
-        x_rg, w1_rg, b1_rg, w2_rg, b2_rg, wq_rg, wo_rg, wc_rg, cond_rg = wants
         g_out = np.empty((2 * h, length))
         s_in = out[:h]
         np.multiply(g[:h], (s_in > -8.0) & (s_in < 8.0), out=g_out[:h])  # the clamp VJP
         g_out[h:] = g[h : 2 * h]  # no +0.0 start: what reads g_out starts from +0.0
-        need_hs = x_rg or wq_rg or wo_rg
         g_hs, g_w1, g_b1, g_w2, g_b2, g_wc, g_cond = net_back(
-            g_out, (need_hs, w1_rg, b1_rg, w2_rg, b2_rg, wc_rg, cond_rg))
+            g_out, x.requires_grad or wqkv is not None, True)
         g_x = g_wqkv = g_wo = None
-        if wqkv is not None and need_hs:  # the transpose VJPs hand over transposed views
-            g_at, g_wqkv, g_wo = attention_back(g_hs.T, x_rg, wq_rg, wo_rg)
-        if x_rg:  # xa's cotangents, newest consumer first
+        if wqkv is not None:  # the transpose VJPs hand over transposed views
+            g_at, g_wqkv, g_wo = attention_back(g_hs.T, x.requires_grad)
+        if x.requires_grad:  # xa's cotangents, newest consumer first
             g_xa = g[2 * h :] + g_hs
             if wqkv is not None:
                 g_xa += g_at.T

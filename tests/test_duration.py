@@ -96,6 +96,26 @@ class TestDurationBatch:
                 mask=np.ones((1, 2), bool),
             )
 
+    @pytest.mark.parametrize("field, h, cond, message", [
+        ("h_text", [[[0.0, np.nan]]], None, "h_text must be finite on valid positions"),
+        ("cond", [[[0.0, 1.0]]], [np.inf, 0.0, 0.0], "cond must be finite"),
+        ("cond", [[[0.0, 1.0]]], [[0.5], [0.0], [1.0]], r"cond must be 1-D, got shape \(3, 1\)"),
+    ])
+    def test_bad_features_or_condition_rejected_naming_the_field(self, field, h, cond, message):
+        """Before training reads them: a non-finite feature would end
+        ``train_duration`` as a divergence at step 0, and a (3, 1) condition
+        would train, reshaped, without a word."""
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            DurationBatch(h_text=np.array(h), d=np.zeros((1, 1)), mask=np.ones((1, 1), bool),
+                          cond=cond)
+
+    def test_padding_features_may_hold_anything(self):
+        h = np.array([[[1.0], [np.nan]]])
+        batch = DurationBatch(h_text=h, d=np.array([[0.0, np.inf]]),
+                              mask=np.array([[True, False]]), cond=[1.0, 2.0])
+        assert batch.instances()[0][0].tobytes() == h[0, :1].tobytes()
+        assert batch.cond.tobytes() == np.array([1.0, 2.0]).tobytes()
+
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError, match="at least one instance"):
             DurationBatch(h_text=np.zeros((0, 3, 2)), d=np.zeros((0, 3)),
@@ -505,11 +525,13 @@ class TestFusedLossesMatchTheChains:
 
         fused, chain = self.run_both(run)
         assert fused == chain
-        loss, _ = run(True)
+        loss, made = run(True)
         if pattern == "none":
             assert loss._vjp is None and not loss.requires_grad
-        else:  # the node's VJP itself gives None to a score that takes no gradient
-            assert [g is None for g in loss._vjp(np.ones(()))] == [not t for t in takes]
+        else:  # the VJP computes every score's cotangent; the walk drops a constant's
+            assert [g is None for g in loss._vjp(np.ones(()))] == [False] * len(takes)
+            loss.backward()
+            assert [t.grad is None for t in made[:len(takes)]] == [not t for t in takes]
 
     @pytest.mark.parametrize("lengths", LENGTHS)
     @pytest.mark.parametrize("pattern", ["all", "first_only", "none"])

@@ -536,6 +536,12 @@ class TestDurationCorpusFuzz:
         with pytest.raises(ValueError, match="a condition of one size"):
             save_duration_corpus(path, batches + [dataclasses.replace(batches[0], cond=None)])
 
+    def test_saving_no_batches_raises_value_error(self, tmp_path):
+        path = tmp_path / "dur.csv"
+        with pytest.raises(ValueError, match="^duration corpus: no batches to save$"):
+            save_duration_corpus(path, [])
+        assert not path.exists()
+
     @staticmethod
     def assert_one_error_naming_the_file(path, data: bytes):
         """``data`` loads, or raises DurationCorpusError naming ``path``, and then
@@ -1558,6 +1564,48 @@ class TestTapeBudget:
         predict_durations(model, inst)
         assert counts == {op: n for op, n in self.MAIN.items() if op != "aligned_nll"}
         assert sum(counts.values()) == 16
+
+
+class TestGradientTraffic:
+    """Which parents want a gradient when each node's VJP runs in training:
+    per op, one string per pattern, a parent's ``+`` where it takes one and
+    ``-`` where it does not. Only these parents go without one: the frames
+    into coupling layer 0 (its conditioner's and output's first parent), a
+    duration tower's features and noise or durations, the critic's weights
+    under ``frozen`` in the generator update, the generator tower's speaker
+    condition, and the encoder's constant position table. The fused ops skip
+    work only there (see tests/test_skip_contract.py), so a new constant input
+    or frozen module fails here and its skip flags get a second look."""
+
+    TINY = {"add": {"++", "+-"}, "adv_loss_d": {"++"}, "adv_loss_g": {"+"},
+            "affine_coupling": {"++", "-+"}, "aligned_nll": {"++++"},
+            "conv_tower": {"--++++++", "-+------"},
+            "coupling_conditioner": {"+++++++", "-++++++"}, "encoder_block": {"+++++++"},
+            "getitem": {"+"}, "linear": {"+++"}, "mse_loss": {"+"}, "scale_head": {"+++"},
+            "sum_rows": {"+"}, "take_rows": {"+"}}
+    SPEAKERS = {**TINY, "conv_tower": {"--++++++", "-+------", "--+++++++-"},
+                "coupling_conditioner": {"+++++++++", "-++++++++"},
+                "matmul": {"++"}, "reshape": {"+"}}  # the speaker projection
+    NO_ATTENTION = {**TINY, "coupling_conditioner": {"+++++", "-++++"}}
+
+    @pytest.mark.parametrize("overrides, patterns", [
+        ({}, TINY), ({"speakers": 3, "speaker_shift": 0.5}, SPEAKERS),
+        ({"transformer_block": False}, NO_ATTENTION)])
+    def test_parents_wanting_a_gradient(self, monkeypatch, overrides, patterns):
+        seen: dict[str, set[str]] = {}
+        make = nm._make
+
+        def recording_make(data, parents, vjp, op):
+            def recorded(g):
+                wants = "".join("+" if p.requires_grad else "-" for p in parents)
+                seen.setdefault(op, set()).add(wants)
+                return vjp(g)
+
+            return make(data, parents, recorded, op)
+
+        monkeypatch.setattr(nm, "_make", recording_make)
+        train_toy(tiny_config(steps_main=3, steps_duration=2, **overrides))
+        assert seen == patterns
 
 
 class TestFiniteScans:

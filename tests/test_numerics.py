@@ -96,8 +96,7 @@ def feed_forward_node(x, w1, b1, w2, b2):
     node named "ffn", wrapped the way ``encoder_block`` wraps it."""
     parents = x, w1, b1, w2, b2 = tuple(map(nm.ensure_tensor, (x, w1, b1, w2, b2)))
     data, back = nm._feed_forward(x.data, w1.data, b1.data, w2.data, b2.data, "ffn")
-    return nm._make(data, parents, lambda g: back(g, [t.requires_grad for t in parents]),
-                    "ffn")
+    return nm._make(data, parents, back, "ffn")
 
 
 def scale_head_reference(x, w, b):
@@ -1131,20 +1130,23 @@ class TestFusedLayerOps:
         y = Tensor(np.ones((2, 3)), requires_grad=True)
         assert nm.add_layer_norm(x, y, axis=1)._parents == (x, y)
 
-    def test_conv1d_skips_cotangents_nothing_uses(self):
+    def test_conv1d_vjp_computes_every_cotangent(self):
+        """No model path runs ``conv1d``, so its VJP takes no flags: a constant
+        input or bias and a frozen kernel still get the all-trainable bytes,
+        and the walk leaves ``grad`` None on each leaf that takes none."""
         rng = Rng(12)
         x = Tensor(rng.normal((3, 5)))
         w, b = Tensor(rng.normal((2, 3, 3)), requires_grad=True), Tensor(rng.normal(2))
         out, g = nm.conv1d(x, w, b), rng.normal((2, 5))
-        gx, gw, gb = out._vjp(g)
-        assert gx is None and gb.tobytes() == g.sum(axis=1).tobytes()
-        assert gw.tobytes() == conv1d_im2col(x.data, w.data, g)[2].tobytes()
+        _, want_gx, want_gw = conv1d_im2col(x.data, w.data, g)
+        want = [want_gx.tobytes(), want_gw.tobytes(), g.sum(axis=1).tobytes()]
+        assert [gr.tobytes() for gr in out._vjp(g)] == want
         with nm.frozen([w]):  # frozen at backward time, as for the critic
-            assert out._vjp(g)[:2] == (None, None)
+            assert [gr.tobytes() for gr in out._vjp(g)] == want
         x.requires_grad = True  # a kernel frozen under a trainable input
         with nm.frozen([w]):
-            gx, gw, _ = nm.conv1d(x, w, b)._vjp(g)
-        assert gw is None and gx.tobytes() == conv1d_im2col(x.data, w.data, g)[1].tobytes()
+            nm.summation(nm.conv1d(x, w, b) * g).backward()
+        assert w.grad is None and b.grad is None and x.grad.tobytes() == want[0]
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_bias_overflow_raises_where_the_chain_raises(self):
@@ -1473,9 +1475,11 @@ class TestFusedConvTower:
         assert nm.conv_tower(*constants)._parents == ()
 
     def test_skips_cotangents_nothing_uses(self):
-        """The critic's constant inputs in ``adv_loss_d`` and its frozen
-        kernels in ``adv_loss_g`` get ``None``, as ``conv1d`` gave them; what
-        is computed equals the chain."""
+        """Two flags remain: the input (features and extra) and the weights
+        (both convs, the head and the condition). The critic's constant
+        inputs in ``adv_loss_d`` and its frozen weights in ``adv_loss_g`` get
+        ``None``; a parent under a flag another parent sets gets the chain's
+        bytes, and the walk leaves its ``grad`` None."""
         rng = Rng(52)
         leaves = _tower_case(rng, 5, 3, -1, 4)
         g = rng.normal(5)
@@ -1488,13 +1492,18 @@ class TestFusedConvTower:
         leaves[1].requires_grad = True  # the adv_loss_g critic: trainable durations
         with nm.frozen(leaves[2:]):
             grads = nm.conv_tower(*leaves)._vjp(g)
-        assert grads[0] is None and grads[2:] == [None] * 6
-        assert grads[1].tobytes() == want[2]
+            assert _tower_bytes(nm.conv_tower, leaves, g)[1:] == [None, want[2]] + [None] * 6
+        assert grads[2:] == [None] * 6  # the features share the durations' flag
+        assert [gr.tobytes() for gr in grads[:2]] == want[1:3]
         gen = _tower_case(rng, 4, 3, 2, 4, cond_dim=2)
+        g = rng.normal(4)
+        want = _tower_bytes(conv_tower_reference, gen, g)
         for t in (gen[0], gen[1], gen[9]):  # the generator: constant h, z and condition
             t.requires_grad = False
-        grads = nm.conv_tower(*gen)._vjp(rng.normal(4))
-        assert [gr is None for gr in grads] == [True, True] + [False] * 7 + [True]
+        grads = nm.conv_tower(*gen)._vjp(g)
+        assert grads[:2] == [None, None]  # the condition shares the weights' flag
+        assert [gr.tobytes() for gr in grads[2:]] == want[3:]
+        assert _tower_bytes(nm.conv_tower, gen, g)[1:] == [None, None] + want[3:10] + [None]
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_stage_overflows_raise_where_the_chain_raises(self):
@@ -1658,23 +1667,27 @@ class TestFusedEncoderBlock:
         constants = [Tensor(t.data) for t in leaves]
         assert nm.encoder_block(*constants, 2, 0.5)._parents == ()
 
-    def test_skips_cotangents_nothing_uses(self):
+    def test_vjp_computes_every_cotangent(self):
+        """Every training step trains all seven parents, so the VJP takes no
+        flags: a constant input or frozen weights still get the chain's
+        bytes, and the walk leaves their ``grad`` None."""
         rng = Rng(2)
         leaves = _block_leaves(rng, 5, 8, 2, 12)
         g = rng.normal((5, 8))
+
+        def block(*t):
+            return nm.encoder_block(*t, 2, 0.5)
+
         want = _tower_bytes(lambda *t: encoder_block_reference(*t, 2, 0.5), leaves, g)[1:]
         leaves[0].requires_grad = False  # a constant input
-        grads = nm.encoder_block(*leaves, 2, 0.5)._vjp(g)
-        assert grads[0] is None and [gr.tobytes() for gr in grads[1:]] == want[1:]
+        assert [gr.tobytes() for gr in block(*leaves)._vjp(g)] == want
+        assert _tower_bytes(block, leaves, g)[1:] == [None] + want[1:]
         with nm.frozen(leaves[1:3]):  # attention frozen: only the net's weights
-            grads = nm.encoder_block(*leaves, 2, 0.5)._vjp(g)
-        assert grads[:3] == (None, None, None)
-        assert [gr.tobytes() for gr in grads[3:]] == want[3:]
+            assert [gr.tobytes() for gr in block(*leaves)._vjp(g)] == want
+            assert _tower_bytes(block, leaves, g)[1:] == [None] * 3 + want[3:]
         leaves[0].requires_grad = True
         with nm.frozen(leaves[3:]):  # the net frozen: x and attention still take theirs
-            grads = nm.encoder_block(*leaves, 2, 0.5)._vjp(g)
-        assert grads[3:] == (None,) * 4
-        assert [gr.tobytes() for gr in grads[:3]] == want[:3]
+            assert _tower_bytes(block, leaves, g)[1:] == want[:3] + [None] * 4
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_stage_overflows_raise_where_the_chain_raises(self):
@@ -1766,7 +1779,9 @@ class TestScaleHead:
             assert (_tower_bytes(nm.scale_head, leaves, weights)
                     == _tower_bytes(scale_head_reference, leaves, weights))
 
-    def test_one_node_skipping_what_nothing_uses(self):
+    def test_one_node_whose_vjp_computes_all_three(self):
+        """The sigma head trains all three parents, so its VJP takes no flags;
+        the walk leaves ``grad`` None on a constant or frozen parent."""
         rng = Rng(3)
         leaves = [Tensor(rng.normal(s), requires_grad=True) for s in ((5, 4), (4, 2), (2,))]
         out = nm.scale_head(*leaves)
@@ -1774,12 +1789,12 @@ class TestScaleHead:
         g = rng.normal((5, 2))
         want = _tower_bytes(scale_head_reference, leaves, g)[1:]
         leaves[0].requires_grad = False
-        grads = nm.scale_head(*leaves)._vjp(g)
-        assert grads[0] is None and [gr.tobytes() for gr in grads[1:]] == want[1:]
+        assert [gr.tobytes() for gr in nm.scale_head(*leaves)._vjp(g)] == want
+        assert _tower_bytes(nm.scale_head, leaves, g)[1:] == [None] + want[1:]
         leaves[0].requires_grad = True
         with nm.frozen(leaves[1:]):
-            grads = nm.scale_head(*leaves)._vjp(g)
-        assert grads[1:] == (None, None) and grads[0].tobytes() == want[0]
+            assert [gr.tobytes() for gr in nm.scale_head(*leaves)._vjp(g)] == want
+            assert _tower_bytes(nm.scale_head, leaves, g)[1:] == [want[0], None, None]
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_raises_where_the_chain_raises(self):
@@ -1925,25 +1940,25 @@ class TestFusedCoupling:
                 == tuple(t for t in no_attention if t is not None))
 
     def test_skips_cotangents_nothing_uses(self):
-        """Layer 0 sees constant frames, and ``frozen`` drops any weight: the
-        VJP gives ``None`` there and the chain's bytes everywhere else."""
+        """Layer 0 sees constant frames: x's is the one flag left, and the VJP
+        gives ``None`` there. A frozen weight still gets the chain's bytes,
+        and the walk leaves its ``grad`` None."""
         rng = Rng(31)
         leaves = _coupling_leaves(rng, 1, 6, 4, 3, 3, 2)
         g = rng.normal((3, 6))
-        live = [t for t in leaves if t is not None]
-        out = _coupling_call(coupling_conditioner_reference, leaves)
-        nm.summation(out * g).backward()
-        want = [t.grad.tobytes() for t in live]
-        for t in live:
-            t.zero_grad()
+
+        def op(*t):
+            return _coupling_call(nm.coupling_conditioner, t)
+
+        want = _tower_bytes(lambda *t: _coupling_call(coupling_conditioner_reference, t),
+                            leaves, g)[1:]
         for frozen_set in ([0], [0, 5, 6], [1, 2, 8], [3, 4, 7], list(range(1, 9))):
             with nm.frozen([leaves[i] for i in frozen_set]):
-                grads = _coupling_call(nm.coupling_conditioner, leaves)._vjp(g)
-            for i, (gr, w) in enumerate(zip(grads, want)):
-                if i in frozen_set:
-                    assert gr is None, (frozen_set, i)
-                else:
-                    assert gr.tobytes() == w, (frozen_set, i)
+                grads = op(*leaves)._vjp(g)
+                walked = _tower_bytes(op, leaves, g)[1:]
+            assert [None if gr is None else gr.tobytes() for gr in grads] == [
+                None if i == 0 and 0 in frozen_set else w for i, w in enumerate(want)], frozen_set
+            assert walked == [None if i in frozen_set else w for i, w in enumerate(want)]
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_stage_overflows_raise_where_the_chain_raises(self):
