@@ -59,7 +59,7 @@ class EncoderBlock(nm.Module):
         self.width = width
         self.n_heads = n_heads
         self.head_dim = width // n_heads
-        # head h draws its wq, wk, wv from rng.child(h); nm.attention takes all wq, all wk, all wv
+        # head h draws its wq, wk, wv from rng.child(h); encoder_block takes all wq, all wk, all wv
         w = np.stack([nm.init_uniform(rng.child(h), (3, width, self.head_dim), width).data
                       for h in range(n_heads)], axis=1)
         self.wqkv = self.param({f"head{h}.{n}": j * n_heads + h for h in range(n_heads)

@@ -42,12 +42,9 @@ A step's time is per node, so layers are fused ops, one tape node each,
 bit-identical forward and backward to the chains of smaller ops they
 replaced and raising ``NumericError`` where those chains raised:
 
-- ``attention``: multi-head self-attention from one (3H, D, d) q/k/v leaf,
-  times the output projection ``wo``, its softmax in place.
 - ``conv1d``: a same-padded conv with its bias, as im2col + one BLAS matmul
   (within 1e-12 of a per-tap contraction, not bit for bit).
 - ``linear``: ``x @ w + b``, the encoder's mean head.
-- ``add_layer_norm``: a post-norm residual.
 - ``encoder_block``: a whole post-norm transformer block.
 - ``scale_head``: the encoder's sigma head ``exp(clamp(x @ w + b, -6, 6))``.
 - ``coupling_conditioner``: a coupling layer's rows ``[s, t, xa]``.
@@ -57,8 +54,10 @@ replaced and raising ``NumericError`` where those chains raised:
 - ``aligned_nll``: the training loss.
 
 The duration losses are built on ``_make`` in ``duration.py``. The fused ops
-share array cores that return (output, back): ``_attend``, ``_feed_forward``,
-``_normalize``, ``_conv`` and ``_conv_net``, whose back runs its two
+share array cores that return (output, back): ``_attend``, the one home of
+the attention math (its output projection included), ``_feed_forward``,
+``_normalize`` (``layer_norm`` and ``encoder_block``'s post-norm residuals
+``layer_norm(a + b)``), ``_conv`` and ``_conv_net``, whose back runs its two
 ``_conv`` backs; no back takes more than two flags (input, weights), and
 ``_check_finite`` is their check. ``_elementwise`` is add, sub, mul and div,
 ``_affine`` the front end of ``linear`` and ``scale_head``, ``_into_zeros``
@@ -300,10 +299,10 @@ def _ignoring(**flags):
 
 
 @functools.lru_cache(maxsize=1)
-def _blas_thread_reader():
-    """The thread-count getter of the OpenBLAS numpy loaded from its wheel's
-    library folder, or None if there is none to read (another BLAS, a system
-    OpenBLAS, no ``RTLD_NOLOAD``): ``run_guarded`` then never guards."""
+def _openblas():
+    """The (thread-count getter, setter) of the OpenBLAS numpy loaded from its
+    wheel's library folder, or None if there is none to reach (another BLAS, a
+    system OpenBLAS, no ``RTLD_NOLOAD``): ``run_guarded`` then never guards."""
     import ctypes
     import glob
     import os
@@ -318,19 +317,21 @@ def _blas_thread_reader():
             lib = ctypes.CDLL(path, mode=mode)  # only a copy numpy has loaded
         except OSError:
             continue
-        for name in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
-                     "openblas_get_num_threads64_", "openblas_get_num_threads"):
-            getter = getattr(lib, name, None)
+        for name in ("scipy_openblas_{}_num_threads64_", "scipy_openblas_{}_num_threads",
+                     "openblas_{}_num_threads64_", "openblas_{}_num_threads"):
+            getter = getattr(lib, name.format("get"), None)
             if getter is not None:
+                setter = getattr(lib, name.format("set"))
                 getter.restype, getter.argtypes = ctypes.c_int, []
-                return getter
+                setter.restype, setter.argtypes = None, [ctypes.c_int]
+                return getter, setter
     return None
 
 
 def blas_threads() -> int | None:
     """The thread count numpy's OpenBLAS reports now, or None if it cannot be read."""
-    getter = _blas_thread_reader()
-    return None if getter is None else getter()
+    blas = _openblas()
+    return None if blas is None else blas[0]()
 
 
 def _leaves_finite(params, arrays) -> bool:
@@ -796,39 +797,11 @@ def _normalize(s: np.ndarray, axis: int, op: str):
     return data, back
 
 
-def _layer_norm_node(s: np.ndarray, parents: tuple[Tensor, ...], axis: int, op: str) -> Tensor:
-    """Layer norm of ``s`` as one node whose every parent receives the same
-    gradient (each parent's shape is ``s.shape``)."""
-    data, back = _normalize(s, axis, op)
-    return _make(data, parents, lambda g: (back(g),) * len(parents), op)
-
-
 def layer_norm(a, axis: int = -1) -> Tensor:
     """Normalize to zero mean, unit variance along ``axis`` (no learned affine)."""
     a = ensure_tensor(a)
-    return _layer_norm_node(a.data, (a,), axis, "layer_norm")
-
-
-def add_layer_norm(a, b, axis: int = -1) -> Tensor:
-    """``layer_norm(a + b)`` as one node: the post-norm residual of a
-    transformer block. ``a`` and ``b`` must have the same shape.
-
-    The result and gradients equal the add-then-layer_norm chain byte for
-    byte, and it raises ``NumericError`` exactly where that chain did: on a
-    non-finite sum or variance, and through ``_make`` on a non-finite output.
-    """
-    a, b = ensure_tensor(a), ensure_tensor(b)
-    if a.shape != b.shape:
-        raise ShapeError(f"add_layer_norm: shapes {a.shape} and {b.shape} differ")
-    return _layer_norm_node(_checked_sum(a.data, b.data, "add_layer_norm"), (a, b), axis,
-                            "add_layer_norm")
-
-
-def _checked_sum(a: np.ndarray, b: np.ndarray, op: str) -> np.ndarray:
-    """``a + b``; raises ``NumericError`` naming ``op`` if a value is not finite."""
-    s = a + b
-    _check_finite(s, op)
-    return s
+    data, back = _normalize(a.data, axis, "layer_norm")
+    return _make(data, (a,), lambda g: (back(g),), "layer_norm")
 
 
 def attention_probs(q: np.ndarray, k: np.ndarray, scale: float,
@@ -838,8 +811,8 @@ def attention_probs(q: np.ndarray, k: np.ndarray, scale: float,
     q, k: (H, T, d); ``bias`` is a constant additive (T, T) score bias or
     None. Returns the (H, T, T) row-stochastic maps in one buffer: the scores
     are shifted, exponentiated and normalised in place. This is the forward
-    of ``attention`` up to the weighted sum of v, so a map read through here
-    is the map the op uses, byte for byte. Raises ``NumericError``, naming
+    of ``_attend`` up to the weighted sum of v, so a map read through here
+    is the map the fused ops use, byte for byte. Raises ``NumericError``, naming
     ``op``, on a non-finite score (the softmax would zero a -inf entry
     without a trace).
     """
@@ -858,28 +831,40 @@ def attention_probs(q: np.ndarray, k: np.ndarray, scale: float,
     return scores
 
 
-def _attend(x: np.ndarray, wd: np.ndarray, n: int, scale: float, bias, wo, op: str):
-    """The forward of ``attention`` on arrays: (output, back), where
-    ``back(g, want_x)`` gives the cotangents of x (None, and not computed,
-    unless ``want_x``), the stacked weights and ``wo`` (None if ``wo`` is
-    None). Raises ``NumericError``, naming ``op``, where ``attention`` does,
-    bar its output check."""
+def _attend(x: np.ndarray, wd: np.ndarray, n: int, scale: float, bias, wo: np.ndarray,
+            op: str):
+    """Multi-head self-attention with its output projection, on arrays:
+    (output, back), where ``back(g, want_x)`` gives the cotangents of x (None,
+    and not computed, unless ``want_x``), the stacked weights and ``wo``.
+
+    x: (T, D); wd: (3H, D, d), the wq, wk, wv of head h at rows h, H + h, 2H + h
+    for H = ``n``; wo: (H*d, M). Head h is softmax(x@wq @ (x@wk).T * scale +
+    bias) @ x@wv, ``bias`` a constant additive (T, T) score bias or None; the
+    heads form (T, H*d), head h in columns h*d:(h+1)*d, and the output is
+    ``heads @ wo``.
+
+    The output equals, byte for byte, the per-head chain of matmul, transpose,
+    mul, add, softmax and matmul ops, their concat and a matmul by ``wo``: each
+    product runs the same 2-D BLAS call on operands of the same layout (the
+    chain's transpose made k.T contiguous, so this does too). The cotangents
+    are within 1e-12 of that chain's. It raises ``NumericError``, naming
+    ``op``, where that chain raises, bar the output check its caller makes: on
+    a non-finite q, k or v, on a non-finite score before the softmax (in
+    ``attention_probs``) and on non-finite heads (IEEE products carry them
+    into the output, but a BLAS may skip a zero entry of ``wo``). Softmax of
+    finite scores is finite, so nothing in between needs a check. The maps
+    take one (H, T, T) buffer and the back two."""
     length, d = x.shape[0], wd.shape[2]
     qkv = np.matmul(x, wd)  # (3H, T, d)
     _check_finite(qkv, op, "q, k or v")
     q, k, v = qkv[:n], qkv[n : 2 * n], qkv[2 * n :]
     att = attention_probs(q, k, scale, bias, op)  # (H, T, T)
     heads = np.matmul(att, v).transpose(1, 0, 2).reshape(length, n * d)
-    out = heads
-    if wo is not None:
-        _check_finite(heads, op)
-        out = heads @ wo
+    _check_finite(heads, op)
 
     def back(g, want_x=True):
-        g_wo = None
-        if wo is not None:  # the output projection's matmul VJP
-            g_wo = heads.T @ g
-            g = g @ wo.T
+        g_wo = heads.T @ g  # the output projection's matmul VJP
+        g = g @ wo.T
         gh = g.reshape(length, n, d).transpose(1, 0, 2)  # (H, T, d)
         g_att = np.matmul(gh, v.transpose(0, 2, 1))
         g_qkv = np.empty_like(qkv)
@@ -896,47 +881,7 @@ def _attend(x: np.ndarray, wd: np.ndarray, n: int, scale: float, bias, wo, op: s
                 wd.shape[1], -1).T
         return g_x, np.matmul(x.T, g_qkv), g_wo
 
-    return out, back
-
-
-def attention(x, w, n_heads: int, scale: float, bias: np.ndarray | None = None,
-              wo=None) -> Tensor:
-    """Multi-head self-attention, with its output projection, as one tape node.
-
-    x: (T, D); w: (3H, D, d), the wq, wk, wv of head h at rows h, H + h, 2H + h
-    for H = ``n_heads``. The heads form (T, H*d), head h in columns h*d:(h+1)*d:
-    softmax(x@wq @ (x@wk).T * scale + bias) @ x@wv. ``bias`` is a constant
-    additive (T, T) score bias or None. With ``wo``, an (H*d, M) output
-    projection, the op returns ``heads @ wo``; without, the heads.
-
-    The forward is bit-identical to the per-head chain of matmul, transpose,
-    mul, add, softmax, matmul and concat ops, then the matmul by ``wo``: each
-    product runs the same 2-D BLAS call on operands of the same layout. The
-    chain's transpose op made k.T contiguous, so this one does too. It raises
-    ``NumericError`` exactly where that chain would: on a non-finite q, k or
-    v, on a non-finite score before the softmax (in ``attention_probs``), on
-    non-finite heads when ``wo`` follows them (IEEE products carry them into
-    the output, but a BLAS may skip a zero entry of ``wo``), and, through
-    ``_make``, on a non-finite output. Softmax of finite scores is finite, so
-    nothing in between needs a check. The maps take one (H, T, T) buffer and
-    the VJP two.
-    """
-    x, w = ensure_tensor(x), ensure_tensor(w)
-    n = n_heads
-    if x.ndim != 2 or w.ndim != 3 or n < 1 or w.shape[0] != 3 * n or w.shape[1] != x.shape[1]:
-        raise ShapeError(f"attention: x {x.shape} needs (3H, D, d) weights for H = {n} heads "
-                         f"with D = x.shape[1], got {w.shape}")
-    wod = None
-    if wo is not None:
-        wo = ensure_tensor(wo)
-        if wo.ndim != 2 or wo.shape[0] != n * w.shape[2]:
-            raise ShapeError(f"attention: output projection {wo.shape} needs {n * w.shape[2]} "
-                             f"rows")
-        wod = wo.data
-    data, back = _attend(x.data, w.data, n, scale, bias, wod, "attention")
-    if wo is None:
-        return _make(data, (x, w), lambda g: back(g)[:2], "attention")
-    return _make(data, (x, w, wo), back, "attention")
+    return heads @ wo, back
 
 
 def _feed_forward(x: np.ndarray, w1: np.ndarray, b1: np.ndarray, w2: np.ndarray,
@@ -961,24 +906,26 @@ def _feed_forward(x: np.ndarray, w1: np.ndarray, b1: np.ndarray, w2: np.ndarray,
 
 def encoder_block(x, w, wo, w1, b1, w2, b2, n_heads: int, scale: float,
                   bias: np.ndarray | None = None) -> Tensor:
-    """A post-norm transformer block as one tape node: with ``a = attention(x,
-    w, n_heads, scale, bias, wo)`` and ``x1 = add_layer_norm(x, a, axis=1)``,
-    the output ``add_layer_norm(x1, linear(relu(linear(x1, w1, b1)), w2, b2),
-    axis=1)``.
+    """A post-norm transformer block as one tape node: with ``a = _attend(x, w,
+    n_heads, scale, bias, wo)``, the attention and its output projection, and
+    ``x1 = layer_norm(x + a, axis=1)``, the output ``layer_norm(x1 +
+    linear(relu(linear(x1, w1, b1)), w2, b2), axis=1)``.
     x: (T, D); w: (3H, D, d); wo: (H*d, D); w1: (D, F), b1: (F,), w2: (F, D),
     b2: (D,).
 
-    The result and the seven cotangents equal that six-node chain byte for
-    byte: x1's cotangent is the second norm's plus the net's, and x's the
-    first norm's plus the attention's, as the walk summed them. The VJP
-    computes all seven. It raises ``NumericError``, naming itself, exactly
-    where the chain raised: on a non-finite q, k or v, score or heads (in
-    ``_attend``), first affine map of the net (relu would turn a -inf into 0)
-    or either norm's variance, and through ``_make`` on a non-finite output.
-    That last check covers the chain's others: the layer norm of a sum with a
-    non-finite value has a NaN in its row, a non-finite attention output or x
-    makes the first sum non-finite, a non-finite net output the second, and
-    x1 reaches the output through the second sum, elementwise.
+    The result and the seven cotangents equal, byte for byte, that chain of
+    tape ops with the attention as one node over ``_attend`` (whose output is
+    its per-head matmul, softmax and concat chain's, byte for byte): x1's
+    cotangent is the second norm's plus the net's, and x's the first norm's
+    plus the attention's, as the walk summed them. The VJP computes all
+    seven. It raises ``NumericError``, naming itself, exactly where the chain
+    raised: on a non-finite q, k or v, score or heads (in ``_attend``), first
+    affine map of the net (relu would turn a -inf into 0) or either norm's
+    variance, and through ``_make`` on a non-finite output. That last check
+    covers the chain's others: the layer norm of a sum with a non-finite
+    value has a NaN in its row, a non-finite attention output or x makes the
+    first sum non-finite, a non-finite net output the second, and x1 reaches
+    the output through the second sum, elementwise.
     """
     parents = x, w, wo, w1, b1, w2, b2 = tuple(map(ensure_tensor, (x, w, wo, w1, b1, w2, b2)))
     xd, wd, w1d, w2d = x.data, w.data, w1.data, w2.data
@@ -1256,8 +1203,8 @@ def conv_tower(feats, extra, w1, b1, w2, b2, wh, bh, wc=None, cond=None) -> Tens
 def coupling_conditioner(x, w1, b1, w2, b2, wqkv=None, wo=None, scale: float = 1.0,
                          wc=None, cond=None) -> Tensor:
     """What an affine coupling layer computes from its passed half, as one tape
-    node. With xa = ``x[:h]``: ``hs = xa + attention(xa.T, wqkv, 1, scale,
-    wo=wo).T`` (or ``hs = xa`` without ``wqkv``), ``out = conv1d(relu(conv1d(hs,
+    node. With xa = ``x[:h]``: ``hs = xa + _attend(xa.T, wqkv, 1, scale, None,
+    wo).T`` (or ``hs = xa`` without ``wqkv``), ``out = conv1d(relu(conv1d(hs,
     w1, b1) + wc @ cond), w2, b2)`` (the condition term only with ``wc``) and
     ``s = clamp(out[:h], -8, 8)`` (the clamp keeps exp(s) invertible);
     returns the (3h, T) rows ``[s, out[h:], xa]``: the
@@ -1266,8 +1213,8 @@ def coupling_conditioner(x, w1, b1, w2, b2, wqkv=None, wo=None, scale: float = 1
     wqkv: (3, h, d), wo: (d, h); wc: (F, D) with D ``cond`` values.
 
     The result and every cotangent equal, byte for byte, the chain it
-    replaced: getitem, transpose, ``attention``, transpose, add, ``conv1d``,
-    ``pre + reshape(wc @ reshape(cond, (-1, 1)), (-1, 1))``, relu,
+    replaced: getitem, transpose, ``_attend`` as one node, transpose, add,
+    ``conv1d``, ``pre + reshape(wc @ reshape(cond, (-1, 1)), (-1, 1))``, relu,
     ``conv1d``, getitem and clamp. That includes the transposes' copies (the
     attention runs on a contiguous xa.T and takes its cotangent as a
     transposed view), the order in which xa's three cotangents are summed
@@ -1312,7 +1259,8 @@ def coupling_conditioner(x, w1, b1, w2, b2, wqkv=None, wo=None, scale: float = 1
     if wqkv is not None:  # the chain's getitem and transpose made xa.T contiguous
         a, attention_back = _attend(np.ascontiguousarray(xa.T), wqkv.data, 1, scale, None,
                                     wo.data, op)
-        hs = _checked_sum(xa, a.T, op)
+        hs = xa + a.T
+        _check_finite(hs, op)
     wcd, cd = (None, None) if wc is None else (wc.data, cond.data)
     out, net_back = _conv_net(hs, w1.data, b1.data, w2.data, b2.data, wcd, cd, op)
     data = np.empty((3 * h, length))

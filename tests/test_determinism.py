@@ -6,10 +6,12 @@ stdout included, must equal the hash-seed-0 trial's byte for byte; nothing is
 listed by name, so a new output cannot escape the check. As a script,
 ``python tests/test_determinism.py PARENT_TREE CHANGE_TREE`` runs the table on
 two source trees under hash seed 0, prints every output that differs and
-exits 1 if any does, or 2 if it cannot run a command.
+exits 1 if any does, or 2 if it cannot run a command; for each differing
+captured stdout it also prints a unified diff of its lines.
 """
 
 import argparse
+import difflib
 import os
 import subprocess
 import sys
@@ -55,6 +57,15 @@ RUNS = [
 # conv1d and attention are BLAS matmuls, so the thread count must not move a bit either
 TRIALS = {"hash0": {"PYTHONHASHSEED": "0"}, "hash12345": {"PYTHONHASHSEED": "12345"},
           "blas1": {"PYTHONHASHSEED": "0", "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}}
+# a library caller that loads numpy before alignflow, with no thread variable set
+LIBRARY = "import sys, numpy; from alignflow import cli; sys.exit(cli.main(sys.argv[1:]))"
+DIFF_LINES = 40  # shown of a differing stdout capture's unified diff
+
+
+def _environment(tree: Path, trial: dict) -> dict:
+    env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+    env.update(trial, PYTHONPATH=str(tree.resolve() / "src"))
+    return env
 
 
 def run_trial(tree: Path, workdir: Path, trial: dict) -> dict:
@@ -66,8 +77,7 @@ def run_trial(tree: Path, workdir: Path, trial: dict) -> dict:
     (workdir / "frames.csv").write_text(FRAMES)
     for name, (seed, shape) in DRAWS.items():
         np.savetxt(workdir / name, np.random.default_rng(seed).normal(size=shape), delimiter=",")
-    env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
-    env.update(trial, PYTHONPATH=str(tree.resolve() / "src"))
+    env = _environment(tree, trial)
     for stdout, args in RUNS:
         with open(workdir / stdout, "wb") as out:
             proc = subprocess.run([sys.executable, "-m", "alignflow.cli", *args], cwd=workdir,
@@ -95,6 +105,20 @@ def test_every_output_matches_hash_seed_0(outputs, trial):
     assert differing(outputs["hash0"], outputs[trial]) == []
 
 
+def test_a_library_caller_loading_numpy_first_matches_the_cli(outputs, tmp_path):
+    """The ``long`` row's training run in a program that imports numpy before
+    alignflow leaves the CLI row's checkpoint, byte for byte."""
+    tree = Path(__file__).resolve().parent.parent
+    (tmp_path / "long.cfg").write_text("\n".join(CONFIGS["long"]) + "\n")
+    args = dict(RUNS)["long.out"]
+    proc = subprocess.run([sys.executable, "-c", LIBRARY, *args], cwd=tmp_path,
+                          env=_environment(tree, TRIALS["hash0"]), capture_output=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr.decode(errors="replace")
+    assert (tmp_path / "long/checkpoint.bin").read_bytes() == outputs["hash0"][
+        "long/checkpoint.bin"]
+
+
 def test_every_subcommand_has_a_row():
     from alignflow import cli
 
@@ -110,6 +134,13 @@ def compare(parent: Path, change: Path) -> int:
     names = differing(want, got)
     for name in names:
         print(f"differs: {name}")
+        if name.endswith(".out"):  # captured stdout, which is text
+            lines = list(difflib.unified_diff(
+                *(d.get(name, b"").decode(errors="replace").splitlines() for d in (want, got)),
+                f"parent/{name}", f"change/{name}", lineterm=""))
+            print("\n".join(lines[:DIFF_LINES]))
+            if len(lines) > DIFF_LINES:
+                print(f"... {len(lines) - DIFF_LINES} more diff lines")
     print(f"{len(names)} of {len(want.keys() | got.keys())} outputs differ" if names
           else f"all {len(want)} outputs byte-identical")
     return 1 if names else 0

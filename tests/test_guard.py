@@ -45,7 +45,7 @@ def _probe(states, out=None):
 
 class TestRunGuarded:
     def test_the_suite_runs_at_one_blas_thread(self):
-        # tests/conftest.py applies the package's default before numpy loads
+        # importing alignflow sets one thread in the OpenBLAS numpy already loaded
         assert nm.blas_threads() == 1
 
     def test_finite_shared_leaves_run_guarded_and_return_the_result(self):
@@ -77,7 +77,7 @@ class TestRunGuarded:
         assert states == [False]
 
     def test_an_unreadable_blas_count_is_none(self, monkeypatch):
-        monkeypatch.setattr(nm, "_blas_thread_reader", lambda: None)
+        monkeypatch.setattr(nm, "_openblas", lambda: None)
         assert nm.blas_threads() is None
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -205,6 +205,29 @@ class TestBlasThreadGate:
         if two["threads"] == 1:
             pytest.skip("OpenBLAS runs one thread on one CPU, whatever is asked")
         assert two == {**one, "threads": 2, "guarded": False}
+
+
+class TestImportOrder:
+    @staticmethod
+    def _threads(**variables) -> str:
+        """The BLAS thread count a fresh process reads after importing numpy,
+        then alignflow, with no thread variable set but ``variables``."""
+        env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+        env.update(variables, PYTHONPATH=str(SRC))
+        script = "import numpy; from alignflow import numerics as nm; print(nm.blas_threads())"
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.strip()
+
+    def test_numpy_loaded_first_still_runs_one_thread(self):
+        assert self._threads() == "1"
+
+    def test_an_explicit_count_wins(self):
+        threads = self._threads(OPENBLAS_NUM_THREADS="2")
+        if threads == "1":
+            pytest.skip("OpenBLAS runs one thread on one CPU, whatever is asked")
+        assert threads == "2"
 
 
 class TestGuardThreads:

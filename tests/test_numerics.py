@@ -1,3 +1,5 @@
+import contextlib
+import functools
 import re
 import warnings
 
@@ -53,9 +55,10 @@ def conv1d_oracle_vjp(x, w, g):
     return gxp[:, pl : pl + length], gw
 
 
-def attention_reference(x, w, n_heads, scale, bias=None, wo=None):
-    """Multi-head self-attention as the chain of scalar tape ops it replaces;
-    head h projects with rows h, H + h and 2H + h of the stacked weights."""
+def attention_reference(x, w, n_heads, scale, bias, wo):
+    """Multi-head self-attention with its output projection as the chain of
+    scalar tape ops ``nm._attend`` replaces; head h projects with rows h,
+    H + h and 2H + h of the stacked weights."""
     parts = []
     for h in range(n_heads):
         q = x @ w[h]
@@ -65,18 +68,35 @@ def attention_reference(x, w, n_heads, scale, bias=None, wo=None):
         if bias is not None:
             scores = scores + bias
         parts.append(nm.softmax(scores, axis=1) @ v)
-    heads = nm.concat(parts, axis=1)
-    return heads if wo is None else heads @ wo
+    return nm.concat(parts, axis=1) @ wo
 
 
-_attention = nm.attention  # the op itself, for a reference that outlives a monkeypatch
+def attend_node(x, w, n_heads, scale, bias, wo):
+    """``nm._attend``, the attention of ``encoder_block`` and
+    ``coupling_conditioner`` on arrays, as one tape node named "attention",
+    wrapped the way they wrap it."""
+    parents = x, w, wo = tuple(map(nm.ensure_tensor, (x, w, wo)))
+    data, back = nm._attend(x.data, w.data, n_heads, scale, bias, wo.data, "attention")
+    return nm._make(data, parents, back, "attention")
 
 
-def projected_attention_reference(x, w, n_heads, scale, bias=None, wo=None):
-    """``nm.attention`` with an output projection as the two tape nodes it
-    replaces: the attention heads, then a matmul by ``wo``."""
-    heads = _attention(x, w, n_heads, scale, bias)
-    return heads if wo is None else heads @ wo
+@contextlib.contextmanager
+def chains_patched_in(monkeypatch, **references):
+    """Replace each named ``nm`` op by its reference for the ``with`` body,
+    counting the calls, and assert on exit that every one ran: a patched op
+    the body never calls would compare the fused run with itself."""
+    calls = dict.fromkeys(references, 0)
+
+    def counted(name, reference):
+        def op(*args, **kwargs):
+            calls[name] += 1
+            return reference(*args, **kwargs)
+        return op
+
+    for name, reference in references.items():
+        monkeypatch.setattr(nm, name, counted(name, reference))
+    yield
+    assert all(calls.values()), f"never ran: {sorted(n for n, c in calls.items() if not c)}"
 
 
 def ffn_reference(x, w1, b1, w2, b2):
@@ -104,14 +124,16 @@ def scale_head_reference(x, w, b):
     return nm.exp(nm.clamp(nm.linear(x, w, b), -6.0, 6.0))
 
 
-def encoder_block_reference(x, w, wo, w1, b1, w2, b2, n_heads, scale, bias=None):
-    """``nm.encoder_block`` as the chain of tape ops it replaces: attention
-    with its output projection, add_layer_norm, the net and add_layer_norm."""
-    x = nm.add_layer_norm(x, nm.attention(x, w, n_heads, scale, bias, wo), axis=1)
-    return nm.add_layer_norm(x, ffn_reference(x, w1, b1, w2, b2), axis=1)
+def encoder_block_reference(x, w, wo, w1, b1, w2, b2, n_heads, scale, bias=None,
+                            attention=attend_node):
+    """``nm.encoder_block`` as the chain of tape ops it replaces: the
+    ``attention`` with its output projection, add, layer_norm, the net, add and
+    layer_norm."""
+    x = add_layer_norm_reference(x, attention(x, w, n_heads, scale, bias, wo), 1)
+    return add_layer_norm_reference(x, ffn_reference(x, w1, b1, w2, b2), 1)
 
 
-def _conditioner_chain(x, w1, b1, w2, b2, wqkv, wo, scale, wc, cond):
+def _conditioner_chain(x, w1, b1, w2, b2, wqkv, wo, scale, wc, cond, attention):
     """The passed half, the transformed half, the clamped log-scale and the
     conv output of a coupling layer, as the chain of tape ops it ran."""
     x = nm.ensure_tensor(x)
@@ -119,7 +141,7 @@ def _conditioner_chain(x, w1, b1, w2, b2, wqkv, wo, scale, wc, cond):
     xa, xb = x[:h], x[h:]
     hs = xa
     if wqkv is not None:
-        hs = hs + nm.attention(xa.T, wqkv, 1, scale, wo=wo).T
+        hs = hs + attention(xa.T, wqkv, 1, scale, None, wo).T
     pre = _conv1d(hs, w1, b1)
     if cond is not None:
         pre = pre + nm.reshape(wc @ nm.reshape(cond, (-1, 1)), (-1, 1))
@@ -132,16 +154,17 @@ def coupling_reference(x, w1, b1, w2, b2, wqkv=None, wo=None, scale=1.0, wc=None
     ``coupling_conditioner``, ``affine_coupling`` and ``sum_rows`` replaced;
     the output is the chain ``affine_coupling`` replaced before it took the
     conditioner's rows."""
-    xa, xb, s, out = _conditioner_chain(x, w1, b1, w2, b2, wqkv, wo, scale, wc, cond)
+    xa, xb, s, out = _conditioner_chain(x, w1, b1, w2, b2, wqkv, wo, scale, wc, cond,
+                                        attend_node)
     t = out[xa.shape[0]:]
     return nm.concat([xa, xb * nm.exp(s) + t], axis=0), nm.summation(s)
 
 
 def coupling_conditioner_reference(x, w1, b1, w2, b2, wqkv=None, wo=None, scale=1.0, wc=None,
-                                   cond=None):
+                                   cond=None, attention=attend_node):
     """``nm.coupling_conditioner`` as the chain of tape ops it replaces, its
     rows [s, t, xa] joined by a concat."""
-    xa, _, s, out = _conditioner_chain(x, w1, b1, w2, b2, wqkv, wo, scale, wc, cond)
+    xa, _, s, out = _conditioner_chain(x, w1, b1, w2, b2, wqkv, wo, scale, wc, cond, attention)
     return nm.concat([s, out[xa.shape[0]:], xa], axis=0)
 
 
@@ -153,12 +176,12 @@ def fused_coupling(x, w1, b1, w2, b2, wqkv=None, wo=None, scale=1.0, wc=None, co
     return nm.affine_coupling(x, c), nm.sum_rows(c, x.shape[0] // 2)
 
 
-def attention_four_buffers(x, ws, n_heads, scale, bias, g):
-    """The fused attention op's forward and VJP as written before its softmax
-    went in place, with four (H, T, T) temporaries each way: (output, x
-    cotangent, weight cotangents in the op's all-wq, all-wk, all-wv order)
-    for output cotangent ``g``; ``ws`` are the 3H weights in that order. The
-    op must match it byte for byte."""
+def attention_four_buffers(x, ws, n_heads, scale, bias, wo, g):
+    """``nm._attend``'s forward and back as written before its softmax went in
+    place, with four (H, T, T) temporaries each way: (output, x cotangent,
+    weight cotangents in the all-wq, all-wk, all-wv order, ``wo`` cotangent)
+    for output cotangent ``g``; ``ws`` are the 3H weights in that order. It
+    must match byte for byte."""
     n, length = n_heads, x.shape[0]
     w = np.array(ws)
     d = w.shape[2]
@@ -170,7 +193,9 @@ def attention_four_buffers(x, ws, n_heads, scale, bias, g):
         scores += bias
     e = np.exp(scores - scores.max(axis=-1, keepdims=True))
     att = e / e.sum(axis=-1, keepdims=True)
-    out = np.matmul(att, v).transpose(1, 0, 2).reshape(length, n * d)
+    heads = np.matmul(att, v).transpose(1, 0, 2).reshape(length, n * d)
+    g_wo = heads.T @ g
+    g = g @ wo.T
     gh = g.reshape(length, n, d).transpose(1, 0, 2)
     g_att = np.matmul(gh, v.transpose(0, 2, 1))
     g_qkv = np.empty_like(qkv)
@@ -182,7 +207,7 @@ def attention_four_buffers(x, ws, n_heads, scale, bias, g):
     g_w = np.matmul(x.T, g_qkv)
     g_x = g_qkv.transpose(1, 0, 2).reshape(length, -1) @ w.transpose(1, 0, 2).reshape(
         w.shape[1], -1).T
-    return [out, g_x, *g_w]
+    return [heads @ wo, g_x, *g_w, g_wo]
 
 
 _conv1d = nm.conv1d  # the op itself, for a reference that outlives a monkeypatch
@@ -220,7 +245,8 @@ def linear_reference(x, w, b):
 
 
 def add_layer_norm_reference(a, b, axis):
-    """``nm.add_layer_norm`` as the chain of tape ops it replaces."""
+    """A post-norm residual of ``nm.encoder_block`` as the add and layer_norm
+    tape ops it replaces."""
     return nm.layer_norm(a + b, axis=axis)
 
 
@@ -329,7 +355,8 @@ def _forward_and_grads(op, leaves, *args):
 
 
 def _attention_case(rng, length, width, n_heads, head_dim, bias_kind=None):
-    """Random inputs; ``bias_kind`` is None, "mask" (masked key columns) or "dense"."""
+    """Random x, stacked q/k/v, output projection (H*d, D), scale and bias;
+    ``bias_kind`` is None, "mask" (masked key columns) or "dense"."""
     x = Tensor(rng.normal((length, width)), requires_grad=True)
     heads = [[nm.init_uniform(rng, (width, head_dim), width).data for _ in range(3)]
              for _ in range(n_heads)]  # wq, wk, wv per head, stacked all wq, all wk, all wv
@@ -343,7 +370,8 @@ def _attention_case(rng, length, width, n_heads, head_dim, bias_kind=None):
         bias[:, ~keep] = -1e30
     elif bias_kind == "dense":
         bias = rng.normal((length, length))
-    return x, w, 1.0 / np.sqrt(head_dim), bias
+    wo = Tensor(rng.normal((n_heads * head_dim, width)), requires_grad=True)
+    return x, w, wo, 1.0 / np.sqrt(head_dim), bias
 
 
 def _raises_numeric(f, *args) -> bool:
@@ -908,7 +936,9 @@ class TestLeanMake:
 
 
 class TestFusedAttention:
-    """``nm.attention`` against the per-head chain of tape ops it replaces."""
+    """``nm._attend``, the attention math of ``encoder_block`` and
+    ``coupling_conditioner``, as the tape node ``attend_node``, against the
+    per-head chain of tape ops it replaces and the four-buffer form."""
 
     SHAPES = [(1, 4, 2, 2), (2, 1, 1, 8), (3, 2, 1, 8), (5, 8, 2, 4), (7, 32, 2, 16),
               (16, 16, 2, 8), (33, 32, 4, 8), (64, 3, 3, 5), (100, 32, 2, 16), (320, 1, 1, 8)]
@@ -916,12 +946,12 @@ class TestFusedAttention:
     @pytest.mark.parametrize("bias_kind", [None, "mask", "dense"])
     @pytest.mark.parametrize("shape", SHAPES)
     def test_forward_bit_identical_and_gradients_close(self, shape, bias_kind):
-        x, w, scale, bias = _attention_case(Rng(sum(shape)), *shape, bias_kind)
-        leaves = [x, w]
-        weight = Rng(7).normal((shape[0], shape[2] * shape[3]))
+        x, w, wo, scale, bias = _attention_case(Rng(sum(shape)), *shape, bias_kind)
+        leaves = [x, w, wo]
+        weight = Rng(7).normal((shape[0], shape[1]))
         grads = []
-        for op in (attention_reference, nm.attention):
-            out = op(x, w, shape[2], scale, bias)
+        for op in (attention_reference, attend_node):
+            out = op(x, w, shape[2], scale, bias, wo)
             grads.append(out.data.tobytes())
             nm.summation(out * weight).backward()
             grads.append([t.grad for t in leaves])
@@ -948,33 +978,40 @@ class TestFusedAttention:
             return [t.data.tobytes() for t in (h, mu, sigma, y, logdet)]
 
         fused = outputs()
-        monkeypatch.setattr(nm, "attention", attention_reference)
-        assert outputs() == fused
+        with chains_patched_in(  # the per-head attention chain in both fused ops
+                monkeypatch,
+                encoder_block=functools.partial(encoder_block_reference,
+                                                attention=attention_reference),
+                coupling_conditioner=functools.partial(coupling_conditioner_reference,
+                                                       attention=attention_reference)):
+            assert outputs() == fused
 
     def test_one_tape_node_for_all_heads(self):
-        x, w, scale, _ = _attention_case(Rng(1), 4, 6, 3, 2)
-        out = nm.attention(x, w, 3, scale)
+        x, w, wo, scale, _ = _attention_case(Rng(1), 4, 6, 3, 2)
+        out = attend_node(x, w, 3, scale, None, wo)
         assert out.shape == (4, 6)
-        assert out._parents == (x, w)
-        g_x, g_w = out._vjp(np.ones(out.shape))
+        assert out._parents == (x, w, wo)
+        g_x, g_w, g_wo = out._vjp(np.ones(out.shape))
         assert g_x.shape == x.shape and g_w.shape == w.shape == (9, 6, 2)
+        assert g_wo.shape == wo.shape == (6, 6)
+        assert out._vjp(np.ones(out.shape), False)[0] is None  # want_x off
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_q_overflow_raises(self):
-        x, w, scale, _ = _attention_case(Rng(2), 3, 2, 2, 2)
+        x, w, wo, scale, _ = _attention_case(Rng(2), 3, 2, 2, 2)
         w.data[1] = 1e300  # head 1's wq
         x.data[0] = 1e10
-        for op in (attention_reference, nm.attention):
-            assert _raises_numeric(op, x, w, 2, scale)
+        for op in (attention_reference, attend_node):
+            assert _raises_numeric(op, x, w, 2, scale, None, wo)
         with pytest.raises(NumericError, match="q, k or v"):
-            nm.attention(x, w, 2, scale)
+            attend_node(x, w, 2, scale, None, wo)
 
     def test_v_overflow_raises(self):
-        x, w, scale, _ = _attention_case(Rng(3), 3, 2, 1, 2)
+        x, w, wo, scale, _ = _attention_case(Rng(3), 3, 2, 1, 2)
         w.data[2] = 1e300  # wv
         x.data[...] = 1e10
-        for op in (attention_reference, nm.attention):
-            assert _raises_numeric(op, x, w, 1, scale)
+        for op in (attention_reference, attend_node):
+            assert _raises_numeric(op, x, w, 1, scale, None, wo)
 
     def test_overflow_in_weighted_sum_of_v_raises_like_the_chain(self):
         # finite v at the largest double: rounding in att @ v overflows for some lengths
@@ -982,79 +1019,65 @@ class TestFusedAttention:
         raised = []
         for length in range(2, 65):
             x = Tensor(np.ones((length, 1)))
-            w = Tensor([[[0.0]], [[0.0]], [[big]]])
-            fused = _raises_numeric(nm.attention, x, w, 1, 1.0)
-            assert fused == _raises_numeric(attention_reference, x, w, 1, 1.0), length
+            w, wo = Tensor([[[0.0]], [[0.0]], [[big]]]), Tensor([[1.0]])
+            fused = _raises_numeric(attend_node, x, w, 1, 1.0, None, wo)
+            assert fused == _raises_numeric(attention_reference, x, w, 1, 1.0, None, wo), length
             if fused:
                 raised.append(length)
-        assert raised, "no length overflowed; the output check went untested"
+        assert raised, "no length overflowed; the heads check went untested"
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_single_minus_inf_score_raises(self):
         # q0.k0 = -1e320 overflows to -inf while every other score is finite;
         # softmax would turn that entry into a silent 0
         x = Tensor([[1e160], [1.0]])
-        w = Tensor([[[1.0]], [[-1.0]], [[1.0]]])
-        for op in (attention_reference, nm.attention):
-            assert _raises_numeric(op, x, w, 1, 1.0)
+        w, wo = Tensor([[[1.0]], [[-1.0]], [[1.0]]]), Tensor([[1.0]])
+        for op in (attention_reference, attend_node):
+            assert _raises_numeric(op, x, w, 1, 1.0, None, wo)
         with pytest.raises(NumericError, match="non-finite score"):
-            nm.attention(x, w, 1, 1.0)
+            attend_node(x, w, 1, 1.0, None, wo)
 
     @pytest.mark.parametrize("masked", [False, True])
     def test_raises_exactly_where_the_chain_raises(self, masked):
         outcomes = set()
+        wo = Tensor(np.eye(2))  # the heads themselves
         for exponent in range(140, 170):
             x = Tensor([[10.0 ** exponent], [1.0], [-3.0]])
             # head 0 (wq, wk, wv) = (1, -1, 1), head 1 = (0.5, 2, 1e-150)
             w = Tensor(np.array([1.0, 0.5, -1.0, 2.0, 1.0, 1e-150]).reshape(6, 1, 1))
             bias = np.where(np.arange(3) == 2, -1e30, 0.0) * np.ones((3, 1)) if masked else None
-            fused = _raises_numeric(nm.attention, x, w, 2, 0.7, bias)
-            assert fused == _raises_numeric(attention_reference, x, w, 2, 0.7, bias), exponent
+            fused = _raises_numeric(attend_node, x, w, 2, 0.7, bias, wo)
+            assert fused == _raises_numeric(attention_reference, x, w, 2, 0.7, bias, wo), exponent
             outcomes.add(fused)
         assert outcomes == {False, True}
 
-    def test_shape_errors(self):
-        x, w = Tensor(np.zeros((4, 3))), Tensor(np.zeros((3, 3, 2)))
-        with pytest.raises(ShapeError, match="attention"):
-            nm.attention(Tensor(np.zeros((4, 2))), w, 1, 1.0)  # D differs
-        with pytest.raises(ShapeError, match="attention"):
-            nm.attention(x, w, 2, 1.0)  # 3 rows for 2 heads
-        with pytest.raises(ShapeError, match="attention"):
-            nm.attention(x, Tensor(np.zeros((0, 3, 2))), 0, 1.0)
-        with pytest.raises(ShapeError, match="attention"):
-            nm.attention(x, Tensor(np.zeros((3, 2))), 1, 1.0)  # one unstacked weight
-        with pytest.raises(ShapeError, match="attention"):
-            nm.attention(Tensor(np.zeros(3)), w, 1, 1.0)
-        with pytest.raises(ShapeError, match=r"bias \(3, 3\)"):
-            nm.attention(x, w, 1, 1.0, np.zeros((3, 3)))
-
     @pytest.mark.parametrize("bias_kind", [None, "mask", "dense"])
-    @pytest.mark.parametrize("shape", [(1, 4, 1, 2), (7, 5, 1, 3), (40, 6, 2, 4),
-                                       (3, 2, 2, 5), (200, 1, 1, 8), (64, 16, 2, 8)])
+    @pytest.mark.parametrize("shape", SHAPES + [(1, 4, 1, 2), (7, 5, 1, 3), (40, 6, 2, 4),
+                                                (3, 2, 2, 5), (200, 1, 1, 8), (64, 16, 2, 8)])
     def test_in_place_softmax_bytes_match_the_four_buffer_form(self, shape, bias_kind):
-        x, w, scale, bias = _attention_case(Rng(sum(shape) + 1), *shape, bias_kind)
-        g = Rng(8).normal((shape[0], shape[2] * shape[3]))
-        out = nm.attention(x, w, shape[2], scale, bias)
-        nm.summation(out * g).backward()  # the op's cotangent is g, byte for byte
-        want = attention_four_buffers(x.data, list(w.data), shape[2], scale, bias, g)
-        got = [out.data, x.grad, *w.grad]
+        x, w, wo, scale, bias = _attention_case(Rng(sum(shape) + 1), *shape, bias_kind)
+        g = Rng(8).normal((shape[0], shape[1]))
+        out = attend_node(x, w, shape[2], scale, bias, wo)
+        nm.summation(out * g).backward()  # the node's cotangent is g, byte for byte
+        want = attention_four_buffers(x.data, list(w.data), shape[2], scale, bias, wo.data, g)
+        got = [out.data, x.grad, *w.grad, wo.grad]
         assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
 
     def test_attention_probs_is_the_forward_map(self):
-        x, w, scale, bias = _attention_case(Rng(4), 9, 5, 2, 3, "mask")
+        x, w, wo, scale, bias = _attention_case(Rng(4), 9, 5, 2, 3, "mask")
         qkv = np.matmul(x.data, w.data)
         att = nm.attention_probs(qkv[:2], qkv[2:4], scale, bias)
         assert att.shape == (2, 9, 9)
         npt.assert_allclose(att.sum(axis=-1), 1.0, atol=1e-15)
         v = qkv[4:]
-        want = np.matmul(att, v).transpose(1, 0, 2).reshape(9, 6)
-        assert nm.attention(x, w, 2, scale, bias).data.tobytes() == want.tobytes()
+        want = np.matmul(att, v).transpose(1, 0, 2).reshape(9, 6) @ wo.data
+        assert attend_node(x, w, 2, scale, bias, wo).data.tobytes() == want.tobytes()
 
 
 class TestFusedLayerOps:
-    """``conv1d`` with a bias, ``linear`` and ``add_layer_norm`` against the
-    op chains they replace: the same bytes forward and backward, and a
-    ``NumericError`` on exactly the same inputs."""
+    """``conv1d`` with a bias and ``linear`` against the op chains they
+    replace: the same bytes forward and backward, and a ``NumericError`` on
+    exactly the same inputs."""
 
     CONV_SHAPES = [(c, o, k, n) for k in range(1, 10) for n in (1, 2, 3, 5, 8, 12)
                    for c, o in ((1, 1), (3, 2))] + [(34, 32, 3, 6), (32, 1, 1, 40)]
@@ -1101,14 +1124,6 @@ class TestFusedLayerOps:
                 == _forward_and_grads(linear_reference, leaves))
 
     @pytest.mark.parametrize("shape, axis", [((5, 32), 1), ((5, 32), -1), ((1, 7), 1),
-                                             ((4, 3), 0), ((80, 16), 1), ((2, 3, 4), 1)])
-    def test_add_layer_norm_bytes_match_the_chain(self, shape, axis):
-        rng = Rng(sum(shape) + axis)
-        leaves = [Tensor(rng.normal(shape) * 3.0 + 1.0, requires_grad=True) for _ in range(2)]
-        assert (_forward_and_grads(nm.add_layer_norm, leaves, axis)
-                == _forward_and_grads(add_layer_norm_reference, leaves, axis))
-
-    @pytest.mark.parametrize("shape, axis", [((5, 32), 1), ((5, 32), -1), ((1, 7), 1),
                                              ((4, 3), 0), ((80, 16), 1), ((3, 1), 1),
                                              ((2, 3, 4), 0), ((2, 3, 4), 2), ((9, 64), 1),
                                              ((20, 3), 1), ((10, 5), 1), ((6, 24), -1),
@@ -1127,8 +1142,6 @@ class TestFusedLayerOps:
         assert nm.conv1d(x, w)._parents == (x, w)
         lw, lb = Tensor(np.ones((3, 4)), requires_grad=True), Tensor(np.ones(4))
         assert nm.linear(x, lw, lb)._parents == (x, lw, lb)
-        y = Tensor(np.ones((2, 3)), requires_grad=True)
-        assert nm.add_layer_norm(x, y, axis=1)._parents == (x, y)
 
     def test_conv1d_vjp_computes_every_cotangent(self):
         """No model path runs ``conv1d``, so its VJP takes no flags: a constant
@@ -1167,21 +1180,6 @@ class TestFusedLayerOps:
         with pytest.raises(NumericError, match=r"^linear produced a non-finite value$"):
             nm.linear(x, lw, lb)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_infinite_residual_sum_raises_where_the_chain_raises(self):
-        outcomes = set()
-        for exponent in range(150, 309):  # a variance overflows from about 1e154
-            a = Tensor([[1.0, 1.7 * 10.0 ** exponent, -2.0]])
-            b = Tensor([[0.5, 1.7 * 10.0 ** exponent, 3.0]])
-            fused = _raises_numeric(nm.add_layer_norm, a, b, 1)
-            assert fused == _raises_numeric(add_layer_norm_reference, a, b, 1), exponent
-            outcomes.add(fused)
-        assert outcomes == {False, True}
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(NumericError, match=r"^add_layer_norm produced a non-finite value$"):
-                nm.add_layer_norm(Tensor([[np.inf, 1.0]]), Tensor([[0.0, 1.0]]), axis=1)
-
     def test_shape_errors(self):
         x, w = Tensor(np.zeros((2, 5))), Tensor(np.zeros((3, 2, 3)))
         with pytest.raises(ShapeError, match=r"bias \(2,\)"):
@@ -1190,8 +1188,6 @@ class TestFusedLayerOps:
             nm.linear(Tensor(np.zeros((4, 2))), Tensor(np.zeros((3, 2))), Tensor(np.zeros(2)))
         with pytest.raises(ShapeError, match="linear"):
             nm.linear(Tensor(np.zeros((4, 3))), Tensor(np.zeros((3, 2))), Tensor(np.zeros(3)))
-        with pytest.raises(ShapeError, match=r"\(2, 5\) and \(5, 2\)"):
-            nm.add_layer_norm(x, Tensor(np.zeros((5, 2))))
 
     def test_modules_bit_identical_to_the_chains(self, monkeypatch):
         from alignflow.duration import DurationDiscriminator, DurationGenerator
@@ -1219,30 +1215,18 @@ class TestFusedLayerOps:
             return [t.data.tobytes() for t in (h, mu, sigma, y, logdet, d, score)] + grads
 
         fused = outputs()
-        monkeypatch.setattr(nm, "conv1d", conv1d_reference)
-        monkeypatch.setattr(nm, "linear", linear_reference)
-        monkeypatch.setattr(nm, "add_layer_norm", add_layer_norm_reference)
-        assert outputs() == fused
+        with chains_patched_in(  # the norms' add + layer_norm, the convs as conv1d chains
+                monkeypatch, linear=linear_reference, encoder_block=encoder_block_reference,
+                coupling_conditioner=coupling_conditioner_reference,
+                conv_tower=conv_tower_reference):
+            assert outputs() == fused
 
 
 class TestFusedProjectionFfnCoupling:
-    """``attention`` with its output projection, the encoder block's net
+    """``_attend``'s output projection, the encoder block's net
     ``_feed_forward`` as one node, and ``affine_coupling``, against the op
     chains they replace: the same bytes forward and backward, and a
     ``NumericError`` on exactly the same inputs."""
-
-    @pytest.mark.parametrize("bias_kind", [None, "mask", "dense"])
-    @pytest.mark.parametrize("shape", [(1, 4, 2, 2), (5, 32, 2, 16), (9, 4, 1, 8),
-                                       (33, 32, 4, 8), (64, 3, 3, 5)])
-    def test_projected_attention_bytes_match_the_chain(self, shape, bias_kind):
-        x, w, scale, bias = _attention_case(Rng(sum(shape) + 2), *shape, bias_kind)
-        n, d = shape[2], shape[3]
-        wo = Tensor(Rng(5).normal((n * d, 7)), requires_grad=True)
-        fused, chain = (
-            _forward_and_grads(lambda *leaves: op(*leaves[:2], n, scale, bias, leaves[2]),
-                               [x, w, wo])
-            for op in (nm.attention, projected_attention_reference))
-        assert fused == chain
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_projected_attention_raises_where_the_chain_raises(self):
@@ -1255,9 +1239,9 @@ class TestFusedProjectionFfnCoupling:
             w = Tensor([[[0.0]], [[0.0]], [[big]]])
             for proj in (0.0, 1e-300, 1.0):
                 wo = Tensor([[proj]])
-                fused = _raises_numeric(nm.attention, x, w, 1, 1.0, None, wo)
-                assert fused == _raises_numeric(projected_attention_reference, x, w, 1, 1.0,
-                                                None, wo), (length, proj)
+                fused = _raises_numeric(attend_node, x, w, 1, 1.0, None, wo)
+                assert fused == _raises_numeric(attention_reference, x, w, 1, 1.0, None, wo), (
+                    length, proj)
                 outcomes.add(fused)
         assert outcomes == {False, True}
         outcomes = set()
@@ -1265,9 +1249,8 @@ class TestFusedProjectionFfnCoupling:
             x = Tensor(np.ones((3, 1)))
             w = Tensor([[[1.0]], [[1.0]], [[10.0 ** exponent]]])
             wo = Tensor([[10.0 ** exponent, 1.0]])
-            fused = _raises_numeric(nm.attention, x, w, 1, 1.0, None, wo)
-            assert fused == _raises_numeric(projected_attention_reference, x, w, 1, 1.0,
-                                            None, wo), exponent
+            fused = _raises_numeric(attend_node, x, w, 1, 1.0, None, wo)
+            assert fused == _raises_numeric(attention_reference, x, w, 1, 1.0, None, wo), exponent
             outcomes.add(fused)
         assert outcomes == {False, True}
 
@@ -1343,21 +1326,11 @@ class TestFusedProjectionFfnCoupling:
         assert outcomes == {False, True}
 
     def test_one_tape_node_each(self):
-        x, w, scale, _ = _attention_case(Rng(1), 4, 6, 3, 2)
-        wo = Tensor(np.ones((6, 5)), requires_grad=True)
-        out = nm.attention(x, w, 3, scale, None, wo)
-        assert out.shape == (4, 5) and out._parents == (x, w, wo)
-        assert [g.shape for g in out._vjp(np.ones(out.shape))] == [x.shape, w.shape, wo.shape]
         x, c = Tensor(np.ones((4, 3)), requires_grad=True), Tensor(np.ones((6, 3)),
                                                                    requires_grad=True)
         assert nm.affine_coupling(x, c)._parents == (x, c)
 
     def test_shape_errors(self):
-        x, w, _, _ = _attention_case(Rng(1), 4, 6, 3, 2)
-        with pytest.raises(ShapeError, match=r"output projection \(5, 2\) needs 6 rows"):
-            nm.attention(x, w, 3, 1.0, None, Tensor(np.ones((5, 2))))
-        with pytest.raises(ShapeError, match="output projection"):
-            nm.attention(x, w, 3, 1.0, None, Tensor(np.ones(6)))
         for args in ([np.ones((4, 3)), np.ones((4, 3))], [np.ones((4, 3)), np.ones((6, 2))],
                      [np.ones((3, 3)), np.ones((3, 3))], [np.ones(4), np.ones(6)]):
             with pytest.raises(ShapeError, match="affine_coupling expects"):
@@ -1391,12 +1364,11 @@ class TestFusedProjectionFfnCoupling:
                 [row["loss"] for row in history["main"]]] + trained
 
         fused = outputs()
-        monkeypatch.setattr(nm, "attention", projected_attention_reference)
-        monkeypatch.setattr(nm, "encoder_block", encoder_block_reference)
-        monkeypatch.setattr(nm, "scale_head", scale_head_reference)
-        monkeypatch.setattr(nm, "coupling_conditioner", coupling_conditioner_reference)
-        monkeypatch.setattr(nm, "affine_coupling", affine_coupling_reference)
-        assert outputs() == fused
+        with chains_patched_in(monkeypatch, encoder_block=encoder_block_reference,
+                               scale_head=scale_head_reference,
+                               coupling_conditioner=coupling_conditioner_reference,
+                               affine_coupling=affine_coupling_reference):
+            assert outputs() == fused
 
 
 def _tower_case(rng, length, h, extra, hidden, k=3, cond_dim=0):
@@ -1570,8 +1542,8 @@ class TestFusedConvTower:
             return history, [p.data.tobytes() for p in gen.params() + disc.params()]
 
         fused = outputs()
-        monkeypatch.setattr(nm, "conv_tower", conv_tower_reference)
-        assert outputs() == fused
+        with chains_patched_in(monkeypatch, conv_tower=conv_tower_reference):
+            assert outputs() == fused
 
     def test_gradcheck_rows_run_through_the_op(self, monkeypatch):
         from alignflow import gradcheck
@@ -1632,9 +1604,10 @@ def _layer_bytes(op, leaves, g, ld_weight=0.7):
 
 
 class TestFusedEncoderBlock:
-    """``encoder_block`` against the attention, add_layer_norm, net,
-    add_layer_norm chain it replaces: the same bytes forward and backward, the
-    same ``None`` skips, and a ``NumericError`` on exactly the same inputs."""
+    """``encoder_block`` against the chain it replaces (the attention as
+    ``attend_node``, add, layer_norm, the net, add, layer_norm): the same
+    bytes forward and backward, and a ``NumericError`` on exactly the same
+    inputs."""
 
     @pytest.mark.parametrize("n_heads", [1, 2, 4])
     @pytest.mark.parametrize("length", [1, 2, 5, 9])
@@ -1762,6 +1735,14 @@ class TestFusedEncoderBlock:
                        (4, (4,)), (5, (5, 4)), (6, (4,))]:
             with pytest.raises(ShapeError, match="encoder_block expects"):
                 nm.encoder_block(*leaves[:i], np.ones(bad), *leaves[i + 1:], 2, 0.5)
+        x, w, *rest = leaves  # T = 4, D = 6, H = 2, d = 3
+        for args in [(np.ones((4, 2)), w, *rest, 2),  # D differs
+                     (x, np.ones((3, 6, 3)), *rest, 2),  # 3 rows for 2 heads
+                     (x, np.ones((6, 3)), *rest, 1)]:  # one unstacked weight
+            with pytest.raises(ShapeError, match="encoder_block expects"):
+                nm.encoder_block(*args, 0.5)
+        with pytest.raises(ShapeError, match=r"^encoder_block: bias \(3, 3\) does not fit"):
+            nm.encoder_block(*leaves, 2, 0.5, np.zeros((3, 3)))
 
 
 class TestScaleHead:
@@ -1849,7 +1830,7 @@ class TestSumRows:
 class TestFusedCoupling:
     """A coupling layer as ``coupling_conditioner``, ``affine_coupling`` and
     the log-det's getitem and sum, against the chain of getitem, transpose,
-    attention, add, conv1d, condition term, relu, conv1d, getitem, clamp,
+    ``attend_node``, add, conv1d, condition term, relu, conv1d, getitem, clamp,
     affine output and sum it replaces: the same bytes forward and backward
     (the input's cotangent included), the same ``None`` skips, and a
     ``NumericError`` on exactly the same inputs."""
@@ -1918,9 +1899,9 @@ class TestFusedCoupling:
             return result
 
         fused = outputs()
-        monkeypatch.setattr(nm, "coupling_conditioner", coupling_conditioner_reference)
-        monkeypatch.setattr(nm, "affine_coupling", affine_coupling_reference)
-        assert outputs() == fused
+        with chains_patched_in(monkeypatch, coupling_conditioner=coupling_conditioner_reference,
+                               affine_coupling=affine_coupling_reference):
+            assert outputs() == fused
         np.testing.assert_allclose(stack.inverse(stack.forward(x, cond)[0], cond).data, x.data,
                                    atol=1e-12)
 
@@ -2046,7 +2027,7 @@ class TestFusedCoupling:
             ops.clear()
             assert check_grad(f, probe) < 1e-4, name
             assert ops & {"encoder_block", "coupling_conditioner"}, name
-            assert not ops & {"attention", "ffn", "add_layer_norm", "conv1d", "relu"}, name
+            assert not ops & {"attention", "ffn", "layer_norm", "conv1d", "relu"}, name
 
 
 class TestConcurrency:
@@ -2545,10 +2526,10 @@ class TestNoGrad:
     @staticmethod
     def _ops(x, w, c):
         """One output of each kind of op, from leaves that want a gradient."""
-        xa, wa, scale, _ = _attention_case(Rng(3), 5, 4, 2, 2)
+        block = _block_leaves(Rng(3), 5, 4, 2, 3)
         return [x @ w, nm.tanh(x @ w), nm.linear(x, w, c), nm.summation(x * w[0]),
-                nm.conv1d(x, w.data.reshape(3, 3, 1), c), nm.add_layer_norm(x, x @ w),
-                nm.attention(xa, wa, 2, scale), x[1:3], nm.softmax(x @ w)]
+                nm.conv1d(x, w.data.reshape(3, 3, 1), c), nm.encoder_block(*block, 2, 0.7),
+                x[1:3], nm.softmax(x @ w)]
 
     def _leaves(self):
         rng = Rng(1)
@@ -2599,10 +2580,10 @@ class TestNoGrad:
                 x @ w
             with pytest.raises(NumericError, match="linear"):
                 nm.linear(x, w, c)
-            xa, wa, scale, _ = _attention_case(Rng(3), 5, 4, 1, 2)
-            wa.data[1, 0, 0] = np.inf  # wk
-            with pytest.raises(NumericError, match="q, k or v"):
-                nm.attention(xa, wa, 1, scale)
+            block = _block_leaves(Rng(3), 5, 4, 1, 3)
+            block[1].data[1, 0, 0] = np.inf  # wk
+            with pytest.raises(NumericError, match="^encoder_block produced a non-finite q, k"):
+                nm.encoder_block(*block, 1, 0.5)
 
     def test_is_thread_local(self):
         import threading
